@@ -18,7 +18,6 @@ from .calculus import (
     decompose_via_taylor,
     derivative_at_zero,
     higher_derivative,
-    higher_derivative_expansion,
     is_k_decomposable,
     min_decomposition_arity,
     partial_derivative,

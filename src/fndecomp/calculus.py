@@ -9,20 +9,32 @@ Summing the derivatives of f at a base point over all position sets
 reconstructs f exactly; a function is a sum of essentially-at-most-k-ary
 functions precisely when all its derivatives on more than k positions vanish
 at the base point.  That criterion drives the decomposability tests here.
+
+Every derivative value at the base comes from one finite-difference transform
+of the table (``_derivative_coefficients``): the decomposability tests scan it
+and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
+single derivative on its own and serves as the independent check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element
-from .tables import FnTable, iter_tuples, tuple_index
+from .tables import FnTable, tuple_index
 
-# Full materialization of all 2**n derivative term tables is capped here.
-TAYLOR_MAX_ARITY = 16
+# Cells (terms built * |A|**arity) one Taylor materialization may allocate:
+# about 32 MB of term tables.
+TAYLOR_MAX_CELLS = 1 << 22
+
+# Cells per run of the finite-difference transform (see below).
+_RUN = 256
+
+# bytes.translate table adding 1 to every byte below 255
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 Witness = tuple[frozenset[int], tuple[int, ...]]
 
@@ -71,36 +83,6 @@ def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) ->
     return out
 
 
-def higher_derivative_expansion(
-    f: FnTable, vars: Iterable[int], params: Sequence[int]
-) -> FnTable:
-    """Same derivative via the alternating sum over subsets of the positions."""
-    positions = _check_positions(f, vars)
-    params = _check_point(f, params, "parameter tuple")
-    a = f.a_size
-    s = len(positions)
-    strides = [a**i for i in positions]
-    add = f.group.code_add_table
-    sub = f.group.code_sub_table
-    vals = f.values
-    out = []
-    for k in range(len(vals)):
-        acc = 0
-        for jmask in range(1 << s):
-            idx = k
-            for t in range(s):
-                if jmask >> t & 1:
-                    d = (k // strides[t]) % a
-                    idx += (params[positions[t]] - d) * strides[t]
-            term = vals[idx]
-            if (s - jmask.bit_count()) & 1:
-                acc = sub[acc][term]
-            else:
-                acc = add[acc][term]
-        out.append(acc)
-    return FnTable(a, f.arity, f.group, tuple(out))
-
-
 def derivative_at_zero(
     f: FnTable,
     vars: Iterable[int],
@@ -141,16 +123,122 @@ def derivative_at_zero(
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
-    by: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by[mask.bit_count()].append(mask)
-    return tuple(tuple(row) for row in by)
+def _check_base(f: FnTable, base: Sequence[int] | None) -> tuple[int, ...]:
+    return (0,) * f.arity if base is None else _check_point(f, base, "base point")
 
 
-def _mask_positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _check_k(f: FnTable, k: int) -> None:
+    if not 0 <= k <= f.arity:
+        raise ArgumentError(f"k must be between 0 and {f.arity}, got {k}")
+
+
+def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> list[int]:
+    """Codes c with c[index(x)] = the derivative of f at base on the positions
+    where x differs from base, with parameters x.
+
+    Mixed-radix finite-difference transform: one in-place pass per coordinate
+    i subtracts, from every x with x_i != base_i, the entry with x_i = base_i.
+    Costs arity * |A|**arity code subtractions.
+    """
+    a = f.a_size
+    sub = f.group.code_sub_table
+    c = list(f.values)
+    size = len(c)
+    stride = 1
+    for b in base:
+        block = a * stride
+        # the entries with x_i = 0 as runs, shifted by d * stride for x_i = d:
+        # one strided run per offset below stride, or one contiguous run per
+        # block, whichever makes fewer runs
+        if stride * stride * a <= size:
+            runs = [(j, size, block) for j in range(stride)]
+        else:
+            runs = [(q, q + stride, 1) for q in range(0, size, block)]
+        # at most _RUN cells per run keeps the temporaries small
+        runs = [(t, min(hi, t + _RUN * step), step) for lo, hi, step in runs
+                for t in range(lo, hi, _RUN * step)]
+        for lo, hi, step in runs:
+            ref = c[lo + b * stride:hi + b * stride:step]
+            for d in range(a):
+                if d != b:
+                    run = slice(lo + d * stride, hi + d * stride, step)
+                    c[run] = [sub[u][v] for u, v in zip(c[run], ref)]
+        stride = block
+    return c
+
+
+def _support_sizes(a_size: int, base: tuple[int, ...]) -> bytes:
+    """Number of positions where x differs from base, per table index."""
+    sizes = b"\0"
+    for b in base:
+        more = sizes.translate(_PLUS_ONE)
+        sizes = b"".join(sizes if d == b else more for d in range(a_size))
+    return sizes
+
+
+def _top_size(sizes: bytes, c: list[int]) -> int:
+    """Largest support size with a nonzero coefficient (0 if none)."""
+    return max((s for s, v in zip(sizes, c) if v), default=0)
+
+
+def _first_witness(
+    f: FnTable, base: tuple[int, ...], c: list[int], k: int
+) -> Witness | None:
+    """The witness of decomposability_witness, read off the coefficients c."""
+    sizes = _support_sizes(f.a_size, base)
+    top = _top_size(sizes, c)
+    if top <= k:
+        return None
+    a = f.a_size
+    powers = [a**i for i in range(f.arity)]
+
+    def mask_and_params(idx):
+        x = [(idx // p) % a for p in powers]
+        mask = sum(1 << i for i, (d, b) in enumerate(zip(x, base)) if d != b)
+        return mask, tuple(d if d != b else 0 for d, b in zip(x, base))
+
+    # among the largest supports: mask ascending, then parameters lexicographic
+    mask, params = min(
+        mask_and_params(idx) for idx, (s, v) in enumerate(zip(sizes, c)) if v and s == top
+    )
+    return (frozenset(i for i in range(f.arity) if mask >> i & 1), params)
+
+
+def _check_taylor_cells(f: FnTable, terms: int) -> None:
+    cells = terms * len(f.values)
+    if cells > TAYLOR_MAX_CELLS:
+        raise ResourceError(
+            f"{terms} Taylor terms of {len(f.values)} cells each exceed the "
+            f"materialization budget of {TAYLOR_MAX_CELLS} cells"
+        )
+
+
+def _term_table(f: FnTable, base: tuple[int, ...], c: list[int], mask: int) -> FnTable:
+    """Term of the position set I = bits of mask: x -> c at (x on I, base
+    elsewhere), which is zero where some x_i on I equals base_i."""
+    a = f.a_size
+    # source index into c per table index, -1 where the term is zero
+    src = [sum(b * a**i for i, b in enumerate(base) if not mask >> i & 1)]
+    stride = 1
+    for i, b in enumerate(base):
+        if mask >> i & 1:
+            src = [s + d * stride if s >= 0 and d != b else -1 for d in range(a) for s in src]
+        else:
+            src = src * a
+        stride *= a
+    return FnTable(a, f.arity, f.group, tuple(c[s] if s >= 0 else 0 for s in src))
+
+
+def _taylor_terms_upto(
+    f: FnTable, base: tuple[int, ...], c: list[int], k: int
+) -> list[tuple[frozenset[int], FnTable]]:
+    """The terms on at most k positions, by size ascending, then mask ascending."""
+    terms = []
+    for s in range(k + 1):
+        for mask in sorted(sum(1 << i for i in I) for I in combinations(range(f.arity), s)):
+            positions = frozenset(i for i in range(f.arity) if mask >> i & 1)
+            terms.append((positions, _term_table(f, base, c, mask)))
+    return terms
 
 
 def taylor_terms(
@@ -158,62 +246,13 @@ def taylor_terms(
 ) -> list[tuple[frozenset[int], FnTable]]:
     """One term table per position set I: x -> derivative of f on I at base,
     evaluated with parameter x.  The 2**arity terms sum to f exactly.
+
+    Terms come by size of I ascending, then by bitmask of I ascending.  Raises
+    ResourceError when the 2**arity * |A|**arity cells exceed TAYLOR_MAX_CELLS.
     """
-    n = f.arity
-    if n > TAYLOR_MAX_ARITY:
-        raise ResourceError(f"arity {n} exceeds the Taylor materialization bound {TAYLOR_MAX_ARITY}")
-    base = (0,) * n if base is None else _check_point(f, base, "base point")
-    a = f.a_size
-    size = len(f.values)
-    base_idx = tuple_index(a, base)
-    add = f.group.code_add_table
-    sub = f.group.code_sub_table
-    vals = f.values
-    terms = []
-    for s in range(n + 1):
-        for mask in _masks_by_size(n)[s]:
-            positions = _mask_positions(mask)
-            strides = [a**i for i in positions]
-            # term value per assignment to the I positions, in little-endian
-            # assignment-index order (matching the broadcast below)
-            per_assign = []
-            for assign in iter_tuples(a, s):
-                deltas = [(assign[t] - base[positions[t]]) * strides[t] for t in range(s)]
-                acc = 0
-                for jmask in range(1 << s):
-                    idx = base_idx
-                    for t in range(s):
-                        if jmask >> t & 1:
-                            idx += deltas[t]
-                    term = vals[idx]
-                    if (s - jmask.bit_count()) & 1:
-                        acc = sub[acc][term]
-                    else:
-                        acc = add[acc][term]
-                per_assign.append(acc)
-            # broadcast: each table index reads the entry for its I-digits
-            out = []
-            for k in range(size):
-                aidx = 0
-                for t in range(s - 1, -1, -1):
-                    aidx = aidx * a + (k // strides[t]) % a
-                out.append(per_assign[aidx])
-            terms.append((frozenset(positions), FnTable(a, n, f.group, tuple(out))))
-    return terms
-
-
-def _witness_at_size(f: FnTable, s: int, base: Sequence[int] | None) -> Witness | None:
-    zero = f.group.zero
-    n = f.arity
-    for mask in _masks_by_size(n)[s]:
-        positions = _mask_positions(mask)
-        for assign in product(range(f.a_size), repeat=s):
-            params = [0] * n
-            for t, i in enumerate(positions):
-                params[i] = assign[t]
-            if derivative_at_zero(f, positions, params, base) != zero:
-                return (frozenset(positions), tuple(params))
-    return None
+    _check_taylor_cells(f, 1 << f.arity)
+    base = _check_base(f, base)
+    return _taylor_terms_upto(f, base, _derivative_coefficients(f, base), f.arity)
 
 
 def decomposability_witness(
@@ -223,16 +262,12 @@ def decomposability_witness(
     positions, or None when f is k-decomposable.
 
     Search order: position-set size descending, then mask ascending, then
-    parameter tuples in lexicographic order (irrelevant components stay 0).
+    parameter tuples in lexicographic order over ascending positions.
+    Components of params outside the positions are 0, whatever the base.
     """
-    n = f.arity
-    if not 0 <= k <= n:
-        raise ArgumentError(f"k must be between 0 and {n}, got {k}")
-    for s in range(n, k, -1):
-        witness = _witness_at_size(f, s, base)
-        if witness is not None:
-            return witness
-    return None
+    _check_k(f, k)
+    base = _check_base(f, base)
+    return _first_witness(f, base, _derivative_coefficients(f, base), k)
 
 
 def is_k_decomposable(f: FnTable, k: int, base: Sequence[int] | None = None) -> bool:
@@ -242,21 +277,24 @@ def is_k_decomposable(f: FnTable, k: int, base: Sequence[int] | None = None) -> 
 
 def min_decomposition_arity(f: FnTable, base: Sequence[int] | None = None) -> int:
     """Largest position-set size with a nonvanishing derivative at the base (0 if none)."""
-    for s in range(f.arity, 0, -1):
-        if _witness_at_size(f, s, base) is not None:
-            return s
-    return 0
+    base = _check_base(f, base)
+    return _top_size(_support_sizes(f.a_size, base), _derivative_coefficients(f, base))
 
 
 def decompose_via_taylor(
     f: FnTable, k: int, base: Sequence[int] | None = None
-) -> list[FnTable]:
-    """The Taylor terms on at most k positions; their sum equals f exactly.
+) -> list[tuple[frozenset[int], FnTable]]:
+    """The (positions, term) pairs of the Taylor terms on at most k positions,
+    in the order of taylor_terms; the terms sum to f exactly.
 
     Raises PreconditionError carrying the violating witness when f is not
-    k-decomposable.
+    k-decomposable, and ResourceError when the terms would exceed
+    TAYLOR_MAX_CELLS.
     """
-    witness = decomposability_witness(f, k, base)
+    _check_k(f, k)
+    base = _check_base(f, base)
+    c = _derivative_coefficients(f, base)
+    witness = _first_witness(f, base, c, k)
     if witness is not None:
         positions, params = witness
         raise PreconditionError(
@@ -264,4 +302,5 @@ def decompose_via_taylor(
             f"{sorted(positions)} with parameters {params} is nonzero",
             witness=witness,
         )
-    return [term for I, term in taylor_terms(f, base) if len(I) <= k]
+    _check_taylor_cells(f, sum(comb(f.arity, s) for s in range(k + 1)))
+    return _taylor_terms_upto(f, base, c, k)

@@ -36,18 +36,24 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-def _digest(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _load_table(path: str) -> tables.FnTable:
+def _read_text(path: str) -> tuple[str, dict]:
+    """The file's text, decoded strictly as UTF-8, and the digest of the very
+    bytes that were decoded."""
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return tables.load_table(text)
+    digest = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        return data.decode("utf-8"), digest
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _load_table(path: str) -> tuple[tables.FnTable, dict]:
+    text, digest = _read_text(path)
+    return tables.load_table(text), digest
 
 
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
@@ -103,7 +109,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    f = _load_table(args.table)
+    f, digest = _load_table(args.table)
     ess = sorted(tables.essential_variables(f))
     verdicts = {
         "essential_variables": ess,
@@ -123,7 +129,7 @@ def _cmd_analyze(args) -> int:
     verdicts["min_decomposition_arity"] = calculus.min_decomposition_arity(f)
     report = {
         "command": "analyze",
-        "inputs": [_digest(args.table)],
+        "inputs": [digest],
         "verdicts": verdicts,
         "payload": payload,
     }
@@ -140,20 +146,13 @@ def _sum_tables(group, parts):
 
 
 def _cmd_decompose(args) -> int:
-    f = _load_table(args.table)
+    f, digest = _load_table(args.table)
     payload: dict = {}
     verdicts: dict = {"mode": args.mode}
     if args.mode == "taylor":
         if args.k is None:
             raise ArgumentError("--mode taylor requires --k")
-        witness = calculus.decomposability_witness(f, args.k)
-        if witness is not None:
-            positions, params = witness
-            raise PreconditionError(
-                f"not {args.k}-decomposable: derivative on positions "
-                f"{sorted(positions)} with parameters {params} is nonzero"
-            )
-        terms = [(I, t) for I, t in calculus.taylor_terms(f) if len(I) <= args.k]
+        terms = calculus.decompose_via_taylor(f, args.k)
         if _sum_tables(f.group, [t for _, t in terms]) != f.values:
             raise InternalConsistencyError("taylor summands do not add back to f")
         verdicts["reconstruction"] = "exact"
@@ -191,7 +190,7 @@ def _cmd_decompose(args) -> int:
             payload["phi_file"] = args.out
     report = {
         "command": "decompose",
-        "inputs": [_digest(args.table)],
+        "inputs": [digest],
         "verdicts": verdicts,
         "payload": payload,
     }
@@ -200,7 +199,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    f = _load_table(args.table)
+    f, digest = _load_table(args.table)
     verdicts: dict = {"target": args.target}
     payload: dict = {}
     if args.target == "boolean":
@@ -228,7 +227,7 @@ def _cmd_classify(args) -> int:
             verdicts["gap"] = 1
     report = {
         "command": "classify",
-        "inputs": [_digest(args.table)],
+        "inputs": [digest],
         "verdicts": verdicts,
         "payload": payload,
     }

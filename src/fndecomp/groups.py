@@ -23,6 +23,14 @@ Element = tuple[int, ...]
 _CODE_TABLE_LIMIT = 1 << 12
 
 
+def parse_decimal(text: str) -> int | None:
+    """Value of a nonempty string of ASCII digits; None for anything else,
+    such as a sign, an underscore, a space or a non-ASCII digit ('²', '١')."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    return None
+
+
 @dataclass(frozen=True)
 class Group:
     """Direct product of cyclic groups Z_{m1} x ... x Z_{mk}, written additively."""
@@ -47,9 +55,9 @@ class Group:
             raise ParseError("empty group spec")
         moduli = []
         for part in compact.split("x"):
-            if not part.startswith("z") or not part[1:].isdigit():
+            m = parse_decimal(part[1:]) if part.startswith("z") else None
+            if m is None:
                 raise ParseError(f"bad group factor {part!r} in {text!r}")
-            m = int(part[1:])
             if m == 0:
                 raise ParseError("factor Z0 is not a finite cyclic group")
             if m > 1:  # Z1 factors are trivial and normalized away
@@ -199,11 +207,13 @@ class Group:
             raise ParseError(
                 f"element {text!r} has {len(parts)} residues, expected {len(self.moduli)}"
             )
-        try:
-            residues = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"bad element text {text!r}") from None
-        for r, m in zip(residues, self.moduli):
-            if not 0 <= r < m:
+        residues = []
+        for p, m in zip(parts, self.moduli):
+            r = parse_decimal(p)
+            # only the canonical text str(r) names residue r: no leading zero
+            if r is None or (p[0] == "0" and p != "0"):
+                raise ParseError(f"bad element text {text!r}")
+            if r >= m:
                 raise ParseError(f"residue {r} out of range for modulus {m} in {text!r}")
-        return residues
+            residues.append(r)
+        return tuple(residues)

@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .groups import Element, Group
+from .groups import Element, Group, parse_decimal
 from .tables import FnTable, essential_variables, identification_minor, is_totally_symmetric, iter_tuples
 
 Subset = frozenset[int]
@@ -62,10 +62,10 @@ def parse_subset(text: str) -> Subset:
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    try:
-        return frozenset(int(p) for p in inner.split(","))
-    except ValueError:
-        raise ParseError(f"bad subset text {text!r}") from None
+    letters = [parse_decimal(p) for p in inner.split(",")]
+    if None in letters:
+        raise ParseError(f"bad subset text {text!r}")
+    return frozenset(letters)
 
 
 @lru_cache(maxsize=None)
@@ -304,18 +304,20 @@ def load_phi(text: str) -> PhiMap:
         fields[key] = val
     if set(fields) != {"domain", "a", "group"}:
         raise ParseError("bad phi header fields", line=lineno)
-    if not fields["a"].isdigit():
+    a_size = parse_decimal(fields["a"])
+    if a_size is None:
         raise ParseError(f"bad alphabet size {fields['a']!r}", line=lineno)
-    a_size = int(fields["a"])
     try:
         group = Group.from_text(fields["group"])
     except ParseError as exc:
         raise ParseError(str(exc), line=lineno) from None
     domain = fields["domain"]
+    head, _, count = domain.partition(":")
+    arity = parse_decimal(count) if head == "pnprime" else None
     if domain == "full":
-        kind, arity = FULL, None
-    elif domain.startswith("pnprime:") and domain.split(":", 1)[1].isdigit():
-        kind, arity = PNPRIME, int(domain.split(":", 1)[1])
+        kind = FULL
+    elif arity is not None:
+        kind = PNPRIME
     else:
         raise ParseError(f"bad phi domain {domain!r}", line=lineno)
     entries: dict[Subset, Element] = {}

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .groups import Element, Group
+from .groups import Element, Group, parse_decimal
 
 
 def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
@@ -283,9 +283,10 @@ def load_table(text: str) -> FnTable:
         fields[key] = (lineno, line[len(prefix):].strip())
     for key in ("domain", "arity"):
         lineno, val = fields[key]
-        if not val.isdigit():
+        number = parse_decimal(val)
+        if number is None:
             raise ParseError(f"bad {key} value {val!r}", line=lineno)
-        fields[key] = (lineno, int(val))
+        fields[key] = (lineno, number)
     lineno, spec = fields["group"]
     try:
         group = Group.from_text(spec)

@@ -2,14 +2,17 @@
 
 The essential-variable / gap / determination oracles work straight from the
 definitions on explicit tuples, so they cross-check the library's optimized
-index arithmetic.
+index arithmetic.  The derivative oracles evaluate each (positions,
+parameters) pair through its own alternating subset sum, which is what the
+library's one-pass finite-difference transform replaces.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
-from fndecomp import FnTable, Group
+from fndecomp import FnTable, Group, derivative_at_zero
+from fndecomp.tables import iter_tuples, tuple_index
 
 
 def all_tuples(a_size, n):
@@ -77,6 +80,22 @@ def random_table(rng, a_size, n, group: Group) -> FnTable:
     )
 
 
+def random_sum_table(rng, a_size, n, group: Group, r) -> FnTable:
+    """Sum of random functions, one of each r positions, so that the minimal
+    decomposition arity is at most r."""
+    add = group.code_add_table
+    points = list(iter_tuples(a_size, n))
+    values = [0] * len(points)
+    for J in combinations(range(n), r):
+        part = {}
+        for idx, x in enumerate(points):
+            key = tuple(x[i] for i in J)
+            if key not in part:
+                part[key] = rng.randrange(group.order)
+            values[idx] = add[values[idx]][part[key]]
+    return FnTable(a_size, n, group, tuple(values))
+
+
 def random_full_arity_table(rng, a_size, n, group: Group) -> FnTable:
     from fndecomp import essential_variables
 
@@ -94,3 +113,121 @@ def all_phi_assignments(a_size, n, group):
     elements = list(group.elements())
     for combo in product(elements, repeat=len(keys)):
         yield dict(zip(keys, combo))
+
+
+# ----------------------------------------------------------------------
+# derivative oracles: one alternating subset sum per derivative value
+# ----------------------------------------------------------------------
+
+
+def higher_derivative_expansion(f: FnTable, vars, params) -> FnTable:
+    """Derivative table on the positions vars with parameters params, as the
+    alternating sum over subsets of the positions."""
+    positions = sorted(set(vars))
+    a = f.a_size
+    s = len(positions)
+    strides = [a**i for i in positions]
+    add = f.group.code_add_table
+    sub = f.group.code_sub_table
+    vals = f.values
+    out = []
+    for k in range(len(vals)):
+        acc = 0
+        for jmask in range(1 << s):
+            idx = k
+            for t in range(s):
+                if jmask >> t & 1:
+                    d = (k // strides[t]) % a
+                    idx += (params[positions[t]] - d) * strides[t]
+            term = vals[idx]
+            if (s - jmask.bit_count()) & 1:
+                acc = sub[acc][term]
+            else:
+                acc = add[acc][term]
+        out.append(acc)
+    return FnTable(a, f.arity, f.group, tuple(out))
+
+
+def _masks_by_size(n):
+    by = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by[mask.bit_count()].append(mask)
+    return by
+
+
+def _mask_positions(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def oracle_witness_at_size(f: FnTable, s, base=None):
+    """First nonzero derivative on s positions: mask ascending, then
+    parameters over the positions in lexicographic order, other params 0."""
+    zero = f.group.zero
+    n = f.arity
+    for mask in _masks_by_size(n)[s]:
+        positions = _mask_positions(mask)
+        for assign in product(range(f.a_size), repeat=s):
+            params = [0] * n
+            for t, i in enumerate(positions):
+                params[i] = assign[t]
+            if derivative_at_zero(f, positions, params, base) != zero:
+                return (frozenset(positions), tuple(params))
+    return None
+
+
+def oracle_decomposability_witness(f: FnTable, k, base=None):
+    for s in range(f.arity, k, -1):
+        witness = oracle_witness_at_size(f, s, base)
+        if witness is not None:
+            return witness
+    return None
+
+
+def oracle_min_decomposition_arity(f: FnTable, base=None):
+    for s in range(f.arity, 0, -1):
+        if oracle_witness_at_size(f, s, base) is not None:
+            return s
+    return 0
+
+
+def oracle_taylor_terms(f: FnTable, base=None):
+    """(positions, term) for every position set, size ascending then mask
+    ascending; each term value is its own alternating subset sum."""
+    n = f.arity
+    base = (0,) * n if base is None else tuple(base)
+    a = f.a_size
+    base_idx = tuple_index(a, base)
+    add = f.group.code_add_table
+    sub = f.group.code_sub_table
+    vals = f.values
+    terms = []
+    for s in range(n + 1):
+        for mask in _masks_by_size(n)[s]:
+            positions = _mask_positions(mask)
+            strides = [a**i for i in positions]
+            # term value per assignment to the I positions, in little-endian
+            # assignment-index order (matching the broadcast below)
+            per_assign = []
+            for assign in iter_tuples(a, s):
+                deltas = [(assign[t] - base[positions[t]]) * strides[t] for t in range(s)]
+                acc = 0
+                for jmask in range(1 << s):
+                    idx = base_idx
+                    for t in range(s):
+                        if jmask >> t & 1:
+                            idx += deltas[t]
+                    term = vals[idx]
+                    if (s - jmask.bit_count()) & 1:
+                        acc = sub[acc][term]
+                    else:
+                        acc = add[acc][term]
+                per_assign.append(acc)
+            # broadcast: each table index reads the entry for its I-digits
+            out = []
+            for k in range(len(vals)):
+                aidx = 0
+                for t in range(s - 1, -1, -1):
+                    aidx = aidx * a + (k // strides[t]) % a
+                out.append(per_assign[aidx])
+            terms.append((frozenset(positions), FnTable(a, n, f.group, tuple(out))))
+    return terms

@@ -24,7 +24,6 @@ from fndecomp import (
     extract_phi,
     hamming_witness,
     higher_derivative,
-    higher_derivative_expansion,
     is_k_decomposable,
     phi_domain,
     reconstruct_even,
@@ -40,7 +39,7 @@ from fndecomp.booldecomp import full_map_from_domain_entries
 from fndecomp.classify import Z3Params, params_from_phi, phi_values_for_params, z3_build, z3_classify
 from fndecomp.identities import even_sum_rows, odd_sum_rows
 from fndecomp.oddsupport import _support_partition
-from helpers import all_phi_assignments, random_full_arity_table
+from helpers import all_phi_assignments, higher_derivative_expansion, random_full_arity_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))

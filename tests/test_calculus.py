@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fndecomp import (
     ArgumentError,
@@ -14,7 +15,6 @@ from fndecomp import (
     derivative_at_zero,
     essential_variables,
     higher_derivative,
-    higher_derivative_expansion,
     hamming_witness,
     is_k_decomposable,
     min_decomposition_arity,
@@ -22,11 +22,20 @@ from fndecomp import (
     taylor_terms,
     tightness_witness,
 )
-from helpers import all_tuples, random_table
+from helpers import (
+    all_tuples,
+    higher_derivative_expansion,
+    oracle_decomposability_witness,
+    oracle_min_decomposition_arity,
+    oracle_taylor_terms,
+    random_sum_table,
+    random_table,
+)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
 Z4 = Group((4,))
+Z2xZ3 = Group((2, 3))
 
 
 def table_sum(group, parts):
@@ -188,6 +197,12 @@ def test_taylor_resource_guard():
     f = FnTable.constant(2, 17, Z2, (0,))
     with pytest.raises(ResourceError):
         taylor_terms(f)
+    # the budget counts cells, not arity: 2**8 terms of 5**8 cells, and the
+    # 9908 terms on at most 7 of 14 positions, are far over it
+    with pytest.raises(ResourceError):
+        taylor_terms(FnTable.constant(5, 8, Z2, (0,)))
+    with pytest.raises(ResourceError):
+        decompose_via_taylor(FnTable.constant(2, 14, Z2, (0,)), 7)
 
 
 def test_decomposability_examples():
@@ -203,7 +218,8 @@ def test_decomposability_examples():
     const = FnTable.constant(2, 3, Z3, (1,))
     assert min_decomposition_arity(const) == 0
     parts = decompose_via_taylor(const, 0)
-    assert len(parts) == 1 and set(parts[0].values) == {Z3.encode((1,))}
+    assert len(parts) == 1 and parts[0][0] == frozenset()
+    assert set(parts[0][1].values) == {Z3.encode((1,))}
 
 
 def test_oddsupp_determined_bound_example():
@@ -256,8 +272,8 @@ def test_min_decomposition_arity_tightness():
 def test_decompose_via_taylor_round_trip_and_failure():
     par4 = FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,))
     parts = decompose_via_taylor(par4, 1)
-    assert table_sum(Z2, parts) == par4.values
-    assert all(len(essential_variables(p)) <= 1 for p in parts)
+    assert table_sum(Z2, [p for _, p in parts]) == par4.values
+    assert all(essential_variables(p) <= I and len(I) <= 1 for I, p in parts)
 
     w = hamming_witness(3, Z3, (1,))
     with pytest.raises(PreconditionError) as exc:
@@ -290,3 +306,63 @@ def test_bad_arguments():
         is_k_decomposable(f, 3)
     with pytest.raises(ArgumentError):
         partial_derivative(f, 2, 0)
+
+
+# ----------------------------------------------------------------------
+# the one-pass transform against the per-derivative alternating sums
+# ----------------------------------------------------------------------
+
+
+def _pairs(terms):
+    return [(I, t.values) for I, t in terms]
+
+
+def assert_matches_oracle(f, base):
+    assert min_decomposition_arity(f, base) == oracle_min_decomposition_arity(f, base)
+    terms = _pairs(oracle_taylor_terms(f, base))
+    assert _pairs(taylor_terms(f, base)) == terms
+    for k in range(f.arity + 1):
+        witness = oracle_decomposability_witness(f, k, base)
+        assert decomposability_witness(f, k, base) == witness
+        if witness is None:
+            kept = [(I, values) for I, values in terms if len(I) <= k]
+            assert _pairs(decompose_via_taylor(f, k, base)) == kept
+        else:
+            with pytest.raises(PreconditionError) as exc:
+                decompose_via_taylor(f, k, base)
+            assert exc.value.witness == witness
+
+
+def test_coefficients_are_the_derivatives_at_the_base():
+    # tables long enough that the transform splits its runs in both layouts
+    from fndecomp.calculus import _derivative_coefficients
+
+    rng = random.Random(23)
+    for a_size, n, group in [(2, 10, Z3), (3, 7, Z4), (5, 5, Z2xZ3)]:
+        f = random_table(rng, a_size, n, group)
+        base = tuple(rng.randrange(a_size) for _ in range(n))
+        c = _derivative_coefficients(f, base)
+        for x, code in zip(all_tuples(a_size, n), c):
+            positions = [i for i in range(n) if x[i] != base[i]]
+            assert group.decode(code) == derivative_at_zero(f, positions, x, base)
+
+
+@pytest.mark.parametrize("a_size, n, group", [(2, 3, Z2), (3, 2, Z2), (2, 2, Z3)])
+def test_transform_matches_oracle_exhaustive(a_size, n, group):
+    # every table, at every base point and every k
+    for values in product(range(group.order), repeat=a_size**n):
+        f = FnTable(a_size, n, group, values)
+        for base in all_tuples(a_size, n):
+            assert_matches_oracle(f, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transform_matches_oracle_random(data):
+    a_size = data.draw(st.integers(2, 5), label="a_size")
+    n = data.draw(st.integers(0, 5), label="n")
+    group = data.draw(st.sampled_from([Z2, Z3, Z4, Z2xZ3]), label="group")
+    r = data.draw(st.integers(0, n), label="planted arity")
+    f = random_sum_table(random.Random(data.draw(st.integers(0, 2**32))), a_size, n, group, r)
+    base = data.draw(st.tuples(*[st.integers(0, a_size - 1)] * n), label="base")
+    assert_matches_oracle(f, base)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from fndecomp import FnTable, Group, load_phi, load_table_file, save_table_file
@@ -55,6 +56,22 @@ def test_analyze_parse_error(tmp_path, capsys):
     bad.write_text("domain=2\narity=2\ngroup=Z2\n0 1 1\n")
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2 and "expected 4 values" in err
+    bad.write_text("domain=\u00b2\narity=2\ngroup=Z2\n0 1 1 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and "bad domain value" in err
+    bad.write_bytes(b"domain=2\narity=2\ngroup=Z2\n0 1 1 \xff\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and "not UTF-8" in err
+
+
+def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):
+    path = write_parity(tmp_path, 3)
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0
+    data = (tmp_path / "parity.tbl").read_bytes()
+    assert json.loads(out)["inputs"] == [
+        {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    ]
 
 
 def test_decompose_odd_round_trip(tmp_path, capsys):
@@ -90,6 +107,12 @@ def test_decompose_taylor_inventory_and_failure(tmp_path, capsys):
     save_table_file(w.table, p)
     code, _, err = run(capsys, "decompose", str(p), "--mode", "taylor", "--k", "2")
     assert code == 3 and "not 2-decomposable" in err and "[0, 1, 2]" in err
+
+    # 9908 terms of 2**14 cells each: far over the Taylor cell budget
+    p = tmp_path / "big.tbl"
+    save_table_file(FnTable.constant(2, 14, Z2, (1,)), p)
+    code, _, err = run(capsys, "decompose", str(p), "--mode", "taylor", "--k", "7")
+    assert code == 3 and "budget" in err
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):

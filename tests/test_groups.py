@@ -117,7 +117,7 @@ def test_text_round_trip():
     assert Group.from_text("Z1") == TRIVIAL
     assert Z2xZ4.to_text() == "Z2xZ4"
     assert TRIVIAL.to_text() == "Z1"
-    for bad in ("", "Z0", "Q8", "Z2x", "Z-3"):
+    for bad in ("", "Z0", "Q8", "Z2x", "Z-3", "Z\u00b3", "Z\u0663", "Z+3"):
         with pytest.raises(ParseError):
             Group.from_text(bad)
 
@@ -132,6 +132,11 @@ def test_element_text():
         Z3.parse_element("3")
     with pytest.raises(ParseError):
         Z2xZ4.parse_element("1")
+    # only the canonical decimal text str(r) names residue r
+    Z12 = Group((12,))
+    for bad in ("+1", "-0", "01", "00", "1_0", "\u0661", "\u00b9", "1, 2", "None"):
+        with pytest.raises(ParseError):
+            (Z2xZ4 if "," in bad else Z12).parse_element(bad)
 
 
 def test_codes_round_trip():

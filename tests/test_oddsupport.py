@@ -218,3 +218,13 @@ def test_phi_file_round_trip():
         load_phi("phi domain=pnprime:3 a=2 group=Z2\n{0} -> 0\n")  # incomplete
     with pytest.raises(ParseError):
         load_phi("phi domain=nope a=2 group=Z2\n")
+    # header numbers and subset letters are ASCII digits
+    text = dump_phi(full)
+    for old, new in (("a=2", "a=\u00b2"), ("{0}", "{\u0660}"), ("{1}", "{+1}"),
+                     ("{0,1}", "{0,1_}"), ("-> 1", "-> +1")):
+        with pytest.raises(ParseError):
+            load_phi(text.replace(old, new, 1))
+    odd = dump_phi(phi)
+    assert "pnprime:4" in odd
+    with pytest.raises(ParseError):
+        load_phi(odd.replace("pnprime:4", "pnprime:\u2074"))

@@ -273,3 +273,11 @@ group=Z2
         load_table("arity=2\ndomain=2\ngroup=Z2\n0 1 1 0\n")  # wrong order
     with pytest.raises(ParseError):
         load_table("domain=2\narity=1\ngroup=Z9x\n0 1\n")
+    # header numbers are ASCII digits; values are canonical element texts
+    for bad in ("domain=\u00b2\narity=1\ngroup=Z2\n0 1\n",
+                "domain=2\narity=\u0661\ngroup=Z2\n0 1\n",
+                "domain=2\narity=1\ngroup=Z\u00b2\n0 1\n",
+                "domain=2\narity=1\ngroup=Z2\n0 +1\n",
+                "domain=2\narity=1\ngroup=Z2\n0 01\n"):
+        with pytest.raises(ParseError):
+            load_table(bad)
