@@ -21,14 +21,13 @@ singular matrix is an internal-consistency failure, never a user error.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .errors import (
     ArgumentError,
     InternalConsistencyError,
     PreconditionError,
-    ResourceError,
 )
 from .groups import Group
 from .oddsupport import (
@@ -310,38 +309,3 @@ def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
     rows = _probe_rows(a_size, n, uniform_sum_sizes(n), pairing=False)
     _, rank, _ = gf2_solve(rows, len(rows), 0)
     return rank, len(rows)
-
-
-# ----------------------------------------------------------------------
-# brute-force oracle (for tests): enumerate every phi and compare
-# ----------------------------------------------------------------------
-
-
-def phi_preimages_bruteforce(f: FnTable, mode: str) -> list[PhiMap]:
-    """All phi maps whose reconstruction equals f, by exhaustive enumeration."""
-    _require_boolean(f.group)
-    a, n = f.a_size, f.arity
-    keys = phi_domain(a, n)
-    if f.group.order ** len(keys) > 1 << 16:
-        raise ResourceError("phi space too large for brute force")
-    if mode == "odd":
-        odd_case_shift(a, n)
-        rebuild = lambda phi: reconstruct_odd(phi)
-    elif mode == "even":
-        even_case_shift(a, n)
-        rebuild = lambda phi: reconstruct_even(phi, n)
-    elif mode == "uniform":
-        rebuild = lambda phi: reconstruct_uniform(phi)
-    else:
-        raise ArgumentError(f"unknown mode {mode!r}")
-    elements = list(f.group.elements())
-    out = []
-    for combo in product(elements, repeat=len(keys)):
-        entries = dict(zip(keys, combo))
-        if mode == "even":
-            phi = full_map_from_domain_entries(a, f.group, entries)
-        else:
-            phi = PhiMap(a, f.group, PNPRIME, n, entries)
-        if rebuild(phi).values == f.values:
-            out.append(phi)
-    return out

@@ -18,6 +18,14 @@ evaluated in Z3 and terms combined by symmetric difference on singleton sets
 
 where the unary terms appear for n odd and the trailing constant for
 n % 4 in {0, 3}.  The fold always lands on a singleton, so values stay in Z3.
+
+Both classifiers read the small object the theorem gives instead of
+enumerating tables.  For m >= 4 the only Boolean gap-2 form is the parity
+sum, which is totally symmetric, so only the m = 2 and m = 3 forms are
+expanded over variable permutations.  The 81 quadruples build exactly the 81
+odd-support-determined tables, and phi on four support keys is a linear
+bijective image of (a, b, c, d) that depends only on the parity of n, so a
+ternary verdict is ``extract_phi`` followed by one linear inverse.
 """
 
 from __future__ import annotations
@@ -76,7 +84,8 @@ def _parity_values(m: int, c: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
     """All gap-2 canonical tables of essential arity m, up to variable permutation."""
-    index: dict[tuple[int, ...], BooleanGapForm] = {}
+    # parity sums are totally symmetric: each orbit is the table itself
+    index = {_parity_values(m, c): BooleanGapForm(PARITY_SUM, c, m) for c in (0, 1)}
 
     def orbit(values: tuple[int, ...], form: BooleanGapForm) -> None:
         base = FnTable(2, m, Z2, values)
@@ -84,8 +93,6 @@ def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
             index.setdefault(simple_minor(base, perm, m).values, form)
 
     for c in (0, 1):
-        if m >= 2:
-            orbit(_parity_values(m, c), BooleanGapForm(PARITY_SUM, c, m))
         if m == 2:
             orbit(_gf2_table(2, lambda x: x[0] * x[1] + x[0] + c),
                   BooleanGapForm(PRODUCT_PLUS_ARG, c))
@@ -145,8 +152,11 @@ def _singleton_value(mask: int) -> int:
     return mask.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
-def _z3_build_cached(n: int, a: int, b: int, c: int, d: int) -> FnTable:
+def z3_build(n: int, params: Z3Params) -> FnTable:
+    """Pointwise evaluation of the parameterized gap-2 form on Z3^n."""
+    if n < 4:
+        raise ArgumentError(f"classification form needs arity >= 4, got {n}")
+    a, b, c, d = params.as_tuple()
     p = [(a * u * u + b * u + c) % 3 for u in range(3)]
     pair = [[((u - v) ** 2 * p[(u + v) % 3] + d) % 3 for v in range(3)] for u in range(3)]
     unary = [(p[u] + d) % 3 for u in range(3)]
@@ -166,27 +176,6 @@ def _z3_build_cached(n: int, a: int, b: int, c: int, d: int) -> FnTable:
     return FnTable(3, n, Z3, tuple(vals))
 
 
-def z3_build(n: int, params: Z3Params) -> FnTable:
-    """Pointwise evaluation of the parameterized gap-2 form on Z3^n."""
-    if n < 4:
-        raise ArgumentError(f"classification form needs arity >= 4, got {n}")
-    return _z3_build_cached(n, *params.as_tuple())
-
-
-@lru_cache(maxsize=None)
-def _z3_table_index(n: int) -> dict[tuple[int, ...], Z3Params]:
-    index = {}
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    params = Z3Params(a, b, c, d)
-                    index[_z3_build_cached(n, a, b, c, d).values] = params
-    if len(index) != 81:
-        raise InternalConsistencyError("parameter quadruples do not build 81 distinct tables")
-    return index
-
-
 def z3_classify(f: FnTable) -> Z3Classification:
     """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4."""
     if f.a_size != 3 or f.group.moduli != (3,):
@@ -195,39 +184,35 @@ def z3_classify(f: FnTable) -> Z3Classification:
         raise ArgumentError(f"ternary classification needs arity >= 4, got {f.arity}")
     if len(essential_variables(f)) < 2:
         return Z3Classification("degenerate", None)
-    if extract_phi(f) is None:
+    phi = extract_phi(f)
+    if phi is None:
         return Z3Classification("gap1", None)
-    params = _z3_table_index(f.arity).get(f.values)
-    if params is None:
-        raise InternalConsistencyError(
-            "odd-support-determined ternary operation matches no parameter quadruple"
-        )
-    return Z3Classification("gap2", params)
+    return Z3Classification("gap2", params_from_phi(phi))
 
 
 # ----------------------------------------------------------------------
-# linear link between parameters and phi values (n % 4 == 3 cross-check)
+# linear link between parameters and phi values
 # ----------------------------------------------------------------------
 
+# phi keys carrying (c+d, a+b+c+d, a+2b+c+d, d), indexed by n % 2
+_LINK_KEYS = (
+    (frozenset({1, 2}), frozenset({0, 1}), frozenset({0, 2}), frozenset()),
+    (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2})),
+)
 
-def phi_values_for_params(params: Z3Params) -> dict[frozenset[int], tuple[int]]:
-    """phi at {0}, {1}, {2}, {0,1,2} for arity n % 4 == 3, as a linear image
-    of (a, b, c, d): (c+d, a+b+c+d, a+2b+c+d, d) in Z3."""
+
+def phi_values_for_params(n: int, params: Z3Params) -> dict[frozenset[int], tuple[int]]:
+    """phi of z3_build(n, params) on its four support keys, as the linear
+    image (c+d, a+b+c+d, a+2b+c+d, d) in Z3 of the parameters."""
     a, b, c, d = params.as_tuple()
-    return {
-        frozenset({0}): ((c + d) % 3,),
-        frozenset({1}): ((a + b + c + d) % 3,),
-        frozenset({2}): ((a + 2 * b + c + d) % 3,),
-        frozenset({0, 1, 2}): (d,),
-    }
+    values = ((c + d) % 3, (a + b + c + d) % 3, (a + 2 * b + c + d) % 3, d)
+    return {S: (v,) for S, v in zip(_LINK_KEYS[n % 2], values)}
 
 
 def params_from_phi(phi: PhiMap) -> Z3Params:
-    """Invert the linear link (determinant 1, so exactly one preimage)."""
-    u0 = phi.value({0})[0]
-    u1 = phi.value({1})[0]
-    u2 = phi.value({2})[0]
-    u3 = phi.value({0, 1, 2})[0]
+    """Invert the link for a phi map on phi_domain(3, n) (determinant 1, so
+    exactly one preimage)."""
+    u0, u1, u2, u3 = (phi.value(S)[0] for S in _LINK_KEYS[phi.arity % 2])
     return Z3Params(
         (2 * u1 - u0 - u2) % 3,
         (u2 - u1) % 3,

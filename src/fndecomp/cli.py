@@ -45,10 +45,7 @@ def _read_text(path: str) -> tuple[str, dict]:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     digest = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    try:
-        return data.decode("utf-8"), digest
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return tables.decode_text(data, path), digest
 
 
 def _load_table(path: str) -> tuple[tables.FnTable, dict]:

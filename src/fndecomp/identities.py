@@ -21,13 +21,11 @@ A negative upper index with positive lower index never occurs in range.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .errors import ArgumentError, ResourceError
 
 PAIR_COUNT_MAX_M = 20
-_FULL_ENUM_MAX_M = 12
 
 
 def binom(n: int, k: int) -> int:
@@ -84,20 +82,6 @@ def odd_sum_pair_count(m: int, t: int) -> int:
         size = q.bit_count()
         if size & 1:
             total += comb(size, 2 * t)
-    return total
-
-
-def odd_sum_pair_count_full(m: int, t: int) -> int:
-    """Slower oracle that also enumerates the subsets P explicitly."""
-    _check_odd_sum_args(m, t)
-    if m > _FULL_ENUM_MAX_M:
-        raise ResourceError(f"full pair enumeration capped at m <= {_FULL_ENUM_MAX_M}")
-    total = 0
-    for q in range(1 << m):
-        if q.bit_count() & 1 == 0:
-            continue
-        bits = [i for i in range(m) if q >> i & 1]
-        total += sum(1 for _ in combinations(bits, 2 * t))
     return total
 
 

@@ -311,9 +311,17 @@ def load_table(text: str) -> FnTable:
     return FnTable(a_size, arity, group, tuple(codes))
 
 
+def decode_text(data: bytes, source) -> str:
+    """data decoded strictly as UTF-8; a bad byte is a ParseError naming source."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_table_file(path) -> FnTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_table(fh.read())
+    with open(path, "rb") as fh:
+        return load_table(decode_text(fh.read(), path))
 
 
 def save_table_file(f: FnTable, path) -> None:

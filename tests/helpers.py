@@ -4,15 +4,44 @@ The essential-variable / gap / determination oracles work straight from the
 definitions on explicit tuples, so they cross-check the library's optimized
 index arithmetic.  The derivative oracles evaluate each (positions,
 parameters) pair through its own alternating subset sum, which is what the
-library's one-pass finite-difference transform replaces.
+library's one-pass finite-difference transform replaces.  The remaining
+oracles are the slow enumerations that the library's direct computations
+replace: the permutation orbit of every Boolean gap-2 form, every phi map
+tried against a reconstruction, and every subset pair counted one by one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from fndecomp import FnTable, Group, derivative_at_zero
-from fndecomp.tables import iter_tuples, tuple_index
+from fndecomp import (
+    ArgumentError,
+    FnTable,
+    Group,
+    PhiMap,
+    ResourceError,
+    derivative_at_zero,
+    phi_domain,
+    reconstruct_even,
+    reconstruct_odd,
+    reconstruct_uniform,
+)
+from fndecomp.booldecomp import (
+    _require_boolean,
+    even_case_shift,
+    full_map_from_domain_entries,
+    odd_case_shift,
+)
+from fndecomp.classify import (
+    MAJORITY,
+    MAJORITY_PLUS_PAIR,
+    PARITY_SUM,
+    PRODUCT_PLUS_ARG,
+    BooleanGapForm,
+)
+from fndecomp.identities import _check_odd_sum_args
+from fndecomp.oddsupport import PNPRIME
+from fndecomp.tables import iter_tuples, simple_minor, tuple_index
 
 
 def all_tuples(a_size, n):
@@ -231,3 +260,77 @@ def oracle_taylor_terms(f: FnTable, base=None):
                 out.append(per_assign[aidx])
             terms.append((frozenset(positions), FnTable(a, n, f.group, tuple(out))))
     return terms
+
+
+# ----------------------------------------------------------------------
+# enumeration oracles
+# ----------------------------------------------------------------------
+
+
+def orbit_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
+    """Every gap-2 canonical table of essential arity m, with all m!
+    permutations of its variables applied to it."""
+    z2 = Group((2,))
+    index: dict[tuple[int, ...], BooleanGapForm] = {}
+
+    def orbit(poly, form: BooleanGapForm) -> None:
+        base = FnTable(2, m, z2, tuple(poly(x) & 1 for x in iter_tuples(2, m)))
+        for perm in permutations(range(m)):
+            index.setdefault(simple_minor(base, perm, m).values, form)
+
+    maj = lambda x: x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
+    for c in (0, 1):
+        orbit(lambda x: sum(x) + c, BooleanGapForm(PARITY_SUM, c, m))
+        if m == 2:
+            orbit(lambda x: x[0] * x[1] + x[0] + c, BooleanGapForm(PRODUCT_PLUS_ARG, c))
+        if m == 3:
+            orbit(lambda x: maj(x) + c, BooleanGapForm(MAJORITY, c))
+            orbit(lambda x: maj(x) + x[0] + x[1] + c, BooleanGapForm(MAJORITY_PLUS_PAIR, c))
+    return index
+
+
+def phi_preimages_bruteforce(f: FnTable, mode: str) -> list[PhiMap]:
+    """All phi maps whose reconstruction equals f, by exhaustive enumeration."""
+    _require_boolean(f.group)
+    a, n = f.a_size, f.arity
+    keys = phi_domain(a, n)
+    if f.group.order ** len(keys) > 1 << 16:
+        raise ResourceError("phi space too large for brute force")
+    if mode == "odd":
+        odd_case_shift(a, n)
+        rebuild = reconstruct_odd
+    elif mode == "even":
+        even_case_shift(a, n)
+        rebuild = lambda phi: reconstruct_even(phi, n)
+    elif mode == "uniform":
+        rebuild = reconstruct_uniform
+    else:
+        raise ArgumentError(f"unknown mode {mode!r}")
+    out = []
+    for combo in product(list(f.group.elements()), repeat=len(keys)):
+        entries = dict(zip(keys, combo))
+        if mode == "even":
+            phi = full_map_from_domain_entries(a, f.group, entries)
+        else:
+            phi = PhiMap(a, f.group, PNPRIME, n, entries)
+        if rebuild(phi).values == f.values:
+            out.append(phi)
+    return out
+
+
+FULL_ENUM_MAX_M = 12
+
+
+def odd_sum_pair_count_full(m: int, t: int) -> int:
+    """Count pairs (P, Q), P subset of Q subset of [m], |P| = 2t, |Q| odd,
+    enumerating the subsets P explicitly too."""
+    _check_odd_sum_args(m, t)
+    if m > FULL_ENUM_MAX_M:
+        raise ResourceError(f"full pair enumeration capped at m <= {FULL_ENUM_MAX_M}")
+    total = 0
+    for q in range(1 << m):
+        if q.bit_count() & 1 == 0:
+            continue
+        bits = [i for i in range(m) if q >> i & 1]
+        total += sum(1 for _ in combinations(bits, 2 * t))
+    return total

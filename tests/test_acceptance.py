@@ -235,11 +235,11 @@ def test_criterion_09_z3_theorem():
         assert len(seen) == 81
     # the worked value
     assert z3_build(4, Z3Params(1, 2, 2, 2)).eval((0, 0, 1, 2)) == (1,)
-    # arity 7 (n % 4 == 3): recovered phi equals the linear image of the params
+    # arity 7: recovered phi equals the linear image of the params
     for params in quadruples:
         phi = extract_phi(z3_build(7, params))
         assert phi is not None
-        for S, v in phi_values_for_params(params).items():
+        for S, v in phi_values_for_params(7, params).items():
             assert phi.value(S) == v
         assert params_from_phi(phi) == params
     elapsed = time.time() - start

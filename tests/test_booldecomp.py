@@ -23,11 +23,10 @@ from fndecomp.booldecomp import (
     gf2_solve,
     odd_case_shift,
     even_case_shift,
-    phi_preimages_bruteforce,
     second_sum_sizes,
     uniform_sum_sizes,
 )
-from helpers import all_phi_assignments
+from helpers import all_phi_assignments, phi_preimages_bruteforce
 
 Z2 = Group((2,))
 Z2xZ2 = Group((2, 2))

@@ -12,15 +12,18 @@ from fndecomp import (
     essential_arity,
     extract_phi,
     is_determined,
+    phi_domain,
     z3_build,
     z3_classify,
 )
 from fndecomp.classify import (
     BooleanGapForm,
     Z3Params,
+    _gap2_form_index,
     params_from_phi,
     phi_values_for_params,
 )
+from helpers import orbit_form_index, random_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -77,11 +80,34 @@ def test_classify_boolean_preconditions():
 
 
 def test_classify_boolean_exhaustive_3ary():
-    for code in range(256):
-        f = FnTable(2, 3, Z2, tuple(code >> i & 1 for i in range(8)))
-        if essential_arity(f) < 2:
+    # every table of arity 3 and 4 (65 536 of them at arity 4)
+    for n in (3, 4):
+        size = 1 << n
+        for code in range(1 << size):
+            f = FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
+            if essential_arity(f) < 2:
+                continue
+            assert classify_boolean(f).gap == arity_gap(f)
+
+
+def test_classify_boolean_matches_orbit_index_at_higher_arity():
+    rng = random.Random(41)
+    for m in range(2, 8):
+        oracle = orbit_form_index(m)
+        assert _gap2_form_index(m) == oracle
+        if m < 5:
             continue
-        assert classify_boolean(f).gap == arity_gap(f)
+        cases = [(gf2(lambda x: sum(x) + c, m), True) for c in (0, 1)]
+        cases += [(random_table(rng, 2, m, Z2), False) for _ in range(3)]
+        for g, parity in cases:
+            # permute the variables and pad with one inessential position
+            positions = rng.sample(range(m + 1), m)
+            f = FnTable.from_callable(2, m + 1, Z2,
+                                      lambda x: g.eval(tuple(x[p] for p in positions)))
+            res = classify_boolean(f)
+            assert res.gap == arity_gap(f)
+            assert res.form == oracle.get(g.values)
+            assert (res.gap == 2) == parity
 
 
 def test_z3_build_examples():
@@ -146,19 +172,23 @@ def test_z3_gap2_matches_direct_gap():
 
 
 def test_phi_link_for_arity_3_mod_4():
-    # the recovered support map matches the linear image of the parameters
-    for params in all_z3_params():
-        f = z3_build(7, params)
-        phi = extract_phi(f)
-        assert phi is not None
-        expected = phi_values_for_params(params)
-        for S, v in expected.items():
-            assert phi.value(S) == v
-        assert params_from_phi(phi) == params
+    # the recovered support map matches the linear image of the parameters,
+    # for both parities of n and both classes of the constant term (n % 4)
+    for n in (4, 5, 6, 7):
+        for params in all_z3_params():
+            f = z3_build(n, params)
+            phi = extract_phi(f)
+            assert phi is not None
+            expected = phi_values_for_params(n, params)
+            assert set(expected) == set(phi_domain(3, n))
+            for S, v in expected.items():
+                assert phi.value(S) == v
+            assert params_from_phi(phi) == params
 
 
 def test_phi_link_is_a_bijection():
-    images = {tuple(sorted((tuple(sorted(S)), v) for S, v in
-                           phi_values_for_params(p).items()))
-              for p in all_z3_params()}
-    assert len(images) == 81
+    for n in (4, 5, 6, 7):
+        images = {tuple(sorted((tuple(sorted(S)), v) for S, v in
+                               phi_values_for_params(n, p).items()))
+                  for p in all_z3_params()}
+        assert len(images) == 81

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from fndecomp import FnTable, Group, load_phi, load_table_file, save_table_file
+import pytest
+
+from fndecomp import FnTable, Group, ParseError, load_phi, load_table_file, save_table_file
 from fndecomp.cli import main
 from fndecomp.classify import Z3Params, z3_build
 
@@ -62,6 +64,8 @@ def test_analyze_parse_error(tmp_path, capsys):
     bad.write_bytes(b"domain=2\narity=2\ngroup=Z2\n0 1 1 \xff\n")
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2 and "not UTF-8" in err
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_table_file(bad)
 
 
 def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):

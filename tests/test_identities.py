@@ -8,10 +8,10 @@ from fndecomp.identities import (
     even_sum_rows,
     odd_sum_lhs,
     odd_sum_pair_count,
-    odd_sum_pair_count_full,
     odd_sum_rhs,
     odd_sum_rows,
 )
+from helpers import odd_sum_pair_count_full
 
 
 def test_binom_convention():
