@@ -24,11 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element
-from .tables import FnTable, tuple_index
-
-# Cells (terms built * |A|**arity) one Taylor materialization may allocate:
-# about 32 MB of term tables.
-TAYLOR_MAX_CELLS = 1 << 22
+from .tables import MAX_CELLS, FnTable, tuple_index
 
 # Cells per run of the finite-difference transform (see below).
 _RUN = 256
@@ -206,10 +202,10 @@ def _first_witness(
 
 def _check_taylor_cells(f: FnTable, terms: int) -> None:
     cells = terms * len(f.values)
-    if cells > TAYLOR_MAX_CELLS:
+    if cells > MAX_CELLS:
         raise ResourceError(
             f"{terms} Taylor terms of {len(f.values)} cells each exceed the "
-            f"materialization budget of {TAYLOR_MAX_CELLS} cells"
+            f"materialization budget of {MAX_CELLS} cells"
         )
 
 
@@ -248,7 +244,7 @@ def taylor_terms(
     evaluated with parameter x.  The 2**arity terms sum to f exactly.
 
     Terms come by size of I ascending, then by bitmask of I ascending.  Raises
-    ResourceError when the 2**arity * |A|**arity cells exceed TAYLOR_MAX_CELLS.
+    ResourceError when the 2**arity * |A|**arity cells exceed MAX_CELLS.
     """
     _check_taylor_cells(f, 1 << f.arity)
     base = _check_base(f, base)
@@ -289,7 +285,7 @@ def decompose_via_taylor(
 
     Raises PreconditionError carrying the violating witness when f is not
     k-decomposable, and ResourceError when the terms would exceed
-    TAYLOR_MAX_CELLS.
+    MAX_CELLS.
     """
     _check_k(f, k)
     base = _check_base(f, base)

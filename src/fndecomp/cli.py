@@ -164,21 +164,20 @@ def _cmd_decompose(args) -> int:
         ]
         payload["summands"] = [json.dumps(e, sort_keys=True) for e in inventory]
     else:
-        if args.mode == "odd":
-            phi = booldecomp.decompose_odd(f)
-            rebuilt = booldecomp.reconstruct_odd(phi)
-        elif args.mode == "even":
-            phi = booldecomp.decompose_even(f)
-            rebuilt = booldecomp.reconstruct_even(phi, f.arity)
-        elif args.mode == "fitilde":
+        if args.mode == "fitilde":
+            # decompose_uniform raises unless its phi reconstructs f exactly
             phi = booldecomp.decompose_uniform(f)
-            rebuilt = booldecomp.reconstruct_uniform(phi)
             rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
             verdicts["system_rank"] = f"{rank}/{unknowns}"
-        else:  # pragma: no cover - argparse restricts choices
-            raise ArgumentError(f"unknown mode {args.mode}")
-        if rebuilt.values != f.values:
-            raise InternalConsistencyError("reconstruction does not reproduce the input")
+        else:
+            if args.mode == "odd":
+                phi = booldecomp.decompose_odd(f)
+                rebuilt = booldecomp.reconstruct_odd(phi)
+            else:
+                phi = booldecomp.decompose_even(f)
+                rebuilt = booldecomp.reconstruct_even(phi, f.arity)
+            if rebuilt.values != f.values:
+                raise InternalConsistencyError("reconstruction does not reproduce the input")
         verdicts["reconstruction"] = "exact"
         payload["phi"] = _phi_payload(phi)
         if args.out:

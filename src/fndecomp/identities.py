@@ -10,7 +10,8 @@ Identity over odd lower indices, for 0 <= t <= (m-1)/2:
     sum_{k=t+1}^{floor((m+1)/2)} C(m, 2k-1) C(2k-1, 2t) = C(m, 2t) 2^(m-2t-1)
 
 The second counts pairs (P, Q) with P subset of Q subset of [m], |P| = 2t and
-|Q| odd; ``odd_sum_pair_count`` reproduces it by enumerating the sets Q.
+|Q| odd; ``odd_sum_pair_count`` reproduces it by enumerating every set Q once
+per m, tallied by |Q|, which gives the count for every t from one walk.
 
 All arithmetic is exact big-integer.  The right-hand side of the first
 identity can hit a binomial with negative upper index at boundary parameters;
@@ -71,18 +72,22 @@ def odd_sum_rhs(m: int, t: int) -> int:
     return comb(m, 2 * t) * 2 ** (m - 2 * t - 1)
 
 
+def _odd_pair_counts(m: int) -> list[int]:
+    """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
+    sizes = [0] * (m + 1)
+    for q in range(1 << m):
+        sizes[q.bit_count()] += 1
+    return [sum(sizes[s] * comb(s, 2 * t) for s in range(1, m + 1, 2))
+            for t in range((m - 1) // 2 + 1)]
+
+
 def odd_sum_pair_count(m: int, t: int) -> int:
     """Count pairs (P, Q), P subset of Q subset of [m], |P| = 2t, |Q| odd,
     by enumerating every Q."""
     _check_odd_sum_args(m, t)
     if m > PAIR_COUNT_MAX_M:
         raise ResourceError(f"pair enumeration capped at m <= {PAIR_COUNT_MAX_M}")
-    total = 0
-    for q in range(1 << m):
-        size = q.bit_count()
-        if size & 1:
-            total += comb(size, 2 * t)
-    return total
+    return _odd_pair_counts(m)[t]
 
 
 def even_sum_rows(max_m: int) -> list[tuple[int, int, int, int, bool]]:
@@ -99,9 +104,10 @@ def odd_sum_rows(max_m: int) -> list[tuple[int, int, int, int, int | None, bool]
     """(m, t, lhs, rhs, pair_count_or_None, all_equal) for m <= max_m."""
     out = []
     for m in range(1, max_m + 1):
+        counts = _odd_pair_counts(m) if m <= PAIR_COUNT_MAX_M else None
         for t in range((m - 1) // 2 + 1):
             l, r = odd_sum_lhs(m, t), odd_sum_rhs(m, t)
-            cnt = odd_sum_pair_count(m, t) if m <= PAIR_COUNT_MAX_M else None
+            cnt = None if counts is None else counts[t]
             ok = l == r and (cnt is None or cnt == l)
             out.append((m, t, l, r, cnt, ok))
     return out

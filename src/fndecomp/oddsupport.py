@@ -21,7 +21,14 @@ from .errors import (
     PreconditionError,
 )
 from .groups import Element, Group, parse_decimal
-from .tables import FnTable, essential_variables, identification_minor, is_totally_symmetric, iter_tuples
+from .tables import (
+    FnTable,
+    check_cells,
+    essential_variables,
+    identification_minor,
+    is_totally_symmetric,
+    iter_tuples,
+)
 
 Subset = frozenset[int]
 
@@ -89,7 +96,7 @@ def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _support_partition(a_size: int, n: int) -> tuple[tuple[int, ...], tuple[Subset, ...]]:
     """Per-index odd-support class id plus the class keys, cached per (a_size, n)."""
     keys = phi_domain(a_size, n)
@@ -198,6 +205,7 @@ def table_from_phi(phi: PhiMap, n: int | None = None) -> FnTable:
             raise ArgumentError(f"pnprime phi map is for arity {phi.arity}, not {n}")
     elif n is None:
         raise ArgumentError("full phi map needs an explicit arity")
+    check_cells(phi.a_size, n)
     class_of, keys = _support_partition(phi.a_size, n)
     codes = []
     for S in keys:

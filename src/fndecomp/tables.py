@@ -22,15 +22,30 @@ from .errors import (
     DomainError,
     ParseError,
     PreconditionError,
+    ResourceError,
     ShapeError,
 )
 from .groups import Element, Group, parse_decimal
+
+# Cells one table, or one Taylor materialization in all, may allocate: about
+# 32 MB of value codes.
+MAX_CELLS = 1 << 22
 
 
 def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
     """Domain tuples in table-index order (component 0 varies fastest)."""
     for combo in product(range(a_size), repeat=arity):
         yield combo[::-1]
+
+
+def check_cells(a_size: int, arity: int) -> None:
+    """ResourceError when a table of a_size**arity cells would exceed MAX_CELLS."""
+    # with a_size >= 2 that many factors are over budget already, and the
+    # capped exponent keeps the power small for any arity
+    if a_size ** min(arity, MAX_CELLS.bit_length()) > MAX_CELLS:
+        raise ResourceError(
+            f"a table of {a_size}**{arity} cells exceeds the budget of {MAX_CELLS} cells"
+        )
 
 
 def tuple_index(a_size: int, x: Sequence[int]) -> int:
@@ -81,6 +96,7 @@ class FnTable:
         group: Group,
         fn: Callable[[tuple[int, ...]], Element],
     ) -> "FnTable":
+        check_cells(a_size, arity)
         return cls(
             a_size, arity, group,
             tuple(group.encode(fn(x)) for x in iter_tuples(a_size, arity)),
@@ -136,7 +152,8 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     return FnTable(a, arity, f.group, tuple(out))
 
 
-@lru_cache(maxsize=None)
+# 462 = n(n-1) pairs at n = 22, the largest Boolean arity within MAX_CELLS
+@lru_cache(maxsize=512)
 def _identification_getter(a_size: int, arity: int, i: int, j: int):
     si = a_size**i
     sj = a_size**j

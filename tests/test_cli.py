@@ -128,6 +128,16 @@ def test_decompose_fitilde_reports_rank(tmp_path, capsys):
     assert "system_rank" in report["verdicts"]
 
 
+def test_decompose_fitilde_reconstruction_still_guards_the_verdict(tmp_path, capsys, monkeypatch):
+    import fndecomp.booldecomp as booldecomp_mod
+
+    path = write_parity(tmp_path, 4)
+    wrong = FnTable.constant(2, 4, Z2, (0,))
+    monkeypatch.setattr(booldecomp_mod, "reconstruct_uniform", lambda phi: wrong)
+    code, out, err = run(capsys, "decompose", path, "--mode", "fitilde", "--json")
+    assert code == 4 and out == "" and "reconstruction" in err
+
+
 def test_classify_boolean_and_z3(tmp_path, capsys):
     path = write_parity(tmp_path, 4)
     code, out, _ = run(capsys, "classify", path, "--target", "boolean", "--json")
@@ -147,11 +157,16 @@ def test_classify_boolean_and_z3(tmp_path, capsys):
 
 
 def test_identities_ok(capsys):
-    code, out, _ = run(capsys, "identities", "--max-m", "10", "--json")
+    code, out, _ = run(capsys, "identities", "--max-m", "22", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"]["all_equal"] is True
     assert all(row[-1] for row in report["payload"]["even_sum_rows"])
+    # the pair count is enumerated up to m = 20 and null above
+    odd_rows = report["payload"]["odd_sum_rows"]
+    assert all(row[-1] for row in odd_rows)
+    assert [row[0] for row in odd_rows if row[4] is None] == [21] * 11 + [22] * 11
+    assert all(row[4] == row[2] for row in odd_rows if row[0] <= 20)
 
 
 def test_identities_mismatch_exits_4(capsys, monkeypatch):
@@ -194,6 +209,12 @@ def test_witness_bad_arguments_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "witness", "--kind", "hamming", "--n", "3",
                        "--group", "Z4", "--b", "1", "--out", str(tmp_path / "x.tbl"))
     assert code == 3 and "power of two" in err
+    # over the cell budget: refused before the table is built or written
+    for extra in (["--kind", "hamming", "--n", "30", "--group", "Z3"],
+                  ["--kind", "large-alphabet", "--n", "12", "--a-size", "13", "--group", "Z2"]):
+        out_tbl = tmp_path / "big.tbl"
+        code, _, err = run(capsys, "witness", *extra, "--b", "1", "--out", str(out_tbl))
+        assert code == 3 and "budget" in err and not out_tbl.exists()
 
 
 def test_json_reports_are_deterministic(tmp_path, capsys):

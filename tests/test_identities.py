@@ -1,7 +1,8 @@
 import pytest
 
-from fndecomp import ArgumentError, ResourceError
+from fndecomp import ArgumentError, ResourceError, identities
 from fndecomp.identities import (
+    PAIR_COUNT_MAX_M,
     binom,
     even_sum_lhs,
     even_sum_rhs,
@@ -11,7 +12,7 @@ from fndecomp.identities import (
     odd_sum_rhs,
     odd_sum_rows,
 )
-from helpers import odd_sum_pair_count_full
+from helpers import FULL_ENUM_MAX_M, odd_sum_pair_count_full
 
 
 def test_binom_convention():
@@ -48,17 +49,26 @@ def test_odd_sum_examples():
 
 
 def test_odd_sum_exhaustive_with_oracle():
-    for m, t, lhs, rhs, cnt, ok in odd_sum_rows(20):
-        assert ok and cnt == lhs == rhs, (m, t)
+    for m, t, lhs, rhs, cnt, ok in odd_sum_rows(22):
+        assert ok and lhs == rhs, (m, t)
+        if m <= PAIR_COUNT_MAX_M:
+            assert cnt == lhs == odd_sum_pair_count(m, t), (m, t)
+        else:
+            assert cnt is None, (m, t)
 
 
 def test_full_enumeration_oracle_agrees():
-    for m in range(1, 11):
+    for m in range(1, FULL_ENUM_MAX_M + 1):
         for t in range((m - 1) // 2 + 1):
             assert odd_sum_pair_count_full(m, t) == odd_sum_pair_count(m, t)
 
 
-def test_oracle_guardrails():
+def test_oracle_guardrails(monkeypatch):
+    def walk(m):
+        raise AssertionError(f"walked the subsets of [{m}]")
+
+    # the cap is checked before any subset is visited
+    monkeypatch.setattr(identities, "_odd_pair_counts", walk)
     with pytest.raises(ResourceError):
         odd_sum_pair_count(21, 0)
     with pytest.raises(ResourceError):

@@ -10,6 +10,7 @@ from fndecomp import (
     Group,
     ParseError,
     PreconditionError,
+    ResourceError,
     ShapeError,
     arity_gap,
     dump_table,
@@ -21,6 +22,8 @@ from fndecomp import (
     reduce_to_essential,
     simple_minor,
 )
+from fndecomp.oddsupport import _support_partition
+from fndecomp.tables import MAX_CELLS, _identification_getter, check_cells
 from helpers import (
     naive_arity_gap,
     naive_essential_variables,
@@ -68,6 +71,18 @@ def test_construction_errors():
         FnTable(2, 1, Z2, (0, 2))
     with pytest.raises(ArgumentError):
         FnTable(1, 1, Z2, (0,))
+    # the cell budget is checked before any value is computed
+    check_cells(2, 22)
+    check_cells(4, 11)
+    for a, n in ((2, 23), (3, 14), (2, 10**9)):
+        with pytest.raises(ResourceError):
+            FnTable.from_callable(a, n, Z2, lambda x: (0,))
+
+
+def test_caches_of_table_sized_data_are_bounded():
+    n = MAX_CELLS.bit_length() - 1  # the largest Boolean arity within the budget
+    assert n * (n - 1) <= _identification_getter.cache_parameters()["maxsize"] < 1024
+    assert 2 <= _support_partition.cache_parameters()["maxsize"] <= 16
 
 
 def test_simple_minor_identity_and_collapse():

@@ -3,6 +3,7 @@ import pytest
 from fndecomp import (
     ArgumentError,
     Group,
+    ResourceError,
     decomposability_witness,
     derivative_at_zero,
     essential_variables,
@@ -142,6 +143,18 @@ def test_large_alphabet_witness_errors():
         large_alphabet_witness(3, 3, Z2, (1,))  # alphabet not larger than arity
     with pytest.raises(ArgumentError):
         large_alphabet_witness(2, 3, Z2, (0,))  # zero witness value
+
+
+def test_witnesses_over_the_cell_budget_are_refused():
+    # declared sizes only: each is refused before its table is built
+    with pytest.raises(ResourceError):
+        hamming_witness(30, Z3, (1,))
+    with pytest.raises(ResourceError):
+        large_alphabet_witness(12, 13, Z2, (1,))
+    with pytest.raises(ResourceError):
+        tightness_witness(2, 1, Z2, (1,), 30)
+    with pytest.raises(ResourceError):
+        hamming_extension(30, 3, Z3, (1,))
 
 
 def test_witness_tables_depend_on_all_positions():
