@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import xor
 
 from .errors import (
     ArgumentError,
@@ -39,7 +40,7 @@ from .oddsupport import (
     representative_tuple,
     subset_mask,
 )
-from .tables import FnTable, iter_tuples, tuple_index
+from .tables import FnTable, axis_fold, check_cells, tuple_index
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +82,7 @@ def uniform_sum_sizes(n: int) -> list[int]:
 
 
 def _require_boolean(group: Group) -> None:
-    if not all(m == 2 for m in group.moduli):
+    if not group.is_boolean():
         raise PreconditionError(
             f"codomain {group.to_text()} is not Boolean (every factor must be Z2)"
         )
@@ -93,27 +94,26 @@ def _require_boolean(group: Group) -> None:
 
 
 def _sum_table(phi: PhiMap, n: int, sizes: list[int]) -> FnTable:
-    """XOR of phi(odd_support(x|_I)) over all I of the listed sizes.
+    """XOR of phi(odd_support(x|_I)) over all I of the listed sizes, at every x.
 
     Boolean codes are bitmasks over the factors, so group addition is XOR.
     """
     a = phi.a_size
+    check_cells(a, n)
     codes = phi.codes_by_mask
-    vals = []
-    for x in iter_tuples(a, n):
-        acc = 0
-        for s in sizes:
-            for I in combinations(range(n), s):
-                m = 0
-                for p in I:
-                    m ^= 1 << x[p]
-                c = codes[m]
-                if c is None:
-                    raise InternalConsistencyError(
-                        "support value outside phi domain during reconstruction"
-                    )
-                acc ^= c
-        vals.append(acc)
+    bits = [1 << d for d in range(a)]
+    zeros = [0] * a
+    vals = [0] * a**n
+    for s in sizes:
+        for I in combinations(range(n), s):
+            # the support mask of x restricted to I, at every x
+            masks = axis_fold(a, [bits if p in I else zeros for p in range(n)], xor)
+            terms = list(map(codes.__getitem__, masks))
+            if None in terms:
+                raise InternalConsistencyError(
+                    "support value outside phi domain during reconstruction"
+                )
+            vals = list(map(xor, vals, terms))
     return FnTable(a, n, phi.group, tuple(vals))
 
 
@@ -306,6 +306,7 @@ def decompose_uniform(f: FnTable) -> PhiMap:
 def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
     """(rank, unknowns) of the uniform probe system; rank < unknowns means the
     recovered phi is one of several valid choices."""
+    check_cells(a_size, n)
     rows = _probe_rows(a_size, n, uniform_sum_sizes(n), pairing=False)
     _, rank, _ = gf2_solve(rows, len(rows), 0)
     return rank, len(rows)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element
-from .tables import MAX_CELLS, FnTable, tuple_index
+from .tables import MAX_CELLS, FnTable, linear_index, tuple_index
 
 # Cells per run of the finite-difference transform (see below).
 _RUN = 256
@@ -59,14 +59,13 @@ def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
     if not 0 <= a_val < f.a_size:
         raise DomainError(f"parameter {a_val} out of range for alphabet {f.a_size}")
     a = f.a_size
-    stride = a**i
+    # index of x with position i set to a_val
+    weights = [a**t for t in range(f.arity)]
+    weights[i] = 0
+    moved = linear_index(a, weights, a_val * a**i)
     sub = f.group.code_sub_table
     vals = f.values
-    out = []
-    for k, v in enumerate(vals):
-        d = (k // stride) % a
-        out.append(sub[vals[k + (a_val - d) * stride]][v])
-    return FnTable(a, f.arity, f.group, tuple(out))
+    return FnTable(a, f.arity, f.group, tuple(sub[vals[k]][v] for k, v in zip(moved, vals)))
 
 
 def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) -> FnTable:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
+from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -19,15 +21,17 @@ from .errors import (
     DomainError,
     ParseError,
     PreconditionError,
+    ResourceError,
 )
 from .groups import Element, Group, parse_decimal
 from .tables import (
+    MAX_CELLS,
     FnTable,
+    axis_fold,
     check_cells,
     essential_variables,
     identification_minor,
     is_totally_symmetric,
-    iter_tuples,
 )
 
 Subset = frozenset[int]
@@ -86,14 +90,24 @@ def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
         raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
     if n < 1:
         raise ArgumentError(f"arity must be >= 1, got {n}")
-    out = []
-    for size in range(min(a_size, n) + 1):
-        if (n - size) % 2:
-            continue
-        for S in combinations(range(a_size), size):
-            out.append(frozenset(S))
+    sizes = range(n % 2, min(a_size, n) + 1, 2)
+    _check_key_count(a_size, sizes)
+    out = [frozenset(S) for size in sizes for S in combinations(range(a_size), size)]
     out.sort(key=subset_sort_key)
     return tuple(out)
+
+
+def _check_key_count(a_size: int, sizes: Iterable[int]) -> None:
+    """ResourceError when the subsets of the alphabet with the given sizes
+    number more than MAX_CELLS; counted before any subset is built."""
+    count = 0
+    for size in sizes:
+        count += comb(a_size, size)
+        if count > MAX_CELLS:
+            raise ResourceError(
+                f"a phi map on a {a_size}-letter alphabet would have more than "
+                f"{MAX_CELLS} keys"
+            )
 
 
 @lru_cache(maxsize=8)
@@ -101,13 +115,8 @@ def _support_partition(a_size: int, n: int) -> tuple[tuple[int, ...], tuple[Subs
     """Per-index odd-support class id plus the class keys, cached per (a_size, n)."""
     keys = phi_domain(a_size, n)
     key_id = {subset_mask(S): c for c, S in enumerate(keys)}
-    class_of = []
-    for x in iter_tuples(a_size, n):
-        mask = 0
-        for c in x:
-            mask ^= 1 << c
-        class_of.append(key_id[mask])
-    return tuple(class_of), keys
+    masks = axis_fold(a_size, [[1 << d for d in range(a_size)]] * n, xor)
+    return tuple(map(key_id.__getitem__, masks)), keys
 
 
 PNPRIME = "pnprime"
@@ -141,6 +150,7 @@ class PhiMap:
         elif self.kind == FULL:
             if self.arity is not None:
                 raise ArgumentError("full phi map takes no arity")
+            _check_key_count(self.a_size, range(self.a_size + 1))
             all_subsets = {
                 frozenset(S)
                 for size in range(self.a_size + 1)

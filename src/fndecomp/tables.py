@@ -7,15 +7,21 @@ convention is frozen so files and tests are bit-exact:
 
 Values are stored as group element codes (see groups.Group.encode); the
 element-level view is available through eval / element_values.
+
+``axis_fold`` is the one place where a map given per coordinate becomes a
+list per table index: minors, the symmetry test, partial derivatives and the
+odd-support maps are all built on it.  The calculus kernel's finite-difference
+transform, support sizes and Taylor terms keep their own broadcasts, which
+were measured faster there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, product, repeat
+from operator import add, itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ArgumentError,
@@ -48,6 +54,22 @@ def check_cells(a_size: int, arity: int) -> None:
         )
 
 
+def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add, start=0) -> list:
+    """start op axes[0][x[0]] op ... op axes[n-1][x[n-1]] for every x, in
+    table-index order; n = len(axes) and each axis has a_size entries."""
+    out = [start]
+    for axis in axes:
+        # the new coordinate varies slowest: one copy of out per digit
+        digits = chain.from_iterable(map(repeat, axis, repeat(len(out))))
+        out = list(map(op, out * a_size, digits))
+    return out
+
+
+def linear_index(a_size: int, weights: Sequence[int], offset: int = 0) -> list[int]:
+    """offset + sum_i x[i] * weights[i] for every x, in table-index order."""
+    return axis_fold(a_size, [[d * w for d in range(a_size)] for w in weights], add, offset)
+
+
 def tuple_index(a_size: int, x: Sequence[int]) -> int:
     idx = 0
     for c in reversed(x):
@@ -69,6 +91,7 @@ class FnTable:
             raise ArgumentError(f"alphabet size must be >= 2, got {self.a_size}")
         if self.arity < 0:
             raise ArgumentError(f"arity must be >= 0, got {self.arity}")
+        check_cells(self.a_size, self.arity)
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         expected = self.a_size**self.arity
@@ -81,12 +104,6 @@ class FnTable:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_elements(
-        cls, a_size: int, arity: int, group: Group, elements: Iterable[Element]
-    ) -> "FnTable":
-        return cls(a_size, arity, group, tuple(group.encode(e) for e in elements))
 
     @classmethod
     def from_callable(
@@ -104,6 +121,7 @@ class FnTable:
 
     @classmethod
     def constant(cls, a_size: int, arity: int, group: Group, value: Element) -> "FnTable":
+        check_cells(a_size, arity)
         return cls(a_size, arity, group, (group.encode(value),) * a_size**arity)
 
     # ------------------------------------------------------------------
@@ -144,25 +162,21 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
         if not 0 <= s < arity:
             raise DomainError(f"sigma target {s} out of range for arity {arity}")
     a = f.a_size
-    vals = f.values
-    out = [
-        vals[tuple_index(a, tuple(y[s] for s in sigma))]
-        for y in iter_tuples(a, arity)
-    ]
-    return FnTable(a, arity, f.group, tuple(out))
+    check_cells(a, arity)
+    # the index into f of y is sum_i y[sigma[i]] * a**i
+    weights = [0] * arity
+    for i, s in enumerate(sigma):
+        weights[s] += a**i
+    return FnTable(a, arity, f.group, tuple(map(f.values.__getitem__, linear_index(a, weights))))
 
 
 # 462 = n(n-1) pairs at n = 22, the largest Boolean arity within MAX_CELLS
 @lru_cache(maxsize=512)
 def _identification_getter(a_size: int, arity: int, i: int, j: int):
-    si = a_size**i
-    sj = a_size**j
-    remap = []
-    for k in range(a_size**arity):
-        di = (k // si) % a_size
-        dj = (k // sj) % a_size
-        remap.append(k + (dj - di) * si)
-    return itemgetter(*remap)
+    weights = [a_size**t for t in range(arity)]
+    weights[j] += weights[i]
+    weights[i] = 0
+    return itemgetter(*linear_index(a_size, weights))
 
 
 def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
@@ -235,20 +249,14 @@ def arity_gap(f: FnTable) -> int:
 
 
 def is_totally_symmetric(f: FnTable) -> bool:
-    """Invariance under all adjacent argument transpositions."""
-    a = f.a_size
-    vals = f.values
-    for t in range(f.arity - 1):
-        st = a**t
-        st1 = st * a
-        for k in range(len(vals)):
-            dt = (k // st) % a
-            dt1 = (k // st1) % a
-            if dt >= dt1:
-                continue
-            if vals[k] != vals[k + (dt1 - dt) * st + (dt - dt1) * st1]:
-                return False
-    return True
+    """Invariance under the transposition (0 1) and the cycle (0 1 ... n-1),
+    which generate every permutation of the arguments."""
+    n = f.arity
+    if n < 2:
+        return True
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    return all(simple_minor(f, sigma, n).values == f.values for sigma in (swap, cycle))
 
 
 def reduce_to_essential(f: FnTable) -> FnTable:
@@ -313,6 +321,7 @@ def load_table(text: str) -> FnTable:
     arity = fields["arity"][1]
     if a_size < 2:
         raise ParseError(f"domain size must be >= 2, got {a_size}", line=fields["domain"][0])
+    check_cells(a_size, arity)
     expected = a_size**arity
     codes: list[int] = []
     for lineno, line in value_lines:

@@ -4,7 +4,8 @@ The essential-variable / gap / determination oracles work straight from the
 definitions on explicit tuples, so they cross-check the library's optimized
 index arithmetic.  The derivative oracles evaluate each (positions,
 parameters) pair through its own alternating subset sum, which is what the
-library's one-pass finite-difference transform replaces.  The remaining
+library's one-pass finite-difference transform replaces.  The reconstruction
+oracle sums the defining decomposition separately at every tuple.  The remaining
 oracles are the slow enumerations that the library's direct computations
 replace: the permutation orbit of every Boolean gap-2 form, every phi map
 tried against a reconstruction, and every subset pair counted one by one.
@@ -39,6 +40,7 @@ from fndecomp.classify import (
     PRODUCT_PLUS_ARG,
     BooleanGapForm,
 )
+from fndecomp.errors import InternalConsistencyError
 from fndecomp.identities import _check_odd_sum_args
 from fndecomp.oddsupport import PNPRIME
 from fndecomp.tables import iter_tuples, simple_minor, tuple_index
@@ -85,6 +87,14 @@ def naive_arity_gap(f: FnTable) -> int:
                     minor_ess += 1
             drops.append(len(ess) - minor_ess)
     return min(drops)
+
+
+def naive_is_totally_symmetric(f: FnTable) -> bool:
+    return all(
+        f.eval(tuple(x[p] for p in perm)) == f.eval(x)
+        for x in all_tuples(f.a_size, f.arity)
+        for perm in permutations(range(f.arity))
+    )
 
 
 def naive_odd_support(x, a_size):
@@ -260,6 +270,34 @@ def oracle_taylor_terms(f: FnTable, base=None):
                 out.append(per_assign[aidx])
             terms.append((frozenset(positions), FnTable(a, n, f.group, tuple(out))))
     return terms
+
+
+# ----------------------------------------------------------------------
+# reconstruction oracle: the defining sum, one x at a time
+# ----------------------------------------------------------------------
+
+
+def pointwise_sum_table(phi: PhiMap, n, sizes) -> FnTable:
+    """XOR of phi(odd_support(x|_I)) over all I of the listed sizes, summed
+    separately at each x (Boolean codes are bitmasks, so addition is XOR)."""
+    a = phi.a_size
+    codes = phi.codes_by_mask
+    vals = []
+    for x in iter_tuples(a, n):
+        acc = 0
+        for s in sizes:
+            for I in combinations(range(n), s):
+                m = 0
+                for p in I:
+                    m ^= 1 << x[p]
+                c = codes[m]
+                if c is None:
+                    raise InternalConsistencyError(
+                        "support value outside phi domain during reconstruction"
+                    )
+                acc ^= c
+        vals.append(acc)
+    return FnTable(a, n, phi.group, tuple(vals))
 
 
 # ----------------------------------------------------------------------

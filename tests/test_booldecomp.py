@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fndecomp import (
     FnTable,
     Group,
     PhiMap,
     PreconditionError,
+    ResourceError,
     decompose_even,
     decompose_odd,
     decompose_uniform,
@@ -26,7 +28,7 @@ from fndecomp.booldecomp import (
     second_sum_sizes,
     uniform_sum_sizes,
 )
-from helpers import all_phi_assignments, phi_preimages_bruteforce
+from helpers import all_phi_assignments, phi_preimages_bruteforce, pointwise_sum_table
 
 Z2 = Group((2,))
 Z2xZ2 = Group((2, 2))
@@ -120,6 +122,39 @@ def test_even_round_trip_exhaustive():
         assert len(tables) == group.order ** len(phi_domain(a, n))
 
 
+def assert_reconstructions_match_pointwise_sums(a, n, group, entries):
+    """Every reconstruction that applies at (a, n) equals the defining sum
+    evaluated one tuple at a time."""
+    phi = PhiMap.on_phi_domain(a, n, group, entries)
+    if (n - a) % 2 == 1:
+        sizes = first_sum_sizes(n, odd_case_shift(a, n))
+        assert reconstruct_odd(phi) == pointwise_sum_table(phi, n, sizes)
+    else:
+        t = even_case_shift(a, n)
+        full = full_map_from_domain_entries(a, group, entries)
+        sizes = first_sum_sizes(n, t) + second_sum_sizes(n, t)
+        assert reconstruct_even(full, n) == pointwise_sum_table(full, n, sizes)
+    assert reconstruct_uniform(phi) == pointwise_sum_table(phi, n, uniform_sum_sizes(n))
+
+
+def test_reconstructions_match_pointwise_sums_exhaustive():
+    for a, n, group in [(2, 3, Z2), (2, 4, Z2), (2, 5, Z2), (3, 4, Z2), (3, 5, Z2),
+                        (2, 4, Z2xZ2), (3, 4, Z2xZ2)]:
+        for entries in all_phi_assignments(a, n, group):
+            assert_reconstructions_match_pointwise_sums(a, n, group, entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_reconstructions_match_pointwise_sums_random(data):
+    a = data.draw(st.integers(2, 4), label="a")
+    n = data.draw(st.integers(a + 1, 6), label="n")
+    group = data.draw(st.sampled_from([Z2, Z2xZ2, Group((2, 2, 2))]), label="group")
+    elements = list(group.elements())
+    entries = {S: data.draw(st.sampled_from(elements)) for S in phi_domain(a, n)}
+    assert_reconstructions_match_pointwise_sums(a, n, group, entries)
+
+
 def test_even_parity_example():
     phi = decompose_even(parity(4))
     assert phi.value(frozenset()) == (0,)
@@ -127,6 +162,9 @@ def test_even_parity_example():
     assert phi.value({1}) == (1,)
     assert phi.value({0, 1}) == (1,)
     assert reconstruct_even(phi, 4).values == parity(4).values
+    # a full map takes any arity; a table over the cell budget is refused
+    with pytest.raises(ResourceError):
+        reconstruct_even(phi, 30)
 
 
 def test_reconstructions_cover_exactly_the_determined_functions():
@@ -196,6 +234,8 @@ def test_uniform_rank_reported():
     # solvable for every determined table even when rank deficient
     rank5, unknowns5 = uniform_system_rank(2, 5)
     assert 0 <= rank5 <= unknowns5 == 2
+    with pytest.raises(ResourceError):
+        uniform_system_rank(2, 30)
 
 
 def test_multi_factor_group_round_trip_spotcheck():

@@ -66,6 +66,12 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert code == 2 and "not UTF-8" in err
     with pytest.raises(ParseError, match="not UTF-8"):
         load_table_file(bad)
+    # a header over the cell budget is refused before its size is computed
+    for domain, arity in ((3, 9000), (3, 100000), (3, 10000000), (2, 23)):
+        bad.write_text(f"domain={domain}\narity={arity}\ngroup=Z2\n0\n")
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
 
 
 def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fndecomp import (
     Group,
     ParseError,
     PhiMap,
+    ResourceError,
     determined_count,
     determined_via_symmetry,
     dump_phi,
@@ -228,3 +229,9 @@ def test_phi_file_round_trip():
     assert "pnprime:4" in odd
     with pytest.raises(ParseError):
         load_phi(odd.replace("pnprime:4", "pnprime:\u2074"))
+    # the keys are counted against the cell budget before any is built;
+    # the alphabet itself is not capped
+    assert len(phi_domain(30, 2)) == 436
+    for header in ("phi domain=full a=40 group=Z2", "phi domain=pnprime:6 a=100000 group=Z2"):
+        with pytest.raises(ResourceError):
+            load_phi(header + "\n")

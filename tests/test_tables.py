@@ -1,4 +1,5 @@
 import random
+from operator import add, xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +24,19 @@ from fndecomp import (
     simple_minor,
 )
 from fndecomp.oddsupport import _support_partition
-from fndecomp.tables import MAX_CELLS, _identification_getter, check_cells
+from fndecomp.tables import (
+    MAX_CELLS,
+    _identification_getter,
+    axis_fold,
+    check_cells,
+    iter_tuples,
+    linear_index,
+)
 from helpers import (
     naive_arity_gap,
     naive_essential_variables,
     naive_identification_values,
+    naive_is_totally_symmetric,
     random_table,
 )
 
@@ -51,6 +60,22 @@ def test_indexing_convention():
     assert f.index_of((0, 1)) == 3
     assert f.index_of((2, 2)) == 8
     assert f.eval((2, 1)) == ((2 + 3) % 3,)
+    # the fold gives one value per table index, component 0 varying fastest
+    rng = random.Random(1)
+    for a in (2, 3, 5):
+        for n in range(5):
+            assert linear_index(a, [a**i for i in range(n)]) == list(range(a**n))
+            axes = [[rng.randrange(64) for _ in range(a)] for _ in range(n)]
+            for op in (add, xor):
+                start = rng.randrange(64)
+                expect = []
+                for x in iter_tuples(a, n):
+                    v = start
+                    for axis, d in zip(axes, x):
+                        v = op(v, axis[d])
+                    expect.append(v)
+                assert axis_fold(a, axes, op, start) == expect
+    assert axis_fold(3, [], xor, 7) == [7]
 
 
 def test_eval_examples():
@@ -77,6 +102,13 @@ def test_construction_errors():
     for a, n in ((2, 23), (3, 14), (2, 10**9)):
         with pytest.raises(ResourceError):
             FnTable.from_callable(a, n, Z2, lambda x: (0,))
+    # so are the constant table, a minor's target arity and a bare constructor
+    with pytest.raises(ResourceError):
+        FnTable.constant(2, 30, Z2, (0,))
+    with pytest.raises(ResourceError):
+        simple_minor(AND2, (0, 1), 30)
+    with pytest.raises(ResourceError):
+        FnTable(2, 30, Z2, ())
 
 
 def test_caches_of_table_sized_data_are_bounded():
@@ -258,6 +290,17 @@ def test_symmetry_equals_permutation_invariance(code):
     assert is_totally_symmetric(f) == expect
 
 
+def test_symmetry_matches_the_permutation_definition_exhaustively():
+    # every Boolean table at arities 0-3 and every {0,1,2}^2 -> Z2 table:
+    # n = 2, where the transposition and the cycle coincide, and n < 2,
+    # where there is no generator at all
+    for a, n in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        size = a**n
+        for code in range(1 << size):
+            f = FnTable(a, n, Z2, tuple(code >> i & 1 for i in range(size)))
+            assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
+
+
 def test_file_round_trip():
     rng = random.Random(29)
     for f in [
@@ -296,3 +339,7 @@ group=Z2
                 "domain=2\narity=1\ngroup=Z2\n0 01\n"):
         with pytest.raises(ParseError):
             load_table(bad)
+    # the header is checked against the cell budget before any value is read
+    for header in ("domain=3\narity=9000", "domain=3\narity=10000000", "domain=2\narity=23"):
+        with pytest.raises(ResourceError):
+            load_table(header + "\ngroup=Z2\n0\n")
