@@ -30,13 +30,13 @@ ternary verdict is ``extract_phi`` followed by one linear inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError
 from .groups import Group
 from .oddsupport import PhiMap, extract_phi
+from .records import Record
 from .tables import (
     FnTable,
     essential_variables,
@@ -59,17 +59,19 @@ MAJORITY = "majority"
 MAJORITY_PLUS_PAIR = "majority_plus_pair"
 
 
-@dataclass(frozen=True)
-class BooleanGapForm:
-    kind: str
-    c: int
-    m: int | None = None  # essential arity, recorded for parity_sum
+class BooleanGapForm(Record):
+    _fields = ("kind", "c", "m")
+
+    def __init__(self, kind: str, c: int, m: int | None = None):
+        # m, the essential arity, is recorded for parity_sum only
+        self.__dict__.update(kind=kind, c=c, m=m)
 
 
-@dataclass(frozen=True)
-class BooleanClassification:
-    gap: int
-    form: BooleanGapForm | None
+class BooleanClassification(Record):
+    _fields = ("gap", "form")
+
+    def __init__(self, gap: int, form: BooleanGapForm | None):
+        self.__dict__.update(gap=gap, form=form)
 
 
 def _gf2_table(m: int, poly) -> tuple[int, ...]:
@@ -122,26 +124,25 @@ def classify_boolean(f: FnTable) -> BooleanClassification:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Z3Params:
-    a: int
-    b: int
-    c: int
-    d: int
+class Z3Params(Record):
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             if not 0 <= v < 3:
                 raise ArgumentError(f"parameter {name}={v} out of range for Z3")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class Z3Classification:
-    verdict: str  # "gap2" | "gap1" | "degenerate"
-    params: Z3Params | None
+class Z3Classification(Record):
+    _fields = ("verdict", "params")
+
+    def __init__(self, verdict: str, params: Z3Params | None):
+        # verdict is "gap2", "gap1" or "degenerate"
+        self.__dict__.update(verdict=verdict, params=params)
 
 
 def _singleton_value(mask: int) -> int:

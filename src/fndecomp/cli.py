@@ -7,13 +7,15 @@ Every printed verdict is re-checked against its certificate first.
 Exit codes: 0 all requested checks passed, 2 parse error, 3 precondition or
 argument error, 4 internal-consistency failure (a theorem-violation tripwire
 that should be unreachable).
+
+``hashlib`` and ``json`` are imported where they are used, so that start-up
+stays small for the commands that need neither (``--help``, ``identities`` and
+``witness`` without ``--json``).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 
@@ -39,6 +41,8 @@ EXIT_INTERNAL = 4
 def _read_text(path: str) -> tuple[str, dict]:
     """The file's text, decoded strictly as UTF-8, and the digest of the very
     bytes that were decoded."""
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -68,6 +72,8 @@ def _phi_payload(phi: oddsupport.PhiMap) -> dict:
 
 def _render(report: dict, as_json: bool) -> str:
     if as_json:
+        import json
+
         return json.dumps(report, indent=2, sort_keys=True)
     lines = [f"command: {report['command']}"]
     for inp in report.get("inputs", []):
@@ -162,6 +168,8 @@ def _cmd_decompose(args) -> int:
             }
             for positions, term in terms
         ]
+        import json
+
         payload["summands"] = [json.dumps(e, sort_keys=True) for e in inventory]
     else:
         if args.mode == "fitilde":

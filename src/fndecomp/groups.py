@@ -11,38 +11,42 @@ significant), used by the table machinery to keep value storage flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ArgumentError, DomainError, ParseError, ResourceError, ShapeError
+from .records import Record
 
 Element = tuple[int, ...]
 
 # Dense Cayley tables are only materialized for groups up to this order.
 _CODE_TABLE_LIMIT = 1 << 12
 
+# Python's default limit on digits in an int() conversion
+# (sys.int_info.default_max_str_digits); int() raises ValueError above it.
+_MAX_DIGITS = 4300
+
 
 def parse_decimal(text: str) -> int | None:
-    """Value of a nonempty string of ASCII digits; None for anything else,
-    such as a sign, an underscore, a space or a non-ASCII digit ('²', '١')."""
-    if text.isascii() and text.isdigit():
+    """Value of a nonempty string of at most 4 300 ASCII digits; None for
+    anything else, such as a sign, an underscore, a space, a non-ASCII digit
+    ('²', '١') or a longer run of digits."""
+    if len(text) <= _MAX_DIGITS and text.isascii() and text.isdigit():
         return int(text)
     return None
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     """Direct product of cyclic groups Z_{m1} x ... x Z_{mk}, written additively."""
 
-    moduli: tuple[int, ...]
+    _fields = ("moduli",)
 
-    def __post_init__(self):
-        mods = tuple(int(m) for m in self.moduli)
-        object.__setattr__(self, "moduli", mods)
+    def __init__(self, moduli: tuple[int, ...]):
+        mods = tuple(int(m) for m in moduli)
         for m in mods:
             if m < 2:
                 raise ArgumentError(f"cyclic factor modulus must be >= 2, got {m}")
+        self.__dict__.update(moduli=mods)
 
     # ------------------------------------------------------------------
     # text form: "Z2", "Z2xZ4", case-insensitive; "Z1" denotes the trivial group

@@ -28,6 +28,9 @@ from .errors import ArgumentError, ResourceError
 
 PAIR_COUNT_MAX_M = 20
 
+# byte translation table adding one to every byte value below 255
+_INC = bytes(range(1, 256)) + b"\0"
+
 
 def binom(n: int, k: int) -> int:
     """C(n, k) with C(n, 0) = 1 for all n; 0 for k < 0 or 0 <= n < k or n < 0 < k."""
@@ -74,10 +77,13 @@ def odd_sum_rhs(m: int, t: int) -> int:
 
 def _odd_pair_counts(m: int) -> list[int]:
     """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
-    sizes = [0] * (m + 1)
-    for q in range(1 << m):
-        sizes[q.bit_count()] += 1
-    return [sum(sizes[s] * comb(s, 2 * t) for s in range(1, m + 1, 2))
+    # sizes[q] = |Q| for the bitmask q of every Q: the masks with bit i set
+    # repeat the masks below 2**i, each one element larger
+    sizes = b"\0"
+    for _ in range(m):
+        sizes += sizes.translate(_INC)
+    tally = [sizes.count(s) for s in range(m + 1)]
+    return [sum(tally[s] * comb(s, 2 * t) for s in range(1, m + 1, 2))
             for t in range((m - 1) // 2 + 1)]
 
 

@@ -8,7 +8,6 @@ values (the subsets of the alphabet whose size is n, n-2, n-4, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -24,6 +23,7 @@ from .errors import (
     ResourceError,
 )
 from .groups import Element, Group, parse_decimal
+from .records import Record
 from .tables import (
     MAX_CELLS,
     FnTable,
@@ -123,38 +123,41 @@ PNPRIME = "pnprime"
 FULL = "full"
 
 
-@dataclass(frozen=True, eq=True)
-class PhiMap:
+class PhiMap(Record):
     """Map from alphabet subsets to group elements.
 
     kind "pnprime": keyed exactly on phi_domain(a_size, arity).
     kind "full": keyed on every subset, with the pairing constraint
     phi(S) == phi(S symdiff {0}) for all S.
+
+    The entries are a dict, so a PhiMap compares by value but is unhashable.
     """
 
-    a_size: int
-    group: Group
-    kind: str
-    arity: int | None
-    entries: dict[Subset, Element]
+    _fields = ("a_size", "group", "kind", "arity", "entries")
 
-    def __post_init__(self):
-        entries = {frozenset(S): self.group.validate(v) for S, v in self.entries.items()}
-        object.__setattr__(self, "entries", entries)
-        if self.kind == PNPRIME:
-            if self.arity is None:
+    def __init__(
+        self,
+        a_size: int,
+        group: Group,
+        kind: str,
+        arity: int | None,
+        entries: Mapping[Subset, Element],
+    ):
+        entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
+        if kind == PNPRIME:
+            if arity is None:
                 raise ArgumentError("pnprime phi map needs an arity")
-            expected = set(phi_domain(self.a_size, self.arity))
+            expected = set(phi_domain(a_size, arity))
             if set(entries) != expected:
                 raise ArgumentError("pnprime phi map keys do not match phi_domain")
-        elif self.kind == FULL:
-            if self.arity is not None:
+        elif kind == FULL:
+            if arity is not None:
                 raise ArgumentError("full phi map takes no arity")
-            _check_key_count(self.a_size, range(self.a_size + 1))
+            _check_key_count(a_size, range(a_size + 1))
             all_subsets = {
                 frozenset(S)
-                for size in range(self.a_size + 1)
-                for S in combinations(range(self.a_size), size)
+                for size in range(a_size + 1)
+                for S in combinations(range(a_size), size)
             }
             if set(entries) != all_subsets:
                 raise ArgumentError("full phi map must cover every subset of the alphabet")
@@ -165,7 +168,8 @@ class PhiMap:
                         f"phi({format_subset(S ^ {0})})"
                     )
         else:
-            raise ArgumentError(f"unknown phi map kind {self.kind!r}")
+            raise ArgumentError(f"unknown phi map kind {kind!r}")
+        self.__dict__.update(a_size=a_size, group=group, kind=kind, arity=arity, entries=entries)
 
     @classmethod
     def on_phi_domain(

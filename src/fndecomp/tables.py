@@ -17,7 +17,6 @@ were measured faster there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import add, itemgetter
@@ -32,6 +31,7 @@ from .errors import (
     ShapeError,
 )
 from .groups import Element, Group, parse_decimal
+from .records import Record
 
 # Cells one table, or one Taylor materialization in all, may allocate: about
 # 32 MB of value codes.
@@ -77,29 +77,25 @@ def tuple_index(a_size: int, x: Sequence[int]) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class FnTable:
+class FnTable(Record):
     """Total function {0..a_size-1}^arity -> group, as a flat tuple of value codes."""
 
-    a_size: int
-    arity: int
-    group: Group
-    values: tuple[int, ...]
+    _fields = ("a_size", "arity", "group", "values")
 
-    def __post_init__(self):
-        if self.a_size < 2:
-            raise ArgumentError(f"alphabet size must be >= 2, got {self.a_size}")
-        if self.arity < 0:
-            raise ArgumentError(f"arity must be >= 0, got {self.arity}")
-        check_cells(self.a_size, self.arity)
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        expected = self.a_size**self.arity
+    def __init__(self, a_size: int, arity: int, group: Group, values: Sequence[int]):
+        if a_size < 2:
+            raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
+        if arity < 0:
+            raise ArgumentError(f"arity must be >= 0, got {arity}")
+        check_cells(a_size, arity)
+        values = tuple(values)
+        expected = a_size**arity
         if len(values) != expected:
             raise ShapeError(f"expected {expected} values, got {len(values)}")
-        order = self.group.order
+        order = group.order
         if min(values) < 0 or max(values) >= order:
             raise DomainError("value code out of range for group")
+        self.__dict__.update(a_size=a_size, arity=arity, group=group, values=values)
 
     # ------------------------------------------------------------------
     # constructors
@@ -254,6 +250,9 @@ def is_totally_symmetric(f: FnTable) -> bool:
     n = f.arity
     if n < 2:
         return True
+    # f(1, 0, ...) against f(0, 1, ...): most asymmetric tables differ here
+    if f.values[1] != f.values[f.a_size]:
+        return False
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
     return all(simple_minor(f, sigma, n).values == f.values for sigma in (swap, cycle))

@@ -8,22 +8,29 @@ bundle does not certify what it claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .calculus import derivative_at_zero
 from .errors import ArgumentError, InternalConsistencyError
 from .groups import Element, Group
 from .oddsupport import PhiMap, odd_support, table_from_phi
+from .records import Record
 from .tables import FnTable
 
 
-@dataclass(frozen=True)
-class WitnessBundle:
-    table: FnTable
-    positions: frozenset[int]
-    params: tuple[int, ...]
-    expected: Element
-    claimed_k: int
+class WitnessBundle(Record):
+    _fields = ("table", "positions", "params", "expected", "claimed_k")
+
+    def __init__(
+        self,
+        table: FnTable,
+        positions: frozenset[int],
+        params: tuple[int, ...],
+        expected: Element,
+        claimed_k: int,
+    ):
+        self.__dict__.update(
+            table=table, positions=positions, params=params, expected=expected,
+            claimed_k=claimed_k,
+        )
 
     def verify(self) -> None:
         """Recompute the derivative witness; raise if the bundle lies."""

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,11 @@ def test_analyze_parse_error(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", str(bad))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+    # a header number longer than int() converts is a parse error
+    bad.write_text("domain=" + "9" * 5000 + "\narity=2\ngroup=Z2\n0\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "bad domain value" in err
 
 
 def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):
@@ -235,3 +244,33 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     stable = json.loads(out1)
     del report["meta"]
     assert report == stable
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_modules(code):
+    """Names in sys.modules when a fresh interpreter, in this test's
+    environment with the package on its path, has run code."""
+    probe = ("import sys\ntry:\n    exec(%r)\nfinally:\n"
+             "    print(*sys.modules, file=sys.stderr)" % code)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["identities", "--max-m", "3"]])
+def test_startup_imports(argv):
+    # each of these costs milliseconds of start-up on every command
+    bare = loaded_modules("pass")
+    cli = loaded_modules("import fndecomp.cli") - bare
+    assert "fndecomp.cli" in cli
+    assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    command = loaded_modules(
+        "import runpy; sys.argv = ['fndecomp', *%r]; "
+        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,)
+    ) - bare
+    assert "argparse" in command
+    assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}

@@ -221,8 +221,8 @@ def test_phi_file_round_trip():
         load_phi("phi domain=nope a=2 group=Z2\n")
     # header numbers and subset letters are ASCII digits
     text = dump_phi(full)
-    for old, new in (("a=2", "a=\u00b2"), ("{0}", "{\u0660}"), ("{1}", "{+1}"),
-                     ("{0,1}", "{0,1_}"), ("-> 1", "-> +1")):
+    for old, new in (("a=2", "a=\u00b2"), ("a=2", "a=" + "9" * 5000), ("{0}", "{\u0660}"),
+                     ("{1}", "{+1}"), ("{0,1}", "{0,1_}"), ("-> 1", "-> +1")):
         with pytest.raises(ParseError):
             load_phi(text.replace(old, new, 1))
     odd = dump_phi(phi)
