@@ -13,17 +13,22 @@ For a Boolean codomain (every factor Z2) and n = arity, |A| = alphabet size:
   n-2, n-4, ... reproduces every determined f for some phi (existence only;
   free variables of the solve are pinned to 0).
 
-phi recovery evaluates the defining equation at the canonical representative
-tuple of each key and solves the resulting GF(2) system per cyclic factor.
-The uniqueness proofs guarantee invertibility for the odd/even systems, so a
-singular matrix is an internal-consistency failure, never a user error.
+Every defining sum is symmetric in the positions, so it depends on x only
+through its letter counts.  One kernel, ``_class_sum``, evaluates it for one
+count vector by a parity DP over the letters; a reconstruction calls it once
+per count class and broadcasts (``tables.by_letter_counts``).
+
+phi recovery reads the same kernel at the canonical representative tuple of
+each key, with one GF(2) column per key, and solves the resulting system per
+cyclic factor against the values of extract_phi(f).  The uniqueness proofs
+guarantee invertibility for the odd/even systems, so a singular matrix is an
+internal-consistency failure, never a user error.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from operator import xor
 
 from .errors import (
     ArgumentError,
@@ -40,7 +45,7 @@ from .oddsupport import (
     representative_tuple,
     subset_mask,
 )
-from .tables import FnTable, axis_fold, check_cells, tuple_index
+from .tables import FnTable, by_letter_counts, check_cells
 
 
 # ----------------------------------------------------------------------
@@ -93,28 +98,43 @@ def _require_boolean(group: Group) -> None:
 # ----------------------------------------------------------------------
 
 
+def _class_sum(counts: list[int], sizes: list[int], codes: dict[int, int]) -> int:
+    """XOR of codes[odd_support(x|_I)] over all I of the listed sizes, for any
+    x whose letter d occurs counts[d] times.
+
+    Taking j of the k positions that hold letter d puts d in the support when
+    j is odd, in C(k, j) ways, and C(k, j) is odd iff j & k == j (Lucas).
+    polys[mask] holds, as bit s, the parity of the number of sets I of size s
+    over the letters done so far whose support is mask.
+    """
+    polys = {0: 1}
+    for d, k in enumerate(counts):
+        steps = [(j, (j & 1) << d) for j in range(k + 1) if j & k == j]
+        grown: dict[int, int] = {}
+        for mask, poly in polys.items():
+            for j, bit in steps:
+                grown[mask ^ bit] = grown.get(mask ^ bit, 0) ^ poly << j
+        polys = grown
+    size_bits = sum(1 << s for s in sizes)
+    acc = 0
+    for mask, poly in polys.items():
+        if (poly & size_bits).bit_count() & 1:
+            code = codes.get(mask)
+            if code is None:
+                raise InternalConsistencyError("support value outside the phi domain")
+            acc ^= code
+    return acc
+
+
 def _sum_table(phi: PhiMap, n: int, sizes: list[int]) -> FnTable:
     """XOR of phi(odd_support(x|_I)) over all I of the listed sizes, at every x.
 
     Boolean codes are bitmasks over the factors, so group addition is XOR.
     """
-    a = phi.a_size
-    check_cells(a, n)
-    codes = phi.codes_by_mask
-    bits = [1 << d for d in range(a)]
-    zeros = [0] * a
-    vals = [0] * a**n
-    for s in sizes:
-        for I in combinations(range(n), s):
-            # the support mask of x restricted to I, at every x
-            masks = axis_fold(a, [bits if p in I else zeros for p in range(n)], xor)
-            terms = list(map(codes.__getitem__, masks))
-            if None in terms:
-                raise InternalConsistencyError(
-                    "support value outside phi domain during reconstruction"
-                )
-            vals = list(map(xor, vals, terms))
-    return FnTable(a, n, phi.group, tuple(vals))
+    encode = phi.group.encode
+    codes = {subset_mask(S): encode(v) for S, v in phi.entries.items()}
+    vals = by_letter_counts(phi.a_size, n, lambda counts: _class_sum(counts, sizes, codes))
+    return FnTable(phi.a_size, n, phi.group, vals)
 
 
 def reconstruct_odd(phi: PhiMap) -> FnTable:
@@ -193,43 +213,31 @@ def gf2_solve(rows: list[int], n_cols: int, n_rhs: int):
 
 
 def _probe_rows(a_size: int, n: int, sizes: list[int], pairing: bool) -> list[int]:
+    """The defining sum at the representative tuple of each phi_domain key,
+    as a bitset over the keys (column c for key c); with pairing, S and
+    S symdiff {0} share a column."""
     keys = phi_domain(a_size, n)
-    col_of = {subset_mask(S): c for c, S in enumerate(keys)}
+    # flip is False or, with pairing, True: S symdiff {0} shares the column of S
+    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, pairing)}
     rows = []
     for S in keys:
         rep = representative_tuple(S, n)
-        row = 0
-        for s in sizes:
-            for I in combinations(range(n), s):
-                m = 0
-                for p in I:
-                    m ^= 1 << rep[p]
-                if m not in col_of:
-                    if not pairing:
-                        raise InternalConsistencyError(
-                            "support value escaped the phi domain"
-                        )
-                    m ^= 1
-                    if m not in col_of:
-                        raise InternalConsistencyError(
-                            "support value escaped the phi domain despite pairing"
-                        )
-                row ^= 1 << col_of[m]
-        rows.append(row)
+        rows.append(_class_sum([rep.count(d) for d in range(a_size)], sizes, units))
     return rows
 
 
 def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: bool):
     """Solve the probe system for phi codes keyed on phi_domain(f.a_size, f.arity)."""
+    given = extract_phi(f)
+    if given is None:
+        raise PreconditionError("function is not determined by odd support")
     a, n = f.a_size, f.arity
     keys = phi_domain(a, n)
     rows = _probe_rows(a, n, sizes, pairing)
     n_rhs = len(f.group.moduli)
     n_cols = len(keys)
-    augmented = []
-    for row, S in zip(rows, keys):
-        psi = f.values[tuple_index(a, representative_tuple(S, n))]
-        augmented.append(row | psi << n_cols)
+    encode = f.group.encode
+    augmented = [row | encode(given.entries[S]) << n_cols for row, S in zip(rows, keys)]
     solutions, rank, consistent = gf2_solve(augmented, n_cols, n_rhs)
     if not consistent:
         raise InternalConsistencyError("phi probe system has no solution")
@@ -247,16 +255,10 @@ def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: 
     return entries, rank
 
 
-def _check_determined(f: FnTable) -> None:
-    if extract_phi(f) is None:
-        raise PreconditionError("function is not determined by odd support")
-
-
 def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f."""
     _require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
-    _check_determined(f)
     entries, _ = _solve_for_phi(f, first_sum_sizes(f.arity, t), pairing=False,
                                 require_unique=True)
     return PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
@@ -266,7 +268,6 @@ def decompose_even(f: FnTable) -> PhiMap:
     """The unique full paired phi with reconstruct_even(phi, f.arity) == f."""
     _require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
-    _check_determined(f)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
     entries, _ = _solve_for_phi(f, sizes, pairing=True, require_unique=True)
     return full_map_from_domain_entries(f.a_size, f.group, entries)
@@ -294,7 +295,6 @@ def decompose_uniform(f: FnTable) -> PhiMap:
         raise PreconditionError(
             f"uniform decomposition needs arity > max(|A|, 3) = {max(a, 3)}, got {n}"
         )
-    _check_determined(f)
     entries, _ = _solve_for_phi(f, uniform_sum_sizes(n), pairing=False,
                                 require_unique=False)
     phi = PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)

@@ -25,13 +25,17 @@ sum, which is totally symmetric, so only the m = 2 and m = 3 forms are
 expanded over variable permutations.  The 81 quadruples build exactly the 81
 odd-support-determined tables, and phi on four support keys is a linear
 bijective image of (a, b, c, d) that depends only on the parity of n, so a
-ternary verdict is ``extract_phi`` followed by one linear inverse.
+ternary verdict is ``extract_phi`` followed by one linear inverse.  The
+certificate ``z3_build`` rebuilds the table from the parameters alone; the
+form is symmetric in the positions, so it is evaluated once per letter-count
+class and broadcast, without ``extract_phi`` or the link.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError
 from .groups import Group
@@ -39,6 +43,7 @@ from .oddsupport import PhiMap, extract_phi
 from .records import Record
 from .tables import (
     FnTable,
+    by_letter_counts,
     essential_variables,
     iter_tuples,
     reduce_to_essential,
@@ -154,7 +159,10 @@ def _singleton_value(mask: int) -> int:
 
 
 def z3_build(n: int, params: Z3Params) -> FnTable:
-    """Pointwise evaluation of the parameterized gap-2 form on Z3^n."""
+    """The parameterized gap-2 form on Z3^n, evaluated once per letter-count
+    class: with k_u copies of letter u, the unary term of u appears k_u times,
+    the pair (u, u) C(k_u, 2) times and the pair (u, v) k_u * k_v times, and
+    only the parity of each count survives the symmetric-difference fold."""
     if n < 4:
         raise ArgumentError(f"classification form needs arity >= 4, got {n}")
     a, b, c, d = params.as_tuple()
@@ -163,18 +171,20 @@ def z3_build(n: int, params: Z3Params) -> FnTable:
     unary = [(p[u] + d) % 3 for u in range(3)]
     use_unary = n % 2 == 1
     base_mask = 1 << d if n % 4 in (0, 3) else 0
-    vals = []
-    for x in iter_tuples(3, n):
+
+    def form(counts: list[int]) -> int:
         mask = base_mask
-        for i in range(n):
-            xi = x[i]
-            if use_unary:
-                mask ^= 1 << unary[xi]
-            row = pair[xi]
-            for j in range(i + 1, n):
-                mask ^= 1 << row[x[j]]
-        vals.append(_singleton_value(mask))
-    return FnTable(3, n, Z3, tuple(vals))
+        for u, k in enumerate(counts):
+            if use_unary and k & 1:
+                mask ^= 1 << unary[u]
+            if comb(k, 2) & 1:
+                mask ^= 1 << pair[u][u]
+            for v in range(u + 1, 3):
+                if k * counts[v] & 1:
+                    mask ^= 1 << pair[u][v]
+        return _singleton_value(mask)
+
+    return FnTable(3, n, Z3, by_letter_counts(3, n, form))
 
 
 def z3_classify(f: FnTable) -> Z3Classification:

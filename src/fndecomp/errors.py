@@ -41,6 +41,12 @@ class ResourceError(FnDecompError, ValueError):
     """The requested computation exceeds a documented size guardrail."""
 
 
+def excerpt(text: str, limit: int = 40) -> str:
+    """text itself when it has at most limit characters, else its first limit
+    characters and '...': what an error message may quote of its input."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 class ParseError(FnDecompError, ValueError):
     """Malformed text input; carries a 1-based line number when known."""
 

@@ -14,7 +14,7 @@ import math
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import ArgumentError, DomainError, ParseError, ResourceError, ShapeError
+from .errors import ArgumentError, DomainError, ParseError, ResourceError, ShapeError, excerpt
 from .records import Record
 
 Element = tuple[int, ...]
@@ -61,7 +61,7 @@ class Group(Record):
         for part in compact.split("x"):
             m = parse_decimal(part[1:]) if part.startswith("z") else None
             if m is None:
-                raise ParseError(f"bad group factor {part!r} in {text!r}")
+                raise ParseError(f"bad group factor {excerpt(part)!r} in {excerpt(text)!r}")
             if m == 0:
                 raise ParseError("factor Z0 is not a finite cyclic group")
             if m > 1:  # Z1 factors are trivial and normalized away
@@ -204,20 +204,24 @@ class Group(Record):
         text = text.strip()
         if not self.moduli:
             if text != "0":
-                raise ParseError(f"bad trivial-group element {text!r} (expected '0')")
+                raise ParseError(f"bad trivial-group element {excerpt(text)!r} (expected '0')")
             return ()
         parts = text.split(",")
         if len(parts) != len(self.moduli):
             raise ParseError(
-                f"element {text!r} has {len(parts)} residues, expected {len(self.moduli)}"
+                f"element {excerpt(text)!r} has {len(parts)} residues, "
+                f"expected {len(self.moduli)}"
             )
         residues = []
         for p, m in zip(parts, self.moduli):
             r = parse_decimal(p)
             # only the canonical text str(r) names residue r: no leading zero
             if r is None or (p[0] == "0" and p != "0"):
-                raise ParseError(f"bad element text {text!r}")
+                raise ParseError(f"bad element text {excerpt(text)!r}")
             if r >= m:
-                raise ParseError(f"residue {r} out of range for modulus {m} in {text!r}")
+                raise ParseError(
+                    f"residue {excerpt(p)} out of range for modulus {excerpt(str(m))} "
+                    f"in {excerpt(text)!r}"
+                )
             residues.append(r)
         return tuple(residues)

@@ -8,7 +8,7 @@ values (the subsets of the alphabet whose size is n, n-2, n-4, ...).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import xor
@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceError,
+    excerpt,
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
@@ -69,13 +70,13 @@ def format_subset(S: Subset) -> str:
 def parse_subset(text: str) -> Subset:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad subset text {text!r}")
+        raise ParseError(f"bad subset text {excerpt(text)!r}")
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
     letters = [parse_decimal(p) for p in inner.split(",")]
     if None in letters:
-        raise ParseError(f"bad subset text {text!r}")
+        raise ParseError(f"bad subset text {excerpt(text)!r}")
     return frozenset(letters)
 
 
@@ -97,22 +98,28 @@ def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
+def _check_mask_words(a_size: int, count: int, what: str) -> None:
+    """ResourceError when count subset masks over a_size letters, at
+    ceil(a_size/64) machine words each, take more than MAX_CELLS words."""
+    if count * -(-a_size // 64) > MAX_CELLS:
+        raise ResourceError(
+            f"{what} over a {a_size}-letter alphabet would take more than {MAX_CELLS} words"
+        )
+
+
 def _check_key_count(a_size: int, sizes: Iterable[int]) -> None:
-    """ResourceError when the subsets of the alphabet with the given sizes
-    number more than MAX_CELLS; counted before any subset is built."""
+    """_check_mask_words for the subsets of the alphabet with the given sizes,
+    counted before any subset is built."""
     count = 0
     for size in sizes:
         count += comb(a_size, size)
-        if count > MAX_CELLS:
-            raise ResourceError(
-                f"a phi map on a {a_size}-letter alphabet would have more than "
-                f"{MAX_CELLS} keys"
-            )
+        _check_mask_words(a_size, count, "the keys of a phi map")
 
 
 @lru_cache(maxsize=8)
 def _support_partition(a_size: int, n: int) -> tuple[tuple[int, ...], tuple[Subset, ...]]:
     """Per-index odd-support class id plus the class keys, cached per (a_size, n)."""
+    _check_mask_words(a_size, a_size**n, f"the odd-support masks of {a_size}**{n} cells")
     keys = phi_domain(a_size, n)
     key_id = {subset_mask(S): c for c, S in enumerate(keys)}
     masks = axis_fold(a_size, [[1 << d for d in range(a_size)]] * n, xor)
@@ -200,14 +207,6 @@ class PhiMap(Record):
 
     def sorted_items(self) -> list[tuple[Subset, Element]]:
         return sorted(self.entries.items(), key=lambda kv: subset_sort_key(kv[0]))
-
-    @cached_property
-    def codes_by_mask(self) -> list[int | None]:
-        """Value codes indexed by subset bitmask; None outside the key domain."""
-        out: list[int | None] = [None] * (1 << self.a_size)
-        for S, v in self.entries.items():
-            out[subset_mask(S)] = self.group.encode(v)
-        return out
 
 
 def table_from_phi(phi: PhiMap, n: int | None = None) -> FnTable:
@@ -328,7 +327,7 @@ def load_phi(text: str) -> PhiMap:
         raise ParseError("bad phi header fields", line=lineno)
     a_size = parse_decimal(fields["a"])
     if a_size is None:
-        raise ParseError(f"bad alphabet size {fields['a']!r}", line=lineno)
+        raise ParseError(f"bad alphabet size {excerpt(fields['a'])!r}", line=lineno)
     try:
         group = Group.from_text(fields["group"])
     except ParseError as exc:
@@ -341,12 +340,12 @@ def load_phi(text: str) -> PhiMap:
     elif arity is not None:
         kind = PNPRIME
     else:
-        raise ParseError(f"bad phi domain {domain!r}", line=lineno)
+        raise ParseError(f"bad phi domain {excerpt(domain)!r}", line=lineno)
     entries: dict[Subset, Element] = {}
     for lineno, line in entry_lines:
         left, sep, right = line.partition("->")
         if not sep:
-            raise ParseError(f"bad phi entry {line!r}", line=lineno)
+            raise ParseError(f"bad phi entry {excerpt(line)!r}", line=lineno)
         try:
             S = parse_subset(left)
             v = group.parse_element(right)

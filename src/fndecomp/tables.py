@@ -10,9 +10,12 @@ element-level view is available through eval / element_values.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
 list per table index: minors, the symmetry test, partial derivatives and the
-odd-support maps are all built on it.  The calculus kernel's finite-difference
-transform, support sizes and Taylor terms keep their own broadcasts, which
-were measured faster there.
+odd-support maps are all built on it.  ``by_letter_counts`` folds the letter
+counts of each x into one class key on it and evaluates a symmetric function
+once per class: the Boolean decomposition sums and the Z3 gap-2 form are
+broadcast from there.  The calculus kernel's finite-difference transform,
+support sizes and Taylor terms keep their own broadcasts, which were measured
+faster there.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
     ShapeError,
+    excerpt,
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
@@ -63,6 +67,22 @@ def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add, start=0) -> li
         digits = chain.from_iterable(map(repeat, axis, repeat(len(out))))
         out = list(map(op, out * a_size, digits))
     return out
+
+
+def by_letter_counts(a_size: int, arity: int, fn: Callable[[list[int]], int]) -> list:
+    """fn(counts) for every x, in table-index order, where counts[d] is how
+    often letter d occurs in x; fn is called once per distinct count vector."""
+    check_cells(a_size, arity)
+    base = arity + 1
+    # letter 0 takes no digit (its count is arity minus the others): with at
+    # most three letters every key within MAX_CELLS stays below 257, so the
+    # key list holds CPython's shared small ints, not one new int per cell
+    keys = axis_fold(a_size, [[0] + [base**d for d in range(a_size - 1)]] * arity)
+    value = {}
+    for key in dict.fromkeys(keys):
+        counts = [key // base**d % base for d in range(a_size - 1)]
+        value[key] = fn([arity - sum(counts)] + counts)
+    return list(map(value.__getitem__, keys))
 
 
 def linear_index(a_size: int, weights: Sequence[int], offset: int = 0) -> list[int]:
@@ -303,13 +323,13 @@ def load_table(text: str) -> FnTable:
     for (lineno, line), key in zip(headers, ("domain", "arity", "group")):
         prefix = key + "="
         if not line.startswith(prefix):
-            raise ParseError(f"expected '{key}=...', got {line!r}", line=lineno)
+            raise ParseError(f"expected '{key}=...', got {excerpt(line)!r}", line=lineno)
         fields[key] = (lineno, line[len(prefix):].strip())
     for key in ("domain", "arity"):
         lineno, val = fields[key]
         number = parse_decimal(val)
         if number is None:
-            raise ParseError(f"bad {key} value {val!r}", line=lineno)
+            raise ParseError(f"bad {key} value {excerpt(val)!r}", line=lineno)
         fields[key] = (lineno, number)
     lineno, spec = fields["group"]
     try:

@@ -4,8 +4,10 @@ The essential-variable / gap / determination oracles work straight from the
 definitions on explicit tuples, so they cross-check the library's optimized
 index arithmetic.  The derivative oracles evaluate each (positions,
 parameters) pair through its own alternating subset sum, which is what the
-library's one-pass finite-difference transform replaces.  The reconstruction
-oracle sums the defining decomposition separately at every tuple.  The remaining
+library's one-pass finite-difference transform replaces.  The defining-sum
+oracles evaluate the Boolean decomposition sums, their GF(2) probe rows and
+the Z3 gap-2 form one position set (or pair of positions) at a time, at every
+tuple; they pin the library's one letter-count kernel.  The remaining
 oracles are the slow enumerations that the library's direct computations
 replace: the permutation orbit of every Boolean gap-2 form, every phi map
 tried against a reconstruction, and every subset pair counted one by one.
@@ -39,10 +41,11 @@ from fndecomp.classify import (
     PARITY_SUM,
     PRODUCT_PLUS_ARG,
     BooleanGapForm,
+    Z3Params,
 )
 from fndecomp.errors import InternalConsistencyError
 from fndecomp.identities import _check_odd_sum_args
-from fndecomp.oddsupport import PNPRIME
+from fndecomp.oddsupport import PNPRIME, representative_tuple, subset_mask
 from fndecomp.tables import iter_tuples, simple_minor, tuple_index
 
 
@@ -273,7 +276,7 @@ def oracle_taylor_terms(f: FnTable, base=None):
 
 
 # ----------------------------------------------------------------------
-# reconstruction oracle: the defining sum, one x at a time
+# defining-sum oracles: one position set (or pair) at a time
 # ----------------------------------------------------------------------
 
 
@@ -281,7 +284,9 @@ def pointwise_sum_table(phi: PhiMap, n, sizes) -> FnTable:
     """XOR of phi(odd_support(x|_I)) over all I of the listed sizes, summed
     separately at each x (Boolean codes are bitmasks, so addition is XOR)."""
     a = phi.a_size
-    codes = phi.codes_by_mask
+    codes: list[int | None] = [None] * (1 << a)
+    for S, v in phi.entries.items():
+        codes[subset_mask(S)] = phi.group.encode(v)
     vals = []
     for x in iter_tuples(a, n):
         acc = 0
@@ -298,6 +303,57 @@ def pointwise_sum_table(phi: PhiMap, n, sizes) -> FnTable:
                 acc ^= c
         vals.append(acc)
     return FnTable(a, n, phi.group, tuple(vals))
+
+
+def pointwise_probe_rows(a_size, n, sizes, pairing) -> list[int]:
+    """Probe rows of the GF(2) system built one position set at a time: the
+    row of key S has bit c flipped once per I of the listed sizes with
+    odd_support(rep|_I) equal to key c (or, with pairing, to key c symdiff
+    {0}), where rep = representative_tuple(S, n)."""
+    keys = phi_domain(a_size, n)
+    col_of = {subset_mask(S): c for c, S in enumerate(keys)}
+    rows = []
+    for S in keys:
+        rep = representative_tuple(S, n)
+        row = 0
+        for s in sizes:
+            for I in combinations(range(n), s):
+                m = 0
+                for p in I:
+                    m ^= 1 << rep[p]
+                if m not in col_of:
+                    if not pairing:
+                        raise InternalConsistencyError("support value escaped the phi domain")
+                    m ^= 1
+                    if m not in col_of:
+                        raise InternalConsistencyError(
+                            "support value escaped the phi domain despite pairing"
+                        )
+                row ^= 1 << col_of[m]
+        rows.append(row)
+    return rows
+
+
+def pointwise_z3_build(n, params: Z3Params) -> FnTable:
+    """The parameterized Z3 gap-2 form, folded over every pair of positions
+    (and every position, for n odd) separately at each x."""
+    a, b, c, d = params.as_tuple()
+    p = [(a * u * u + b * u + c) % 3 for u in range(3)]
+    pair = [[((u - v) ** 2 * p[(u + v) % 3] + d) % 3 for v in range(3)] for u in range(3)]
+    unary = [(p[u] + d) % 3 for u in range(3)]
+    use_unary = n % 2 == 1
+    base_mask = 1 << d if n % 4 in (0, 3) else 0
+    vals = []
+    for x in iter_tuples(3, n):
+        mask = base_mask
+        for i in range(n):
+            if use_unary:
+                mask ^= 1 << unary[x[i]]
+            for j in range(i + 1, n):
+                mask ^= 1 << pair[x[i]][x[j]]
+        assert mask in (1, 2, 4), "the fold left a non-singleton mask"
+        vals.append(mask.bit_length() - 1)
+    return FnTable(3, n, Group((3,)), tuple(vals))
 
 
 # ----------------------------------------------------------------------

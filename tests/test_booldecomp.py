@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,9 @@ from fndecomp import (
     table_from_phi,
     uniform_system_rank,
 )
+from fndecomp import booldecomp
 from fndecomp.booldecomp import (
+    _probe_rows,
     first_sum_sizes,
     full_map_from_domain_entries,
     gf2_solve,
@@ -28,7 +33,12 @@ from fndecomp.booldecomp import (
     second_sum_sizes,
     uniform_sum_sizes,
 )
-from helpers import all_phi_assignments, phi_preimages_bruteforce, pointwise_sum_table
+from helpers import (
+    all_phi_assignments,
+    phi_preimages_bruteforce,
+    pointwise_probe_rows,
+    pointwise_sum_table,
+)
 
 Z2 = Group((2,))
 Z2xZ2 = Group((2, 2))
@@ -142,6 +152,47 @@ def test_reconstructions_match_pointwise_sums_exhaustive():
                         (2, 4, Z2xZ2), (3, 4, Z2xZ2)]:
         for entries in all_phi_assignments(a, n, group):
             assert_reconstructions_match_pointwise_sums(a, n, group, entries)
+    # one random phi where letters repeat many times in a tuple
+    for a, n in [(2, 9), (3, 7), (3, 8), (4, 7)]:
+        rng = random.Random(100 * a + n)
+        elements = list(Z2xZ2.elements())
+        entries = {S: rng.choice(elements) for S in phi_domain(a, n)}
+        assert_reconstructions_match_pointwise_sums(a, n, Z2xZ2, entries)
+
+
+def test_probe_rows_match_pointwise_oracle():
+    for a in (2, 3, 4):
+        for n in range(1, 13):
+            if a**n > 1 << 12:
+                break
+            cases = [(uniform_sum_sizes(n), False)]
+            if n - a > 0 and (n - a) % 2 == 1:
+                cases.append((first_sum_sizes(n, odd_case_shift(a, n)), False))
+            if n - a > 0 and (n - a) % 2 == 0:
+                t = even_case_shift(a, n)
+                cases.append((first_sum_sizes(n, t) + second_sum_sizes(n, t), True))
+            for sizes, pairing in cases:
+                expected = pointwise_probe_rows(a, n, sizes, pairing)
+                assert _probe_rows(a, n, sizes, pairing) == expected, (a, n, sizes)
+
+
+def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
+    calls = []
+    kernel = booldecomp._class_sum
+
+    def counted(counts, sizes, codes):
+        calls.append(tuple(counts))
+        return kernel(counts, sizes, codes)
+
+    monkeypatch.setattr(booldecomp, "_class_sum", counted)
+    for a, n in [(2, 9), (3, 7), (3, 8), (4, 7)]:
+        phi = PhiMap.on_phi_domain(a, n, Z2, lambda S: (len(S) & 1,))
+        calls.clear()
+        reconstruct_uniform(phi)
+        assert len(calls) == len(set(calls)) == comb(n + a - 1, a - 1)
+        calls.clear()
+        _probe_rows(a, n, uniform_sum_sizes(n), pairing=False)
+        assert len(calls) == len(phi_domain(a, n))
 
 
 @settings(max_examples=25, deadline=None)

@@ -23,7 +23,7 @@ from fndecomp.classify import (
     params_from_phi,
     phi_values_for_params,
 )
-from helpers import orbit_form_index, random_table
+from helpers import orbit_form_index, pointwise_z3_build, random_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -119,6 +119,12 @@ def test_z3_build_examples():
         z3_build(3, Z3Params(0, 0, 0, 0))
     with pytest.raises(ArgumentError):
         Z3Params(3, 0, 0, 0)
+
+
+def test_z3_build_matches_pointwise_form():
+    for n in range(4, 9):
+        for params in all_z3_params():
+            assert z3_build(n, params) == pointwise_z3_build(n, params), (n, params)
 
 
 def test_z3_build_identification_cancels():

@@ -223,8 +223,10 @@ def test_phi_file_round_trip():
     text = dump_phi(full)
     for old, new in (("a=2", "a=\u00b2"), ("a=2", "a=" + "9" * 5000), ("{0}", "{\u0660}"),
                      ("{1}", "{+1}"), ("{0,1}", "{0,1_}"), ("-> 1", "-> +1")):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_phi(text.replace(old, new, 1))
+        # the message quotes at most a short excerpt of the input
+        assert len(str(exc.value)) < 100
     odd = dump_phi(phi)
     assert "pnprime:4" in odd
     with pytest.raises(ParseError):
@@ -235,3 +237,12 @@ def test_phi_file_round_trip():
     for header in ("phi domain=full a=40 group=Z2", "phi domain=pnprime:6 a=100000 group=Z2"):
         with pytest.raises(ResourceError):
             load_phi(header + "\n")
+    # a mask over a letters takes ceil(a/64) words: the keys and the per-cell
+    # masks are charged for them
+    with pytest.raises(ResourceError):
+        phi_domain(1024, 2)
+    with pytest.raises(ResourceError):
+        extract_phi(FnTable(100000, 1, Z2, (0,) * 100000))
+    # 129^3 cells at 3 words each: its keys fit, its per-cell masks do not
+    with pytest.raises(ResourceError, match="cells"):
+        extract_phi(FnTable(129, 3, Z2, (0,) * 129**3))
