@@ -34,6 +34,7 @@ from .errors import (
     ArgumentError,
     InternalConsistencyError,
     PreconditionError,
+    excerpt,
 )
 from .groups import Group
 from .oddsupport import (
@@ -89,7 +90,7 @@ def uniform_sum_sizes(n: int) -> list[int]:
 def _require_boolean(group: Group) -> None:
     if not group.is_boolean():
         raise PreconditionError(
-            f"codomain {group.to_text()} is not Boolean (every factor must be Z2)"
+            f"codomain {excerpt(group.to_text())} is not Boolean (every factor must be Z2)"
         )
 
 

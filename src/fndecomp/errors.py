@@ -47,6 +47,18 @@ def excerpt(text: str, limit: int = 40) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def excerpt_int(n: int, limit: int = 40) -> str:
+    """excerpt(str(n)) for an int of any size.  str() refuses more than
+    4 300 digits, so the trailing digits of a long n are divided off first,
+    keeping at least limit + 1 of them."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    # n has more than (bit_length - 1) * 0.30102 digits
+    drop = (n.bit_length() - 1) * 30102 // 100000 - limit
+    if drop > 0:
+        n //= 10**drop
+    return sign + excerpt(str(n), limit)
+
+
 class ParseError(FnDecompError, ValueError):
     """Malformed text input; carries a 1-based line number when known."""
 

@@ -14,7 +14,15 @@ import math
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import ArgumentError, DomainError, ParseError, ResourceError, ShapeError, excerpt
+from .errors import (
+    ArgumentError,
+    DomainError,
+    ParseError,
+    ResourceError,
+    ShapeError,
+    excerpt,
+    excerpt_int,
+)
 from .records import Record
 
 Element = tuple[int, ...]
@@ -106,12 +114,14 @@ class Group(Record):
     def validate(self, x: Sequence[int]) -> Element:
         if len(x) != len(self.moduli):
             raise ShapeError(
-                f"element has {len(x)} residues, group {self.to_text()} has "
+                f"element has {len(x)} residues, group {excerpt(self.to_text())} has "
                 f"{len(self.moduli)} factors"
             )
         for r, m in zip(x, self.moduli):
             if not 0 <= r < m:
-                raise DomainError(f"residue {r} out of range for modulus {m}")
+                raise DomainError(
+                    f"residue {excerpt_int(r)} out of range for modulus {excerpt_int(m)}"
+                )
         return tuple(x)
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> Element:
@@ -155,7 +165,9 @@ class Group(Record):
 
     def decode(self, code: int) -> Element:
         if not 0 <= code < self.order:
-            raise DomainError(f"element code {code} out of range for {self.to_text()}")
+            raise DomainError(
+                f"element code {excerpt_int(code)} out of range for {excerpt(self.to_text())}"
+            )
         out = []
         for m in self.moduli:
             out.append(code % m)
@@ -167,7 +179,7 @@ class Group(Record):
         """Full addition table on codes (desk-scale groups only)."""
         if self.order > _CODE_TABLE_LIMIT:
             raise ResourceError(
-                f"group order {self.order} too large for dense Cayley tables"
+                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
             )
         elems = [self.decode(c) for c in range(self.order)]
         return [
@@ -180,7 +192,7 @@ class Group(Record):
     def code_neg_table(self) -> list[int]:
         if self.order > _CODE_TABLE_LIMIT:
             raise ResourceError(
-                f"group order {self.order} too large for dense Cayley tables"
+                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
             )
         return [self.encode(self.neg(self.decode(c))) for c in range(self.order)]
 

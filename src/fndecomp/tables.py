@@ -245,18 +245,26 @@ def essential_arity(f: FnTable) -> int:
 def arity_gap(f: FnTable) -> int:
     """Minimum drop in essential arity over identifications of essential pairs.
 
-    Identifying i with j and j with i give tables that differ only by the
-    transposition of two coordinates, so unordered pairs suffice.
+    The gap of f is the gap of its restriction to the essential coordinates.
+    Above essential arity m = max(|A|, 3) it is 2 when that restriction is
+    determined by odd support and 1 otherwise (Willard; Couceiro and
+    Lehtonen), which costs O(|A|^n).  At or below it the pairs are scanned,
+    at most C(max(|A|, 3), 2) identification minors.  Identifying i with j
+    and j with i give tables that differ only by the transposition of two
+    coordinates, so unordered pairs suffice.
     """
-    ess = sorted(essential_variables(f))
-    m = len(ess)
+    g = reduce_to_essential(f)
+    m = g.arity
     if m < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
+    if m > max(f.a_size, 3):
+        from .oddsupport import extract_phi  # oddsupport imports this module
+
+        return 1 if extract_phi(g) is None else 2
     best = m
-    for p in range(len(ess)):
-        for q in range(p + 1, len(ess)):
-            g = identification_minor(f, ess[p], ess[q])
-            drop = m - essential_arity(g)
+    for i in range(m):
+        for j in range(i + 1, m):
+            drop = m - essential_arity(identification_minor(g, i, j))
             if drop < best:
                 best = drop
                 if best == 1:
@@ -307,16 +315,20 @@ def dump_table(f: FnTable) -> str:
 
 
 def load_table(text: str) -> FnTable:
+    """The table a text in the file format describes (see dump_table).
+
+    One pass over the lines.  Each distinct value token is parsed once and
+    its code remembered for the rest of this call, so the work is linear in
+    the text with one element parse per distinct token.
+    """
+    lines = enumerate(text.splitlines(), start=1)
     headers: list[tuple[int, str]] = []
-    value_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(headers) < 3:
+        if line and not line.startswith("#"):
             headers.append((lineno, line))
-        else:
-            value_lines.append((lineno, line))
+            if len(headers) == 3:
+                break
     if len(headers) < 3:
         raise ParseError("table file needs domain=, arity= and group= header lines")
     fields = {}
@@ -342,15 +354,34 @@ def load_table(text: str) -> FnTable:
         raise ParseError(f"domain size must be >= 2, got {a_size}", line=fields["domain"][0])
     check_cells(a_size, arity)
     expected = a_size**arity
+    code_of: dict[str, int] = {}
     codes: list[int] = []
-    for lineno, line in value_lines:
-        for token in line.split():
-            if len(codes) >= expected:
-                raise ParseError(f"more than {expected} values", line=lineno)
-            try:
-                codes.append(group.encode(group.parse_element(token)))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    # bound once: about a fifth of the loop at a million lines
+    known_code, extend = code_of.__getitem__, codes.extend
+    for lineno, raw in lines:
+        # split() and strip() share one notion of whitespace, so the first
+        # token starts with '#' exactly on a comment line
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        start = len(codes)
+        try:
+            extend(map(known_code, tokens))
+            fits = len(codes) <= expected
+        except KeyError:  # a token not seen before: this line token by token
+            fits = False
+        if not fits:
+            del codes[start:]
+            for token in tokens:
+                if len(codes) >= expected:
+                    raise ParseError(f"more than {expected} values", line=lineno)
+                code = code_of.get(token)
+                if code is None:
+                    try:
+                        code = code_of[token] = group.encode(group.parse_element(token))
+                    except ParseError as exc:
+                        raise ParseError(str(exc), line=lineno) from None
+                codes.append(code)
     if len(codes) != expected:
         raise ParseError(f"expected {expected} values, found {len(codes)}")
     return FnTable(a_size, arity, group, tuple(codes))

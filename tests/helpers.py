@@ -10,7 +10,10 @@ the Z3 gap-2 form one position set (or pair of positions) at a time, at every
 tuple; they pin the library's one letter-count kernel.  The remaining
 oracles are the slow enumerations that the library's direct computations
 replace: the permutation orbit of every Boolean gap-2 form, every phi map
-tried against a reconstruction, and every subset pair counted one by one.
+tried against a reconstruction, every subset pair counted one by one, the
+arity gap scanned over every pair of essential variables (which the
+library reads off odd-support determination above max(|A|, 3)), and the
+table parser that parses every value token on its own.
 """
 
 from __future__ import annotations
@@ -43,10 +46,19 @@ from fndecomp.classify import (
     BooleanGapForm,
     Z3Params,
 )
-from fndecomp.errors import InternalConsistencyError
+from fndecomp.errors import InternalConsistencyError, ParseError, excerpt
+from fndecomp.groups import parse_decimal
 from fndecomp.identities import _check_odd_sum_args
 from fndecomp.oddsupport import PNPRIME, representative_tuple, subset_mask
-from fndecomp.tables import iter_tuples, simple_minor, tuple_index
+from fndecomp.tables import (
+    check_cells,
+    essential_arity,
+    essential_variables,
+    identification_minor,
+    iter_tuples,
+    simple_minor,
+    tuple_index,
+)
 
 
 def all_tuples(a_size, n):
@@ -90,6 +102,22 @@ def naive_arity_gap(f: FnTable) -> int:
                     minor_ess += 1
             drops.append(len(ess) - minor_ess)
     return min(drops)
+
+
+def pair_scan_arity_gap(f: FnTable) -> int:
+    """The arity gap by its definition on the library's index kernels: the
+    least drop in essential arity over the identification minors of the
+    unordered pairs of essential variables, stopping at a drop of 1 (no
+    identification drops less)."""
+    ess = sorted(essential_variables(f))
+    m = len(ess)
+    assert m >= 2
+    best = m
+    for i, j in combinations(ess, 2):
+        best = min(best, m - essential_arity(identification_minor(f, i, j)))
+        if best == 1:
+            break
+    return best
 
 
 def naive_is_totally_symmetric(f: FnTable) -> bool:
@@ -428,3 +456,60 @@ def odd_sum_pair_count_full(m: int, t: int) -> int:
         bits = [i for i in range(m) if q >> i & 1]
         total += sum(1 for _ in combinations(bits, 2 * t))
     return total
+
+
+# ----------------------------------------------------------------------
+# table parser oracle: every value token parsed on its own
+# ----------------------------------------------------------------------
+
+
+def pointwise_load_table(text: str) -> FnTable:
+    """The table file parser with one Group.parse_element and encode per
+    value token, after collecting every line first."""
+    headers: list[tuple[int, str]] = []
+    value_lines: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if len(headers) < 3:
+            headers.append((lineno, line))
+        else:
+            value_lines.append((lineno, line))
+    if len(headers) < 3:
+        raise ParseError("table file needs domain=, arity= and group= header lines")
+    fields = {}
+    for (lineno, line), key in zip(headers, ("domain", "arity", "group")):
+        prefix = key + "="
+        if not line.startswith(prefix):
+            raise ParseError(f"expected '{key}=...', got {excerpt(line)!r}", line=lineno)
+        fields[key] = (lineno, line[len(prefix):].strip())
+    for key in ("domain", "arity"):
+        lineno, val = fields[key]
+        number = parse_decimal(val)
+        if number is None:
+            raise ParseError(f"bad {key} value {excerpt(val)!r}", line=lineno)
+        fields[key] = (lineno, number)
+    lineno, spec = fields["group"]
+    try:
+        group = Group.from_text(spec)
+    except ParseError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    a_size = fields["domain"][1]
+    arity = fields["arity"][1]
+    if a_size < 2:
+        raise ParseError(f"domain size must be >= 2, got {a_size}", line=fields["domain"][0])
+    check_cells(a_size, arity)
+    expected = a_size**arity
+    codes: list[int] = []
+    for lineno, line in value_lines:
+        for token in line.split():
+            if len(codes) >= expected:
+                raise ParseError(f"more than {expected} values", line=lineno)
+            try:
+                codes.append(group.encode(group.parse_element(token)))
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+    if len(codes) != expected:
+        raise ParseError(f"expected {expected} values, found {len(codes)}")
+    return FnTable(a_size, arity, group, tuple(codes))

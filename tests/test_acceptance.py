@@ -15,7 +15,6 @@ from fndecomp import (
     FnTable,
     Group,
     PhiMap,
-    arity_gap,
     decompose_even,
     decompose_odd,
     decompose_uniform,
@@ -39,7 +38,12 @@ from fndecomp.booldecomp import full_map_from_domain_entries
 from fndecomp.classify import Z3Params, params_from_phi, phi_values_for_params, z3_build, z3_classify
 from fndecomp.identities import even_sum_rows, odd_sum_rows
 from fndecomp.oddsupport import _support_partition
-from helpers import all_phi_assignments, higher_derivative_expansion, random_full_arity_table
+from helpers import (
+    all_phi_assignments,
+    higher_derivative_expansion,
+    pair_scan_arity_gap,
+    random_full_arity_table,
+)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -69,7 +73,7 @@ def test_criterion_01_boolean_classification_exhaustive():
         for f in _all_boolean_tables(n):
             if essential_arity(f) < 2:
                 continue
-            assert classify_boolean(f).gap == arity_gap(f)
+            assert classify_boolean(f).gap == pair_scan_arity_gap(f)
             checked += 1
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -82,7 +86,7 @@ def test_criterion_02_willard_dichotomy():
     for f in _all_boolean_tables(4):
         if essential_arity(f) != 4:
             continue
-        if (arity_gap(f) == 2) != (extract_phi(f) is not None):
+        if (pair_scan_arity_gap(f) == 2) != (extract_phi(f) is not None):
             mismatches += 1
     assert mismatches == 0
 
@@ -93,10 +97,10 @@ def test_criterion_02_willard_dichotomy():
             f = table_from_phi(PhiMap.on_phi_domain(a_size, 5, group, entries))
             if essential_arity(f) != 5:
                 continue
-            assert arity_gap(f) == 2
+            assert pair_scan_arity_gap(f) == 2
         for _ in range(10000):
             f = random_full_arity_table(rng, a_size, 5, group)
-            assert (arity_gap(f) == 2) == (extract_phi(f) is not None)
+            assert (pair_scan_arity_gap(f) == 2) == (extract_phi(f) is not None)
     print("ACCEPT-02 willard dichotomy: PASS")
 
 

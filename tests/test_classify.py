@@ -23,7 +23,7 @@ from fndecomp.classify import (
     params_from_phi,
     phi_values_for_params,
 )
-from helpers import orbit_form_index, pointwise_z3_build, random_table
+from helpers import orbit_form_index, pair_scan_arity_gap, pointwise_z3_build, random_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -87,7 +87,7 @@ def test_classify_boolean_exhaustive_3ary():
             f = FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
             if essential_arity(f) < 2:
                 continue
-            assert classify_boolean(f).gap == arity_gap(f)
+            assert classify_boolean(f).gap == pair_scan_arity_gap(f)
 
 
 def test_classify_boolean_matches_orbit_index_at_higher_arity():
@@ -105,7 +105,7 @@ def test_classify_boolean_matches_orbit_index_at_higher_arity():
             f = FnTable.from_callable(2, m + 1, Z2,
                                       lambda x: g.eval(tuple(x[p] for p in positions)))
             res = classify_boolean(f)
-            assert res.gap == arity_gap(f)
+            assert res.gap == pair_scan_arity_gap(f)
             assert res.form == oracle.get(g.values)
             assert (res.gap == 2) == parity
 
@@ -174,7 +174,7 @@ def test_z3_gap2_matches_direct_gap():
         params = Z3Params(*(rng.randrange(3) for _ in range(4)))
         f = z3_build(4, params)
         if essential_arity(f) == 4:
-            assert arity_gap(f) == 2
+            assert pair_scan_arity_gap(f) == 2
 
 
 def test_phi_link_for_arity_3_mod_4():

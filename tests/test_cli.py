@@ -89,6 +89,20 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "words" in err and "Traceback" not in err
 
 
+def test_long_group_texts_are_quoted_in_excerpt(tmp_path, capsys):
+    # moduli of up to 4 300 digits parse; the messages about such a group
+    # quote at most 40 characters of it, even when its order has more
+    # digits than str() converts
+    nines = "9" * 4000
+    for spec, zero in ((f"Z{nines}", "0"), (f"Z{nines}xZ{nines}", "0,0")):
+        path = tmp_path / "big.tbl"
+        path.write_text(f"domain=2\narity=2\ngroup={spec}\n" + f"{zero} " * 4 + "\n")
+        for argv in (["analyze"], ["decompose", "--mode", "odd"]):
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 3 and out == ""
+            assert len((out + err).encode()) < 200 and "..." in err
+
+
 def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):
     path = write_parity(tmp_path, 3)
     code, out, _ = run(capsys, "analyze", path, "--json")
@@ -177,6 +191,52 @@ def test_classify_boolean_and_z3(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["verdict"] == "gap2"
     assert report["payload"]["params"] == {"a": 1, "b": 2, "c": 2, "d": 2}
+
+
+def test_boolean_gap_certificate(monkeypatch):
+    import random
+
+    import fndecomp.tables as tables_mod
+    from fndecomp.cli import _gap_certified
+    from helpers import pair_scan_arity_gap, random_table
+
+    built = []
+    real = tables_mod.identification_minor
+    monkeypatch.setattr(tables_mod, "identification_minor",
+                        lambda f, i, j: built.append((i, j)) or real(f, i, j))
+    rng = random.Random(12)
+    parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
+    majority = FnTable.from_callable(2, 4, Z2, lambda x: (int(x[1] + x[2] + x[3] >= 2),))
+    # identifying positions 0 and 1 of the last table drops exactly two, yet
+    # its gap is 1: a gap-2 witness pair needs determination beside it
+    cases = [parity, majority, random_table(rng, 2, 6, Z2), random_table(rng, 2, 3, Z2),
+             FnTable.from_callable(2, 5, Z2, lambda x: ((x[0] * x[1] + x[0]) % 2,)),
+             FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
+                                                         + x[4] * x[5]) % 2,))]
+    for f in cases:
+        gap = pair_scan_arity_gap(f)
+        for claim in (1, 2, 3):
+            assert _gap_certified(f, claim) == (claim == gap)
+    # above the threshold: determination plus one minor for gap 2, and the
+    # pairs up to the first witness for gap 1
+    built.clear()
+    assert _gap_certified(parity, 2) and built == [(0, 1)]
+    built.clear()
+    assert _gap_certified(cases[2], 1) and len(built) < 15
+
+
+def test_classify_boolean_verdict_is_certified(tmp_path, capsys, monkeypatch):
+    import fndecomp.classify as classify_mod
+
+    path = write_parity(tmp_path, 5)
+    real = classify_mod.classify_boolean
+    monkeypatch.setattr(classify_mod, "classify_boolean",
+                        lambda f: classify_mod.BooleanClassification(1, None))
+    code, out, err = run(capsys, "classify", path, "--target", "boolean")
+    assert code == 4 and out == "" and "direct gap" in err
+    monkeypatch.setattr(classify_mod, "classify_boolean", real)
+    code, out, _ = run(capsys, "classify", path, "--target", "boolean")
+    assert code == 0 and "gap: 2" in out
 
 
 def test_identities_ok(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fndecomp import ArgumentError, DomainError, Group, ParseError, ShapeError
+from fndecomp import ArgumentError, DomainError, Group, ParseError, ResourceError, ShapeError
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -154,3 +154,25 @@ def test_code_tables_match_element_arithmetic():
             for cy, y in enumerate(g.elements()):
                 assert add[cx][cy] == g.encode(g.add(x, y))
                 assert sub[cx][cy] == g.encode(g.sub(x, y))
+
+
+def test_messages_quote_long_numbers_in_excerpt():
+    big = Group((10**4000 + 1,))
+    tens = "1" + "0" * 39 + "..."
+    with pytest.raises(DomainError) as info:
+        big.validate((10**5000,))
+    assert str(info.value) == f"residue {tens} out of range for modulus {tens}"
+    with pytest.raises(DomainError, match=r"^element code -1 out of range for Z10{38}\.\.\.$"):
+        big.decode(-1)
+    with pytest.raises(ShapeError, match=r"group Z10{38}\.\.\. has 1 factors"):
+        big.validate(())
+    # an order of 8 001 digits, more than str() converts
+    for g in (big, Group((10**4000 + 1,) * 2)):
+        with pytest.raises(ResourceError) as info:
+            g.code_add_table
+        assert str(info.value) == f"group order {tens} too large for dense Cayley tables"
+    # short texts are quoted whole
+    with pytest.raises(DomainError, match=r"^residue 5 out of range for modulus 4$"):
+        Z4.validate((5,))
+    with pytest.raises(DomainError, match=r"^element code 8 out of range for Z2xZ4$"):
+        Z2xZ4.decode(8)

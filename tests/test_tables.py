@@ -37,6 +37,7 @@ from helpers import (
     naive_essential_variables,
     naive_identification_values,
     naive_is_totally_symmetric,
+    pair_scan_arity_gap,
     random_table,
 )
 
@@ -250,11 +251,11 @@ def test_willard_crosscheck_ternary_arity4():
     for entries in all_phi_assignments(3, 4, Z2):
         f = table_from_phi(PhiMap.on_phi_domain(3, 4, Z2, entries))
         if essential_arity(f) == 4:
-            assert arity_gap(f) == 2
+            assert pair_scan_arity_gap(f) == 2
     rng = random.Random(41)
     for _ in range(300):
         f = random_full_arity_table(rng, 3, 4, Z3)
-        assert (arity_gap(f) == 2) == (extract_phi(f) is not None)
+        assert (pair_scan_arity_gap(f) == 2) == (extract_phi(f) is not None)
 
 
 def test_symmetry_and_reduction():
