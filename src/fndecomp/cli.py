@@ -205,18 +205,18 @@ def _cmd_decompose(args) -> int:
 def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     """Whether gap is the arity gap of f, checked from the definition.
 
-    Up to essential arity max(|A|, 3) every pair of essential variables is
-    scanned.  Above it one witness suffices.  No identification drops fewer
-    than one essential variable, so a pair that drops exactly one proves gap
-    1.  When the restriction to the essential variables is determined by odd
-    support, identifying two of them cancels both in the odd support, so
-    every pair drops at least two; one pair that drops exactly two then
-    proves gap 2.
+    Up to essential arity tables.pair_scan_limit(|A|) every pair of
+    essential variables is scanned.  Above it one witness suffices.  No
+    identification drops fewer than one essential variable, so a pair that
+    drops exactly one proves gap 1.  When the restriction to the essential
+    variables is determined by odd support, identifying two of them cancels
+    both in the odd support, so every pair drops at least two; one pair that
+    drops exactly two then proves gap 2.
     """
     g = tables.reduce_to_essential(f)
     m = g.arity
-    if m <= max(f.a_size, 3):
-        return tables.arity_gap(g) == gap  # the pair scan at these arities
+    if m <= tables.pair_scan_limit(f.a_size):
+        return m >= 2 and tables.pair_scan_gap(g) == gap
 
     def drop(i: int, j: int) -> int:
         return m - tables.essential_arity(tables.identification_minor(g, i, j))

@@ -41,6 +41,11 @@ from .records import Record
 # 32 MB of value codes.
 MAX_CELLS = 1 << 22
 
+# Distinct value tokens one load_table call remembers: every element of a
+# group of order up to 4096.  A table of mostly distinct values (a large
+# cyclic codomain) would otherwise hold a string and a dict entry per cell.
+TOKEN_MEMO_LIMIT = 1 << 12
+
 
 def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
     """Domain tuples in table-index order (component 0 varies fastest)."""
@@ -242,25 +247,39 @@ def essential_arity(f: FnTable) -> int:
     return len(essential_variables(f))
 
 
+def pair_scan_limit(a_size: int) -> int:
+    """Largest essential arity, max(|A|, 3), at which arity_gap scans pairs."""
+    return max(a_size, 3)
+
+
 def arity_gap(f: FnTable) -> int:
     """Minimum drop in essential arity over identifications of essential pairs.
 
     The gap of f is the gap of its restriction to the essential coordinates.
-    Above essential arity m = max(|A|, 3) it is 2 when that restriction is
-    determined by odd support and 1 otherwise (Willard; Couceiro and
-    Lehtonen), which costs O(|A|^n).  At or below it the pairs are scanned,
-    at most C(max(|A|, 3), 2) identification minors.  Identifying i with j
-    and j with i give tables that differ only by the transposition of two
-    coordinates, so unordered pairs suffice.
+    Above essential arity pair_scan_limit(|A|) it is 2 when that restriction
+    is determined by odd support and 1 otherwise (Willard; Couceiro and
+    Lehtonen), which costs O(|A|^n).  At or below it the pairs are scanned
+    (pair_scan_gap), at most C(max(|A|, 3), 2) identification minors.
     """
     g = reduce_to_essential(f)
     m = g.arity
     if m < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
-    if m > max(f.a_size, 3):
+    if m > pair_scan_limit(f.a_size):
         from .oddsupport import extract_phi  # oddsupport imports this module
 
         return 1 if extract_phi(g) is None else 2
+    return pair_scan_gap(g)
+
+
+def pair_scan_gap(g: FnTable) -> int:
+    """Arity gap of g, all of whose m >= 2 variables are essential, by the
+    definition: the least m - essential_arity over its identification minors.
+
+    Identifying i with j and j with i give tables that differ only by the
+    transposition of two coordinates, so unordered pairs suffice.
+    """
+    m = g.arity
     best = m
     for i in range(m):
         for j in range(i + 1, m):
@@ -317,9 +336,11 @@ def dump_table(f: FnTable) -> str:
 def load_table(text: str) -> FnTable:
     """The table a text in the file format describes (see dump_table).
 
-    One pass over the lines.  Each distinct value token is parsed once and
-    its code remembered for the rest of this call, so the work is linear in
-    the text with one element parse per distinct token.
+    One pass over the lines.  The first TOKEN_MEMO_LIMIT distinct value
+    tokens are parsed once each and their codes remembered for the rest of
+    this call; any later new token is parsed at each occurrence.  A table
+    over a small group thus costs one element parse per distinct token and a
+    dictionary lookup per cell.
     """
     lines = enumerate(text.splitlines(), start=1)
     headers: list[tuple[int, str]] = []
@@ -356,32 +377,24 @@ def load_table(text: str) -> FnTable:
     expected = a_size**arity
     code_of: dict[str, int] = {}
     codes: list[int] = []
-    # bound once: about a fifth of the loop at a million lines
-    known_code, extend = code_of.__getitem__, codes.extend
     for lineno, raw in lines:
         # split() and strip() share one notion of whitespace, so the first
         # token starts with '#' exactly on a comment line
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        start = len(codes)
-        try:
-            extend(map(known_code, tokens))
-            fits = len(codes) <= expected
-        except KeyError:  # a token not seen before: this line token by token
-            fits = False
-        if not fits:
-            del codes[start:]
-            for token in tokens:
-                if len(codes) >= expected:
-                    raise ParseError(f"more than {expected} values", line=lineno)
-                code = code_of.get(token)
-                if code is None:
-                    try:
-                        code = code_of[token] = group.encode(group.parse_element(token))
-                    except ParseError as exc:
-                        raise ParseError(str(exc), line=lineno) from None
-                codes.append(code)
+        for token in tokens:
+            if len(codes) >= expected:
+                raise ParseError(f"more than {expected} values", line=lineno)
+            code = code_of.get(token)
+            if code is None:
+                try:
+                    code = group.encode(group.parse_element(token))
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                if len(code_of) < TOKEN_MEMO_LIMIT:
+                    code_of[token] = code
+            codes.append(code)
     if len(codes) != expected:
         raise ParseError(f"expected {expected} values, found {len(codes)}")
     return FnTable(a_size, arity, group, tuple(codes))

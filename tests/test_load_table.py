@@ -171,3 +171,20 @@ def test_each_distinct_token_is_parsed_once(monkeypatch):
         parsed = calls["parse_element"]
         assert len(parsed) == len(set(parsed)) == len(set(text.split()[3:]))
         assert calls["encode"] == len(parsed)
+
+
+def test_tokens_beyond_the_memo_limit_match_pointwise_parser(monkeypatch):
+    import fndecomp.tables as tables_mod
+
+    parsed = []
+    real_parse = Group.parse_element
+    monkeypatch.setattr(Group, "parse_element",
+                        lambda self, text: parsed.append(text) or real_parse(self, text))
+    monkeypatch.setattr(tables_mod, "TOKEN_MEMO_LIMIT", 3)
+    text = "domain=2\narity=3\ngroup=Z7\n0 1 2 3\n4 5 0 5\n"
+    assert load_table(text).values == (0, 1, 2, 3, 4, 5, 0, 5)
+    # 0, 1 and 2 are remembered; 5 comes after the limit and is parsed twice
+    assert parsed == ["0", "1", "2", "3", "4", "5", "5"]
+    for text in CORPUS + ["domain=2\narity=2\ngroup=Z9\n0 1 2 3\n4 8 09\n",
+                          "domain=2\narity=2\ngroup=Z9\n0 1 2 3 4 x\n"]:
+        assert_same(text)
