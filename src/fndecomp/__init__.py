@@ -54,7 +54,6 @@ from .identities import (
 from .oddsupport import (
     PhiMap,
     determined_count,
-    determined_via_symmetry,
     dump_phi,
     extract_phi,
     is_determined,
@@ -67,6 +66,7 @@ from .oddsupport import (
 from .tables import (
     FnTable,
     arity_gap,
+    determined_via_symmetry,
     dump_table,
     essential_arity,
     essential_variables,

@@ -46,7 +46,7 @@ from .oddsupport import (
     representative_tuple,
     subset_mask,
 )
-from .tables import FnTable, by_letter_counts, check_cells
+from .tables import FnTable, by_letter_counts, check_cells, pair_scan_limit
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +228,7 @@ def _probe_rows(a_size: int, n: int, sizes: list[int], pairing: bool) -> list[in
 
 
 def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: bool):
-    """Solve the probe system for phi codes keyed on phi_domain(f.a_size, f.arity)."""
+    """Solve the probe system for phi entries keyed on phi_domain(f.a_size, f.arity)."""
     given = extract_phi(f)
     if given is None:
         raise PreconditionError("function is not determined by odd support")
@@ -253,15 +253,15 @@ def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: 
         for j in range(n_rhs):
             code |= (solutions[j] >> c & 1) << j
         entries[S] = decode(code)
-    return entries, rank
+    return entries
 
 
 def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f."""
     _require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
-    entries, _ = _solve_for_phi(f, first_sum_sizes(f.arity, t), pairing=False,
-                                require_unique=True)
+    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), pairing=False,
+                             require_unique=True)
     return PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
 
 
@@ -270,7 +270,7 @@ def decompose_even(f: FnTable) -> PhiMap:
     _require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
-    entries, _ = _solve_for_phi(f, sizes, pairing=True, require_unique=True)
+    entries = _solve_for_phi(f, sizes, pairing=True, require_unique=True)
     return full_map_from_domain_entries(f.a_size, f.group, entries)
 
 
@@ -291,13 +291,13 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     uniqueness is not claimed, see uniform_system_rank.
     """
     _require_boolean(f.group)
-    n, a = f.arity, f.a_size
-    if n <= max(a, 3):
+    n = f.arity
+    limit = pair_scan_limit(f.a_size)
+    if n <= limit:
         raise PreconditionError(
-            f"uniform decomposition needs arity > max(|A|, 3) = {max(a, 3)}, got {n}"
+            f"uniform decomposition needs arity > max(|A|, 3) = {limit}, got {n}"
         )
-    entries, _ = _solve_for_phi(f, uniform_sum_sizes(n), pairing=False,
-                                require_unique=False)
+    entries = _solve_for_phi(f, uniform_sum_sizes(n), pairing=False, require_unique=False)
     phi = PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
     if reconstruct_uniform(phi).values != f.values:
         raise InternalConsistencyError("uniform reconstruction mismatch after solve")

@@ -21,7 +21,9 @@ n % 4 in {0, 3}.  The fold always lands on a singleton, so values stay in Z3.
 
 Both classifiers read the small object the theorem gives instead of
 enumerating tables.  For m >= 4 the only Boolean gap-2 form is the parity
-sum, which is totally symmetric, so only the m = 2 and m = 3 forms are
+sum, the one Boolean table with m essential variables that is determined by
+odd support, so its verdict is ``determined_via_symmetry`` and its constant
+c is f(0, ..., 0); only the m = 2 and m = 3 forms, parity included, are
 expanded over variable permutations.  The 81 quadruples build exactly the 81
 odd-support-determined tables, and phi on four support keys is a linear
 bijective image of (a, b, c, d) that depends only on the parity of n, so a
@@ -44,8 +46,10 @@ from .records import Record
 from .tables import (
     FnTable,
     by_letter_counts,
+    determined_via_symmetry,
     essential_variables,
     iter_tuples,
+    pair_scan_limit,
     reduce_to_essential,
     simple_minor,
 )
@@ -84,15 +88,11 @@ def _gf2_table(m: int, poly) -> tuple[int, ...]:
     return tuple(poly(x) & 1 for x in iter_tuples(2, m))
 
 
-def _parity_values(m: int, c: int) -> tuple[int, ...]:
-    return tuple(k.bit_count() + c & 1 for k in range(1 << m))
-
-
 @lru_cache(maxsize=None)
 def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
-    """All gap-2 canonical tables of essential arity m, up to variable permutation."""
-    # parity sums are totally symmetric: each orbit is the table itself
-    index = {_parity_values(m, c): BooleanGapForm(PARITY_SUM, c, m) for c in (0, 1)}
+    """All gap-2 canonical tables of essential arity m in {2, 3}, up to
+    variable permutation."""
+    index: dict[tuple[int, ...], BooleanGapForm] = {}
 
     def orbit(values: tuple[int, ...], form: BooleanGapForm) -> None:
         base = FnTable(2, m, Z2, values)
@@ -100,6 +100,7 @@ def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
             index.setdefault(simple_minor(base, perm, m).values, form)
 
     for c in (0, 1):
+        orbit(_gf2_table(m, lambda x: sum(x) + c), BooleanGapForm(PARITY_SUM, c, m))
         if m == 2:
             orbit(_gf2_table(2, lambda x: x[0] * x[1] + x[0] + c),
                   BooleanGapForm(PRODUCT_PLUS_ARG, c))
@@ -118,10 +119,13 @@ def classify_boolean(f: FnTable) -> BooleanClassification:
     g = reduce_to_essential(f)
     if g.arity < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
-    form = _gap2_form_index(g.arity).get(g.values)
-    if form is None:
-        return BooleanClassification(1, None)
-    return BooleanClassification(2, form)
+    if g.arity <= pair_scan_limit(2):
+        form = _gap2_form_index(g.arity).get(g.values)
+    elif determined_via_symmetry(g):
+        form = BooleanGapForm(PARITY_SUM, g.values[0], g.arity)
+    else:
+        form = None
+    return BooleanClassification(1 if form is None else 2, form)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import ArgumentError, ResourceError
+from .tables import MAX_CELLS
 
 PAIR_COUNT_MAX_M = 20
 
@@ -96,8 +97,25 @@ def odd_sum_pair_count(m: int, t: int) -> int:
     return _odd_pair_counts(m)[t]
 
 
+def _check_row_work(max_m: int) -> None:
+    """ResourceError when the rows of both identities for m <= max_m would
+    evaluate more than MAX_CELLS binomial products, counted before any row."""
+    count = 0
+    for m in range(1, max_m + 1):
+        # even rows: m//2 - t products on the left, t//2 + 1 on the right
+        count += sum(m // 2 - t + t // 2 + 1 for t in range((m - 2) // 2 + 1))
+        # odd rows: (m+1)//2 - t products on the left, one on the right
+        count += sum((m + 1) // 2 - t + 1 for t in range((m - 1) // 2 + 1))
+        if count > MAX_CELLS:
+            raise ResourceError(
+                f"identity rows up to m={max_m} would evaluate more than "
+                f"{MAX_CELLS} binomial products"
+            )
+
+
 def even_sum_rows(max_m: int) -> list[tuple[int, int, int, int, bool]]:
     """(m, t, lhs, rhs, equal) for every valid pair with m <= max_m."""
+    _check_row_work(max_m)
     out = []
     for m in range(2, max_m + 1):
         for t in range((m - 2) // 2 + 1):
@@ -108,6 +126,7 @@ def even_sum_rows(max_m: int) -> list[tuple[int, int, int, int, bool]]:
 
 def odd_sum_rows(max_m: int) -> list[tuple[int, int, int, int, int | None, bool]]:
     """(m, t, lhs, rhs, pair_count_or_None, all_equal) for m <= max_m."""
+    _check_row_work(max_m)
     out = []
     for m in range(1, max_m + 1):
         counts = _odd_pair_counts(m) if m <= PAIR_COUNT_MAX_M else None

@@ -25,15 +25,7 @@ from .errors import (
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
-from .tables import (
-    MAX_CELLS,
-    FnTable,
-    axis_fold,
-    check_cells,
-    essential_variables,
-    identification_minor,
-    is_totally_symmetric,
-)
+from .tables import MAX_CELLS, FnTable, axis_fold, check_cells
 
 Subset = frozenset[int]
 
@@ -251,18 +243,6 @@ def extract_phi(f: FnTable) -> PhiMap | None:
 
 def is_determined(f: FnTable) -> bool:
     return f.arity >= 1 and extract_phi(f) is not None
-
-
-def determined_via_symmetry(f: FnTable) -> bool:
-    """Detection by structure instead of grouping: totally symmetric, and
-    identifying the first two arguments kills all dependence on them."""
-    if f.arity < 1:
-        raise PreconditionError("odd-support determination needs arity >= 1")
-    if f.arity == 1:
-        return True
-    if not is_totally_symmetric(f):
-        return False
-    return 0 not in essential_variables(identification_minor(f, 1, 0))
 
 
 def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:

@@ -9,13 +9,14 @@ Values are stored as group element codes (see groups.Group.encode); the
 element-level view is available through eval / element_values.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
-list per table index: minors, the symmetry test, partial derivatives and the
-odd-support maps are all built on it.  ``by_letter_counts`` folds the letter
-counts of each x into one class key on it and evaluates a symmetric function
-once per class: the Boolean decomposition sums and the Z3 gap-2 form are
-broadcast from there.  The calculus kernel's finite-difference transform,
-support sizes and Taylor terms keep their own broadcasts, which were measured
-faster there.
+list per table index: minors, partial derivatives and the odd-support maps
+are all built on it; the symmetry and odd-support determination tests
+compare slices of the value tuple instead.  ``by_letter_counts`` folds the
+letter counts of each x into one class key on it and evaluates a symmetric
+function once per class: the Boolean decomposition sums and the Z3 gap-2
+form are broadcast from there.  The calculus kernel's finite-difference
+transform, support sizes and Taylor terms keep their own broadcasts, which
+were measured faster there.
 """
 
 from __future__ import annotations
@@ -258,7 +259,8 @@ def arity_gap(f: FnTable) -> int:
     The gap of f is the gap of its restriction to the essential coordinates.
     Above essential arity pair_scan_limit(|A|) it is 2 when that restriction
     is determined by odd support and 1 otherwise (Willard; Couceiro and
-    Lehtonen), which costs O(|A|^n).  At or below it the pairs are scanned
+    Lehtonen), read off slices of its values by determined_via_symmetry in
+    O(|A|^n).  At or below it the pairs are scanned
     (pair_scan_gap), at most C(max(|A|, 3), 2) identification minors.
     """
     g = reduce_to_essential(f)
@@ -266,9 +268,7 @@ def arity_gap(f: FnTable) -> int:
     if m < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
     if m > pair_scan_limit(f.a_size):
-        from .oddsupport import extract_phi  # oddsupport imports this module
-
-        return 1 if extract_phi(g) is None else 2
+        return 2 if determined_via_symmetry(g) else 1
     return pair_scan_gap(g)
 
 
@@ -293,16 +293,34 @@ def pair_scan_gap(g: FnTable) -> int:
 
 def is_totally_symmetric(f: FnTable) -> bool:
     """Invariance under the transposition (0 1) and the cycle (0 1 ... n-1),
-    which generate every permutation of the arguments."""
+    which generate every permutation of the arguments.
+
+    Both are compared on slices of the value tuple, without building a minor:
+    the cells with x0 = u, x1 = v are values[u + a*v :: a*a], those with
+    x0 = r are values[r::a] and those with x[n-1] = r the r-th block of
+    a**(n-1), the last two in the order of the remaining coordinates.
+    """
     n = f.arity
     if n < 2:
         return True
-    # f(1, 0, ...) against f(0, 1, ...): most asymmetric tables differ here
-    if f.values[1] != f.values[f.a_size]:
-        return False
-    swap = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
-    return all(simple_minor(f, sigma, n).values == f.values for sigma in (swap, cycle))
+    a, vals = f.a_size, f.values
+    square, block = a * a, a ** (n - 1)
+    # f(1, 0, ...) against f(0, 1, ...) first: most asymmetric tables differ there
+    return (vals[1] == vals[a]
+            and all(vals[u + a * v::square] == vals[v + a * u::square]
+                    for u in range(a) for v in range(u + 1, a))
+            and all(vals[r::a] == vals[r * block:(r + 1) * block] for r in range(a)))
+
+
+def determined_via_symmetry(f: FnTable) -> bool:
+    """Whether f is determined by odd support: it is totally symmetric and
+    f(d, d, x2, ...), the slice values[d * (a+1) :: a*a], does not depend on d."""
+    if f.arity < 1:
+        raise PreconditionError("odd-support determination needs arity >= 1")
+    a, vals = f.a_size, f.values
+    square = a * a
+    return f.arity == 1 or (is_totally_symmetric(f) and all(
+        vals[d * (a + 1)::square] == vals[::square] for d in range(1, a)))
 
 
 def reduce_to_essential(f: FnTable) -> FnTable:

@@ -128,6 +128,29 @@ def naive_is_totally_symmetric(f: FnTable) -> bool:
     )
 
 
+def class_tables(a_size, n, key):
+    """Every table {0..a_size-1}^n -> Z2 that is constant on the classes of
+    key(x), one value bit per class, in the order the classes first occur."""
+    keys = [key(x) for x in all_tuples(a_size, n)]
+    bit_of = {k: b for b, k in enumerate(dict.fromkeys(keys))}
+    z2 = Group((2,))
+    return [FnTable(a_size, n, z2, tuple(code >> bit_of[k] & 1 for k in keys))
+            for code in range(1 << len(bit_of))]
+
+
+def symmetric_tables(a_size, n):
+    """Every totally symmetric table {0..a_size-1}^n -> Z2: one value per
+    letter-count class."""
+    return class_tables(a_size, n, lambda x: tuple(sorted(x)))
+
+
+def with_cell_flipped(f: FnTable, idx: int) -> FnTable:
+    """f with the lowest bit of the value code at table index idx flipped."""
+    vals = list(f.values)
+    vals[idx] ^= 1
+    return FnTable(f.a_size, f.arity, f.group, vals)
+
+
 def naive_odd_support(x, a_size):
     return frozenset(a for a in range(a_size) if sum(1 for c in x if c == a) % 2)
 

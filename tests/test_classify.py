@@ -94,7 +94,14 @@ def test_classify_boolean_matches_orbit_index_at_higher_arity():
     rng = random.Random(41)
     for m in range(2, 8):
         oracle = orbit_form_index(m)
-        assert _gap2_form_index(m) == oracle
+        if m <= 3:
+            assert _gap2_form_index(m) == oracle
+            continue
+        # above m = 3 the only forms are the two parity sums, which
+        # classify_boolean reads off determination instead of an index
+        assert len(oracle) == 2
+        for values, form in oracle.items():
+            assert classify_boolean(FnTable(2, m, Z2, values)).form == form
         if m < 5:
             continue
         cases = [(gf2(lambda x: sum(x) + c, m), True) for c in (0, 1)]

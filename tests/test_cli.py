@@ -39,6 +39,21 @@ def test_analyze_parity(tmp_path, capsys):
     assert report["verdicts"]["essential_arity"] == 4
 
 
+def test_analyze_builds_the_odd_support_partition_once(tmp_path, capsys):
+    import random
+
+    from fndecomp.oddsupport import _support_partition
+    from helpers import random_table
+
+    ternary = tmp_path / "random.tbl"
+    save_table_file(random_table(random.Random(9), 3, 5, Z3), ternary)
+    for path in (write_parity(tmp_path, 6), str(ternary)):
+        _support_partition.cache_clear()
+        code, _, _ = run(capsys, "analyze", path)
+        info = _support_partition.cache_info()
+        assert code == 0 and (info.misses, info.hits) == (1, 0)
+
+
 def test_analyze_and2_and_constant(tmp_path, capsys):
     and2 = FnTable.from_callable(2, 2, Z2, lambda x: (x[0] * x[1] % 2,))
     p = tmp_path / "and2.tbl"
@@ -250,6 +265,14 @@ def test_identities_ok(capsys):
     assert all(row[-1] for row in odd_rows)
     assert [row[0] for row in odd_rows if row[4] is None] == [21] * 11 + [22] * 11
     assert all(row[4] == row[2] for row in odd_rows if row[0] <= 20)
+
+
+def test_identities_work_is_bounded(capsys):
+    # the binomial products are counted before any row is computed
+    for max_m in ("341", "800", str(10**12)):
+        code, out, err = run(capsys, "identities", "--max-m", max_m)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "binomial products" in err
 
 
 def test_identities_mismatch_exits_4(capsys, monkeypatch):

@@ -24,7 +24,13 @@ from fndecomp import (
     representative_tuple,
     table_from_phi,
 )
-from helpers import all_phi_assignments, naive_is_determined, random_table
+from helpers import (
+    all_phi_assignments,
+    naive_is_determined,
+    random_table,
+    symmetric_tables,
+    with_cell_flipped,
+)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -155,6 +161,21 @@ def test_detection_routes_agree():
             t = table_from_phi(PhiMap.on_phi_domain(a, n, Z2, entries))
             if t.group == g:
                 assert determined_via_symmetry(t)
+    # symmetric tables at |A| = 3, n = 3 (16 of the 1024 are determined),
+    # each of them with one cell flipped (3 of which become determined: the
+    # flipped cell (d, d, d) was the one that broke determination), and
+    # symmetric tables that are not determined: majority, and a letter count
+    # at |A| = 4, n = 4
+    symmetric = symmetric_tables(3, 3)
+    flipped = [with_cell_flipped(f, k % 27) for k, f in enumerate(symmetric)]
+    majority = FnTable.from_callable(2, 3, Z2, lambda x: (int(sum(x) >= 2),))
+    zeros = FnTable.from_callable(4, 4, Z2, lambda x: (int(x.count(0) >= 2),))
+    determined = 0
+    for f in symmetric + flipped + [majority, zeros]:
+        verdict = determined_via_symmetry(f)
+        assert verdict == naive_is_determined(f) == (extract_phi(f) is not None)
+        determined += verdict
+    assert determined == 16 + 3
 
 
 def test_boolean_determined_are_constants_and_parities():

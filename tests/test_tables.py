@@ -33,12 +33,16 @@ from fndecomp.tables import (
     linear_index,
 )
 from helpers import (
+    class_tables,
     naive_arity_gap,
     naive_essential_variables,
     naive_identification_values,
     naive_is_totally_symmetric,
     pair_scan_arity_gap,
+    random_full_arity_table,
     random_table,
+    symmetric_tables,
+    with_cell_flipped,
 )
 
 Z2 = Group((2,))
@@ -300,6 +304,49 @@ def test_symmetry_matches_the_permutation_definition_exhaustively():
         for code in range(1 << size):
             f = FnTable(a, n, Z2, tuple(code >> i & 1 for i in range(size)))
             assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
+    # |A| = 3, n = 3, where the transposition, the cycle and the block
+    # strides all differ: every symmetric table, each of them with one cell
+    # flipped, and every table invariant under the cycle alone
+    symmetric = symmetric_tables(3, 3)
+    cyclic = class_tables(3, 3, lambda x: min(x[k:] + x[:k] for k in range(3)))
+    assert len(symmetric) == 2**10 and len(cyclic) == 2**11
+    flipped = [with_cell_flipped(f, k % 27) for k, f in enumerate(symmetric)]
+    for f in symmetric + flipped + cyclic:
+        assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
+
+
+def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch):
+    import fndecomp.classify as classify_mod
+    import fndecomp.tables as tables_mod
+    from fndecomp import (
+        BooleanGapForm,
+        PhiMap,
+        classify_boolean,
+        determined_via_symmetry,
+        table_from_phi,
+    )
+
+    rng = random.Random(43)
+    parity = gf2(lambda x: sum(x), 6)
+    determined = table_from_phi(PhiMap.on_phi_domain(3, 5, Z3, lambda S: (len(S) % 3,)))
+    cases = [(parity, 2), (determined, 2), (random_full_arity_table(rng, 2, 6, Z2), 1),
+             (random_full_arity_table(rng, 3, 5, Z3), 1)]
+    built = []
+    for module, name in ((tables_mod, "simple_minor"), (tables_mod, "identification_minor"),
+                         (classify_mod, "simple_minor")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real:
+                            built.append(_name) or _real(*args))
+    _support_partition.cache_clear()
+    for f, gap in cases:
+        assert essential_arity(f) > tables_mod.pair_scan_limit(f.a_size)
+        assert determined_via_symmetry(f) == (gap == 2)
+        assert arity_gap(f) == gap
+        if f.a_size == 2:
+            assert classify_boolean(f).gap == gap
+    assert classify_boolean(parity).form == BooleanGapForm("parity_sum", 0, 6)
+    info = _support_partition.cache_info()
+    assert built == [] and info.hits + info.misses == 0
 
 
 def test_file_round_trip():
