@@ -208,22 +208,27 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     Up to essential arity tables.pair_scan_limit(|A|) every pair of
     essential variables is scanned.  Above it one witness suffices.  No
     identification drops fewer than one essential variable, so a pair that
-    drops exactly one proves gap 1.  When the restriction to the essential
-    variables is determined by odd support, identifying two of them cancels
-    both in the odd support, so every pair drops at least two; one pair that
-    drops exactly two then proves gap 2.
+    drops exactly one proves gap 1.  For gap 2 the restriction g to the
+    essential variables must equal table_from_phi(extract_phi(g)): that
+    rebuild goes through the odd support of each cell, not through the slice
+    test extract_phi decides with, and proves that g is determined by odd
+    support.  Identifying two variables then cancels both in the odd
+    support, so every pair drops at least two, and g(x1, x1, rest) =
+    g(0, 0, rest): identifying x0 with x1 drops exactly two iff the slice
+    values[::a*a] has all m - 2 of its variables essential.
     """
     g = tables.reduce_to_essential(f)
     m = g.arity
     if m <= tables.pair_scan_limit(f.a_size):
         return m >= 2 and tables.pair_scan_gap(g) == gap
-
-    def drop(i: int, j: int) -> int:
-        return m - tables.essential_arity(tables.identification_minor(g, i, j))
-
     if gap == 1:
-        return any(drop(i, j) == 1 for i in range(m) for j in range(i + 1, m))
-    return gap == 2 and oddsupport.extract_phi(g) is not None and drop(0, 1) == 2
+        return any(m - tables.essential_arity(tables.identification_minor(g, i, j)) == 1
+                   for i in range(m) for j in range(i + 1, m))
+    phi = oddsupport.extract_phi(g) if gap == 2 else None
+    if phi is None or oddsupport.table_from_phi(phi).values != g.values:
+        return False
+    rest = tables.FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
+    return tables.essential_arity(rest) == m - 2
 
 
 def _cmd_classify(args) -> int:

@@ -4,6 +4,14 @@ A function f: A^n -> B is *determined by odd support* when f(x) depends only
 on odd_support(x).  Such functions correspond bijectively to maps phi from
 the reachable support values into B; ``phi_domain(a_size, n)`` lists those
 values (the subsets of the alphabet whose size is n, n-2, n-4, ...).
+
+Whether a table is determined is decided in one place,
+``tables.determined_via_symmetry``, on slices of its value tuple;
+``extract_phi`` then reads phi at one representative cell per key.  The way
+back, ``table_from_phi``, maps the XOR fold of ``1 << x[t]`` (the mask of
+odd_support(x)) through the phi codes, so a rebuild checks determination
+from the definition without the slice test.  The one cache, ``phi_domain``'s,
+holds the keys of at most 8 (alphabet, arity) pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import (
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
-from .tables import MAX_CELLS, FnTable, axis_fold, check_cells
+from .tables import MAX_CELLS, FnTable, axis_fold, check_cells, determined_via_symmetry
 
 Subset = frozenset[int]
 
@@ -72,7 +80,8 @@ def parse_subset(text: str) -> Subset:
     return frozenset(letters)
 
 
-@lru_cache(maxsize=None)
+# each entry holds up to MAX_CELLS words of keys; one process uses one (a, n)
+@lru_cache(maxsize=8)
 def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     """Subsets of the alphabet with size in {n, n-2, ...}, sorted by (size, mask).
 
@@ -106,16 +115,6 @@ def _check_key_count(a_size: int, sizes: Iterable[int]) -> None:
     for size in sizes:
         count += comb(a_size, size)
         _check_mask_words(a_size, count, "the keys of a phi map")
-
-
-@lru_cache(maxsize=8)
-def _support_partition(a_size: int, n: int) -> tuple[tuple[int, ...], tuple[Subset, ...]]:
-    """Per-index odd-support class id plus the class keys, cached per (a_size, n)."""
-    _check_mask_words(a_size, a_size**n, f"the odd-support masks of {a_size}**{n} cells")
-    keys = phi_domain(a_size, n)
-    key_id = {subset_mask(S): c for c, S in enumerate(keys)}
-    masks = axis_fold(a_size, [[1 << d for d in range(a_size)]] * n, xor)
-    return tuple(map(key_id.__getitem__, masks)), keys
 
 
 PNPRIME = "pnprime"
@@ -202,7 +201,8 @@ class PhiMap(Record):
 
 
 def table_from_phi(phi: PhiMap, n: int | None = None) -> FnTable:
-    """Table of x -> phi(odd_support(x)) on n-tuples."""
+    """Table of x -> phi(odd_support(x)) on n-tuples: the XOR fold of
+    1 << x[t] over t is the mask of odd_support(x)."""
     if phi.kind == PNPRIME:
         if n is None:
             n = phi.arity
@@ -210,35 +210,36 @@ def table_from_phi(phi: PhiMap, n: int | None = None) -> FnTable:
             raise ArgumentError(f"pnprime phi map is for arity {phi.arity}, not {n}")
     elif n is None:
         raise ArgumentError("full phi map needs an explicit arity")
-    check_cells(phi.a_size, n)
-    class_of, keys = _support_partition(phi.a_size, n)
-    codes = []
-    for S in keys:
+    a = phi.a_size
+    check_cells(a, n)
+    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    code_of = {}
+    for S in phi_domain(a, n):
         try:
-            codes.append(phi.group.encode(phi.entries[S]))
+            code_of[subset_mask(S)] = phi.group.encode(phi.entries[S])
         except KeyError:
             raise CoverageError(
                 f"phi map does not cover support value {format_subset(S)}"
             ) from None
-    return FnTable(phi.a_size, n, phi.group, tuple(codes[c] for c in class_of))
+    masks = axis_fold(a, [[1 << d for d in range(a)]] * n, xor)
+    return FnTable(a, n, phi.group, tuple(map(code_of.__getitem__, masks)))
 
 
 def extract_phi(f: FnTable) -> PhiMap | None:
-    """The phi map witnessing that f is determined by odd support, else None."""
+    """The phi map witnessing that f is determined by odd support, else None.
+
+    The verdict is determined_via_symmetry; phi(S) is then read at
+    representative_tuple(S, n), one cell per key.  The per-cell masks a
+    rebuild would take are charged against the budget first, so a table too
+    wide for table_from_phi is refused here too.
+    """
     if f.arity < 1:
         raise PreconditionError("odd-support determination needs arity >= 1")
-    class_of, keys = _support_partition(f.a_size, f.arity)
-    rep: list[int | None] = [None] * len(keys)
-    for idx, cid in enumerate(class_of):
-        v = f.values[idx]
-        prev = rep[cid]
-        if prev is None:
-            rep[cid] = v
-        elif prev != v:
-            return None
-    decode = f.group.decode
-    entries = {S: decode(rep[c]) for c, S in enumerate(keys)}
-    return PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
+    a, n = f.a_size, f.arity
+    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    if not determined_via_symmetry(f):
+        return None
+    return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
 
 
 def is_determined(f: FnTable) -> bool:

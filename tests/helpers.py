@@ -12,13 +12,16 @@ oracles are the slow enumerations that the library's direct computations
 replace: the permutation orbit of every Boolean gap-2 form, every phi map
 tried against a reconstruction, every subset pair counted one by one, the
 arity gap scanned over every pair of essential variables (which the
-library reads off odd-support determination above max(|A|, 3)), and the
+library reads off odd-support determination above max(|A|, 3)), phi
+extracted by one pass over every cell's odd-support class (which the
+library reads off slices of the value tuple and one cell per key), and the
 table parser that parses every value token on its own.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import xor
 
 from fndecomp import (
     ArgumentError,
@@ -51,6 +54,7 @@ from fndecomp.groups import parse_decimal
 from fndecomp.identities import _check_odd_sum_args
 from fndecomp.oddsupport import PNPRIME, representative_tuple, subset_mask
 from fndecomp.tables import (
+    axis_fold,
     check_cells,
     essential_arity,
     essential_variables,
@@ -163,6 +167,25 @@ def naive_is_determined(f: FnTable) -> bool:
         if seen.setdefault(key, v) != v:
             return False
     return True
+
+
+def partition_extract_phi(f: FnTable) -> PhiMap | None:
+    """extract_phi by one pass over the cells: each cell's odd-support mask
+    (the XOR fold of 1 << x[t]) names its phi key, and f is determined when
+    every key meets a single value."""
+    a, n = f.a_size, f.arity
+    keys = phi_domain(a, n)
+    key_id = {subset_mask(S): c for c, S in enumerate(keys)}
+    masks = axis_fold(a, [[1 << d for d in range(a)]] * n, xor)
+    rep: list[int | None] = [None] * len(keys)
+    for cid, v in zip(map(key_id.__getitem__, masks), f.values):
+        prev = rep[cid]
+        if prev is None:
+            rep[cid] = v
+        elif prev != v:
+            return None
+    decode = f.group.decode
+    return PhiMap(a, f.group, PNPRIME, n, {S: decode(rep[c]) for c, S in enumerate(keys)})
 
 
 def random_table(rng, a_size, n, group: Group) -> FnTable:

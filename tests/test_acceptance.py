@@ -24,6 +24,7 @@ from fndecomp import (
     hamming_witness,
     higher_derivative,
     is_k_decomposable,
+    odd_support,
     phi_domain,
     reconstruct_even,
     reconstruct_odd,
@@ -37,7 +38,7 @@ from fndecomp import (
 from fndecomp.booldecomp import full_map_from_domain_entries
 from fndecomp.classify import Z3Params, params_from_phi, phi_values_for_params, z3_build, z3_classify
 from fndecomp.identities import even_sum_rows, odd_sum_rows
-from fndecomp.oddsupport import _support_partition
+from fndecomp.tables import iter_tuples
 from helpers import (
     all_phi_assignments,
     higher_derivative_expansion,
@@ -276,14 +277,11 @@ def test_criterion_11_determined_counts():
 
     # (3,3): 2**27 tables, enumerated in numpy chunks; a table is determined
     # exactly when it is constant on every odd-support class
-    class_of, keys = _support_partition(3, 3)
-    masks = []
-    for cid in range(len(keys)):
-        m = 0
-        for idx, c in enumerate(class_of):
-            if c == cid:
-                m |= 1 << idx
-        masks.append(np.uint32(m))
+    class_mask: dict = {}
+    for idx, x in enumerate(iter_tuples(3, 3)):
+        S = odd_support(3, x)
+        class_mask[S] = class_mask.get(S, 0) | 1 << idx
+    masks = [np.uint32(m) for m in class_mask.values()]
     total = 0
     chunk = 1 << 22
     for start in range(0, 1 << 27, chunk):

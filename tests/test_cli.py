@@ -39,19 +39,32 @@ def test_analyze_parity(tmp_path, capsys):
     assert report["verdicts"]["essential_arity"] == 4
 
 
-def test_analyze_builds_the_odd_support_partition_once(tmp_path, capsys):
+def test_extract_phi_and_analyze_fold_no_cells(tmp_path, capsys, monkeypatch):
     import random
 
-    from fndecomp.oddsupport import _support_partition
-    from helpers import random_table
+    import fndecomp.oddsupport as oddsupport_mod
+    import fndecomp.tables as tables_mod
+    from fndecomp import PhiMap, extract_phi, table_from_phi
+    from helpers import random_full_arity_table
 
-    ternary = tmp_path / "random.tbl"
-    save_table_file(random_table(random.Random(9), 3, 5, Z3), ternary)
-    for path in (write_parity(tmp_path, 6), str(ternary)):
-        _support_partition.cache_clear()
+    folds = []
+    real = tables_mod.axis_fold
+    for module in (tables_mod, oddsupport_mod):
+        monkeypatch.setattr(module, "axis_fold",
+                            lambda *args: folds.append(args[0]) or real(*args))
+    parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
+    determined = table_from_phi(PhiMap.on_phi_domain(3, 5, Z3, lambda S: (len(S) % 3,)))
+    ternary = random_full_arity_table(random.Random(9), 3, 5, Z3)
+    # the rebuild folds the cells once: the counter sees it
+    assert folds == [3]
+    folds.clear()
+    assert extract_phi(parity) is not None and extract_phi(determined) is not None
+    assert extract_phi(ternary) is None
+    save_table_file(ternary, tmp_path / "random.tbl")
+    for path in (write_parity(tmp_path, 6), str(tmp_path / "random.tbl")):
         code, _, _ = run(capsys, "analyze", path)
-        info = _support_partition.cache_info()
-        assert code == 0 and (info.misses, info.hits) == (1, 0)
+        assert code == 0
+    assert folds == []
 
 
 def test_analyze_and2_and_constant(tmp_path, capsys):
@@ -232,12 +245,54 @@ def test_boolean_gap_certificate(monkeypatch):
         gap = pair_scan_arity_gap(f)
         for claim in (1, 2, 3):
             assert _gap_certified(f, claim) == (claim == gap)
-    # above the threshold: determination plus one minor for gap 2, and the
-    # pairs up to the first witness for gap 1
+    # above the threshold: the rebuild from phi and one slice for gap 2, no
+    # minor, and the pairs up to the first witness for gap 1
     built.clear()
-    assert _gap_certified(parity, 2) and built == [(0, 1)]
+    assert _gap_certified(parity, 2) and built == []
     built.clear()
     assert _gap_certified(cases[2], 1) and len(built) < 15
+
+
+def test_gap2_slice_drop_matches_identification_minor():
+    from fndecomp import PhiMap, essential_arity, identification_minor, table_from_phi
+    from fndecomp.cli import _gap_certified
+    from helpers import all_phi_assignments
+
+    # on a determined table g(x1, x1, rest) = g(0, 0, rest), so the drop of
+    # identifying x0 with x1 is read off the slice of cells with x0 = x1 = 0
+    checked = 0
+    for a, n in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 5)):
+        for group in (Z2, Z3) if a < 4 else (Z2,):
+            for entries in all_phi_assignments(a, n, group):
+                g = table_from_phi(PhiMap.on_phi_domain(a, n, group, entries))
+                minor_drop = n - essential_arity(identification_minor(g, 0, 1))
+                rest = FnTable(a, n - 2, group, g.values[::a * a])
+                assert n - essential_arity(rest) == minor_drop
+                if essential_arity(g) == n:
+                    assert minor_drop == 2 and _gap_certified(g, 2)
+                checked += 1
+    assert checked == 476
+
+
+def test_gap2_certificate_does_not_rest_on_the_slice_test(tmp_path, capsys, monkeypatch):
+    import fndecomp.classify as classify_mod
+    import fndecomp.oddsupport as oddsupport_mod
+    from fndecomp.cli import _gap_certified
+    from fndecomp.tables import essential_arity, identification_minor
+
+    # gap 1, yet identifying x0 with x1 drops exactly two
+    f = FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
+                                                    + x[4] * x[5]) % 2,))
+    assert 6 - essential_arity(identification_minor(f, 0, 1)) == 2
+    monkeypatch.setattr(oddsupport_mod, "determined_via_symmetry", lambda g: True)
+    assert oddsupport_mod.extract_phi(f) is not None
+    assert not _gap_certified(f, 2) and _gap_certified(f, 1)
+    monkeypatch.setattr(classify_mod, "classify_boolean",
+                        lambda g: classify_mod.BooleanClassification(2, None))
+    path = tmp_path / "gap1.tbl"
+    save_table_file(f, path)
+    code, out, err = run(capsys, "classify", str(path), "--target", "boolean")
+    assert code == 4 and out == "" and "direct gap" in err
 
 
 def test_classify_boolean_verdict_is_certified(tmp_path, capsys, monkeypatch):

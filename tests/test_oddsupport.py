@@ -27,6 +27,7 @@ from fndecomp import (
 from helpers import (
     all_phi_assignments,
     naive_is_determined,
+    partition_extract_phi,
     random_table,
     symmetric_tables,
     with_cell_flipped,
@@ -148,6 +149,45 @@ def test_extract_phi_round_trip_exhaustive():
                 phi = PhiMap.on_phi_domain(a, n, Z2, entries)
                 back = extract_phi(table_from_phi(phi))
                 assert back == phi
+
+
+def test_extract_phi_matches_partition_oracle_exhaustively():
+    # every table at (2, 3) and (2, 4) over Z2 and at (3, 2) over Z3
+    determined = 0
+    for a, n, group in ((2, 3, Z2), (2, 4, Z2), (3, 2, Z3)):
+        order, size = group.order, a**n
+        for code in range(order**size):
+            f = FnTable(a, n, group, tuple(code // order**i % order for i in range(size)))
+            phi = extract_phi(f)
+            assert phi == partition_extract_phi(f)
+            determined += phi is not None
+    assert determined == sum(map(determined_count, (2, 2, 3), (3, 4, 2), (Z2, Z2, Z3)))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random table, a determined one, or a determined one with one cell
+    changed, for a <= 4 and n <= 5 over Z2, Z3 or Z2xZ2."""
+    a = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5))
+    group = draw(st.sampled_from([Z2, Z3, Group((2, 2))]))
+    elements = list(group.elements())
+    kind = draw(st.sampled_from(["random", "determined", "flipped"]))
+    if kind == "random":
+        return random_table(random.Random(draw(st.integers(0, 2**32))), a, n, group)
+    entries = {S: draw(st.sampled_from(elements)) for S in phi_domain(a, n)}
+    f = table_from_phi(PhiMap.on_phi_domain(a, n, group, entries))
+    if kind == "flipped":
+        idx = draw(st.integers(0, a**n - 1))
+        codes = list(f.values)
+        codes[idx] = (codes[idx] + draw(st.integers(1, group.order - 1))) % group.order
+        f = FnTable(a, n, group, codes)
+    return f
+
+
+@given(oracle_cases())
+def test_extract_phi_matches_partition_oracle(f):
+    assert extract_phi(f) == partition_extract_phi(f)
 
 
 def test_detection_routes_agree():
