@@ -5,32 +5,22 @@ Enumerates every table {0,1}^n -> Z2 for n in {2, 3, 4}, tallies the gap
 distribution, and breaks the gap-2 tables down by canonical form.  Doubles
 as a consistency sweep: the explicit classification must agree on every
 table with the gap taken from its definition, the least drop in essential
-arity over the identification minors of pairs of essential variables.
+arity over the identification minors of pairs of essential variables
+(tables.pair_scan_gap on the table restricted to its essential variables).
 """
 
 import argparse
 import time
 from collections import Counter
-from itertools import combinations
 
-from fndecomp import (
-    FnTable,
-    Group,
-    classify_boolean,
-    essential_arity,
-    essential_variables,
-    identification_minor,
-)
+from fndecomp import FnTable, Group, classify_boolean, essential_arity, reduce_to_essential
+from fndecomp.tables import pair_scan_gap
 
 Z2 = Group((2,))
 
 
 def direct_gap(f: FnTable) -> int:
-    ess = sorted(essential_variables(f))
-    return min(
-        len(ess) - essential_arity(identification_minor(f, i, j))
-        for i, j in combinations(ess, 2)
-    )
+    return pair_scan_gap(reduce_to_essential(f))
 
 
 def census(n: int) -> None:

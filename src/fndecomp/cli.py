@@ -52,6 +52,14 @@ def _read_text(path: str) -> tuple[str, dict]:
     return tables.decode_text(data, path), digest
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc}") from None
+
+
 def _load_table(path: str) -> tuple[tables.FnTable, dict]:
     text, digest = _read_text(path)
     return tables.load_table(text), digest
@@ -189,8 +197,7 @@ def _cmd_decompose(args) -> int:
         verdicts["reconstruction"] = "exact"
         payload["phi"] = _phi_payload(phi)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(oddsupport.dump_phi(phi))
+            _write_text(args.out, oddsupport.dump_phi(phi))
             payload["phi_file"] = args.out
     report = {
         "command": "decompose",
@@ -206,9 +213,10 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     """Whether gap is the arity gap of f, checked from the definition.
 
     Up to essential arity tables.pair_scan_limit(|A|) every pair of
-    essential variables is scanned.  Above it one witness suffices.  No
-    identification drops fewer than one essential variable, so a pair that
-    drops exactly one proves gap 1.  For gap 2 the restriction g to the
+    essential variables is scanned by tables.pair_scan_gap.  Above it one
+    witness suffices.  No identification drops fewer than one essential
+    variable, so a pair that drops exactly one proves gap 1: pair_scan_gap
+    stops at the first such pair.  For gap 2 the restriction g to the
     essential variables must equal table_from_phi(extract_phi(g)): that
     rebuild goes through the odd support of each cell, not through the slice
     test extract_phi decides with, and proves that g is determined by odd
@@ -219,11 +227,8 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     """
     g = tables.reduce_to_essential(f)
     m = g.arity
-    if m <= tables.pair_scan_limit(f.a_size):
+    if m <= tables.pair_scan_limit(f.a_size) or gap == 1:
         return m >= 2 and tables.pair_scan_gap(g) == gap
-    if gap == 1:
-        return any(m - tables.essential_arity(tables.identification_minor(g, i, j)) == 1
-                   for i in range(m) for j in range(i + 1, m))
     phi = oddsupport.extract_phi(g) if gap == 2 else None
     if phi is None or oddsupport.table_from_phi(phi).values != g.values:
         return False
@@ -303,14 +308,13 @@ def _cmd_witness(args) -> int:
             raise ArgumentError("--kind large-alphabet requires --n and --a-size")
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
     bundle.verify()
-    tables.save_table_file(bundle.table, args.out)
+    _write_text(args.out, tables.dump_table(bundle.table))
     sidecar = args.out + ".witness.txt"
     fmt = bundle.table.group.format_element
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(f"positions={sorted(bundle.positions)}\n")
-        fh.write(f"params={list(bundle.params)}\n")
-        fh.write(f"expected={fmt(bundle.expected)}\n")
-        fh.write(f"claimed_k={bundle.claimed_k}\n")
+    _write_text(sidecar, f"positions={sorted(bundle.positions)}\n"
+                         f"params={list(bundle.params)}\n"
+                         f"expected={fmt(bundle.expected)}\n"
+                         f"claimed_k={bundle.claimed_k}\n")
     report = {
         "command": "witness",
         "inputs": [],

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from math import comb
 
+from .calculus import _support_sizes
 from .errors import ArgumentError, ResourceError
 from .tables import MAX_CELLS
 
 PAIR_COUNT_MAX_M = 20
-
-# byte translation table adding one to every byte value below 255
-_INC = bytes(range(1, 256)) + b"\0"
 
 
 def binom(n: int, k: int) -> int:
@@ -78,11 +76,8 @@ def odd_sum_rhs(m: int, t: int) -> int:
 
 def _odd_pair_counts(m: int) -> list[int]:
     """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
-    # sizes[q] = |Q| for the bitmask q of every Q: the masks with bit i set
-    # repeat the masks below 2**i, each one element larger
-    sizes = b"\0"
-    for _ in range(m):
-        sizes += sizes.translate(_INC)
+    # sizes[q] = |Q| for the bitmask q of every Q: its support against 0^m
+    sizes = _support_sizes(2, (0,) * m)
     tally = [sizes.count(s) for s in range(m + 1)]
     return [sum(tally[s] * comb(s, 2 * t) for s in range(1, m + 1, 2))
             for t in range((m - 1) // 2 + 1)]

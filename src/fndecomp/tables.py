@@ -10,8 +10,9 @@ element-level view is available through eval / element_values.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
 list per table index: minors, partial derivatives and the odd-support maps
-are all built on it; the symmetry and odd-support determination tests
-compare slices of the value tuple instead.  ``by_letter_counts`` folds the
+are all built on it; the symmetry and odd-support determination tests and
+the drop in essential arity of one identification compare slices of the
+value tuple instead.  ``by_letter_counts`` folds the
 letter counts of each x into one class key on it and evaluates a symmetric
 function once per class: the Boolean decomposition sums and the Z3 gap-2
 form are broadcast from there.  The calculus kernel's finite-difference
@@ -21,9 +22,8 @@ were measured faster there.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, product, repeat
-from operator import add, itemgetter
+from itertools import product
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -70,8 +70,7 @@ def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add, start=0) -> li
     out = [start]
     for axis in axes:
         # the new coordinate varies slowest: one copy of out per digit
-        digits = chain.from_iterable(map(repeat, axis, repeat(len(out))))
-        out = list(map(op, out * a_size, digits))
+        out = [op(o, d) for d in axis for o in out]
     return out
 
 
@@ -192,15 +191,6 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     return FnTable(a, arity, f.group, tuple(map(f.values.__getitem__, linear_index(a, weights))))
 
 
-# 462 = n(n-1) pairs at n = 22, the largest Boolean arity within MAX_CELLS
-@lru_cache(maxsize=512)
-def _identification_getter(a_size: int, arity: int, i: int, j: int):
-    weights = [a_size**t for t in range(arity)]
-    weights[j] += weights[i]
-    weights[i] = 0
-    return itemgetter(*linear_index(a_size, weights))
-
-
 def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
     """Table of f with its i-th argument replaced by its j-th (i becomes inessential)."""
     n = f.arity
@@ -208,8 +198,9 @@ def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
         raise ArgumentError("cannot identify a variable with itself")
     if not (0 <= i < n and 0 <= j < n):
         raise ArgumentError(f"positions {i}, {j} out of range for arity {n}")
-    getter = _identification_getter(f.a_size, n, i, j)
-    return FnTable(f.a_size, n, f.group, getter(f.values))
+    sigma = list(range(n))
+    sigma[i] = j
+    return simple_minor(f, sigma, n)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +252,7 @@ def arity_gap(f: FnTable) -> int:
     is determined by odd support and 1 otherwise (Willard; Couceiro and
     Lehtonen), read off slices of its values by determined_via_symmetry in
     O(|A|^n).  At or below it the pairs are scanned
-    (pair_scan_gap), at most C(max(|A|, 3), 2) identification minors.
+    (pair_scan_gap), at most C(max(|A|, 3), 2) of them.
     """
     g = reduce_to_essential(f)
     m = g.arity
@@ -276,19 +267,54 @@ def pair_scan_gap(g: FnTable) -> int:
     """Arity gap of g, all of whose m >= 2 variables are essential, by the
     definition: the least m - essential_arity over its identification minors.
 
+    The pairs are tried in the order (0, 1), (0, 2), ..., (1, 2), ..., and the
+    scan stops at the first drop of 1, since no identification drops less.
     Identifying i with j and j with i give tables that differ only by the
-    transposition of two coordinates, so unordered pairs suffice.
+    transposition of two coordinates, so unordered pairs suffice.  Each drop
+    is read off the value tuple by _identification_drop; no minor is built.
     """
     m = g.arity
     best = m
     for i in range(m):
         for j in range(i + 1, m):
-            drop = m - essential_arity(identification_minor(g, i, j))
-            if drop < best:
-                best = drop
-                if best == 1:
-                    return 1
+            best = min(best, _identification_drop(g, i, j))
+            if best == 1:
+                return 1
     return best
+
+
+def _identification_drop(g: FnTable, i: int, j: int) -> int:
+    """m - essential_arity(identification_minor(g, i, j)) for a table g whose
+    m variables are all essential, without building the minor.
+
+    The minor takes its values on the cells with x_i = x_j.  It keeps
+    variable k != i exactly when some such cell differs from the cell that
+    moves x_k alone (for k = j, x_i and x_j together).  The cells with x_k = 0
+    suffice, since two cells that differ cannot both equal that one.  The
+    coordinates left free are read in two parts: the widest run of
+    consecutive ones as one strided slice, the rest (with the common letter
+    of x_i and x_j) as a list of slice starts.  Each k stops at the first
+    slice that differs, and nothing of table size is kept.
+    """
+    a, m, vals = g.a_size, g.arity, g.values
+    pair = a**i + a**j
+    kept = 0
+    for k in range(m):
+        if k == i:
+            continue
+        fixed = sorted({i, j, k})
+        runs = zip([0] + [t + 1 for t in fixed], fixed + [m])
+        _, lo, hi = max((hi - lo, lo, hi) for lo, hi in runs)
+        outer = [a**t for t in range(m) if t not in fixed and not lo <= t < hi]
+        if k == j:
+            move = pair
+        else:
+            outer.append(pair)
+            move = a**k
+        step, width = a**lo, a**hi
+        kept += any(vals[c:c + width:step] != vals[c + d:c + d + width:step]
+                    for c in linear_index(a, outer) for d in range(move, a * move, move))
+    return m - kept
 
 
 def is_totally_symmetric(f: FnTable) -> bool:

@@ -20,8 +20,9 @@ table parser that parses every value token on its own.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from operator import xor
+from operator import itemgetter, xor
 
 from fndecomp import (
     ArgumentError,
@@ -58,8 +59,8 @@ from fndecomp.tables import (
     check_cells,
     essential_arity,
     essential_variables,
-    identification_minor,
     iter_tuples,
+    linear_index,
     simple_minor,
     tuple_index,
 )
@@ -108,6 +109,17 @@ def naive_arity_gap(f: FnTable) -> int:
     return min(drops)
 
 
+@lru_cache(maxsize=512)
+def _identification_getter(a_size, arity, i, j):
+    """The cells of f that identification_minor(f, i, j) reads, as a getter:
+    the exhaustive loops over tiny tables call the oracle below with the same
+    shapes again and again."""
+    weights = [a_size**t for t in range(arity)]
+    weights[j] += weights[i]
+    weights[i] = 0
+    return itemgetter(*linear_index(a_size, weights))
+
+
 def pair_scan_arity_gap(f: FnTable) -> int:
     """The arity gap by its definition on the library's index kernels: the
     least drop in essential arity over the identification minors of the
@@ -118,7 +130,8 @@ def pair_scan_arity_gap(f: FnTable) -> int:
     assert m >= 2
     best = m
     for i, j in combinations(ess, 2):
-        best = min(best, m - essential_arity(identification_minor(f, i, j)))
+        minor = _identification_getter(f.a_size, f.arity, i, j)(f.values)
+        best = min(best, m - essential_arity(FnTable(f.a_size, f.arity, f.group, minor)))
         if best == 1:
             break
     return best

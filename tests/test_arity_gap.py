@@ -5,7 +5,8 @@ determination of the restriction to the essential variables; at or below it
 the library scans the pairs.  These tests compare both paths with
 ``pair_scan_arity_gap`` on either side of that threshold, on tables whose
 arity exceeds their essential arity too, and count the identification minors
-each path builds.
+each path reads.  The kernel that reads the drop of one identification off
+the value tuple is checked against the minor it stands for.
 """
 
 import random
@@ -21,6 +22,8 @@ from fndecomp import (
     PhiMap,
     arity_gap,
     essential_arity,
+    identification_minor,
+    reduce_to_essential,
     simple_minor,
     table_from_phi,
 )
@@ -126,15 +129,63 @@ def test_gap_matches_pair_scan_under_hypothesis(data):
         assert arity_gap(f) == pair_scan_arity_gap(f)
 
 
+def assert_drops_match_the_minors(f):
+    """The kernel's drop against m - essential_arity of the identification
+    minor, for both orders of every pair of f's essential variables."""
+    g = reduce_to_essential(f)
+    m = g.arity
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                drop = m - essential_arity(identification_minor(g, i, j))
+                assert tables_mod._identification_drop(g, i, j) == drop, (g, i, j)
+    return m * (m - 1)
+
+
+def test_identification_drop_matches_the_minor_exhaustively():
+    # every Boolean table of arity up to 3 and every Z3 table at (3, 2)
+    booleans = [f for n in range(4) for f in boolean_tables(n)]
+    ternary = (FnTable(3, 2, Z3, [code // 3**k % 3 for k in range(9)]) for code in range(3**9))
+    # ordered pairs: 40 tables of essential arity 2, 218 of essential arity 3
+    assert sum(map(assert_drops_match_the_minors, booleans)) == 40 * 2 + 218 * 6
+    # all 3**9 tables but 3 constants and 2 * 24 of one essential variable
+    assert sum(map(assert_drops_match_the_minors, ternary)) == (3**9 - 3 - 48) * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_identification_drop_matches_the_minor_under_hypothesis(data):
+    a_size = data.draw(st.integers(2, 4), label="a_size")
+    n = data.draw(st.integers(2, 5), label="n")
+    group = data.draw(st.sampled_from([Z2, Z3, Group((2, 2))]), label="group")
+    code = st.integers(0, group.order - 1)
+    if data.draw(st.booleans(), label="determined"):
+        f = table_from_phi(PhiMap.on_phi_domain(
+            a_size, n, group, lambda S: group.decode(data.draw(code))))
+        if data.draw(st.booleans(), label="changed"):
+            values = list(f.values)
+            idx = data.draw(st.integers(0, len(values) - 1), label="cell")
+            values[idx] = (values[idx] + 1) % group.order
+            f = FnTable(a_size, n, group, values)
+    else:
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        f = random_table(random.Random(seed), a_size, n, group)
+    if n < 5 and data.draw(st.booleans(), label="padded"):
+        f = padded(f, data.draw(st.integers(0, n), label="slot"))
+    assert_drops_match_the_minors(f)
+
+
 def test_minors_built_on_each_side_of_the_threshold(monkeypatch):
+    # each pair the scan tries is one call of the kernel that reads the drop
+    # of its identification minor
     built = []
-    real = tables_mod.identification_minor
+    real = tables_mod._identification_drop
 
     def counting(f, i, j):
         built.append((i, j))
         return real(f, i, j)
 
-    monkeypatch.setattr(tables_mod, "identification_minor", counting)
+    monkeypatch.setattr(tables_mod, "_identification_drop", counting)
     rng = random.Random(9)
     parity6 = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
     above = [parity6, padded(parity6, 2), random_table(rng, 2, 5, Z2),

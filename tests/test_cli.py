@@ -229,8 +229,8 @@ def test_boolean_gap_certificate(monkeypatch):
     from helpers import pair_scan_arity_gap, random_table
 
     built = []
-    real = tables_mod.identification_minor
-    monkeypatch.setattr(tables_mod, "identification_minor",
+    real = tables_mod._identification_drop
+    monkeypatch.setattr(tables_mod, "_identification_drop",
                         lambda f, i, j: built.append((i, j)) or real(f, i, j))
     rng = random.Random(12)
     parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
@@ -246,11 +246,29 @@ def test_boolean_gap_certificate(monkeypatch):
         for claim in (1, 2, 3):
             assert _gap_certified(f, claim) == (claim == gap)
     # above the threshold: the rebuild from phi and one slice for gap 2, no
-    # minor, and the pairs up to the first witness for gap 1
+    # pair read, and the pairs up to the first witness for gap 1
     built.clear()
     assert _gap_certified(parity, 2) and built == []
     built.clear()
-    assert _gap_certified(cases[2], 1) and len(built) < 15
+    assert _gap_certified(cases[2], 1) and 1 <= len(built) <= 14
+
+
+def test_gap1_certificate_keeps_no_table_sized_data():
+    import tracemalloc
+
+    from fndecomp.cli import _gap_certified
+
+    # x0 + ... + x10 + x11*x12: identifying x0 with any of x1..x10 drops two,
+    # so the witness (0, 11) is the 11th pair tried
+    f = FnTable.from_callable(2, 13, Z2, lambda x: ((sum(x[:11]) + x[11] * x[12]) % 2,))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _gap_certified(f, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * len(f.values)
 
 
 def test_gap2_slice_drop_matches_identification_minor():
@@ -376,6 +394,24 @@ def test_witness_bad_arguments_exit_3(tmp_path, capsys):
         out_tbl = tmp_path / "big.tbl"
         code, _, err = run(capsys, "witness", *extra, "--b", "1", "--out", str(out_tbl))
         assert code == 3 and "budget" in err and not out_tbl.exists()
+
+
+def test_unwritable_out_exit_3(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    witness = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1", "--out"]
+    # the table file, then the sidecar (here a directory of that name)
+    (tmp_path / "w.tbl.witness.txt").mkdir()
+    for out_path in (missing / "w.tbl", tmp_path / "w.tbl"):
+        code, out, err = run(capsys, *witness, str(out_path))
+        assert code == 3 and out == ""
+        assert err.startswith("precondition failed: cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    path = write_parity(tmp_path, 5)
+    code, out, err = run(capsys, "decompose", path, "--mode", "odd",
+                         "--out", str(missing / "p.txt"))
+    assert code == 3 and out == ""
+    assert err.startswith(f"precondition failed: cannot write {missing / 'p.txt'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_json_reports_are_deterministic(tmp_path, capsys):

@@ -25,8 +25,6 @@ from fndecomp import (
 )
 from fndecomp.oddsupport import phi_domain
 from fndecomp.tables import (
-    MAX_CELLS,
-    _identification_getter,
     axis_fold,
     check_cells,
     iter_tuples,
@@ -117,8 +115,6 @@ def test_construction_errors():
 
 
 def test_caches_of_table_sized_data_are_bounded():
-    n = MAX_CELLS.bit_length() - 1  # the largest Boolean arity within the budget
-    assert n * (n - 1) <= _identification_getter.cache_parameters()["maxsize"] < 1024
     assert 2 <= phi_domain.cache_parameters()["maxsize"] <= 16
 
 
@@ -333,7 +329,7 @@ def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch):
              (random_full_arity_table(rng, 3, 5, Z3), 1)]
     built = []
     for module, name in ((tables_mod, "simple_minor"), (tables_mod, "identification_minor"),
-                         (classify_mod, "simple_minor")):
+                         (tables_mod, "_identification_drop"), (classify_mod, "simple_minor")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real:
                             built.append(_name) or _real(*args))
