@@ -13,14 +13,10 @@ import argparse
 import time
 from collections import Counter
 
-from fndecomp import FnTable, Group, classify_boolean, essential_arity, reduce_to_essential
+from fndecomp import FnTable, Group, classify_boolean, reduce_to_essential
 from fndecomp.tables import pair_scan_gap
 
 Z2 = Group((2,))
-
-
-def direct_gap(f: FnTable) -> int:
-    return pair_scan_gap(reduce_to_essential(f))
 
 
 def census(n: int) -> None:
@@ -29,12 +25,12 @@ def census(n: int) -> None:
     forms = Counter()
     start = time.time()
     for code in range(1 << size):
-        f = FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
-        if essential_arity(f) < 2:
+        g = reduce_to_essential(FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size))))
+        if g.arity < 2:
             gaps["undefined (ess<2)"] += 1
             continue
-        result = classify_boolean(f)
-        direct = direct_gap(f)
+        result = classify_boolean(g)
+        direct = pair_scan_gap(g)
         assert result.gap == direct, (code, result, direct)
         gaps[f"gap {direct}"] += 1
         if result.form is not None:

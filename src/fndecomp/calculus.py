@@ -13,7 +13,10 @@ at the base point.  That criterion drives the decomposability tests here.
 Every derivative value at the base comes from one finite-difference transform
 of the table (``_derivative_coefficients``): the decomposability tests scan it
 and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
-single derivative on its own and serves as the independent check.
+single derivative on its own and serves as the independent check.  The
+transform and ``partial_derivative`` walk the table along one coordinate at a
+time through ``tables.zero_slices``, the slice plan that essential variables
+and the arity gap read too.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element
-from .tables import MAX_CELLS, FnTable, linear_index, tuple_index
-
-# Cells per run of the finite-difference transform (see below).
-_RUN = 256
+from .tables import MAX_CELLS, FnTable, tuple_index, zero_slices
 
 # bytes.translate table adding 1 to every byte below 255
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -58,14 +58,15 @@ def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
         raise ArgumentError(f"position {i} out of range for arity {f.arity}")
     if not 0 <= a_val < f.a_size:
         raise DomainError(f"parameter {a_val} out of range for alphabet {f.a_size}")
-    a = f.a_size
-    # index of x with position i set to a_val
-    weights = [a**t for t in range(f.arity)]
-    weights[i] = 0
-    moved = linear_index(a, weights, a_val * a**i)
+    a, vals = f.a_size, f.values
     sub = f.group.code_sub_table
-    vals = f.values
-    return FnTable(a, f.arity, f.group, tuple(sub[vals[k]][v] for k, v in zip(moved, vals)))
+    stride = a**i
+    out = [0] * len(vals)
+    for lo, hi, step in zero_slices(a, f.arity, (i,)):
+        ref = vals[lo + a_val * stride:hi + a_val * stride:step]
+        for d in range(0, a * stride, stride):
+            out[lo + d:hi + d:step] = [sub[u][v] for u, v in zip(ref, vals[lo + d:hi + d:step])]
+    return FnTable(a, f.arity, f.group, out)
 
 
 def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) -> FnTable:
@@ -132,33 +133,21 @@ def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> list[int]:
     where x differs from base, with parameters x.
 
     Mixed-radix finite-difference transform: one in-place pass per coordinate
-    i subtracts, from every x with x_i != base_i, the entry with x_i = base_i.
-    Costs arity * |A|**arity code subtractions.
+    i subtracts, from every x with x_i != base_i, the entry with x_i = base_i,
+    a slice of zero_slices(bound=(i,)) at a time.  Costs arity * |A|**arity
+    code subtractions.
     """
     a = f.a_size
     sub = f.group.code_sub_table
     c = list(f.values)
-    size = len(c)
-    stride = 1
-    for b in base:
-        block = a * stride
-        # the entries with x_i = 0 as runs, shifted by d * stride for x_i = d:
-        # one strided run per offset below stride, or one contiguous run per
-        # block, whichever makes fewer runs
-        if stride * stride * a <= size:
-            runs = [(j, size, block) for j in range(stride)]
-        else:
-            runs = [(q, q + stride, 1) for q in range(0, size, block)]
-        # at most _RUN cells per run keeps the temporaries small
-        runs = [(t, min(hi, t + _RUN * step), step) for lo, hi, step in runs
-                for t in range(lo, hi, _RUN * step)]
-        for lo, hi, step in runs:
+    for i, b in enumerate(base):
+        stride = a**i
+        for lo, hi, step in zero_slices(a, f.arity, (i,)):
             ref = c[lo + b * stride:hi + b * stride:step]
             for d in range(a):
                 if d != b:
                     run = slice(lo + d * stride, hi + d * stride, step)
                     c[run] = [sub[u][v] for u, v in zip(c[run], ref)]
-        stride = block
     return c
 
 

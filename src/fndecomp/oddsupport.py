@@ -141,6 +141,8 @@ class PhiMap(Record):
         arity: int | None,
         entries: Mapping[Subset, Element],
     ):
+        if a_size < 2:
+            raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
         if kind == PNPRIME:
             if arity is None:

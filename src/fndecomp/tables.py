@@ -9,15 +9,18 @@ Values are stored as group element codes (see groups.Group.encode); the
 element-level view is available through eval / element_values.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
-list per table index: minors, partial derivatives and the odd-support maps
-are all built on it; the symmetry and odd-support determination tests and
-the drop in essential arity of one identification compare slices of the
-value tuple instead.  ``by_letter_counts`` folds the
-letter counts of each x into one class key on it and evaluates a symmetric
-function once per class: the Boolean decomposition sums and the Z3 gap-2
-form are broadcast from there.  The calculus kernel's finite-difference
-transform, support sizes and Taylor terms keep their own broadcasts, which
-were measured faster there.
+list per table index: minors and the odd-support maps are built on it.
+``zero_slices`` is the one plan for a scan along coordinates: it covers the
+cells where a few coordinates are 0 by strided slices of the value tuple, and
+moving a slice by d * a**t reads the cells where x_t = d.  Essential
+variables, the drop in essential arity of one identification, partial
+derivatives and the finite-difference transform of the calculus all walk it;
+the symmetry and odd-support determination tests compare slices of their
+own.  ``by_letter_counts`` folds the letter counts of each x into one class
+key on ``axis_fold`` and evaluates a symmetric function once per class: the
+Boolean decomposition sums and the Z3 gap-2 form are broadcast from there.
+The calculus kernel's support sizes and Taylor terms keep their own
+broadcasts, which were measured faster there.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ MAX_CELLS = 1 << 22
 # group of order up to 4096.  A table of mostly distinct values (a large
 # cyclic codomain) would otherwise hold a string and a dict entry per cell.
 TOKEN_MEMO_LIMIT = 1 << 12
+
+# Cells per slice of zero_slices: small enough that a slice copy is a short
+# temporary, large enough that the per-slice Python overhead is amortized.
+RUN = 256
 
 
 def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
@@ -93,6 +100,36 @@ def by_letter_counts(a_size: int, arity: int, fn: Callable[[list[int]], int]) ->
 def linear_index(a_size: int, weights: Sequence[int], offset: int = 0) -> list[int]:
     """offset + sum_i x[i] * weights[i] for every x, in table-index order."""
     return axis_fold(a_size, [[d * w for d in range(a_size)] for w in weights], add, offset)
+
+
+def zero_slices(a_size: int, arity: int, bound: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(start, stop, step) slices of at most RUN cells that cover, once each,
+    the cells with x_t = 0 for every t in bound (distinct positions).
+
+    The widest run of consecutive free coordinates, the higher one on a tie,
+    is read as strided slices; the other free coordinates give the slice
+    starts, in table-index order.  Adding d * a_size**t to a slice moves it
+    to the cells with x_t = d.
+    """
+    # the runs [lo, hi) of free coordinates between the bound ones
+    runs, lo = [], 0
+    for t in sorted(bound):
+        runs.append((t - lo, lo, t))
+        lo = t + 1
+    runs.append((arity - lo, lo, arity))
+    _, lo, hi = max(runs)
+    # the other runs give the starts, each new run varying slower
+    starts = [0]
+    for _, l, h in runs:
+        if l < h and l != lo:
+            starts = [s + o for o in range(0, a_size**h, a_size**l) for s in starts]
+    step, width = a_size**lo, a_size**hi
+    chunk = RUN * step
+    # one slice per start when the run fits: tiny tables skip a range per start
+    if width <= chunk:
+        return ((s, s + width, step) for s in starts)
+    return ((c, min(c + chunk, s + width), step)
+            for s in starts for c in range(s, s + width, chunk))
 
 
 def tuple_index(a_size: int, x: Sequence[int]) -> int:
@@ -208,31 +245,32 @@ def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
 # ----------------------------------------------------------------------
 
 
+def _moves_change(f: FnTable, bound: Sequence[int], move: int,
+                  shifts: Sequence[int] = (0,)) -> bool:
+    """Whether some cell of zero_slices(f.a_size, f.arity, bound), plus one of
+    shifts, differs from its copy moved by d * move, d = 1..a_size-1.
+
+    Cell 0 and its moves are compared first, as one strided slice: most
+    tables differ there.  Otherwise each slice is compared in turn, up to the
+    first that differs.
+    """
+    a, vals = f.a_size, f.values
+    if vals[:a * move:move].count(vals[0]) < a:
+        return True
+    moves = range(move, a * move, move)
+    for lo, hi, step in zero_slices(a, f.arity, bound):
+        for e in shifts:
+            ref = vals[lo + e:hi + e:step]
+            for d in moves:
+                if ref != vals[lo + e + d:hi + e + d:step]:
+                    return True
+    return False
+
+
 def essential_variables(f: FnTable) -> frozenset[int]:
-    """Positions whose value can change the output (axis-aligned neighbor scan)."""
-    a = f.a_size
-    vals = f.values
-    size = len(vals)
-    ess = []
-    stride = 1
-    for i in range(f.arity):
-        block = stride * a
-        found = False
-        for base in range(0, size, block):
-            for off in range(base, base + stride):
-                first = vals[off]
-                for k in range(off + stride, base + block, stride):
-                    if vals[k] != first:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            ess.append(i)
-        stride = block
-    return frozenset(ess)
+    """Positions k whose value can change the output: some cell with x_k = 0
+    differs from its copy moved to x_k = d."""
+    return frozenset(k for k in range(f.arity) if _moves_change(f, (k,), f.a_size**k))
 
 
 def essential_arity(f: FnTable) -> int:
@@ -290,30 +328,20 @@ def _identification_drop(g: FnTable, i: int, j: int) -> int:
     The minor takes its values on the cells with x_i = x_j.  It keeps
     variable k != i exactly when some such cell differs from the cell that
     moves x_k alone (for k = j, x_i and x_j together).  The cells with x_k = 0
-    suffice, since two cells that differ cannot both equal that one.  The
-    coordinates left free are read in two parts: the widest run of
-    consecutive ones as one strided slice, the rest (with the common letter
-    of x_i and x_j) as a list of slice starts.  Each k stops at the first
-    slice that differs, and nothing of table size is kept.
+    suffice, since two cells that differ cannot both equal that one: they are
+    the slices of zero_slices(bound=(i, j, k)) moved to each common letter of
+    x_i and x_j.  Each k stops at the first slice that differs.
     """
-    a, m, vals = g.a_size, g.arity, g.values
+    a, m = g.a_size, g.arity
     pair = a**i + a**j
     kept = 0
     for k in range(m):
         if k == i:
             continue
-        fixed = sorted({i, j, k})
-        runs = zip([0] + [t + 1 for t in fixed], fixed + [m])
-        _, lo, hi = max((hi - lo, lo, hi) for lo, hi in runs)
-        outer = [a**t for t in range(m) if t not in fixed and not lo <= t < hi]
         if k == j:
-            move = pair
+            kept += _moves_change(g, (i, j), pair)
         else:
-            outer.append(pair)
-            move = a**k
-        step, width = a**lo, a**hi
-        kept += any(vals[c:c + width:step] != vals[c + d:c + d + width:step]
-                    for c in linear_index(a, outer) for d in range(move, a * move, move))
+            kept += _moves_change(g, (i, j, k), a**k, range(0, a * pair, pair))
     return m - kept
 
 

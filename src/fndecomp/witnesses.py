@@ -11,7 +11,7 @@ from __future__ import annotations
 from .calculus import derivative_at_zero
 from .errors import ArgumentError, InternalConsistencyError
 from .groups import Element, Group
-from .oddsupport import PhiMap, odd_support, table_from_phi
+from .oddsupport import PhiMap, table_from_phi
 from .records import Record
 from .tables import FnTable
 
@@ -95,10 +95,7 @@ def hamming_witness(n: int, group: Group, b: Element) -> WitnessBundle:
             f"element {b} has order {order}, a power of two; the construction "
             "needs an order with an odd prime factor"
         )
-    zero = group.zero
-    table = FnTable.from_callable(
-        2, n, group, lambda x: b if sum(x) % 2 == 0 else zero
-    )
+    table = hamming_extension(n, 2, group, b)
     expected = group.scalar_mul((-1) ** n * (1 << (n - 1)), b)
     return WitnessBundle(table, frozenset(range(n)), (1,) * n, expected, n - 1)
 
@@ -110,10 +107,7 @@ def hamming_extension(n: int, a_size: int, group: Group, b: Element) -> FnTable:
         raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
     b = group.validate(b)
     zero = group.zero
-    return FnTable.from_callable(
-        a_size, n, group,
-        lambda x: b if 1 not in odd_support(a_size, x) else zero,
-    )
+    return table_from_phi(PhiMap.on_phi_domain(a_size, n, group, lambda S: zero if 1 in S else b))
 
 
 def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> WitnessBundle:
@@ -130,10 +124,11 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     b = group.validate(b)
     if b == group.zero:
         raise ArgumentError("witness value b must be nonzero")
+    # n letters with odd support {1..n} are 1..n once each
     target = frozenset(range(1, n + 1))
     zero = group.zero
-    table = FnTable.from_callable(
-        a_size, n, group, lambda x: b if frozenset(x) == target else zero
+    table = table_from_phi(
+        PhiMap.on_phi_domain(a_size, n, group, lambda S: b if S == target else zero)
     )
     return WitnessBundle(
         table, frozenset(range(n)), tuple(range(1, n + 1)), b, n - 1

@@ -201,6 +201,23 @@ def partition_extract_phi(f: FnTable) -> PhiMap | None:
     return PhiMap(a, f.group, PNPRIME, n, {S: decode(rep[c]) for c, S in enumerate(keys)})
 
 
+def pointwise_hamming_table(n, a_size, group: Group, b) -> FnTable:
+    """hamming_extension cell by cell: b where the letter 1 occurs an even
+    number of times, 0 elsewhere (on {0,1}^n, b on even Hamming weight)."""
+    zero = group.zero
+    return FnTable.from_callable(a_size, n, group,
+                                 lambda x: zero if x.count(1) % 2 else b)
+
+
+def pointwise_large_alphabet_table(n, a_size, group: Group, b) -> FnTable:
+    """The large_alphabet_witness table cell by cell: b exactly where the
+    letters of x are {1, ..., n} as a set."""
+    target = frozenset(range(1, n + 1))
+    zero = group.zero
+    return FnTable.from_callable(a_size, n, group,
+                                 lambda x: b if frozenset(x) == target else zero)
+
+
 def random_table(rng, a_size, n, group: Group) -> FnTable:
     order = group.order
     return FnTable(

@@ -64,6 +64,16 @@ def test_partial_derivative_definition_oracle():
         for x in all_tuples(3, 2):
             shifted = x[:i] + (a,) + x[i + 1:]
             assert d.eval(x) == Z4.sub(f.eval(shifted), f.eval(x))
+    # above RUN cells: strided slices cut into chunks (low i) and contiguous
+    # ones (high i), every position, every nonzero parameter
+    for a_size, n in ((2, 10), (3, 7)):
+        f = random_table(rng, a_size, n, Z4)
+        for i in range(n):
+            for a in range(1, a_size):
+                d = partial_derivative(f, i, a)
+                for x in all_tuples(a_size, n):
+                    shifted = x[:i] + (a,) + x[i + 1:]
+                    assert d.eval(x) == Z4.sub(f.eval(shifted), f.eval(x))
 
 
 def test_derivative_additivity():

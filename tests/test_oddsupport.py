@@ -263,6 +263,13 @@ def test_phi_map_validation():
     phi = PhiMap.on_phi_domain(2, 4, Z2, lambda S: (0,))
     with pytest.raises(CoverageError):
         phi.value({0})  # size-1 subsets are outside an even-arity domain
+    # a full map over fewer than two letters is refused, not half-built
+    with pytest.raises(ArgumentError, match="alphabet size"):
+        PhiMap(1, Z2, "full", None, {frozenset(): (1,), frozenset({0}): (1,)})
+    for text in ("phi domain=full a=0 group=Z2\n{} -> 1\n",
+                 "phi domain=full a=1 group=Z2\n{} -> 1\n{0} -> 1\n"):
+        with pytest.raises(ParseError, match="alphabet size"):
+            load_phi(text)
 
 
 def test_phi_file_round_trip():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from operator import add, xor
 
 import pytest
@@ -25,10 +26,12 @@ from fndecomp import (
 )
 from fndecomp.oddsupport import phi_domain
 from fndecomp.tables import (
+    RUN,
     axis_fold,
     check_cells,
     iter_tuples,
     linear_index,
+    zero_slices,
 )
 from helpers import (
     class_tables,
@@ -196,12 +199,49 @@ def test_essential_variables_examples():
     assert essential_arity(PARITY4) == 4
 
 
+def test_zero_slices_cover_the_bound_cells_once():
+    shapes = [(a, n) for a in (2, 3, 4) for n in range(6)] + [(3, 6), (3, 7), (2, 10)]
+    for a, n in shapes:
+        for size in range(min(n, 3) + 1):
+            for bound in combinations(range(n), size):
+                cells = []
+                # the bound may come in any order
+                for lo, hi, step in zero_slices(a, n, bound[::-1]):
+                    run = range(lo, hi, step)
+                    assert 0 < len(run) <= RUN and run[-1] < a**n
+                    cells.extend(run)
+                expected = [c for c in range(a**n) if all(c // a**t % a == 0 for t in bound)]
+                assert sorted(cells) == expected, (a, n, bound)
+
+
 def test_essential_variables_matches_naive():
     rng = random.Random(5)
     for a_size, n, g in [(2, 3, Z2), (3, 2, Z3), (2, 4, Z2), (3, 3, Z2)]:
         for _ in range(15):
             f = random_table(rng, a_size, n, g)
             assert essential_variables(f) == frozenset(naive_essential_variables(f))
+    # g read on the positions kept, the others inessential, and tables above
+    # RUN cells, whose slices are cut into chunks
+    for a_size, n in [(2, 5), (3, 4), (2, 10), (3, 7)]:
+        for _ in range(3):
+            kept = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+            g = random_table(rng, a_size, len(kept), Z3)
+            # one cell off a constant: the difference sits in a late slice
+            one = FnTable(a_size, len(kept), Z3, [0] * (a_size ** len(kept) - 1) + [1])
+            for f in (simple_minor(g, kept, n), simple_minor(one, kept, n)):
+                assert essential_variables(f) == frozenset(naive_essential_variables(f))
+            assert essential_variables(simple_minor(one, kept, n)) == frozenset(kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_essential_variables_matches_naive_under_hypothesis(data):
+    a_size, n = data.draw(st.sampled_from([(2, 3), (2, 6), (2, 9), (3, 3), (3, 6), (4, 4)]))
+    kept = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    values = data.draw(st.lists(st.integers(0, 2), min_size=a_size ** len(kept),
+                                max_size=a_size ** len(kept)))
+    f = simple_minor(FnTable(a_size, len(kept), Z3, values), kept, n)
+    assert essential_variables(f) == frozenset(naive_essential_variables(f))
 
 
 def test_arity_gap_examples():

@@ -14,6 +14,7 @@ from fndecomp import (
     large_alphabet_witness,
     tightness_witness,
 )
+from helpers import pointwise_hamming_table, pointwise_large_alphabet_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -136,6 +137,22 @@ def test_large_alphabet_witness():
     w3.verify()
     assert w3.expected == (1,)
     assert derivative_at_zero(w3.table, w3.positions, w3.params) == (1,)
+
+
+def test_witness_tables_match_their_pointwise_definitions():
+    for group, b in ((Z3, (1,)), (Z6, (2,)), (Z2xZ2, (1, 1))):
+        for n in range(1, 6):
+            for a_size in (2, 3, 4):
+                assert hamming_extension(n, a_size, group, b) == \
+                    pointwise_hamming_table(n, a_size, group, b)
+            for a_size in (n + 1, n + 2):
+                if n >= 2:
+                    assert large_alphabet_witness(n, a_size, group, b).table == \
+                        pointwise_large_alphabet_table(n, a_size, group, b)
+    # the Hamming witness takes b of an order that is not a power of two
+    for group, b in ((Z3, (1,)), (Z6, (2,))):
+        for n in range(1, 6):
+            assert hamming_witness(n, group, b).table == pointwise_hamming_table(n, 2, group, b)
 
 
 def test_large_alphabet_witness_errors():
