@@ -428,6 +428,63 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     assert report == stable
 
 
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+GOLDEN_COMMANDS = {
+    "analyze-parity": ["analyze", "parity.tbl"],
+    "analyze-constant": ["analyze", "const.tbl"],
+    "decompose-odd": ["decompose", "parity.tbl", "--mode", "odd", "--out", "phi.txt"],
+    "decompose-taylor": ["decompose", "parity.tbl", "--mode", "taylor", "--k", "1"],
+    "classify-boolean": ["classify", "parity.tbl", "--target", "boolean"],
+    "classify-z3": ["classify", "z3.tbl", "--target", "z3"],
+    "identities": ["identities", "--max-m", "4"],
+    "witness-hamming": ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3",
+                        "--b", "1", "--out", "w.tbl"],
+}
+GOLDEN_FAILURES = {
+    "parse-error": ["analyze", "bad.tbl"],
+    "precondition": ["decompose", "parity4.tbl", "--mode", "odd"],
+    "argument": ["decompose", "parity.tbl", "--mode", "taylor"],
+}
+
+
+def golden_outputs(tmp_path):
+    """Exit code, stdout, stderr and written files of every golden command,
+    each in text and --json, run in tmp_path with its path written <tmp>."""
+    import contextlib
+    import io
+
+    save_table_file(FnTable.from_callable(2, 3, Z2, lambda x: (sum(x) % 2,)),
+                    tmp_path / "parity.tbl")
+    save_table_file(FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,)),
+                    tmp_path / "parity4.tbl")
+    save_table_file(FnTable.constant(2, 2, Group((2, 4)), (1, 3)), tmp_path / "const.tbl")
+    save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "z3.tbl")
+    (tmp_path / "bad.tbl").write_text("domain=2\narity=2\ngroup=Z2\n0 1 1\n")
+    cases = {f"{name}{flag}": argv + flag.split() for name, argv in GOLDEN_COMMANDS.items()
+             for flag in ("", " --json")}
+    cases.update(GOLDEN_FAILURES)
+    written = ["phi.txt", "w.tbl", "w.tbl.witness.txt"]
+    results = {}
+    for name, argv in cases.items():
+        for out_name in written:
+            (tmp_path / out_name).unlink(missing_ok=True)
+        argv = [str(tmp_path / a) if a.endswith((".tbl", ".txt")) else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        files = {n: (tmp_path / n).read_text() for n in written if (tmp_path / n).exists()}
+        result = {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "files": files}
+        results[name] = json.loads(json.dumps(result).replace(str(tmp_path), "<tmp>"))
+    return results
+
+
+def test_golden_outputs(tmp_path):
+    # the stored outputs are the contract: regenerate them with
+    # `python tests/test_cli.py` and review the diff
+    assert golden_outputs(tmp_path) == json.loads(GOLDEN.read_text())
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -456,3 +513,10 @@ def test_startup_imports(argv):
     ) - bare
     assert "argparse" in command
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(golden_outputs(Path(tmp)), indent=2, sort_keys=True) + "\n")
