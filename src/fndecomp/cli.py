@@ -2,11 +2,15 @@
 
 Reports are deterministic: identical inputs produce byte-identical output
 (JSON is key-sorted and carries no timestamps unless --meta is given).
-Every printed verdict is re-checked against its certificate first.
+Four commands check what they print before printing it: decompose adds the
+Taylor terms back up or rebuilds the table from phi, classify checks a
+Boolean gap from its definition and rebuilds a Z3 table from its parameters,
+witness verifies the derivative it claims, and identities compares both
+sides of every row.  analyze prints its verdicts as computed.
 
-Exit codes: 0 all requested checks passed, 2 parse error, 3 precondition or
-argument error, 4 internal-consistency failure (a theorem-violation tripwire
-that should be unreachable).
+Exit codes: 0 all requested checks passed, 2 ParseError, 4
+InternalConsistencyError (a theorem-violation tripwire that should be
+unreachable), 3 any other FnDecompError (a precondition or argument error).
 
 ``hashlib`` and ``json`` are imported where they are used, so that start-up
 stays small for the commands that need neither (``--help``, ``identities`` and
@@ -20,16 +24,7 @@ import sys
 import time
 
 from . import booldecomp, calculus, classify, identities, oddsupport, tables, witnesses
-from .errors import (
-    ArgumentError,
-    CoverageError,
-    DomainError,
-    InternalConsistencyError,
-    ParseError,
-    PreconditionError,
-    ResourceError,
-    ShapeError,
-)
+from .errors import ArgumentError, FnDecompError, InternalConsistencyError, ParseError
 from .groups import Group
 
 EXIT_OK = 0
@@ -66,29 +61,27 @@ def _load_table(path: str) -> tuple[tables.FnTable, dict]:
 
 
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
-    domain = f"pnprime:{phi.arity}" if phi.kind == oddsupport.PNPRIME else "full"
-    return {
-        "domain": domain,
-        "a": phi.a_size,
-        "group": phi.group.to_text(),
-        "entries": [
-            [oddsupport.format_subset(S), phi.group.format_element(v)]
-            for S, v in phi.sorted_items()
-        ],
-    }
+    domain, entries = oddsupport.phi_texts(phi)
+    return {"domain": domain, "a": phi.a_size, "group": phi.group.to_text(), "entries": entries}
 
 
-def _render(report: dict, as_json: bool) -> str:
-    if as_json:
+def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
+    """Print the report of command args.cmd: its input digests, verdicts and
+    payload, as key-sorted JSON under --json and as lines otherwise."""
+    if args.json:
         import json
 
-        return json.dumps(report, indent=2, sort_keys=True)
-    lines = [f"command: {report['command']}"]
-    for inp in report.get("inputs", []):
+        report = {"command": args.cmd, "inputs": inputs, "verdicts": verdicts,
+                  "payload": payload}
+        if args.meta:
+            report["meta"] = {"unix_time": time.time()}
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return
+    lines = [f"command: {args.cmd}"]
+    for inp in inputs:
         lines.append(f"input: {inp['path']} sha256={inp['sha256'][:16]}...")
-    for key, val in sorted(report.get("verdicts", {}).items()):
+    for key, val in sorted(verdicts.items()):
         lines.append(f"{key}: {val}")
-    payload = report.get("payload", {})
     for key, val in sorted(payload.items()):
         if key == "phi":
             lines.append("phi:")
@@ -104,14 +97,7 @@ def _render(report: dict, as_json: bool) -> str:
                 lines.append(f"  {item}")
         else:
             lines.append(f"{key}: {val}")
-    return "\n".join(lines)
-
-
-def _emit(report: dict, args) -> None:
-    if getattr(args, "meta", False):
-        report = dict(report)
-        report["meta"] = {"unix_time": time.time()}
-    print(_render(report, args.json))
+    print("\n".join(lines))
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +105,7 @@ def _emit(report: dict, args) -> None:
 # ----------------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     f, digest = _load_table(args.table)
     ess = sorted(tables.essential_variables(f))
     verdicts = {
@@ -138,14 +124,7 @@ def _cmd_analyze(args) -> int:
     if phi is not None:
         payload["phi"] = _phi_payload(phi)
     verdicts["min_decomposition_arity"] = calculus.min_decomposition_arity(f)
-    report = {
-        "command": "analyze",
-        "inputs": [digest],
-        "verdicts": verdicts,
-        "payload": payload,
-    }
-    _emit(report, args)
-    return EXIT_OK
+    _emit(args, [digest], verdicts, payload)
 
 
 def _sum_tables(group, parts):
@@ -156,57 +135,48 @@ def _sum_tables(group, parts):
     return tuple(acc)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     f, digest = _load_table(args.table)
-    payload: dict = {}
-    verdicts: dict = {"mode": args.mode}
-    if args.mode == "taylor":
-        if args.k is None:
-            raise ArgumentError("--mode taylor requires --k")
+    taylor = args.mode == "taylor"
+    if taylor and args.k is None:
+        raise ArgumentError("--mode taylor requires --k")
+    if not taylor and args.k is not None:
+        raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
+    if taylor and args.out is not None:
+        raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
+    verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
+    if taylor:
         terms = calculus.decompose_via_taylor(f, args.k)
         if _sum_tables(f.group, [t for _, t in terms]) != f.values:
             raise InternalConsistencyError("taylor summands do not add back to f")
-        verdicts["reconstruction"] = "exact"
         verdicts["k"] = args.k
-        inventory = [
-            {
-                "positions": sorted(positions),
-                "essential_arity": len(tables.essential_variables(term)),
-                "zero": not any(term.values),
-            }
-            for positions, term in terms
-        ]
         import json
 
-        payload["summands"] = [json.dumps(e, sort_keys=True) for e in inventory]
+        summands = [{"positions": sorted(positions),
+                     "essential_arity": len(tables.essential_variables(term)),
+                     "zero": not any(term.values)} for positions, term in terms]
+        _emit(args, [digest], verdicts,
+              {"summands": [json.dumps(s, sort_keys=True) for s in summands]})
+        return
+    if args.mode == "fitilde":
+        # decompose_uniform raises unless its phi reconstructs f exactly
+        phi = booldecomp.decompose_uniform(f)
+        rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
+        verdicts["system_rank"] = f"{rank}/{unknowns}"
     else:
-        if args.mode == "fitilde":
-            # decompose_uniform raises unless its phi reconstructs f exactly
-            phi = booldecomp.decompose_uniform(f)
-            rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
-            verdicts["system_rank"] = f"{rank}/{unknowns}"
+        if args.mode == "odd":
+            phi = booldecomp.decompose_odd(f)
+            rebuilt = booldecomp.reconstruct_odd(phi)
         else:
-            if args.mode == "odd":
-                phi = booldecomp.decompose_odd(f)
-                rebuilt = booldecomp.reconstruct_odd(phi)
-            else:
-                phi = booldecomp.decompose_even(f)
-                rebuilt = booldecomp.reconstruct_even(phi, f.arity)
-            if rebuilt.values != f.values:
-                raise InternalConsistencyError("reconstruction does not reproduce the input")
-        verdicts["reconstruction"] = "exact"
-        payload["phi"] = _phi_payload(phi)
-        if args.out:
-            _write_text(args.out, oddsupport.dump_phi(phi))
-            payload["phi_file"] = args.out
-    report = {
-        "command": "decompose",
-        "inputs": [digest],
-        "verdicts": verdicts,
-        "payload": payload,
-    }
-    _emit(report, args)
-    return EXIT_OK
+            phi = booldecomp.decompose_even(f)
+            rebuilt = booldecomp.reconstruct_even(phi, f.arity)
+        if rebuilt.values != f.values:
+            raise InternalConsistencyError("reconstruction does not reproduce the input")
+    payload = {"phi": _phi_payload(phi)}
+    if args.out:
+        _write_text(args.out, oddsupport.dump_phi(phi))
+        payload["phi_file"] = args.out
+    _emit(args, [digest], verdicts, payload)
 
 
 def _gap_certified(f: tables.FnTable, gap: int) -> bool:
@@ -236,7 +206,7 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     return tables.essential_arity(rest) == m - 2
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     f, digest = _load_table(args.table)
     verdicts: dict = {"target": args.target}
     payload: dict = {}
@@ -263,36 +233,21 @@ def _cmd_classify(args) -> int:
             payload["params"] = {"a": a, "b": b, "c": c, "d": d}
         elif result.verdict == "gap1":
             verdicts["gap"] = 1
-    report = {
-        "command": "classify",
-        "inputs": [digest],
-        "verdicts": verdicts,
-        "payload": payload,
-    }
-    _emit(report, args)
-    return EXIT_OK
+    _emit(args, [digest], verdicts, payload)
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> None:
     even_rows = identities.even_sum_rows(args.max_m)
     odd_rows = identities.odd_sum_rows(args.max_m)
     ok = all(r[-1] for r in even_rows) and all(r[-1] for r in odd_rows)
-    report = {
-        "command": "identities",
-        "inputs": [],
-        "verdicts": {"max_m": args.max_m, "all_equal": ok},
-        "payload": {
-            "even_sum_rows": [list(r) for r in even_rows],
-            "odd_sum_rows": [list(r) for r in odd_rows],
-        },
-    }
-    _emit(report, args)
+    _emit(args, [], {"max_m": args.max_m, "all_equal": ok},
+          {"even_sum_rows": [list(r) for r in even_rows],
+           "odd_sum_rows": [list(r) for r in odd_rows]})
     if not ok:
         raise InternalConsistencyError("binomial identity mismatch")
-    return EXIT_OK
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> None:
     group = Group.from_text(args.group)
     b = group.parse_element(args.b)
     if args.kind == "tightness":
@@ -310,29 +265,15 @@ def _cmd_witness(args) -> int:
     bundle.verify()
     _write_text(args.out, tables.dump_table(bundle.table))
     sidecar = args.out + ".witness.txt"
-    fmt = bundle.table.group.format_element
-    _write_text(sidecar, f"positions={sorted(bundle.positions)}\n"
-                         f"params={list(bundle.params)}\n"
-                         f"expected={fmt(bundle.expected)}\n"
-                         f"claimed_k={bundle.claimed_k}\n")
-    report = {
-        "command": "witness",
-        "inputs": [],
-        "verdicts": {
-            "kind": args.kind,
-            "verified": True,
-            "claimed_k": bundle.claimed_k,
-            "expected": fmt(bundle.expected),
-        },
-        "payload": {
-            "table_file": args.out,
-            "sidecar_file": sidecar,
-            "positions": sorted(bundle.positions),
-            "params": list(bundle.params),
-        },
-    }
-    _emit(report, args)
-    return EXIT_OK
+    expected = bundle.table.group.format_element(bundle.expected)
+    positions, params = sorted(bundle.positions), list(bundle.params)
+    _write_text(sidecar, f"positions={positions}\nparams={params}\n"
+                         f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
+    _emit(args, [],
+          {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
+           "expected": expected},
+          {"table_file": args.out, "sidecar_file": sidecar, "positions": positions,
+           "params": params})
 
 
 # ----------------------------------------------------------------------
@@ -395,17 +336,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ArgumentError, PreconditionError, DomainError, ShapeError,
-            CoverageError, ResourceError) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except FnDecompError as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

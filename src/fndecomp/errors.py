@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit codes: parse errors exit 2, precondition
-and argument errors exit 3, internal-consistency failures exit 4.
+The CLI maps these onto its exit codes: ParseError exits 2,
+InternalConsistencyError exits 4, and every other FnDecompError (precondition,
+argument, shape, domain, coverage and resource errors) exits 3.
 """
 
 

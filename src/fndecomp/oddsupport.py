@@ -277,11 +277,19 @@ def determined_count(a_size: int, n: int, group: Group) -> int:
 # ----------------------------------------------------------------------
 
 
-def dump_phi(phi: PhiMap) -> str:
+def phi_texts(phi: PhiMap) -> tuple[str, list[tuple[str, str]]]:
+    """The text of phi's domain (``pnprime:<n>`` or ``full``) and the
+    (subset, element) texts of its entries in key order, as dump_phi writes
+    them and load_phi reads them."""
     domain = f"pnprime:{phi.arity}" if phi.kind == PNPRIME else "full"
+    fmt = phi.group.format_element
+    return domain, [(format_subset(S), fmt(v)) for S, v in phi.sorted_items()]
+
+
+def dump_phi(phi: PhiMap) -> str:
+    domain, entries = phi_texts(phi)
     lines = [f"phi domain={domain} a={phi.a_size} group={phi.group.to_text()}"]
-    for S, v in phi.sorted_items():
-        lines.append(f"{format_subset(S)} -> {phi.group.format_element(v)}")
+    lines += [f"{S} -> {v}" for S, v in entries]
     return "\n".join(lines) + "\n"
 
 

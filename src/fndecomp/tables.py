@@ -398,7 +398,11 @@ def reduce_to_essential(f: FnTable) -> FnTable:
 
 def dump_table(f: FnTable) -> str:
     lines = [f"domain={f.a_size}", f"arity={f.arity}", f"group={f.group.to_text()}"]
-    texts = [f.group.format_element(e) for e in f.element_values()]
+    # each distinct code is formatted once, as load_table parses each
+    # distinct token once
+    fmt, decode = f.group.format_element, f.group.decode
+    text_of = {c: fmt(decode(c)) for c in set(f.values)}
+    texts = [text_of[c] for c in f.values]
     chunk = f.a_size ** min(f.arity, 2) if f.arity else 1
     for start in range(0, len(texts), chunk):
         lines.append(" ".join(texts[start:start + chunk]))

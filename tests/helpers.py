@@ -15,7 +15,7 @@ arity gap scanned over every pair of essential variables (which the
 library reads off odd-support determination above max(|A|, 3)), phi
 extracted by one pass over every cell's odd-support class (which the
 library reads off slices of the value tuple and one cell per key), and the
-table parser that parses every value token on its own.
+table parser and printer that parse and format every value on its own.
 """
 
 from __future__ import annotations
@@ -535,7 +535,7 @@ def odd_sum_pair_count_full(m: int, t: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# table parser oracle: every value token parsed on its own
+# table parser and printer oracles: every value on its own
 # ----------------------------------------------------------------------
 
 
@@ -589,3 +589,13 @@ def pointwise_load_table(text: str) -> FnTable:
     if len(codes) != expected:
         raise ParseError(f"expected {expected} values, found {len(codes)}")
     return FnTable(a_size, arity, group, tuple(codes))
+
+
+def pointwise_dump_table(f: FnTable) -> str:
+    """The table file text with one Group.format_element per cell."""
+    lines = [f"domain={f.a_size}", f"arity={f.arity}", f"group={f.group.to_text()}"]
+    texts = [f.group.format_element(e) for e in f.element_values()]
+    chunk = f.a_size ** min(f.arity, 2) if f.arity else 1
+    for start in range(0, len(texts), chunk):
+        lines.append(" ".join(texts[start:start + chunk]))
+    return "\n".join(lines) + "\n"

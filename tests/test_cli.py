@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from fndecomp import FnTable, Group, ParseError, load_phi, load_table_file, save_table_file
+from fndecomp import (
+    FnTable,
+    Group,
+    ParseError,
+    errors,
+    load_phi,
+    load_table_file,
+    save_table_file,
+)
 from fndecomp.cli import main
 from fndecomp.classify import Z3Params, z3_build
 
@@ -180,6 +188,23 @@ def test_decompose_taylor_inventory_and_failure(tmp_path, capsys):
     save_table_file(FnTable.constant(2, 14, Z2, (1,)), p)
     code, _, err = run(capsys, "decompose", str(p), "--mode", "taylor", "--k", "7")
     assert code == 3 and "budget" in err
+
+
+def test_decompose_refuses_flags_its_mode_ignores(tmp_path, capsys):
+    # --k means nothing to the phi modes and --out nothing to taylor: both
+    # are refused before any work, and nothing is written
+    odd_table = write_parity(tmp_path, 5)
+    out_phi = tmp_path / "phi.txt"
+    for argv, message in (
+        (["--mode", "taylor", "--k", "1", "--out", str(out_phi)], "--out"),
+        (["--mode", "odd", "--k", "1", "--out", str(out_phi)], "--k"),
+        (["--mode", "even", "--k", "2"], "--k"),
+        (["--mode", "fitilde", "--k", "0", "--json"], "--k"),
+    ):
+        code, out, err = run(capsys, "decompose", odd_table, *argv)
+        assert code == 3 and out == "" and not out_phi.exists()
+        assert err.startswith(f"precondition failed: {message} ")
+        assert err.count("\n") == 1
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):
@@ -356,6 +381,27 @@ def test_identities_mismatch_exits_4(capsys, monkeypatch):
                         lambda max_m: [(2, 0, 1, 0, False)])
     code, _, err = run(capsys, "identities", "--max-m", "2")
     assert code == 4 and "mismatch" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.ParseError, 2, "parse error: "),
+    (errors.ShapeError, 3, "precondition failed: "),
+    (errors.DomainError, 3, "precondition failed: "),
+    (errors.ArgumentError, 3, "precondition failed: "),
+    (errors.PreconditionError, 3, "precondition failed: "),
+    (errors.CoverageError, 3, "precondition failed: "),
+    (errors.ResourceError, 3, "precondition failed: "),
+    (errors.FnDecompError, 3, "precondition failed: "),
+    (errors.InternalConsistencyError, 4, "internal consistency failure: "),
+])
+def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix):
+    import fndecomp.cli as cli_mod
+
+    def fail(args):
+        raise error("stubbed")
+
+    monkeypatch.setattr(cli_mod, "_cmd_identities", fail)
+    assert run(capsys, "identities", "--max-m", "2") == (code, "", prefix + "stubbed\n")
 
 
 def test_witness_writes_files(tmp_path, capsys):

@@ -40,6 +40,7 @@ from helpers import (
     naive_identification_values,
     naive_is_totally_symmetric,
     pair_scan_arity_gap,
+    pointwise_dump_table,
     random_full_arity_table,
     random_table,
     symmetric_tables,
@@ -391,6 +392,7 @@ def test_file_round_trip():
         FnTable.constant(2, 0, Z3, (1,)),
         random_table(rng, 2, 3, Group(())),
     ]:
+        assert dump_table(f) == pointwise_dump_table(f)
         assert load_table(dump_table(f)) == f
 
 
