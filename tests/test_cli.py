@@ -192,7 +192,7 @@ def test_decompose_taylor_inventory_and_failure(tmp_path, capsys):
 
 def test_decompose_refuses_flags_its_mode_ignores(tmp_path, capsys):
     # --k means nothing to the phi modes and --out nothing to taylor: both
-    # are refused before any work, and nothing is written
+    # are refused, with no report and no file written
     odd_table = write_parity(tmp_path, 5)
     out_phi = tmp_path / "phi.txt"
     for argv, message in (
