@@ -25,9 +25,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import ArgumentError, DomainError, PreconditionError, ResourceError
+from .errors import MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element
-from .tables import MAX_CELLS, FnTable, tuple_index, zero_slices
+from .tables import FnTable, tuple_index, zero_slices
 
 # bytes.translate table adding 1 to every byte below 255
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"

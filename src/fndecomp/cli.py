@@ -136,7 +136,6 @@ def _sum_tables(group, parts):
 
 
 def _cmd_decompose(args) -> None:
-    f, digest = _load_table(args.table)
     taylor = args.mode == "taylor"
     if taylor and args.k is None:
         raise ArgumentError("--mode taylor requires --k")
@@ -144,6 +143,7 @@ def _cmd_decompose(args) -> None:
         raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
     if taylor and args.out is not None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
+    f, digest = _load_table(args.table)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
     if taylor:
         terms = calculus.decompose_via_taylor(f, args.k)
@@ -248,19 +248,19 @@ def _cmd_identities(args) -> None:
 
 
 def _cmd_witness(args) -> None:
+    if args.kind == "tightness" and None in (args.ell, args.e, args.n):
+        raise ArgumentError("--kind tightness requires --ell, --e and --n")
+    if args.kind == "hamming" and args.n is None:
+        raise ArgumentError("--kind hamming requires --n")
+    if args.kind == "large-alphabet" and None in (args.n, args.a_size):
+        raise ArgumentError("--kind large-alphabet requires --n and --a-size")
     group = Group.from_text(args.group)
     b = group.parse_element(args.b)
     if args.kind == "tightness":
-        if args.ell is None or args.e is None or args.n is None:
-            raise ArgumentError("--kind tightness requires --ell, --e and --n")
         bundle = witnesses.tightness_witness(args.ell, args.e, group, b, args.n)
     elif args.kind == "hamming":
-        if args.n is None:
-            raise ArgumentError("--kind hamming requires --n")
         bundle = witnesses.hamming_witness(args.n, group, b)
     else:
-        if args.n is None or args.a_size is None:
-            raise ArgumentError("--kind large-alphabet requires --n and --a-size")
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
     bundle.verify()
     _write_text(args.out, tables.dump_table(bundle.table))
@@ -336,6 +336,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.meta and not args.json:
+            raise ArgumentError("--meta requires --json")
         args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -3,6 +3,11 @@
 The CLI maps these onto its exit codes: ParseError exits 2,
 InternalConsistencyError exits 4, and every other FnDecompError (precondition,
 argument, shape, domain, coverage and resource errors) exits 3.
+
+MAX_CELLS, the one size budget behind every ResourceError, lives here beside
+its error, so that every module reads it from one place: groups counts its
+dense code tables against it, and tables, calculus, oddsupport and
+identities their tables, masks and products.
 """
 
 
@@ -40,6 +45,11 @@ class CoverageError(FnDecompError, LookupError):
 
 class ResourceError(FnDecompError, ValueError):
     """The requested computation exceeds a documented size guardrail."""
+
+
+# Cells one table, or one Taylor materialization in all, may allocate (about
+# 32 MB of value codes), and entries a group's dense code tables may hold.
+MAX_CELLS = 1 << 22
 
 
 def excerpt(text: str, limit: int = 40) -> str:

@@ -5,7 +5,10 @@ A group is specified by the moduli of its cyclic factors, e.g.
 factor; the empty product is the trivial group whose only element is ``()``.
 
 Every element also has a dense integer code (mixed-radix, factor 0 least
-significant), used by the table machinery to keep value storage flat.
+significant), used by the table machinery to keep value storage flat.  The
+dense addition and subtraction tables on codes hold order**2 entries each and
+are counted against ``errors.MAX_CELLS``, the package's one size budget, so
+they exist for groups of order up to 2048.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import (
+    MAX_CELLS,
     ArgumentError,
     DomainError,
     ParseError,
@@ -26,9 +30,6 @@ from .errors import (
 from .records import Record
 
 Element = tuple[int, ...]
-
-# Dense Cayley tables are only materialized for groups up to this order.
-_CODE_TABLE_LIMIT = 1 << 12
 
 # Python's default limit on digits in an int() conversion
 # (sys.int_info.default_max_str_digits); int() raises ValueError above it.
@@ -174,33 +175,39 @@ class Group(Record):
             code //= m
         return tuple(out)
 
-    @cached_property
-    def code_add_table(self) -> list[list[int]]:
-        """Full addition table on codes (desk-scale groups only)."""
-        if self.order > _CODE_TABLE_LIMIT:
+    def _code_table(self, sign: int) -> list[list[int]]:
+        """Entry [x][y] is the code of x + sign*y, for codes x and y.
+
+        Built one cyclic factor at a time, factor 0 least significant: the
+        rows of the table over the first factors, shifted by (x + sign*y) % m
+        times the weight of the next factor m, give the table over one
+        factor more.  Every entry is taken from one list of codes, so the
+        table holds one pointer per entry and no int of its own."""
+        if self.order**2 > MAX_CELLS:
             raise ResourceError(
                 f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
             )
-        elems = [self.decode(c) for c in range(self.order)]
-        return [
-            [self.encode(tuple((a + b) % m for a, b, m in zip(x, y, self.moduli)))
-             for y in elems]
-            for x in elems
-        ]
+        codes = list(range(self.order))
+        table, weight = [[0]], 1
+        for m in self.moduli:
+            table = [[codes[v + (x + sign * y) % m * weight] for y in range(m) for v in row]
+                     for x in range(m) for row in table]
+            weight *= m
+        return table
 
     @cached_property
-    def code_neg_table(self) -> list[int]:
-        if self.order > _CODE_TABLE_LIMIT:
-            raise ResourceError(
-                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
-            )
-        return [self.encode(self.neg(self.decode(c))) for c in range(self.order)]
+    def code_add_table(self) -> list[list[int]]:
+        """Full addition table on codes: order**2 entries within MAX_CELLS."""
+        return self._code_table(1)
 
     @cached_property
     def code_sub_table(self) -> list[list[int]]:
-        add = self.code_add_table
-        neg = self.code_neg_table
-        return [[add[a][neg[b]] for b in range(self.order)] for a in range(self.order)]
+        """Full subtraction table on codes: [x][y] is the code of x - y."""
+        return self._code_table(-1)
+
+    @cached_property
+    def code_neg_table(self) -> list[int]:
+        return self.code_sub_table[0]
 
     # ------------------------------------------------------------------
     # element text form: residues joined by commas; "0" for the trivial group

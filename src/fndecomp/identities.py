@@ -25,8 +25,7 @@ from __future__ import annotations
 from math import comb
 
 from .calculus import _support_sizes
-from .errors import ArgumentError, ResourceError
-from .tables import MAX_CELLS
+from .errors import MAX_CELLS, ArgumentError, ResourceError
 
 PAIR_COUNT_MAX_M = 20
 

@@ -23,6 +23,7 @@ from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
+    MAX_CELLS,
     ArgumentError,
     CoverageError,
     DomainError,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
-from .tables import MAX_CELLS, FnTable, axis_fold, check_cells, determined_via_symmetry
+from .tables import FnTable, axis_fold, check_cells, determined_via_symmetry
 
 Subset = frozenset[int]
 

@@ -30,6 +30,7 @@ from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    MAX_CELLS,
     ArgumentError,
     DomainError,
     ParseError,
@@ -40,10 +41,6 @@ from .errors import (
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
-
-# Cells one table, or one Taylor materialization in all, may allocate: about
-# 32 MB of value codes.
-MAX_CELLS = 1 << 22
 
 # Distinct value tokens one load_table call remembers: every element of a
 # group of order up to 4096.  A table of mostly distinct values (a large

@@ -9,7 +9,8 @@ oracles evaluate the Boolean decomposition sums, their GF(2) probe rows and
 the Z3 gap-2 form one position set (or pair of positions) at a time, at every
 tuple; they pin the library's one letter-count kernel.  The remaining
 oracles are the slow enumerations that the library's direct computations
-replace: the permutation orbit of every Boolean gap-2 form, every phi map
+replace: the group code tables built entry by entry through decode and
+encode, the permutation orbit of every Boolean gap-2 form, every phi map
 tried against a reconstruction, every subset pair counted one by one, the
 arity gap scanned over every pair of essential variables (which the
 library reads off odd-support determination above max(|A|, 3)), phi
@@ -69,6 +70,16 @@ from fndecomp.tables import (
 def all_tuples(a_size, n):
     """Tuples in the same order the library indexes tables (pos 0 fastest)."""
     return [t[::-1] for t in product(range(a_size), repeat=n)]
+
+
+def naive_code_tables(group: Group):
+    """The add, neg and sub tables on codes, each entry decoded, computed on
+    residues and encoded again; sub is add composed with neg."""
+    elems = [group.decode(c) for c in range(group.order)]
+    add = [[group.encode(group.add(x, y)) for y in elems] for x in elems]
+    neg = [group.encode(group.neg(x)) for x in elems]
+    sub = [[add[a][neg[b]] for b in range(group.order)] for a in range(group.order)]
+    return add, neg, sub
 
 
 def naive_essential_variables(f: FnTable) -> set[int]:

@@ -207,6 +207,50 @@ def test_decompose_refuses_flags_its_mode_ignores(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_flags_are_checked_before_any_input_is_read(tmp_path, capsys):
+    # a refused flag is reported even when the input would not parse
+    missing = str(tmp_path / "missing.tbl")
+    out_tbl = tmp_path / "w.tbl"
+    for argv, message in (
+        (["decompose", missing, "--mode", "odd", "--k", "1"], "--k applies to"),
+        (["decompose", missing, "--mode", "taylor"], "--mode taylor requires --k"),
+        (["decompose", missing, "--mode", "taylor", "--k", "1", "--out", "p.txt"], "--out"),
+        (["witness", "--kind", "hamming", "--group", "Z0", "--b", "1"],
+         "--kind hamming requires --n"),
+        (["witness", "--kind", "tightness", "--n", "3", "--group", "Z4", "--b", "x"],
+         "--kind tightness requires"),
+        (["witness", "--kind", "large-alphabet", "--n", "2", "--group", "Zq", "--b", "1"],
+         "--kind large-alphabet requires"),
+    ):
+        if argv[0] == "witness":
+            argv += ["--out", str(out_tbl)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and not out_tbl.exists()
+        assert err.startswith(f"precondition failed: {message}") and err.count("\n") == 1
+
+
+def test_meta_requires_json(tmp_path, capsys):
+    path = write_parity(tmp_path, 3)
+    out_tbl = tmp_path / "w.tbl"
+    for argv in (["analyze", path, "--meta"], ["identities", "--max-m", "2", "--meta"],
+                 ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
+                  "--out", str(out_tbl), "--meta"]):
+        assert run(capsys, *argv) == (3, "", "precondition failed: --meta requires --json\n")
+    assert not out_tbl.exists() and not (tmp_path / "w.tbl.witness.txt").exists()
+    code, out, _ = run(capsys, "analyze", path, "--meta", "--json")
+    assert code == 0 and "meta" in json.loads(out)
+
+
+def test_code_tables_over_the_cell_budget_exit_3(tmp_path, capsys):
+    # Z4096 needs 4096**2 code-table entries, four times MAX_CELLS: refused
+    # where the group arithmetic starts, after the table parsed
+    path = tmp_path / "z4096.tbl"
+    path.write_text("domain=2\narity=1\ngroup=Z4096\n0 1\n")
+    message = "precondition failed: group order 4096 too large for dense Cayley tables\n"
+    for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
+        assert run(capsys, *argv, str(path)) == (3, "", message)
+
+
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):
     # at 2^16 the coefficient-free sum runs over 2^15 position sets per tuple
     for n in (4, 16):

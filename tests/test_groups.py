@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fndecomp import ArgumentError, DomainError, Group, ParseError, ResourceError, ShapeError
+from fndecomp.errors import MAX_CELLS
+from helpers import naive_code_tables
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -154,6 +156,46 @@ def test_code_tables_match_element_arithmetic():
             for cy, y in enumerate(g.elements()):
                 assert add[cx][cy] == g.encode(g.add(x, y))
                 assert sub[cx][cy] == g.encode(g.sub(x, y))
+
+
+def ordered_moduli(limit):
+    """Every tuple of moduli >= 2 whose product is at most limit, () included."""
+    yield ()
+    for m in range(2, limit + 1):
+        for rest in ordered_moduli(limit // m):
+            yield (m,) + rest
+
+
+def test_code_tables_match_the_per_entry_oracle():
+    # every factor order and every factor count up to order 32, then three
+    # groups of order 64 (at most 64**2 entries per table)
+    moduli = [*ordered_moduli(32), (64,), (2, 32), (4, 4, 4)]
+    assert len(moduli) == 139 and () in moduli and (2, 2, 2, 2, 2) in moduli
+    for ms in moduli:
+        g = Group(ms)
+        assert (g.code_add_table, g.code_neg_table, g.code_sub_table) == naive_code_tables(g), ms
+
+
+def test_code_tables_over_the_cell_budget_are_refused_before_any_entry():
+    import tracemalloc
+
+    # order**2 entries are counted against MAX_CELLS: 2048**2 is exactly the
+    # budget, and one element more is refused
+    assert 2048**2 == MAX_CELLS
+    for ms in ((2049,), (2, 1025), (4096,)):
+        g = Group(ms)
+        for name in ("code_add_table", "code_sub_table", "code_neg_table"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceError) as info:
+                    getattr(g, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == (
+                f"group order {g.order} too large for dense Cayley tables")
+            # a list of the codes alone would take 8 bytes per element
+            assert peak < 8 * g.order
 
 
 def test_messages_quote_long_numbers_in_excerpt():
