@@ -2,88 +2,63 @@
 is a finite abelian group: essential variables and arity gap, odd-support
 determination, discrete derivative calculus, decomposability bounds and
 witnesses, canonical Boolean-group decompositions, and the explicit gap
-classifications for Boolean tables and ternary operations."""
+classifications for Boolean tables and ternary operations.
 
-from .booldecomp import (
-    decompose_even,
-    decompose_odd,
-    decompose_uniform,
-    reconstruct_even,
-    reconstruct_odd,
-    reconstruct_uniform,
-    uniform_system_rank,
-)
-from .calculus import (
-    decomposability_witness,
-    decompose_via_taylor,
-    derivative_at_zero,
-    higher_derivative,
-    is_k_decomposable,
-    min_decomposition_arity,
-    partial_derivative,
-    taylor_terms,
-)
-from .classify import (
-    BooleanClassification,
-    BooleanGapForm,
-    Z3Classification,
-    Z3Params,
-    classify_boolean,
-    z3_build,
-    z3_classify,
-)
-from .errors import (
-    ArgumentError,
-    CoverageError,
-    DomainError,
-    FnDecompError,
-    InternalConsistencyError,
-    ParseError,
-    PreconditionError,
-    ResourceError,
-    ShapeError,
-)
-from .groups import Group
-from .identities import (
-    even_sum_lhs,
-    even_sum_rhs,
-    odd_sum_lhs,
-    odd_sum_pair_count,
-    odd_sum_rhs,
-)
-from .oddsupport import (
-    PhiMap,
-    determined_count,
-    dump_phi,
-    extract_phi,
-    is_determined,
-    load_phi,
-    odd_support,
-    phi_domain,
-    representative_tuple,
-    table_from_phi,
-)
-from .tables import (
-    FnTable,
-    arity_gap,
-    determined_via_symmetry,
-    dump_table,
-    essential_arity,
-    essential_variables,
-    identification_minor,
-    is_totally_symmetric,
-    load_table,
-    load_table_file,
-    reduce_to_essential,
-    save_table_file,
-    simple_minor,
-)
-from .witnesses import (
-    WitnessBundle,
-    hamming_extension,
-    hamming_witness,
-    large_alphabet_witness,
-    tightness_witness,
-)
+Every library module is registered in sys.modules and bound here at import,
+but loaded lazily (importlib.util.LazyLoader): its source is compiled and run
+at the first access to one of its attributes.  The names of __all__, listed
+below by module, are served from their modules on access (PEP 562), so a
+command compiles only the modules it uses.
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": "ArgumentError CoverageError DomainError FnDecompError InternalConsistencyError "
+              "ParseError PreconditionError ResourceError ShapeError",
+    "records": "",
+    "groups": "Group",
+    "tables": "FnTable arity_gap determined_via_symmetry dump_table essential_arity "
+              "essential_variables identification_minor is_totally_symmetric load_table "
+              "load_table_file reduce_to_essential save_table_file simple_minor",
+    "calculus": "decomposability_witness decompose_via_taylor derivative_at_zero "
+                "higher_derivative is_k_decomposable min_decomposition_arity "
+                "partial_derivative taylor_terms",
+    "oddsupport": "PhiMap determined_count dump_phi extract_phi is_determined load_phi "
+                  "odd_support phi_domain representative_tuple table_from_phi",
+    "booldecomp": "decompose_even decompose_odd decompose_uniform reconstruct_even "
+                  "reconstruct_odd reconstruct_uniform uniform_system_rank",
+    "classify": "BooleanClassification BooleanGapForm Z3Classification Z3Params "
+                "classify_boolean z3_build z3_classify",
+    "identities": "even_sum_lhs even_sum_rhs odd_sum_lhs odd_sum_pair_count odd_sum_rhs",
+    "witnesses": "WitnessBundle hamming_extension hamming_witness large_alphabet_witness "
+                 "tightness_witness",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def _lazy(name):
+    """fndecomp.<name>, registered in sys.modules and loaded at its first
+    attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({module: _lazy(module) for module in _EXPORTS})
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_MODULE_OF[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,9 +12,12 @@ Exit codes: 0 all requested checks passed, 2 ParseError, 4
 InternalConsistencyError (a theorem-violation tripwire that should be
 unreachable), 3 any other FnDecompError (a precondition or argument error).
 
-``hashlib`` and ``json`` are imported where they are used, so that start-up
-stays small for the commands that need neither (``--help``, ``identities`` and
-``witness`` without ``--json``).
+Start-up loads only what a command runs.  ``hashlib`` and ``json`` are
+imported where they are used, so commands that need neither (``--help``,
+``identities`` and ``witness`` without ``--json``) skip them.  The library
+modules bound below are the package's lazy modules: each is compiled at its
+first attribute access, and main loads those of the named subcommand (_RUNS)
+before it builds the parser, so ``--help`` compiles none beyond ``errors``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ import argparse
 import sys
 import time
 
-from . import booldecomp, calculus, classify, identities, oddsupport, tables, witnesses
+from . import booldecomp, calculus, classify, groups, identities, oddsupport, tables, witnesses
 from .errors import ArgumentError, FnDecompError, InternalConsistencyError, ParseError
-from .groups import Group
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,9 +57,9 @@ def _write_text(path: str, text: str) -> None:
         raise ArgumentError(f"cannot write {path}: {exc}") from None
 
 
-def _load_table(path: str) -> tuple[tables.FnTable, dict]:
+def _load_table(path: str, code_tables: bool = False) -> tuple[tables.FnTable, dict]:
     text, digest = _read_text(path)
-    return tables.load_table(text), digest
+    return tables.load_table(text, code_tables), digest
 
 
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
@@ -106,7 +108,7 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    f, digest = _load_table(args.table)
+    f, digest = _load_table(args.table, code_tables=True)
     ess = sorted(tables.essential_variables(f))
     verdicts = {
         "essential_variables": ess,
@@ -143,7 +145,7 @@ def _cmd_decompose(args) -> None:
         raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
     if taylor and args.out is not None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
-    f, digest = _load_table(args.table)
+    f, digest = _load_table(args.table, code_tables=taylor)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
     if taylor:
         terms = calculus.decompose_via_taylor(f, args.k)
@@ -254,7 +256,8 @@ def _cmd_witness(args) -> None:
         raise ArgumentError("--kind hamming requires --n")
     if args.kind == "large-alphabet" and None in (args.n, args.a_size):
         raise ArgumentError("--kind large-alphabet requires --n and --a-size")
-    group = Group.from_text(args.group)
+    group = groups.Group.from_text(args.group)
+    group.check_code_tables()
     b = group.parse_element(args.b)
     if args.kind == "tightness":
         bundle = witnesses.tightness_witness(args.ell, args.e, group, b, args.n)
@@ -332,9 +335,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What each subcommand, and each decompose mode, runs of the library, each
+# module after those it imports from this list.  The package loads its
+# modules lazily; main loads those of every word of argv named here before
+# argparse builds the parser (any attribute access loads a module).  A module
+# compiled after argparse, hashlib or the input stacks its compile memory on
+# top of theirs and raises the command's peak resident set; so does one
+# compiled while a module that imports it runs.  argparse still decides what
+# runs.
+_RUNS = {"analyze": (tables, oddsupport, calculus), "decompose": (tables,),
+         "classify": (tables, oddsupport, classify), "identities": (tables, calculus, identities),
+         "witness": (tables, calculus, oddsupport, witnesses), "taylor": (calculus,),
+         "odd": (oddsupport, booldecomp), "even": (oddsupport, booldecomp),
+         "fitilde": (oddsupport, booldecomp)}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    for word in argv:
+        for module in _RUNS.get(word, ()):
+            vars(module)
+    args = _build_parser().parse_args(argv)
     try:
         if args.meta and not args.json:
             raise ArgumentError("--meta requires --json")

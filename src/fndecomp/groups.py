@@ -175,6 +175,14 @@ class Group(Record):
             code //= m
         return tuple(out)
 
+    def check_code_tables(self) -> None:
+        """Refuse, with ResourceError, a group whose dense code tables would
+        hold more than MAX_CELLS entries (order**2 each)."""
+        if self.order**2 > MAX_CELLS:
+            raise ResourceError(
+                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
+            )
+
     def _code_table(self, sign: int) -> list[list[int]]:
         """Entry [x][y] is the code of x + sign*y, for codes x and y.
 
@@ -183,10 +191,7 @@ class Group(Record):
         times the weight of the next factor m, give the table over one
         factor more.  Every entry is taken from one list of codes, so the
         table holds one pointer per entry and no int of its own."""
-        if self.order**2 > MAX_CELLS:
-            raise ResourceError(
-                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
-            )
+        self.check_code_tables()
         codes = list(range(self.order))
         table, weight = [[0]], 1
         for m in self.moduli:

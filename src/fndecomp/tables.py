@@ -406,8 +406,12 @@ def dump_table(f: FnTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_table(text: str) -> FnTable:
+def load_table(text: str, code_tables: bool = False) -> FnTable:
     """The table a text in the file format describes (see dump_table).
+
+    With code_tables, a codomain whose code tables are over the budget
+    (Group.check_code_tables) is refused once the header is read, before any
+    value is parsed: for callers that go on to code arithmetic.
 
     One pass over the lines.  The first TOKEN_MEMO_LIMIT distinct value
     tokens are parsed once each and their codes remembered for the rest of
@@ -447,6 +451,8 @@ def load_table(text: str) -> FnTable:
     if a_size < 2:
         raise ParseError(f"domain size must be >= 2, got {a_size}", line=fields["domain"][0])
     check_cells(a_size, arity)
+    if code_tables:
+        group.check_code_tables()
     expected = a_size**arity
     code_of: dict[str, int] = {}
     codes: list[int] = []

@@ -243,12 +243,36 @@ def test_meta_requires_json(tmp_path, capsys):
 
 def test_code_tables_over_the_cell_budget_exit_3(tmp_path, capsys):
     # Z4096 needs 4096**2 code-table entries, four times MAX_CELLS: refused
-    # where the group arithmetic starts, after the table parsed
+    # once the header is read
     path = tmp_path / "z4096.tbl"
     path.write_text("domain=2\narity=1\ngroup=Z4096\n0 1\n")
     message = "precondition failed: group order 4096 too large for dense Cayley tables\n"
     for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
         assert run(capsys, *argv, str(path)) == (3, "", message)
+
+
+def test_code_tables_over_the_cell_budget_are_refused_before_any_table_work(
+        tmp_path, capsys, monkeypatch):
+    # the order is known once the header or --group is parsed: no value is
+    # parsed and no table is built or scanned before the refusal
+    import fndecomp.tables as tables_mod
+    import fndecomp.witnesses as witnesses_mod
+
+    def no_table_work(*args, **kwargs):
+        raise AssertionError("table work before the code-table refusal")
+
+    monkeypatch.setattr(Group, "parse_element", no_table_work)
+    monkeypatch.setattr(tables_mod, "essential_variables", no_table_work)
+    monkeypatch.setattr(witnesses_mod, "hamming_witness", no_table_work)
+    path = tmp_path / "z4096.tbl"
+    path.write_text("domain=2\narity=20\ngroup=Z4096\n0\n")
+    message = "precondition failed: group order {} too large for dense Cayley tables\n"
+    for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
+        assert run(capsys, *argv, str(path)) == (3, "", message.format(4096))
+    out_tbl = tmp_path / "w.tbl"
+    assert run(capsys, "witness", "--kind", "hamming", "--n", "20", "--group", "Z4095",
+               "--b", "1", "--out", str(out_tbl)) == (3, "", message.format(4095))
+    assert not out_tbl.exists()
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):
@@ -580,14 +604,27 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def loaded_modules(code):
     """Names in sys.modules when a fresh interpreter, in this test's
-    environment with the package on its path, has run code."""
-    probe = ("import sys\ntry:\n    exec(%r)\nfinally:\n"
-             "    print(*sys.modules, file=sys.stderr)" % code)
+    environment with the package on its path, has run code.  A library
+    module counts once it is loaded: until then it is a lazy module, whose
+    type changes to types.ModuleType at its first attribute access."""
+    probe = ("import sys, types\ntry:\n    exec(%r)\nfinally:\n"
+             "    print(*[name for name, module in sys.modules.items()\n"
+             "            if not name.startswith('fndecomp.')\n"
+             "            or type(module) is types.ModuleType], file=sys.stderr)" % code)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
+
+
+LIBRARY = ["tables", "calculus", "oddsupport", "booldecomp", "classify", "identities", "witnesses"]
+
+
+def command_modules(argv):
+    return loaded_modules(
+        "import runpy; sys.argv = ['fndecomp', *%r]; "
+        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["identities", "--max-m", "3"]])
@@ -597,12 +634,26 @@ def test_startup_imports(argv):
     cli = loaded_modules("import fndecomp.cli") - bare
     assert "fndecomp.cli" in cli
     assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    command = loaded_modules(
-        "import runpy; sys.argv = ['fndecomp', *%r]; "
-        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,)
-    ) - bare
+    assert not cli & {f"fndecomp.{name}" for name in LIBRARY}
+    command = command_modules(argv) - bare
     assert "argparse" in command
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["--help"], ["records", "groups", *LIBRARY]),
+    (["decompose", "TABLE", "--mode", "taylor", "--k", "1"], LIBRARY[2:]),
+])
+def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, unloaded):
+    # without bytecode every module loaded is compiled from source
+    path = tmp_path / "t.tbl"
+    path.write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
+    argv = [str(path) if word == "TABLE" else word for word in argv]
+    command = command_modules(argv)
+    assert "fndecomp.cli" in command
+    assert not command & {f"fndecomp.{name}" for name in unloaded}
+    if "taylor" in argv:
+        assert {"fndecomp.tables", "fndecomp.calculus"} <= command
 
 
 if __name__ == "__main__":

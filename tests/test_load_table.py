@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fndecomp import FnTable, Group, dump_table, load_table
-from fndecomp.errors import FnDecompError
+from fndecomp.errors import FnDecompError, ParseError, ResourceError
 from helpers import pointwise_load_table, random_table
 
 
@@ -188,3 +188,15 @@ def test_tokens_beyond_the_memo_limit_match_pointwise_parser(monkeypatch):
     for text in CORPUS + ["domain=2\narity=2\ngroup=Z9\n0 1 2 3\n4 8 09\n",
                           "domain=2\narity=2\ngroup=Z9\n0 1 2 3 4 x\n"]:
         assert_same(text)
+
+
+def test_code_tables_flag_refuses_an_over_budget_codomain_after_the_header():
+    # Z4096's code tables would hold 4096**2 entries, four times MAX_CELLS;
+    # with code_tables the body is never parsed, so its bad token is not seen
+    text = "domain=2\narity=1\ngroup=Z4096\n0 x\n"
+    with pytest.raises(ResourceError, match="group order 4096 too large"):
+        load_table(text, code_tables=True)
+    with pytest.raises(ParseError, match="line 4"):
+        load_table(text)
+    ok = "domain=2\narity=1\ngroup=Z2048\n0 2047\n"
+    assert load_table(ok, code_tables=True) == load_table(ok)
