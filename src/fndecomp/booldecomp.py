@@ -87,7 +87,7 @@ def uniform_sum_sizes(n: int) -> list[int]:
     return [n - 2 * i for i in range(1, n // 2 + 1)]
 
 
-def _require_boolean(group: Group) -> None:
+def require_boolean(group: Group) -> None:
     if not group.is_boolean():
         raise PreconditionError(
             f"codomain {excerpt(group.to_text())} is not Boolean (every factor must be Z2)"
@@ -142,7 +142,7 @@ def reconstruct_odd(phi: PhiMap) -> FnTable:
     """Evaluate the odd-case decomposition sum for a phi_domain-keyed map."""
     if phi.kind != PNPRIME:
         raise ArgumentError("odd-case reconstruction needs a pnprime phi map")
-    _require_boolean(phi.group)
+    require_boolean(phi.group)
     n = phi.arity
     t = odd_case_shift(phi.a_size, n)
     return _sum_table(phi, n, first_sum_sizes(n, t))
@@ -152,7 +152,7 @@ def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
     """Evaluate the even-case decomposition sum for a full paired map."""
     if phi.kind != FULL:
         raise ArgumentError("even-case reconstruction needs a full paired phi map")
-    _require_boolean(phi.group)
+    require_boolean(phi.group)
     t = even_case_shift(phi.a_size, n)
     sizes = first_sum_sizes(n, t) + second_sum_sizes(n, t)
     return _sum_table(phi, n, sizes)
@@ -162,7 +162,7 @@ def reconstruct_uniform(phi: PhiMap) -> FnTable:
     """Evaluate the coefficient-free sum over sizes n-2, n-4, ..."""
     if phi.kind != PNPRIME:
         raise ArgumentError("uniform reconstruction needs a pnprime phi map")
-    _require_boolean(phi.group)
+    require_boolean(phi.group)
     return _sum_table(phi, phi.arity, uniform_sum_sizes(phi.arity))
 
 
@@ -258,7 +258,7 @@ def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: 
 
 def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f."""
-    _require_boolean(f.group)
+    require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
     entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), pairing=False,
                              require_unique=True)
@@ -267,7 +267,7 @@ def decompose_odd(f: FnTable) -> PhiMap:
 
 def decompose_even(f: FnTable) -> PhiMap:
     """The unique full paired phi with reconstruct_even(phi, f.arity) == f."""
-    _require_boolean(f.group)
+    require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
     entries = _solve_for_phi(f, sizes, pairing=True, require_unique=True)
@@ -290,7 +290,7 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     Existence is guaranteed for determined f in the regime n > max(|A|, 3);
     uniqueness is not claimed, see uniform_system_rank.
     """
-    _require_boolean(f.group)
+    require_boolean(f.group)
     n = f.arity
     limit = pair_scan_limit(f.a_size)
     if n <= limit:

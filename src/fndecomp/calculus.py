@@ -13,21 +13,23 @@ at the base point.  That criterion drives the decomposability tests here.
 Every derivative value at the base comes from one finite-difference transform
 of the table (``_derivative_coefficients``): the decomposability tests scan it
 and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
-single derivative on its own and serves as the independent check.  The
-transform and ``partial_derivative`` walk the table along one coordinate at a
-time through ``tables.zero_slices``, the slice plan that essential variables
-and the arity gap read too.
+single derivative on its own, with plain modular sums, and serves as the
+independent check.  The transform and ``partial_derivative`` run on the
+packed table of ``groups.Packing``: one pass per coordinate masks the cells
+with x_i = b, shifts them onto the other cells along i and subtracts, every
+cell at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError
-from .groups import Element
-from .tables import FnTable, tuple_index, zero_slices
+from .groups import Element, Packing
+from .tables import FnTable, tuple_index
 
 # bytes.translate table adding 1 to every byte below 255
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -52,21 +54,27 @@ def _check_point(f: FnTable, x: Sequence[int], what: str) -> tuple[int, ...]:
     return tuple(x)
 
 
+def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
+                  digits: Iterable[int]) -> int:
+    """The cells of the packed table c with x_i = b, copied to the cells with
+    x_i = d for each d in digits, and zero elsewhere."""
+    run = a_size**i * p.width
+    block = bytes(b * run) + b"\xff" * run + bytes((a_size - 1 - b) * run)
+    ref = c & int.from_bytes(block * a_size ** (arity - i - 1), "little")
+    return sum(ref << (d - b) * 8 * run if d >= b else ref >> (b - d) * 8 * run for d in digits)
+
+
 def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
     """Table of f(x with position i set to a_val) - f(x)."""
     if not 0 <= i < f.arity:
         raise ArgumentError(f"position {i} out of range for arity {f.arity}")
     if not 0 <= a_val < f.a_size:
         raise DomainError(f"parameter {a_val} out of range for alphabet {f.a_size}")
-    a, vals = f.a_size, f.values
-    sub = f.group.code_sub_table
-    stride = a**i
-    out = [0] * len(vals)
-    for lo, hi, step in zero_slices(a, f.arity, (i,)):
-        ref = vals[lo + a_val * stride:hi + a_val * stride:step]
-        for d in range(0, a * stride, stride):
-            out[lo + d:hi + d:step] = [sub[u][v] for u, v in zip(ref, vals[lo + d:hi + d:step])]
-    return FnTable(a, f.arity, f.group, out)
+    a = f.a_size
+    p = Packing(f.group, len(f.values))
+    c = p.pack(f.values)
+    ref = _copied_along(p, c, a, f.arity, i, a_val, range(a))
+    return FnTable(a, f.arity, f.group, p.unpack(p.sub(ref, c)))
 
 
 def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) -> FnTable:
@@ -87,31 +95,31 @@ def derivative_at_zero(
 ) -> Element:
     """Value of the derivative at the base point (all-zero tuple by default).
 
-    Streams the alternating sum without building any table.
+    Counts how often each value code enters the alternating sum with each
+    sign, without building any table, and sums the residues of each cyclic
+    factor on their own: the independent check of the packed transform.
     """
     positions = _check_positions(f, vars)
     params = _check_point(f, params, "parameter tuple")
     base = (0,) * f.arity if base is None else _check_point(f, base, "base point")
     a = f.a_size
-    s = len(positions)
     base_idx = tuple_index(a, base)
-    deltas = [(params[i] - base[i]) * a**i for i in positions]
-    # subset_sum[m] = sum of deltas over the bits of m
-    subset_sum = [0] * (1 << s)
-    for m in range(1, 1 << s):
-        low = m & -m
-        subset_sum[m] = subset_sum[m ^ low] + deltas[low.bit_length() - 1]
-    add = f.group.code_add_table
-    sub = f.group.code_sub_table
-    vals = f.values
-    acc = 0
-    for m in range(1 << s):
-        term = vals[base_idx + subset_sum[m]]
-        if (s - m.bit_count()) & 1:
-            acc = sub[acc][term]
-        else:
-            acc = add[acc][term]
-    return f.group.decode(acc)
+    # offsets from base of the cells on an even and an odd number of positions
+    even, odd = [base_idx], []
+    for i in positions:
+        delta = (params[i] - base[i]) * a**i
+        moved = list(map(delta.__add__, odd))
+        odd += map(delta.__add__, even)
+        even += moved
+    if len(positions) & 1:
+        even, odd = odd, even
+    vals, group = f.values, f.group
+    sums = [0] * len(group.moduli)
+    for sign, offsets in ((1, even), (-1, odd)):
+        for code, count in Counter(map(vals.__getitem__, offsets)).items():
+            for t, r in enumerate(group.decode(code)):
+                sums[t] += sign * count * r
+    return tuple(s % m for s, m in zip(sums, group.moduli))
 
 
 # ----------------------------------------------------------------------
@@ -128,27 +136,21 @@ def _check_k(f: FnTable, k: int) -> None:
         raise ArgumentError(f"k must be between 0 and {f.arity}, got {k}")
 
 
-def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> list[int]:
+def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> Sequence[int]:
     """Codes c with c[index(x)] = the derivative of f at base on the positions
     where x differs from base, with parameters x.
 
-    Mixed-radix finite-difference transform: one in-place pass per coordinate
-    i subtracts, from every x with x_i != base_i, the entry with x_i = base_i,
-    a slice of zero_slices(bound=(i,)) at a time.  Costs arity * |A|**arity
-    code subtractions.
+    Mixed-radix finite-difference transform on the packed table: one pass per
+    coordinate i subtracts, from every x with x_i != base_i, the entry with
+    x_i = base_i, all cells at once.  Costs arity * |A|**arity field
+    subtractions, done as a few big-int operations per pass.
     """
     a = f.a_size
-    sub = f.group.code_sub_table
-    c = list(f.values)
+    p = Packing(f.group, len(f.values))
+    c = p.pack(f.values)
     for i, b in enumerate(base):
-        stride = a**i
-        for lo, hi, step in zero_slices(a, f.arity, (i,)):
-            ref = c[lo + b * stride:hi + b * stride:step]
-            for d in range(a):
-                if d != b:
-                    run = slice(lo + d * stride, hi + d * stride, step)
-                    c[run] = [sub[u][v] for u, v in zip(c[run], ref)]
-    return c
+        c = p.sub(c, _copied_along(p, c, a, f.arity, i, b, (d for d in range(a) if d != b)))
+    return p.unpack(c)
 
 
 def _support_sizes(a_size: int, base: tuple[int, ...]) -> bytes:
@@ -160,13 +162,13 @@ def _support_sizes(a_size: int, base: tuple[int, ...]) -> bytes:
     return sizes
 
 
-def _top_size(sizes: bytes, c: list[int]) -> int:
+def _top_size(sizes: bytes, c: Sequence[int]) -> int:
     """Largest support size with a nonzero coefficient (0 if none)."""
     return max((s for s, v in zip(sizes, c) if v), default=0)
 
 
 def _first_witness(
-    f: FnTable, base: tuple[int, ...], c: list[int], k: int
+    f: FnTable, base: tuple[int, ...], c: Sequence[int], k: int
 ) -> Witness | None:
     """The witness of decomposability_witness, read off the coefficients c."""
     sizes = _support_sizes(f.a_size, base)
@@ -197,7 +199,7 @@ def _check_taylor_cells(f: FnTable, terms: int) -> None:
         )
 
 
-def _term_table(f: FnTable, base: tuple[int, ...], c: list[int], mask: int) -> FnTable:
+def _term_table(f: FnTable, base: tuple[int, ...], c: Sequence[int], mask: int) -> FnTable:
     """Term of the position set I = bits of mask: x -> c at (x on I, base
     elsewhere), which is zero where some x_i on I equals base_i."""
     a = f.a_size
@@ -214,7 +216,7 @@ def _term_table(f: FnTable, base: tuple[int, ...], c: list[int], mask: int) -> F
 
 
 def _taylor_terms_upto(
-    f: FnTable, base: tuple[int, ...], c: list[int], k: int
+    f: FnTable, base: tuple[int, ...], c: Sequence[int], k: int
 ) -> list[tuple[frozenset[int], FnTable]]:
     """The terms on at most k positions, by size ascending, then mask ascending."""
     terms = []

@@ -112,10 +112,15 @@ def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
     return index
 
 
+def check_boolean_table(a_size: int, arity: int, group: Group) -> None:
+    """What classify_boolean needs of a table's header: {0,1} -> Z2."""
+    if a_size != 2 or group.moduli != (2,):
+        raise ArgumentError("boolean classification needs a {0,1} -> Z2 table")
+
+
 def classify_boolean(f: FnTable) -> BooleanClassification:
     """Gap verdict for a Boolean table with at least two essential variables."""
-    if f.a_size != 2 or f.group.moduli != (2,):
-        raise ArgumentError("boolean classification needs a {0,1} -> Z2 table")
+    check_boolean_table(f.a_size, f.arity, f.group)
     g = reduce_to_essential(f)
     if g.arity < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
@@ -191,12 +196,17 @@ def z3_build(n: int, params: Z3Params) -> FnTable:
     return FnTable(3, n, Z3, by_letter_counts(3, n, form))
 
 
+def check_z3_table(a_size: int, arity: int, group: Group) -> None:
+    """What z3_classify needs of a table's header: Z3 -> Z3, arity >= 4."""
+    if a_size != 3 or group.moduli != (3,):
+        raise ArgumentError("ternary classification needs a Z3 -> Z3 table")
+    if arity < 4:
+        raise ArgumentError(f"ternary classification needs arity >= 4, got {arity}")
+
+
 def z3_classify(f: FnTable) -> Z3Classification:
     """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4."""
-    if f.a_size != 3 or f.group.moduli != (3,):
-        raise ArgumentError("ternary classification needs a Z3 -> Z3 table")
-    if f.arity < 4:
-        raise ArgumentError(f"ternary classification needs arity >= 4, got {f.arity}")
+    check_z3_table(f.a_size, f.arity, f.group)
     if len(essential_variables(f)) < 2:
         return Z3Classification("degenerate", None)
     phi = extract_phi(f)

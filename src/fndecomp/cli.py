@@ -57,9 +57,22 @@ def _write_text(path: str, text: str) -> None:
         raise ArgumentError(f"cannot write {path}: {exc}") from None
 
 
-def _load_table(path: str, code_tables: bool = False) -> tuple[tables.FnTable, dict]:
+def _load_table(path: str, check) -> tuple[tables.FnTable, dict]:
+    """The table in the file at path and its digest; check(a_size, arity,
+    group) runs once the header is read, before any value is parsed."""
     text, digest = _read_text(path)
-    return tables.load_table(text, code_tables), digest
+    return tables.load_table(text, check), digest
+
+
+def _packable(a_size: int, arity: int, group: groups.Group) -> None:
+    """What the packed group arithmetic needs of a table's header: cells of
+    at most groups.PACKED_BITS bits, which groups.packed_cell checks."""
+    groups.packed_cell(group.moduli)
+
+
+def _boolean_codomain(a_size: int, arity: int, group: groups.Group) -> None:
+    """What the phi modes of decompose need of a table's header."""
+    booldecomp.require_boolean(group)
 
 
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
@@ -108,7 +121,7 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    f, digest = _load_table(args.table, code_tables=True)
+    f, digest = _load_table(args.table, _packable)
     ess = sorted(tables.essential_variables(f))
     verdicts = {
         "essential_variables": ess,
@@ -130,11 +143,11 @@ def _cmd_analyze(args) -> None:
 
 
 def _sum_tables(group, parts):
-    add = group.code_add_table
-    acc = [0] * len(parts[0].values)
+    packing = groups.Packing(group, len(parts[0].values))
+    acc = 0
     for part in parts:
-        acc = [add[x][y] for x, y in zip(acc, part.values)]
-    return tuple(acc)
+        acc = packing.add(acc, packing.pack(part.values))
+    return tuple(packing.unpack(acc))
 
 
 def _cmd_decompose(args) -> None:
@@ -145,7 +158,7 @@ def _cmd_decompose(args) -> None:
         raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
     if taylor and args.out is not None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
-    f, digest = _load_table(args.table, code_tables=taylor)
+    f, digest = _load_table(args.table, _packable if taylor else _boolean_codomain)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
     if taylor:
         terms = calculus.decompose_via_taylor(f, args.k)
@@ -209,7 +222,8 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
 
 
 def _cmd_classify(args) -> None:
-    f, digest = _load_table(args.table)
+    f, digest = _load_table(args.table, classify.check_boolean_table
+                            if args.target == "boolean" else classify.check_z3_table)
     verdicts: dict = {"target": args.target}
     payload: dict = {}
     if args.target == "boolean":
@@ -257,7 +271,7 @@ def _cmd_witness(args) -> None:
     if args.kind == "large-alphabet" and None in (args.n, args.a_size):
         raise ArgumentError("--kind large-alphabet requires --n and --a-size")
     group = groups.Group.from_text(args.group)
-    group.check_code_tables()
+    groups.packed_cell(group.moduli)
     b = group.parse_element(args.b)
     if args.kind == "tightness":
         bundle = witnesses.tightness_witness(args.ell, args.e, group, b, args.n)

@@ -4,10 +4,10 @@ The CLI maps these onto its exit codes: ParseError exits 2,
 InternalConsistencyError exits 4, and every other FnDecompError (precondition,
 argument, shape, domain, coverage and resource errors) exits 3.
 
-MAX_CELLS, the one size budget behind every ResourceError, lives here beside
-its error, so that every module reads it from one place: groups counts its
-dense code tables against it, and tables, calculus, oddsupport and
-identities their tables, masks and products.
+MAX_CELLS, the one size budget behind every ResourceError but the width of a
+packed cell (groups.PACKED_BITS), lives here beside its error, so that every
+module reads it from one place: tables, calculus, oddsupport and identities
+count their tables, masks and products against it.
 """
 
 
@@ -47,8 +47,9 @@ class ResourceError(FnDecompError, ValueError):
     """The requested computation exceeds a documented size guardrail."""
 
 
-# Cells one table, or one Taylor materialization in all, may allocate (about
-# 32 MB of value codes), and entries a group's dense code tables may hold.
+# Cells one table, or one Taylor materialization in all, may allocate: about
+# 32 MB of value codes as a tuple, and at most 16 MB as a packed table
+# (groups.Packing takes at most four bytes per cell).
 MAX_CELLS = 1 << 22
 
 

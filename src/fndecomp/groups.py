@@ -5,20 +5,27 @@ A group is specified by the moduli of its cyclic factors, e.g.
 factor; the empty product is the trivial group whose only element is ``()``.
 
 Every element also has a dense integer code (mixed-radix, factor 0 least
-significant), used by the table machinery to keep value storage flat.  The
-dense addition and subtraction tables on codes hold order**2 entries each and
-are counted against ``errors.MAX_CELLS``, the package's one size budget, so
-they exist for groups of order up to 2048.
+significant), used by the table machinery to keep value storage flat.  Whole
+tables of codes are added and subtracted by ``Packing``: one int holds the
+table, one cell per entry and one bit field per cyclic factor in a cell, and
+a few big-int steps reduce every field modulo its factor at once.  A cell
+takes at most PACKED_BITS = 32 bits, so a packed table of MAX_CELLS cells
+(``errors.MAX_CELLS``) holds at most 16 MB.  ``packed_cell`` refuses a wider
+group; every cyclic group of order up to 2**31 fits, and so does every group
+of order up to 2048.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import struct
+import sys
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
-    MAX_CELLS,
     ArgumentError,
     DomainError,
     ParseError,
@@ -30,6 +37,9 @@ from .errors import (
 from .records import Record
 
 Element = tuple[int, ...]
+
+# Bits of one packed cell, the fields of all cyclic factors together.
+PACKED_BITS = 32
 
 # Python's default limit on digits in an int() conversion
 # (sys.int_info.default_max_str_digits); int() raises ValueError above it.
@@ -175,45 +185,6 @@ class Group(Record):
             code //= m
         return tuple(out)
 
-    def check_code_tables(self) -> None:
-        """Refuse, with ResourceError, a group whose dense code tables would
-        hold more than MAX_CELLS entries (order**2 each)."""
-        if self.order**2 > MAX_CELLS:
-            raise ResourceError(
-                f"group order {excerpt_int(self.order)} too large for dense Cayley tables"
-            )
-
-    def _code_table(self, sign: int) -> list[list[int]]:
-        """Entry [x][y] is the code of x + sign*y, for codes x and y.
-
-        Built one cyclic factor at a time, factor 0 least significant: the
-        rows of the table over the first factors, shifted by (x + sign*y) % m
-        times the weight of the next factor m, give the table over one
-        factor more.  Every entry is taken from one list of codes, so the
-        table holds one pointer per entry and no int of its own."""
-        self.check_code_tables()
-        codes = list(range(self.order))
-        table, weight = [[0]], 1
-        for m in self.moduli:
-            table = [[codes[v + (x + sign * y) % m * weight] for y in range(m) for v in row]
-                     for x in range(m) for row in table]
-            weight *= m
-        return table
-
-    @cached_property
-    def code_add_table(self) -> list[list[int]]:
-        """Full addition table on codes: order**2 entries within MAX_CELLS."""
-        return self._code_table(1)
-
-    @cached_property
-    def code_sub_table(self) -> list[list[int]]:
-        """Full subtraction table on codes: [x][y] is the code of x - y."""
-        return self._code_table(-1)
-
-    @cached_property
-    def code_neg_table(self) -> list[int]:
-        return self.code_sub_table[0]
-
     # ------------------------------------------------------------------
     # element text form: residues joined by commas; "0" for the trivial group
     # ------------------------------------------------------------------
@@ -249,3 +220,83 @@ class Group(Record):
                 )
             residues.append(r)
         return tuple(residues)
+
+
+@lru_cache(maxsize=64)
+def packed_cell(moduli: tuple[int, ...]) -> tuple:
+    """One cell of a Packing over these moduli: its width in bytes, the bits
+    and offset of each field, M, K and TOP, and per field width b the top
+    bits of the fields that wide with b - 1.  ResourceError when the fields
+    take more than PACKED_BITS bits."""
+    bits = [(m - 1).bit_length() + 1 for m in moduli]
+    if sum(bits) > PACKED_BITS:
+        raise ResourceError(
+            f"group order {excerpt_int(math.prod(moduli))} too large for packed residues: "
+            f"{sum(bits)} bits per cell, more than {PACKED_BITS}"
+        )
+    fields = tuple(zip(bits, accumulate(bits, initial=0)))
+    tops = {w: sum(1 << o + b - 1 for b, o in fields if b == w) for w in bits}
+    return (1 if sum(bits) <= 8 else 2 if sum(bits) <= 16 else 4, fields,
+            sum(m << o for m, (b, o) in zip(moduli, fields)),
+            sum((1 << b - 1) - m << o for m, (b, o) in zip(moduli, fields)),
+            sum(tops.values()), tuple((top, w - 1) for w, top in tops.items()))
+
+
+class Packing:
+    """The codes of `cells` elements as one int, `width` bytes per cell, cell
+    j from bit 8 * width * j up, with one field per cyclic factor Z_m, factor
+    0 lowest: the residue, in b bits, the least b with 2m - 1 < 2**b.
+
+    add and sub act on every field at once, with no carry between fields.
+    S = x + y, or x + (M - y) where M holds m in each field, is below 2m.
+    With K = 2**(b-1) - m in each field, (S + K) & TOP flags the top bit of
+    the fields where S >= m.  A flag, doubled, less its copy at the bottom of
+    its field fills the field, and & M leaves the m that S then loses.
+    """
+
+    def __init__(self, group: Group, cells: int):
+        self.group, self.cells = group, cells
+        self.width, self.fields, mods, bias, tops, lows = packed_cell(group.moduli)
+        self.typecode = "BHI"[self.width.bit_length() - 1]
+        self.cell_struct = struct.Struct(f"<{cells}{self.typecode}")
+        self.mods, self.bias, self.tops = map(self._every_cell, (mods, bias, tops))
+        # with one field width, every flag moves to the bottom of its field
+        # by one shift, and no mask is needed
+        self.lows = lows if len(lows) == 1 else [(self._every_cell(t), s) for t, s in lows]
+
+    def _every_cell(self, value: int) -> int:
+        return int.from_bytes(value.to_bytes(self.width, "little") * self.cells, "little")
+
+    def pack(self, codes: Sequence[int]) -> int:
+        if len(self.fields) > 1:
+            decode = self.group.decode
+            spread = {c: sum(r << o for r, (b, o) in zip(decode(c), self.fields))
+                      for c in set(codes)}
+            codes = map(spread.__getitem__, codes)
+        # a lone starred tuple is passed on as it is, with no copy
+        return int.from_bytes(self.cell_struct.pack(*codes), "little")
+
+    def unpack(self, x: int) -> memoryview:
+        """The codes in x, as a view of `width`-byte native integers."""
+        if len(self.fields) > 1:
+            # the code of an element is below the order, which fits in a cell
+            weights = accumulate(self.group.moduli, mul, initial=1)
+            x = sum((x >> o & self._every_cell((1 << b) - 1)) * w
+                    for (b, o), w in zip(self.fields, weights))
+        cells = memoryview(x.to_bytes(self.cells * self.width, sys.byteorder)).cast(self.typecode)
+        # in big-endian order the bytes of cell 0 come last
+        return cells if sys.byteorder == "little" else cells[::-1]
+
+    def add(self, x: int, y: int) -> int:
+        return self._reduce(x + y)
+
+    def sub(self, x: int, y: int) -> int:
+        return self._reduce(x + (self.mods - y))
+
+    def _reduce(self, s: int) -> int:
+        flags = (s + self.bias) & self.tops
+        if len(self.lows) == 1:  # every field equally wide
+            lows = flags >> self.lows[0][1]
+        else:
+            lows = sum((flags & top) >> shift for top, shift in self.lows)
+        return s - (((flags << 1) - lows) & self.mods)

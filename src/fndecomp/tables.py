@@ -13,10 +13,10 @@ list per table index: minors and the odd-support maps are built on it.
 ``zero_slices`` is the one plan for a scan along coordinates: it covers the
 cells where a few coordinates are 0 by strided slices of the value tuple, and
 moving a slice by d * a**t reads the cells where x_t = d.  Essential
-variables, the drop in essential arity of one identification, partial
-derivatives and the finite-difference transform of the calculus all walk it;
+variables and the drop in essential arity of one identification walk it;
 the symmetry and odd-support determination tests compare slices of their
-own.  ``by_letter_counts`` folds the letter counts of each x into one class
+own, and the calculus shifts whole packed tables (groups.Packing).
+``by_letter_counts`` folds the letter counts of each x into one class
 key on ``axis_fold`` and evaluates a symmetric function once per class: the
 Boolean decomposition sums and the Z3 gap-2 form are broadcast from there.
 The calculus kernel's support sizes and Taylor terms keep their own
@@ -406,12 +406,12 @@ def dump_table(f: FnTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_table(text: str, code_tables: bool = False) -> FnTable:
+def load_table(text: str, check: Callable[[int, int, Group], None] | None = None) -> FnTable:
     """The table a text in the file format describes (see dump_table).
 
-    With code_tables, a codomain whose code tables are over the budget
-    (Group.check_code_tables) is refused once the header is read, before any
-    value is parsed: for callers that go on to code arithmetic.
+    check, when given, is called with the domain size, arity and group once
+    the header is read, before any value is parsed: a caller refuses there
+    what the header alone rules out, such as a codomain too wide to pack.
 
     One pass over the lines.  The first TOKEN_MEMO_LIMIT distinct value
     tokens are parsed once each and their codes remembered for the rest of
@@ -451,8 +451,8 @@ def load_table(text: str, code_tables: bool = False) -> FnTable:
     if a_size < 2:
         raise ParseError(f"domain size must be >= 2, got {a_size}", line=fields["domain"][0])
     check_cells(a_size, arity)
-    if code_tables:
-        group.check_code_tables()
+    if check is not None:
+        check(a_size, arity, group)
     expected = a_size**arity
     code_of: dict[str, int] = {}
     codes: list[int] = []

@@ -9,8 +9,10 @@ oracles evaluate the Boolean decomposition sums, their GF(2) probe rows and
 the Z3 gap-2 form one position set (or pair of positions) at a time, at every
 tuple; they pin the library's one letter-count kernel.  The remaining
 oracles are the slow enumerations that the library's direct computations
-replace: the group code tables built entry by entry through decode and
-encode, the permutation orbit of every Boolean gap-2 form, every phi map
+replace: group arithmetic on codes one entry at a time, through decode,
+Group.add or Group.sub and encode (code_add, code_sub), and with it the
+finite-difference transform and the partial derivative as list kernels that
+the packed kernel replaces, the permutation orbit of every Boolean gap-2 form, every phi map
 tried against a reconstruction, every subset pair counted one by one, the
 arity gap scanned over every pair of essential variables (which the
 library reads off odd-support determination above max(|A|, 3)), phi
@@ -38,7 +40,7 @@ from fndecomp import (
     reconstruct_uniform,
 )
 from fndecomp.booldecomp import (
-    _require_boolean,
+    require_boolean,
     even_case_shift,
     full_map_from_domain_entries,
     odd_case_shift,
@@ -72,14 +74,42 @@ def all_tuples(a_size, n):
     return [t[::-1] for t in product(range(a_size), repeat=n)]
 
 
-def naive_code_tables(group: Group):
-    """The add, neg and sub tables on codes, each entry decoded, computed on
-    residues and encoded again; sub is add composed with neg."""
-    elems = [group.decode(c) for c in range(group.order)]
-    add = [[group.encode(group.add(x, y)) for y in elems] for x in elems]
-    neg = [group.encode(group.neg(x)) for x in elems]
-    sub = [[add[a][neg[b]] for b in range(group.order)] for a in range(group.order)]
-    return add, neg, sub
+def code_add(group: Group, x: int, y: int) -> int:
+    """The code of x + y for codes x and y, through decode, Group.add and encode."""
+    return _code_arithmetic(group.moduli, x, y, 1)
+
+
+def code_sub(group: Group, x: int, y: int) -> int:
+    """The code of x - y for codes x and y, through decode, Group.sub and encode."""
+    return _code_arithmetic(group.moduli, x, y, -1)
+
+
+@lru_cache(maxsize=1 << 16)
+def _code_arithmetic(moduli, x, y, sign):
+    group = Group(moduli)
+    op = group.add if sign > 0 else group.sub
+    return group.encode(op(group.decode(x), group.decode(y)))
+
+
+def corner_elements(group: Group) -> list[tuple[int, ...]]:
+    """Elements whose residues are all 0, 1, m // 2 or m - 1, one such value
+    in every factor or in one factor alone: the ends of every field of a
+    packed cell."""
+    picks = [group.zero]
+    k = len(group.moduli)
+    for value in (lambda m: 1, lambda m: m // 2, lambda m: m - 1):
+        picks.append(tuple(value(m) for m in group.moduli))
+        for t, m in enumerate(group.moduli):
+            picks.append(tuple(value(m) if u == t else 0 for u in range(k)))
+    return list(dict.fromkeys(picks))
+
+
+def sum_tables(group: Group, parts) -> tuple[int, ...]:
+    """Cellwise sum of the value codes of the tables in parts, one code_add at a time."""
+    acc = [0] * len(parts[0].values)
+    for part in parts:
+        acc = [code_add(group, x, y) for x, y in zip(acc, part.values)]
+    return tuple(acc)
 
 
 def naive_essential_variables(f: FnTable) -> set[int]:
@@ -240,7 +270,6 @@ def random_table(rng, a_size, n, group: Group) -> FnTable:
 def random_sum_table(rng, a_size, n, group: Group, r) -> FnTable:
     """Sum of random functions, one of each r positions, so that the minimal
     decomposition arity is at most r."""
-    add = group.code_add_table
     points = list(iter_tuples(a_size, n))
     values = [0] * len(points)
     for J in combinations(range(n), r):
@@ -249,7 +278,7 @@ def random_sum_table(rng, a_size, n, group: Group, r) -> FnTable:
             key = tuple(x[i] for i in J)
             if key not in part:
                 part[key] = rng.randrange(group.order)
-            values[idx] = add[values[idx]][part[key]]
+            values[idx] = code_add(group, values[idx], part[key])
     return FnTable(a_size, n, group, tuple(values))
 
 
@@ -284,9 +313,7 @@ def higher_derivative_expansion(f: FnTable, vars, params) -> FnTable:
     a = f.a_size
     s = len(positions)
     strides = [a**i for i in positions]
-    add = f.group.code_add_table
-    sub = f.group.code_sub_table
-    vals = f.values
+    group, vals = f.group, f.values
     out = []
     for k in range(len(vals)):
         acc = 0
@@ -298,11 +325,34 @@ def higher_derivative_expansion(f: FnTable, vars, params) -> FnTable:
                     idx += (params[positions[t]] - d) * strides[t]
             term = vals[idx]
             if (s - jmask.bit_count()) & 1:
-                acc = sub[acc][term]
+                acc = code_sub(group, acc, term)
             else:
-                acc = add[acc][term]
+                acc = code_add(group, acc, term)
         out.append(acc)
     return FnTable(a, f.arity, f.group, tuple(out))
+
+
+def list_partial_derivative(f: FnTable, i, a_val) -> tuple[int, ...]:
+    """Values of partial_derivative(f, i, a_val), one code_sub per cell."""
+    stride = f.a_size**i
+    vals = f.values
+    return tuple(code_sub(f.group, vals[idx + (a_val - idx // stride % f.a_size) * stride], v)
+                 for idx, v in enumerate(vals))
+
+
+def list_derivative_coefficients(f: FnTable, base) -> tuple[int, ...]:
+    """The finite-difference transform as a list kernel: the pass over
+    coordinate i subtracts, cell by cell, from every x with x_i != base_i
+    the entry with x_i = base_i, which that pass leaves as it is."""
+    a = f.a_size
+    c = list(f.values)
+    for i, b in enumerate(base):
+        stride = a**i
+        for idx in range(len(c)):
+            d = idx // stride % a
+            if d != b:
+                c[idx] = code_sub(f.group, c[idx], c[idx + (b - d) * stride])
+    return tuple(c)
 
 
 def _masks_by_size(n):
@@ -354,9 +404,7 @@ def oracle_taylor_terms(f: FnTable, base=None):
     base = (0,) * n if base is None else tuple(base)
     a = f.a_size
     base_idx = tuple_index(a, base)
-    add = f.group.code_add_table
-    sub = f.group.code_sub_table
-    vals = f.values
+    group, vals = f.group, f.values
     terms = []
     for s in range(n + 1):
         for mask in _masks_by_size(n)[s]:
@@ -375,9 +423,9 @@ def oracle_taylor_terms(f: FnTable, base=None):
                             idx += deltas[t]
                     term = vals[idx]
                     if (s - jmask.bit_count()) & 1:
-                        acc = sub[acc][term]
+                        acc = code_sub(group, acc, term)
                     else:
-                        acc = add[acc][term]
+                        acc = code_add(group, acc, term)
                 per_assign.append(acc)
             # broadcast: each table index reads the entry for its I-digits
             out = []
@@ -500,7 +548,7 @@ def orbit_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
 
 def phi_preimages_bruteforce(f: FnTable, mode: str) -> list[PhiMap]:
     """All phi maps whose reconstruction equals f, by exhaustive enumeration."""
-    _require_boolean(f.group)
+    require_boolean(f.group)
     a, n = f.a_size, f.arity
     keys = phi_domain(a, n)
     if f.group.order ** len(keys) > 1 << 16:

@@ -44,6 +44,7 @@ from helpers import (
     higher_derivative_expansion,
     pair_scan_arity_gap,
     random_full_arity_table,
+    sum_tables,
 )
 
 Z2 = Group((2,))
@@ -57,14 +58,6 @@ def _all_boolean_tables(n):
     size = 1 << n
     for code in range(1 << size):
         yield FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
-
-
-def _sum_tables(group, parts):
-    add = group.code_add_table
-    acc = [0] * len(parts[0].values)
-    for p in parts:
-        acc = [add[x][y] for x, y in zip(acc, p.values)]
-    return tuple(acc)
 
 
 def test_criterion_01_boolean_classification_exhaustive():
@@ -118,7 +111,7 @@ def test_criterion_03_taylor_exactness():
         a, n, g = combos[done % len(combos)]
         f = FnTable(a, n, g, tuple(rng.randrange(g.order) for _ in range(a**n)))
         terms = taylor_terms(f)
-        assert _sum_tables(g, [t for _, t in terms]) == f.values
+        assert sum_tables(g, [t for _, t in terms]) == f.values
         done += 1
     print(f"ACCEPT-03 taylor exactness ({done} tables): PASS")
 

@@ -24,26 +24,22 @@ from fndecomp import (
 )
 from helpers import (
     all_tuples,
+    corner_elements,
     higher_derivative_expansion,
+    list_derivative_coefficients,
+    list_partial_derivative,
     oracle_decomposability_witness,
     oracle_min_decomposition_arity,
     oracle_taylor_terms,
     random_sum_table,
     random_table,
+    sum_tables,
 )
 
 Z2 = Group((2,))
 Z3 = Group((3,))
 Z4 = Group((4,))
 Z2xZ3 = Group((2, 3))
-
-
-def table_sum(group, parts):
-    add = group.code_add_table
-    acc = [0] * len(parts[0].values)
-    for p in parts:
-        acc = [add[x][y] for x, y in zip(acc, p.values)]
-    return tuple(acc)
 
 
 def test_partial_derivative_examples():
@@ -78,15 +74,14 @@ def test_partial_derivative_definition_oracle():
 
 def test_derivative_additivity():
     rng = random.Random(8)
-    add = Z4.code_add_table
     for _ in range(20):
         f = random_table(rng, 2, 3, Z4)
         g = random_table(rng, 2, 3, Z4)
-        s = FnTable(2, 3, Z4, tuple(add[a][b] for a, b in zip(f.values, g.values)))
+        s = FnTable(2, 3, Z4, sum_tables(Z4, [f, g]))
         i, a = rng.randrange(3), rng.randrange(2)
         df, dg = partial_derivative(f, i, a), partial_derivative(g, i, a)
         ds = partial_derivative(s, i, a)
-        assert ds.values == tuple(add[x][y] for x, y in zip(df.values, dg.values))
+        assert ds.values == sum_tables(Z4, [df, dg])
 
 
 def test_inessential_iff_derivative_vanishes():
@@ -190,7 +185,7 @@ def test_taylor_reconstruction_random():
             f = random_table(rng, a_size, n, group)
             terms = taylor_terms(f)
             assert len(terms) == 1 << n
-            assert table_sum(group, [t for _, t in terms]) == f.values
+            assert sum_tables(group, [t for _, t in terms]) == f.values
             # term for I depends on at most the I positions
             for I, t in terms:
                 assert essential_variables(t) <= I
@@ -200,7 +195,7 @@ def test_taylor_reconstruction_nonzero_base():
     rng = random.Random(19)
     f = random_table(rng, 3, 2, Z4)
     base = (2, 1)
-    assert table_sum(Z4, [t for _, t in taylor_terms(f, base)]) == f.values
+    assert sum_tables(Z4, [t for _, t in taylor_terms(f, base)]) == f.values
 
 
 def test_taylor_resource_guard():
@@ -282,7 +277,7 @@ def test_min_decomposition_arity_tightness():
 def test_decompose_via_taylor_round_trip_and_failure():
     par4 = FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,))
     parts = decompose_via_taylor(par4, 1)
-    assert table_sum(Z2, [p for _, p in parts]) == par4.values
+    assert sum_tables(Z2, [p for _, p in parts]) == par4.values
     assert all(essential_variables(p) <= I and len(I) <= 1 for I, p in parts)
 
     w = hamming_witness(3, Z3, (1,))
@@ -328,9 +323,20 @@ def _pairs(terms):
 
 
 def assert_matches_oracle(f, base):
+    from fndecomp.calculus import _derivative_coefficients
+    from fndecomp.cli import _sum_tables
+
+    # the packed kernel against the list kernel, cell by cell
+    assert tuple(_derivative_coefficients(f, base)) == list_derivative_coefficients(f, base)
+    for i in range(f.arity):
+        for d in range(f.a_size):
+            assert partial_derivative(f, i, d).values == list_partial_derivative(f, i, d)
     assert min_decomposition_arity(f, base) == oracle_min_decomposition_arity(f, base)
     terms = _pairs(oracle_taylor_terms(f, base))
     assert _pairs(taylor_terms(f, base)) == terms
+    # the CLI adds the terms back up with the packed add
+    assert _sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]) == (
+        sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]))
     for k in range(f.arity + 1):
         witness = oracle_decomposability_witness(f, k, base)
         assert decomposability_witness(f, k, base) == witness
@@ -357,21 +363,37 @@ def test_coefficients_are_the_derivatives_at_the_base():
             assert group.decode(code) == derivative_at_zero(f, positions, x, base)
 
 
-@pytest.mark.parametrize("a_size, n, group", [(2, 3, Z2), (3, 2, Z2), (2, 2, Z3)])
+# groups of every kind the packed kernel meets: one or more factors, prime
+# and composite orders, (Z2)**11 at 22 of a cell's 32 bits, and moduli on
+# each side of the 8-, 16- and 32-bit cells
+Z5, Z6, Z2xZ4, Z2_11 = Group((5,)), Group((6,)), Group((2, 4)), Group((2,) * 11)
+BOUNDARY = [Group((m,)) for m in (64, 65, 128, 129, 16384, 16385, 32768, 32769, 2**30 - 1,
+                                  2**31)]
+
+
+@pytest.mark.parametrize("a_size, n, group", [
+    (2, 3, Z2), (3, 2, Z2), (2, 2, Z3), (3, 1, Z5), (2, 1, Z6), (2, 1, Z2xZ3), (2, 1, Z2xZ4),
+    (2, 1, Z2_11), *[(2, 1, g) for g in BOUNDARY]])
 def test_transform_matches_oracle_exhaustive(a_size, n, group):
-    # every table, at every base point and every k
-    for values in product(range(group.order), repeat=a_size**n):
+    # every table, at every base point and every k; above order 6 every
+    # table over the corner elements, the ends of every field
+    codes = (range(group.order) if group.order <= 6
+             else [group.encode(x) for x in corner_elements(group)])
+    for values in product(codes, repeat=a_size**n):
         f = FnTable(a_size, n, group, values)
         for base in all_tuples(a_size, n):
             assert_matches_oracle(f, base)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_transform_matches_oracle_random(data):
+    group = data.draw(st.sampled_from([Z2, Z3, Z4, Z5, Z6, Z2xZ3, Z2xZ4, Z2_11, *BOUNDARY]),
+                      label="group")
     a_size = data.draw(st.integers(2, 5), label="a_size")
-    n = data.draw(st.integers(0, 5), label="n")
-    group = data.draw(st.sampled_from([Z2, Z3, Z4, Z2xZ3]), label="group")
+    # the oracle's code arithmetic caches nothing of a large group: keep its
+    # tables at 125 cells
+    n = data.draw(st.integers(0, 5 if group.order <= 6 else 3), label="n")
     r = data.draw(st.integers(0, n), label="planted arity")
     f = random_sum_table(random.Random(data.draw(st.integers(0, 2**32))), a_size, n, group, r)
     base = data.draw(st.tuples(*[st.integers(0, a_size - 1)] * n), label="base")

@@ -241,38 +241,140 @@ def test_meta_requires_json(tmp_path, capsys):
     assert code == 0 and "meta" in json.loads(out)
 
 
-def test_code_tables_over_the_cell_budget_exit_3(tmp_path, capsys):
-    # Z4096 needs 4096**2 code-table entries, four times MAX_CELLS: refused
-    # once the header is read
-    path = tmp_path / "z4096.tbl"
-    path.write_text("domain=2\narity=1\ngroup=Z4096\n0 1\n")
-    message = "precondition failed: group order 4096 too large for dense Cayley tables\n"
-    for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
-        assert run(capsys, *argv, str(path)) == (3, "", message)
+# Runs python -m fndecomp with the arguments after the first, and writes its
+# exit code, wall seconds and ru_maxrss to the file named first.  The
+# launcher is a fresh interpreter, so the resident set the child inherits at
+# the fork is the launcher's few megabytes, not that of the test process.
+LAUNCHER = """import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "fndecomp", *sys.argv[2:]])
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{os.waitstatus_to_exitcode(status)} {time.perf_counter() - start} {usage.ru_maxrss}")
+"""
 
 
-def test_code_tables_over_the_cell_budget_are_refused_before_any_table_work(
-        tmp_path, capsys, monkeypatch):
-    # the order is known once the header or --group is parsed: no value is
-    # parsed and no table is built or scanned before the refusal
+def timed_run(tmp_path, *argv):
+    """Exit code, stdout, stderr, wall seconds and peak resident megabytes of
+    one CLI run in a fresh interpreter, with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    stats = tmp_path / "run.stats"
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(stats), *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    code, wall, maxrss = stats.read_text().split()
+    # ru_maxrss is in kilobytes on Linux
+    return int(code), proc.stdout, proc.stderr, float(wall), int(maxrss) / 1024
+
+
+def test_codomains_above_order_2048_answer(tmp_path):
+    # codomains of order above 2048, Z4096 and Z4095: each command answers in
+    # a fresh interpreter within 10 s and 100 MB (about 0.1 s and 20 MB on a
+    # 2-vCPU host).  The table is a sum of unary functions plus 3 * x0 * x1,
+    # whose least decomposition arity is 2
+    import random
+
+    rng = random.Random(7)
+    n, z4096 = 12, Group((4096,))
+    unary = [[rng.randrange(4096) for _ in range(2)] for _ in range(n)]
+    f = FnTable.from_callable(2, n, z4096, lambda x: (
+        (sum(unary[i][d] for i, d in enumerate(x)) + 3 * x[0] * x[1]) % 4096,))
+    table = tmp_path / "z4096.tbl"
+    save_table_file(f, table)
+    witness = str(tmp_path / "w.tbl")
+    refusal = ("precondition failed: not 1-decomposable: derivative on positions [0, 1] "
+               f"with parameters {(1, 1) + (0,) * (n - 2)} is nonzero\n")
+    for argv, code in ((["analyze", str(table), "--json"], 0),
+                       (["decompose", str(table), "--mode", "taylor", "--k", "2", "--json"], 0),
+                       (["decompose", str(table), "--mode", "taylor", "--k", "1"], 3),
+                       (["witness", "--kind", "hamming", "--n", "12", "--group", "Z4095",
+                         "--b", "1", "--out", witness, "--json"], 0)):
+        result = timed_run(tmp_path, *argv)
+        assert result[0] == code, result
+        assert result[3] < 10 and result[4] < 100, result[3:]
+        if code:
+            assert result[1:3] == ("", refusal)
+            continue
+        verdicts = json.loads(result[1])["verdicts"]
+        if argv[0] == "analyze":
+            assert verdicts["min_decomposition_arity"] == 2
+            assert verdicts["essential_arity"] == n
+        elif argv[0] == "decompose":
+            assert verdicts["reconstruction"] == "exact"
+        else:
+            assert verdicts["verified"] is True and verdicts["expected"] == "2048"
+            assert load_table_file(witness).group == Group((4095,))
+
+
+def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys, monkeypatch):
+    # a cell of packed residues holds 32 bits: the order of the group, and
+    # the width of its cell, are known once the header or --group is parsed,
+    # so no value is parsed and no table is built or scanned before the refusal
     import fndecomp.tables as tables_mod
     import fndecomp.witnesses as witnesses_mod
 
     def no_table_work(*args, **kwargs):
-        raise AssertionError("table work before the code-table refusal")
+        raise AssertionError("table work before the packing refusal")
 
     monkeypatch.setattr(Group, "parse_element", no_table_work)
     monkeypatch.setattr(tables_mod, "essential_variables", no_table_work)
     monkeypatch.setattr(witnesses_mod, "hamming_witness", no_table_work)
-    path = tmp_path / "z4096.tbl"
-    path.write_text("domain=2\narity=20\ngroup=Z4096\n0\n")
-    message = "precondition failed: group order {} too large for dense Cayley tables\n"
-    for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
-        assert run(capsys, *argv, str(path)) == (3, "", message.format(4096))
+    path = tmp_path / "wide.tbl"
     out_tbl = tmp_path / "w.tbl"
-    assert run(capsys, "witness", "--kind", "hamming", "--n", "20", "--group", "Z4095",
-               "--b", "1", "--out", str(out_tbl)) == (3, "", message.format(4095))
-    assert not out_tbl.exists()
+    huge = 10**3999 + 1
+    for spec, order, bits in (("Z2147483649", "2147483649", 33),
+                              ("Z2x" * 16 + "Z2", "131072", 34),
+                              (f"Z{huge}", "1" + "0" * 39 + "...", 13286)):
+        message = (f"precondition failed: group order {order} too large for packed residues: "
+                   f"{bits} bits per cell, more than 32\n")
+        path.write_text(f"domain=2\narity=20\ngroup={spec}\n0\n")
+        for argv in (["analyze"], ["decompose", "--mode", "taylor", "--k", "1"]):
+            assert run(capsys, *argv, str(path)) == (3, "", message)
+        assert run(capsys, "witness", "--kind", "hamming", "--n", "20", "--group", spec,
+                   "--b", "1", "--out", str(out_tbl)) == (3, "", message)
+        assert not out_tbl.exists()
+
+
+def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, capsys,
+                                                                       monkeypatch):
+    # classify and the phi modes of decompose refuse a table whose header
+    # rules it out with the library's own message, before any value is
+    # parsed: the all-distinct 2**22 table over Z_{2**22} costs no parse
+    from fndecomp import classify_boolean, decompose_odd, z3_classify
+
+    def refusal(fn, table):
+        with pytest.raises(errors.FnDecompError) as info:
+            fn(table)
+        return f"precondition failed: {info.value}\n"
+
+    cases = []
+    for a_size, arity, moduli in ((3, 4, (2,)), (2, 4, (3,))):
+        table = FnTable.constant(a_size, arity, Group(moduli), (0,))
+        cases.append((table, ["classify", "--target", "boolean"], refusal(classify_boolean, table)))
+    for a_size, arity, moduli in ((3, 3, (3,)), (3, 4, (9,)), (2, 4, (3,))):
+        table = FnTable.constant(a_size, arity, Group(moduli), (0,))
+        cases.append((table, ["classify", "--target", "z3"], refusal(z3_classify, table)))
+    z6 = FnTable.constant(2, 4, Group((6,)), (0,))
+    for mode in ("odd", "even", "fitilde"):
+        cases.append((z6, ["decompose", "--mode", mode], refusal(decompose_odd, z6)))
+    # a file whose header rules the command out and whose body is bad fails
+    # on the header; analyze, which takes its header, fails on the body
+    path = tmp_path / "t.tbl"
+    path.write_text("domain=2\narity=1\ngroup=Z2xZ4\n1,3 1,4\n")
+    assert run(capsys, "analyze", str(path)) == (
+        2, "", "parse error: line 4: residue 4 out of range for modulus 4 in '1,4'\n")
+    assert run(capsys, "decompose", str(path), "--mode", "odd") == (
+        3, "", "precondition failed: codomain Z2xZ4 is not Boolean (every factor must be Z2)\n")
+    monkeypatch.setattr(Group, "parse_element", lambda *args: pytest.fail("a value was parsed"))
+    for table, argv, message in cases:
+        path.write_text(f"domain={table.a_size}\narity={table.arity}\n"
+                        f"group={table.group.to_text()}\n0\n")
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (3, "", message)
+    path.write_text("domain=2\narity=22\ngroup=Z4194304\n0\n")
+    assert run(capsys, "classify", str(path), "--target", "z3") == (
+        3, "", "precondition failed: ternary classification needs a Z3 -> Z3 table\n")
+    assert run(capsys, "decompose", str(path), "--mode", "odd") == (
+        3, "", "precondition failed: codomain Z4194304 is not Boolean (every factor must be Z2)\n")
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from fndecomp import ArgumentError, DomainError, Group, ParseError, ResourceError, ShapeError
 from fndecomp.errors import MAX_CELLS
-from helpers import naive_code_tables
+from fndecomp.groups import PACKED_BITS, Packing, packed_cell
+from helpers import corner_elements
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -148,16 +149,6 @@ def test_codes_round_trip():
             assert g.decode(i) == x
 
 
-def test_code_tables_match_element_arithmetic():
-    for g in (Z3, Z2xZ4):
-        add, neg, sub = g.code_add_table, g.code_neg_table, g.code_sub_table
-        for cx, x in enumerate(g.elements()):
-            assert neg[cx] == g.encode(g.neg(x))
-            for cy, y in enumerate(g.elements()):
-                assert add[cx][cy] == g.encode(g.add(x, y))
-                assert sub[cx][cy] == g.encode(g.sub(x, y))
-
-
 def ordered_moduli(limit):
     """Every tuple of moduli >= 2 whose product is at most limit, () included."""
     yield ()
@@ -166,36 +157,62 @@ def ordered_moduli(limit):
             yield (m,) + rest
 
 
-def test_code_tables_match_the_per_entry_oracle():
-    # every factor order and every factor count up to order 32, then three
-    # groups of order 64 (at most 64**2 entries per table)
+def assert_packed_arithmetic(g, pairs):
+    """Packing's add and sub on all pairs at once, against Group.add and
+    Group.sub element by element."""
+    xs, ys = [g.encode(x) for x, _ in pairs], [g.encode(y) for _, y in pairs]
+    p = Packing(g, len(pairs))
+    px, py = p.pack(xs), p.pack(ys)
+    assert p.unpack(px).tolist() == xs
+    assert p.unpack(p.add(px, py)).tolist() == [g.encode(g.add(x, y)) for x, y in pairs]
+    assert p.unpack(p.sub(px, py)).tolist() == [g.encode(g.sub(x, y)) for x, y in pairs]
+
+
+def test_packed_arithmetic_matches_element_arithmetic():
+    import random
+
+    # every pair of elements, for every factor order and factor count up to
+    # order 32 and three groups of order 64
     moduli = [*ordered_moduli(32), (64,), (2, 32), (4, 4, 4)]
     assert len(moduli) == 139 and () in moduli and (2, 2, 2, 2, 2) in moduli
     for ms in moduli:
         g = Group(ms)
-        assert (g.code_add_table, g.code_neg_table, g.code_sub_table) == naive_code_tables(g), ms
+        assert_packed_arithmetic(g, [(x, y) for x in g.elements() for y in g.elements()])
+    # the ends of every field and random pairs, on each side of each field and
+    # cell width: 8 bits hold Z128, 16 bits Z32768, 32 bits Z2**31 and the
+    # order-2048 groups of most factors
+    rng = random.Random(5)
+    for ms in ((64,), (65,), (127,), (128,), (129,), (2048,), (16384,), (16385,),
+               (32768,), (32769,), (2**30 - 1,), (2**31,), (2,) * 11, (2,) * 8 + (8,),
+               (3,) * 5 + (2,) * 3, (2, 4), (2, 3), (5, 6), (2**15, 2**15)):
+        g = Group(ms)
+        corners = corner_elements(g)
+        randoms = [tuple(rng.randrange(m) for m in ms) for _ in range(200)]
+        pairs = [(x, y) for x in corners for y in corners] + list(zip(randoms, randoms[::-1]))
+        assert_packed_arithmetic(g, pairs)
 
 
-def test_code_tables_over_the_cell_budget_are_refused_before_any_entry():
+def test_packing_over_the_cell_width_is_refused_before_any_cell():
     import tracemalloc
 
-    # order**2 entries are counted against MAX_CELLS: 2048**2 is exactly the
-    # budget, and one element more is refused
-    assert 2048**2 == MAX_CELLS
-    for ms in ((2049,), (2, 1025), (4096,)):
+    # one cell holds 32 bits: Z2**31 and (Z2)**16 fit, one bit more does not
+    Packing(Group((2**31,)), 2)
+    Packing(Group((2,) * 16), 2)
+    for ms in ((2**31 + 1,), (2,) * 17, (2**16, 2**16), (10**4000 + 1,)):
         g = Group(ms)
-        for name in ("code_add_table", "code_sub_table", "code_neg_table"):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ResourceError) as info:
-                    getattr(g, name)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert str(info.value) == (
-                f"group order {g.order} too large for dense Cayley tables")
-            # a list of the codes alone would take 8 bytes per element
-            assert peak < 8 * g.order
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as info:
+                Packing(g, MAX_CELLS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bits = sum((m - 1).bit_length() + 1 for m in ms)
+        assert bits > PACKED_BITS == 32
+        assert str(info.value).endswith(
+            f" too large for packed residues: {bits} bits per cell, more than 32")
+        # one byte per cell would take MAX_CELLS bytes
+        assert peak < 1 << 16
 
 
 def test_messages_quote_long_numbers_in_excerpt():
@@ -211,8 +228,10 @@ def test_messages_quote_long_numbers_in_excerpt():
     # an order of 8 001 digits, more than str() converts
     for g in (big, Group((10**4000 + 1,) * 2)):
         with pytest.raises(ResourceError) as info:
-            g.code_add_table
-        assert str(info.value) == f"group order {tens} too large for dense Cayley tables"
+            packed_cell(g.moduli)
+        bits = sum((m - 1).bit_length() + 1 for m in g.moduli)
+        assert str(info.value) == (
+            f"group order {tens} too large for packed residues: {bits} bits per cell, more than 32")
     # short texts are quoted whole
     with pytest.raises(DomainError, match=r"^residue 5 out of range for modulus 4$"):
         Z4.validate((5,))

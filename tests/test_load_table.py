@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fndecomp import FnTable, Group, dump_table, load_table
 from fndecomp.errors import FnDecompError, ParseError, ResourceError
+from fndecomp.groups import packed_cell
 from helpers import pointwise_load_table, random_table
 
 
@@ -190,13 +191,28 @@ def test_tokens_beyond_the_memo_limit_match_pointwise_parser(monkeypatch):
         assert_same(text)
 
 
-def test_code_tables_flag_refuses_an_over_budget_codomain_after_the_header():
-    # Z4096's code tables would hold 4096**2 entries, four times MAX_CELLS;
-    # with code_tables the body is never parsed, so its bad token is not seen
+def test_header_check_runs_before_any_value_is_parsed():
+    # the check sees the header's facts; refusing there, the body with its
+    # bad token is never parsed
     text = "domain=2\narity=1\ngroup=Z4096\n0 x\n"
-    with pytest.raises(ResourceError, match="group order 4096 too large"):
-        load_table(text, code_tables=True)
-    with pytest.raises(ParseError, match="line 4"):
-        load_table(text)
-    ok = "domain=2\narity=1\ngroup=Z2048\n0 2047\n"
-    assert load_table(ok, code_tables=True) == load_table(ok)
+    seen = []
+
+    def refuse(a_size, arity, group):
+        seen.append((a_size, arity, group))
+        raise ResourceError("refused at the header")
+
+    with pytest.raises(ResourceError, match="refused at the header"):
+        load_table(text, refuse)
+    assert seen == [(2, 1, Group((4096,)))]
+    for check in (None, lambda *header: None):
+        with pytest.raises(ParseError, match="line 4"):
+            load_table(text, check)
+    # a bad header is reported before the check runs
+    with pytest.raises(ParseError, match="line 3"):
+        load_table("domain=2\narity=1\ngroup=Zx\n0 1\n", refuse)
+    # the packing check refuses a wide codomain; Z4096 packs
+    packable = lambda a_size, arity, group: packed_cell(group.moduli)
+    with pytest.raises(ResourceError, match="34 bits per cell"):
+        load_table("domain=2\narity=1\ngroup=" + "Z2x" * 16 + "Z2\n0 x\n", packable)
+    ok = "domain=2\narity=1\ngroup=Z4096\n0 4095\n"
+    assert load_table(ok, packable) == load_table(ok)
