@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from fndecomp import ArgumentError, DomainError, Group, ParseError, ResourceError, ShapeError
 from fndecomp.errors import MAX_CELLS
 from fndecomp.groups import PACKED_BITS, Packing, packed_cell
-from helpers import corner_elements
+from helpers import code_add, code_sub, corner_elements
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -157,6 +157,44 @@ def ordered_moduli(limit):
             yield (m,) + rest
 
 
+def packed_code_tables(g):
+    """The add, neg and sub tables of codes, from Packing: every pair of codes
+    (x, y), x slowest, packed as two tables and added or subtracted at once."""
+    n = g.order
+    p = Packing(g, n * n)
+    xs, ys = [x for x in range(n) for _ in range(n)], list(range(n)) * n
+    px, py = p.pack(xs), p.pack(ys)
+    assert p.unpack(px).tolist() == xs and p.unpack(py).tolist() == ys
+    add, sub = p.unpack(p.add(px, py)).tolist(), p.unpack(p.sub(px, py)).tolist()
+    neg = p.unpack(p.sub(0, py)).tolist()[:n]
+    rows = range(0, n * n, n)
+    return [add[r:r + n] for r in rows], neg, [sub[r:r + n] for r in rows]
+
+
+def test_code_tables_match_element_arithmetic():
+    for g in (Z3, Z2xZ4):
+        add, neg, sub = packed_code_tables(g)
+        for cx, x in enumerate(g.elements()):
+            assert neg[cx] == g.encode(g.neg(x))
+            for cy, y in enumerate(g.elements()):
+                assert add[cx][cy] == g.encode(g.add(x, y))
+                assert sub[cx][cy] == g.encode(g.sub(x, y))
+
+
+def test_code_tables_match_the_per_entry_oracle():
+    # every factor order and every factor count up to order 32, then three
+    # groups of order 64: every pair of elements each
+    moduli = [*ordered_moduli(32), (64,), (2, 32), (4, 4, 4)]
+    assert len(moduli) == 139 and () in moduli and (2, 2, 2, 2, 2) in moduli
+    for ms in moduli:
+        g = Group(ms)
+        codes = range(g.order)
+        oracle = ([[code_add(g, x, y) for y in codes] for x in codes],
+                  [code_sub(g, 0, x) for x in codes],
+                  [[code_sub(g, x, y) for y in codes] for x in codes])
+        assert packed_code_tables(g) == oracle, ms
+
+
 def assert_packed_arithmetic(g, pairs):
     """Packing's add and sub on all pairs at once, against Group.add and
     Group.sub element by element."""
@@ -171,13 +209,6 @@ def assert_packed_arithmetic(g, pairs):
 def test_packed_arithmetic_matches_element_arithmetic():
     import random
 
-    # every pair of elements, for every factor order and factor count up to
-    # order 32 and three groups of order 64
-    moduli = [*ordered_moduli(32), (64,), (2, 32), (4, 4, 4)]
-    assert len(moduli) == 139 and () in moduli and (2, 2, 2, 2, 2) in moduli
-    for ms in moduli:
-        g = Group(ms)
-        assert_packed_arithmetic(g, [(x, y) for x in g.elements() for y in g.elements()])
     # the ends of every field and random pairs, on each side of each field and
     # cell width: 8 bits hold Z128, 16 bits Z32768, 32 bits Z2**31 and the
     # order-2048 groups of most factors
