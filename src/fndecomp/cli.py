@@ -271,6 +271,9 @@ def _cmd_witness(args) -> None:
     if args.kind == "large-alphabet" and None in (args.n, args.a_size):
         raise ArgumentError("--kind large-alphabet requires --n and --a-size")
     group = groups.Group.from_text(args.group)
+    # witness packs nothing (verify sums residues factor by factor); the
+    # packing cap keeps every table it writes one that analyze and
+    # decompose --mode taylor read back
     groups.packed_cell(group.moduli)
     b = group.parse_element(args.b)
     if args.kind == "tightness":

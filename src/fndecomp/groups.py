@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
@@ -222,7 +222,6 @@ class Group(Record):
         return tuple(residues)
 
 
-@lru_cache(maxsize=64)
 def packed_cell(moduli: tuple[int, ...]) -> tuple:
     """One cell of a Packing over these moduli: its width in bytes, the bits
     and offset of each field, M, K and TOP, and per field width b the top
@@ -260,9 +259,7 @@ class Packing:
         self.typecode = "BHI"[self.width.bit_length() - 1]
         self.cell_struct = struct.Struct(f"<{cells}{self.typecode}")
         self.mods, self.bias, self.tops = map(self._every_cell, (mods, bias, tops))
-        # with one field width, every flag moves to the bottom of its field
-        # by one shift, and no mask is needed
-        self.lows = lows if len(lows) == 1 else [(self._every_cell(t), s) for t, s in lows]
+        self.lows = [(self._every_cell(t), s) for t, s in lows]
 
     def _every_cell(self, value: int) -> int:
         return int.from_bytes(value.to_bytes(self.width, "little") * self.cells, "little")
@@ -295,8 +292,5 @@ class Packing:
 
     def _reduce(self, s: int) -> int:
         flags = (s + self.bias) & self.tops
-        if len(self.lows) == 1:  # every field equally wide
-            lows = flags >> self.lows[0][1]
-        else:
-            lows = sum((flags & top) >> shift for top, shift in self.lows)
+        lows = sum((flags & top) >> shift for top, shift in self.lows)
         return s - (((flags << 1) - lows) & self.mods)

@@ -309,7 +309,8 @@ def test_codomains_above_order_2048_answer(tmp_path):
 def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys, monkeypatch):
     # a cell of packed residues holds 32 bits: the order of the group, and
     # the width of its cell, are known once the header or --group is parsed,
-    # so no value is parsed and no table is built or scanned before the refusal
+    # so no value is parsed and no table is built or scanned before the
+    # refusal; witness packs nothing, but writes only tables analyze reads
     import fndecomp.tables as tables_mod
     import fndecomp.witnesses as witnesses_mod
 
