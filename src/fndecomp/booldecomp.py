@@ -87,6 +87,15 @@ def uniform_sum_sizes(n: int) -> list[int]:
     return [n - 2 * i for i in range(1, n // 2 + 1)]
 
 
+def require_uniform_regime(a_size: int, n: int) -> None:
+    """The regime n > max(|A|, 3) of decompose_uniform."""
+    limit = pair_scan_limit(a_size)
+    if n <= limit:
+        raise PreconditionError(
+            f"uniform decomposition needs arity > max(|A|, 3) = {limit}, got {n}"
+        )
+
+
 def require_boolean(group: Group) -> None:
     if not group.is_boolean():
         raise PreconditionError(
@@ -291,13 +300,8 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     uniqueness is not claimed, see uniform_system_rank.
     """
     require_boolean(f.group)
-    n = f.arity
-    limit = pair_scan_limit(f.a_size)
-    if n <= limit:
-        raise PreconditionError(
-            f"uniform decomposition needs arity > max(|A|, 3) = {limit}, got {n}"
-        )
-    entries = _solve_for_phi(f, uniform_sum_sizes(n), pairing=False, require_unique=False)
+    require_uniform_regime(f.a_size, f.arity)
+    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity), pairing=False, require_unique=False)
     phi = PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
     if reconstruct_uniform(phi).values != f.values:
         raise InternalConsistencyError("uniform reconstruction mismatch after solve")

@@ -14,10 +14,12 @@ Every derivative value at the base comes from one finite-difference transform
 of the table (``_derivative_coefficients``): the decomposability tests scan it
 and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
 single derivative on its own, with plain modular sums, and serves as the
-independent check.  The transform and ``partial_derivative`` run on the
-packed table of ``groups.Packing``: one pass per coordinate masks the cells
-with x_i = b, shifts them onto the other cells along i and subtracts, every
-cell at once.
+independent check.  Every derivative table is built on the packed table of
+``groups.Packing`` by one shift, ``_copied_along``: it masks the cells with
+x_i = b and copies them along i, every cell at once.  A pass of the transform
+or of ``higher_derivative`` takes the difference of the table and that copy;
+a Taylor term keeps the coefficients whose support is exactly its position
+set and copies them along every other position.
 """
 
 from __future__ import annotations
@@ -70,21 +72,22 @@ def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
         raise ArgumentError(f"position {i} out of range for arity {f.arity}")
     if not 0 <= a_val < f.a_size:
         raise DomainError(f"parameter {a_val} out of range for alphabet {f.a_size}")
-    a = f.a_size
-    p = Packing(f.group, len(f.values))
-    c = p.pack(f.values)
-    ref = _copied_along(p, c, a, f.arity, i, a_val, range(a))
-    return FnTable(a, f.arity, f.group, p.unpack(p.sub(ref, c)))
+    params = [0] * f.arity
+    params[i] = a_val
+    return higher_derivative(f, (i,), params)
 
 
 def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) -> FnTable:
-    """Iterated single derivatives, applied in ascending position order."""
+    """Iterated single derivatives, applied in ascending position order: one
+    pass per position on the packed table."""
     positions = _check_positions(f, vars)
     params = _check_point(f, params, "parameter tuple")
-    out = f
+    a = f.a_size
+    p = Packing(f.group, len(f.values))
+    c = p.pack(f.values)
     for i in positions:
-        out = partial_derivative(out, i, params[i])
-    return out
+        c = p.sub(_copied_along(p, c, a, f.arity, i, params[i], range(a)), c)
+    return FnTable(a, f.arity, f.group, p.unpack(c))
 
 
 def derivative_at_zero(
@@ -131,9 +134,10 @@ def _check_base(f: FnTable, base: Sequence[int] | None) -> tuple[int, ...]:
     return (0,) * f.arity if base is None else _check_point(f, base, "base point")
 
 
-def _check_k(f: FnTable, k: int) -> None:
-    if not 0 <= k <= f.arity:
-        raise ArgumentError(f"k must be between 0 and {f.arity}, got {k}")
+def check_k(arity: int, k: int) -> None:
+    """The range 0 <= k <= arity of the decomposability tests."""
+    if not 0 <= k <= arity:
+        raise ArgumentError(f"k must be between 0 and {arity}, got {k}")
 
 
 def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> Sequence[int]:
@@ -199,31 +203,29 @@ def _check_taylor_cells(f: FnTable, terms: int) -> None:
         )
 
 
-def _term_table(f: FnTable, base: tuple[int, ...], c: Sequence[int], mask: int) -> FnTable:
-    """Term of the position set I = bits of mask: x -> c at (x on I, base
-    elsewhere), which is zero where some x_i on I equals base_i."""
-    a = f.a_size
-    # source index into c per table index, -1 where the term is zero
-    src = [sum(b * a**i for i, b in enumerate(base) if not mask >> i & 1)]
-    stride = 1
-    for i, b in enumerate(base):
-        if mask >> i & 1:
-            src = [s + d * stride if s >= 0 and d != b else -1 for d in range(a) for s in src]
-        else:
-            src = src * a
-        stride *= a
-    return FnTable(a, f.arity, f.group, tuple(c[s] if s >= 0 else 0 for s in src))
-
-
 def _taylor_terms_upto(
     f: FnTable, base: tuple[int, ...], c: Sequence[int], k: int
 ) -> list[tuple[frozenset[int], FnTable]]:
-    """The terms on at most k positions, by size ascending, then mask ascending."""
+    """The terms on at most k positions, by size ascending, then mask ascending.
+
+    Term I keeps the coefficients on the cells whose support is exactly I:
+    it drops the cells with x_i = base_i for each i in I, and copies the
+    cells with x_j = base_j along every other position j.
+    """
+    a, n = f.a_size, f.arity
+    p = Packing(f.group, len(c))
+    packed = p.pack(c)
     terms = []
     for s in range(k + 1):
-        for mask in sorted(sum(1 << i for i in I) for I in combinations(range(f.arity), s)):
-            positions = frozenset(i for i in range(f.arity) if mask >> i & 1)
-            terms.append((positions, _term_table(f, base, c, mask)))
+        for mask in sorted(sum(1 << i for i in I) for I in combinations(range(n), s)):
+            t = packed
+            for i, b in enumerate(base):
+                if mask >> i & 1:
+                    t -= _copied_along(p, t, a, n, i, b, (b,))
+                else:
+                    t = _copied_along(p, t, a, n, i, b, range(a))
+            positions = frozenset(i for i in range(n) if mask >> i & 1)
+            terms.append((positions, FnTable(a, n, f.group, p.unpack(t))))
     return terms
 
 
@@ -251,7 +253,7 @@ def decomposability_witness(
     parameter tuples in lexicographic order over ascending positions.
     Components of params outside the positions are 0, whatever the base.
     """
-    _check_k(f, k)
+    check_k(f.arity, k)
     base = _check_base(f, base)
     return _first_witness(f, base, _derivative_coefficients(f, base), k)
 
@@ -277,7 +279,7 @@ def decompose_via_taylor(
     k-decomposable, and ResourceError when the terms would exceed
     MAX_CELLS.
     """
-    _check_k(f, k)
+    check_k(f.arity, k)
     base = _check_base(f, base)
     c = _derivative_coefficients(f, base)
     witness = _first_witness(f, base, c, k)

@@ -70,11 +70,6 @@ def _packable(a_size: int, arity: int, group: groups.Group) -> None:
     groups.packed_cell(group.moduli)
 
 
-def _boolean_codomain(a_size: int, arity: int, group: groups.Group) -> None:
-    """What the phi modes of decompose need of a table's header."""
-    booldecomp.require_boolean(group)
-
-
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
     domain, entries = oddsupport.phi_texts(phi)
     return {"domain": domain, "a": phi.a_size, "group": phi.group.to_text(), "entries": entries}
@@ -158,7 +153,20 @@ def _cmd_decompose(args) -> None:
         raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
     if taylor and args.out is not None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
-    f, digest = _load_table(args.table, _packable if taylor else _boolean_codomain)
+
+    def header(a_size: int, arity: int, group: groups.Group) -> None:
+        # the library's own checks of what the mode needs of the header; the
+        # phi modes run them in the library's order
+        if taylor:
+            _packable(a_size, arity, group)
+            calculus.check_k(arity, args.k)
+        else:
+            booldecomp.require_boolean(group)
+            regime = {"odd": booldecomp.odd_case_shift, "even": booldecomp.even_case_shift,
+                      "fitilde": booldecomp.require_uniform_regime}[args.mode]
+            regime(a_size, arity)
+
+    f, digest = _load_table(args.table, header)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
     if taylor:
         terms = calculus.decompose_via_taylor(f, args.k)

@@ -92,8 +92,11 @@ def odd_sum_pair_count(m: int, t: int) -> int:
 
 
 def _check_row_work(max_m: int) -> None:
-    """ResourceError when the rows of both identities for m <= max_m would
-    evaluate more than MAX_CELLS binomial products, counted before any row."""
+    """ArgumentError when max_m < 1, ResourceError when the rows of both
+    identities for m <= max_m would evaluate more than MAX_CELLS binomial
+    products, counted before any row."""
+    if max_m < 1:
+        raise ArgumentError(f"max_m must be at least 1, got {max_m}")
     count = 0
     for m in range(1, max_m + 1):
         # even rows: m//2 - t products on the left, t//2 + 1 on the right

@@ -19,8 +19,8 @@ own, and the calculus shifts whole packed tables (groups.Packing).
 ``by_letter_counts`` folds the letter counts of each x into one class
 key on ``axis_fold`` and evaluates a symmetric function once per class: the
 Boolean decomposition sums and the Z3 gap-2 form are broadcast from there.
-The calculus kernel's support sizes and Taylor terms keep their own
-broadcasts, which were measured faster there.
+The calculus kernel's support sizes keep their own byte broadcast, which was
+measured faster there, and its Taylor terms are shifts of the packed table.
 """
 
 from __future__ import annotations

@@ -338,10 +338,11 @@ def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys,
 
 def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, capsys,
                                                                        monkeypatch):
-    # classify and the phi modes of decompose refuse a table whose header
-    # rules it out with the library's own message, before any value is
-    # parsed: the all-distinct 2**22 table over Z_{2**22} costs no parse
-    from fndecomp import classify_boolean, decompose_odd, z3_classify
+    # classify and decompose refuse a table whose header rules it out with
+    # the library's own message, before any value is parsed: a codomain, an
+    # arity against the alphabet or a --k out of range costs no parse
+    from fndecomp import (classify_boolean, decompose_even, decompose_odd, decompose_uniform,
+                          decompose_via_taylor, z3_classify)
 
     def refusal(fn, table):
         with pytest.raises(errors.FnDecompError) as info:
@@ -358,6 +359,15 @@ def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, c
     z6 = FnTable.constant(2, 4, Group((6,)), (0,))
     for mode in ("odd", "even", "fitilde"):
         cases.append((z6, ["decompose", "--mode", mode], refusal(decompose_odd, z6)))
+    # the phi modes' arities: n - |A| odd, n - |A| even, n > max(|A|, 3)
+    n3, n4, a3 = (FnTable.constant(a, n, Z2, (0,)) for a, n in ((2, 3), (2, 4), (3, 2)))
+    for table, mode, fn in ((n4, "odd", decompose_odd), (a3, "odd", decompose_odd),
+                            (n3, "even", decompose_even), (a3, "even", decompose_even),
+                            (n3, "fitilde", decompose_uniform)):
+        cases.append((table, ["decompose", "--mode", mode], refusal(fn, table)))
+    for k in (-1, 5):
+        cases.append((n4, ["decompose", "--mode", "taylor", "--k", str(k)],
+                      refusal(lambda table: decompose_via_taylor(table, k), n4)))
     # a file whose header rules the command out and whose body is bad fails
     # on the header; analyze, which takes its header, fails on the body
     path = tmp_path / "t.tbl"
@@ -366,6 +376,11 @@ def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, c
         2, "", "parse error: line 4: residue 4 out of range for modulus 4 in '1,4'\n")
     assert run(capsys, "decompose", str(path), "--mode", "odd") == (
         3, "", "precondition failed: codomain Z2xZ4 is not Boolean (every factor must be Z2)\n")
+    path.write_text("domain=2\narity=4\ngroup=Z2\n0 x\n")
+    assert run(capsys, "decompose", str(path), "--mode", "taylor", "--k", "4") == (
+        2, "", "parse error: line 4: bad element text 'x'\n")
+    assert run(capsys, "decompose", str(path), "--mode", "taylor", "--k", "5") == (
+        3, "", "precondition failed: k must be between 0 and 4, got 5\n")
     monkeypatch.setattr(Group, "parse_element", lambda *args: pytest.fail("a value was parsed"))
     for table, argv, message in cases:
         path.write_text(f"domain={table.a_size}\narity={table.arity}\n"
@@ -376,6 +391,11 @@ def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, c
         3, "", "precondition failed: ternary classification needs a Z3 -> Z3 table\n")
     assert run(capsys, "decompose", str(path), "--mode", "odd") == (
         3, "", "precondition failed: codomain Z4194304 is not Boolean (every factor must be Z2)\n")
+    path.write_text("domain=2\narity=22\ngroup=Z2\n0\n")
+    assert run(capsys, "decompose", str(path), "--mode", "odd") == (
+        3, "", "precondition failed: parity mismatch: n-|A| even\n")
+    assert run(capsys, "decompose", str(path), "--mode", "taylor", "--k", "30") == (
+        3, "", "precondition failed: k must be between 0 and 22, got 30\n")
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):
@@ -542,6 +562,10 @@ def test_identities_work_is_bounded(capsys):
         code, out, err = run(capsys, "identities", "--max-m", max_m)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "binomial products" in err
+    # a range with no row is refused, not reported as all equal
+    for max_m in ("0", "-3"):
+        assert run(capsys, "identities", "--max-m", max_m) == (
+            3, "", f"precondition failed: max_m must be at least 1, got {max_m}\n")
 
 
 def test_identities_mismatch_exits_4(capsys, monkeypatch):
@@ -705,28 +729,40 @@ def test_golden_outputs(tmp_path):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_modules(code):
-    """Names in sys.modules when a fresh interpreter, in this test's
-    environment with the package on its path, has run code.  A library
-    module counts once it is loaded: until then it is a lazy module, whose
-    type changes to types.ModuleType at its first attribute access."""
-    probe = ("import sys, types\ntry:\n    exec(%r)\nfinally:\n"
+def probe_modules(code):
+    """The names in sys.modules each time a fresh interpreter, in this test's
+    environment with the package on its path, calls loaded() while it runs
+    code, and once more when it is done.  A library module counts once it is
+    loaded: until then it is a lazy module, whose type changes to
+    types.ModuleType at its first attribute access."""
+    probe = ("import sys, types\n"
+             "def loaded():\n"
              "    print(*[name for name, module in sys.modules.items()\n"
              "            if not name.startswith('fndecomp.')\n"
-             "            or type(module) is types.ModuleType], file=sys.stderr)" % code)
+             "            or type(module) is types.ModuleType], file=sys.stderr)\n"
+             "try:\n    exec(%r)\nfinally:\n    loaded()" % code)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    return [set(line.split()) for line in proc.stderr.splitlines()]
+
+
+def loaded_modules(code):
+    return probe_modules(code)[-1]
 
 
 LIBRARY = ["tables", "calculus", "oddsupport", "booldecomp", "classify", "identities", "witnesses"]
 
 
 def command_modules(argv):
-    return loaded_modules(
-        "import runpy; sys.argv = ['fndecomp', *%r]; "
+    """The names loaded when cli.main builds its parser, and when the command
+    argv is done."""
+    return probe_modules(
+        "import runpy, fndecomp.cli as cli\n"
+        "build = cli._build_parser\n"
+        "cli._build_parser = lambda: (loaded(), build())[1]\n"
+        "sys.argv = ['fndecomp', *%r]\n"
         "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,))
 
 
@@ -738,25 +774,45 @@ def test_startup_imports(argv):
     assert "fndecomp.cli" in cli
     assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert not cli & {f"fndecomp.{name}" for name in LIBRARY}
-    command = command_modules(argv) - bare
+    command = command_modules(argv)[-1] - bare
     assert "argparse" in command
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (["--help"], ["records", "groups", *LIBRARY]),
-    (["decompose", "TABLE", "--mode", "taylor", "--k", "1"], LIBRARY[2:]),
-])
-def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, unloaded):
-    # without bytecode every module loaded is compiled from source
-    path = tmp_path / "t.tbl"
-    path.write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
-    argv = [str(path) if word == "TABLE" else word for word in argv]
-    command = command_modules(argv)
-    assert "fndecomp.cli" in command
-    assert not command & {f"fndecomp.{name}" for name in unloaded}
-    if "taylor" in argv:
-        assert {"fndecomp.tables", "fndecomp.calculus"} <= command
+TAYLOR = {"errors", "records", "groups", "tables", "calculus"}
+PHI = TAYLOR - {"calculus"} | {"oddsupport", "booldecomp"}
+ANALYZE = TAYLOR | {"oddsupport"}
+# the rows of the start-up table in README.md, for every subcommand and mode
+STARTUP_ROWS = {
+    "help": (["--help"], {"errors"}),
+    "taylor": (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"], TAYLOR),
+    "odd": (["decompose", "parity3.tbl", "--mode", "odd"], PHI),
+    "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI),
+    "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI),
+    "analyze": (["analyze", "z3.tbl"], ANALYZE),
+    "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"],
+                         {"errors", "records", "groups", "tables", "oddsupport", "classify"}),
+    "classify-z3": (["classify", "form.tbl", "--target", "z3"],
+                    {"errors", "records", "groups", "tables", "oddsupport", "classify"}),
+    "identities": (["identities", "--max-m", "3"], TAYLOR | {"identities"}),
+    "witness": (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
+                 "--out", "w.tbl"], ANALYZE | {"witnesses"}),
+}
+
+
+@pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
+def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
+    # without bytecode every module loaded is compiled from source; main
+    # loads a command's modules (cli._RUNS) before it builds the parser
+    (tmp_path / "z3.tbl").write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
+    write_parity(tmp_path, 3, "parity3.tbl")
+    write_parity(tmp_path, 4, "parity4.tbl")
+    save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "form.tbl")
+    argv = [str(tmp_path / word) if word.endswith(".tbl") else word for word in argv]
+    at_parser, done = ({name for name in names if name.startswith("fndecomp.")}
+                       for names in command_modules(argv))
+    assert done == at_parser
+    assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
 
 
 if __name__ == "__main__":
