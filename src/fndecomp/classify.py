@@ -23,11 +23,14 @@ Both classifiers read the small object the theorem gives instead of
 enumerating tables.  For m >= 4 the only Boolean gap-2 form is the parity
 sum, the one Boolean table with m essential variables that is determined by
 odd support, so its verdict is ``determined_via_symmetry`` and its constant
-c is f(0, ..., 0); only the m = 2 and m = 3 forms, parity included, are
-expanded over variable permutations.  The 81 quadruples build exactly the 81
-odd-support-determined tables, and phi on four support keys is a linear
-bijective image of (a, b, c, d) that depends only on the parity of n, so a
-ternary verdict is ``extract_phi`` followed by one linear inverse.  The
+c is f(0, ..., 0).  At m = 2 and m = 3 the form is read off the GF(2)
+polynomial of the reduced table: a Moebius transform over its at most 8
+values gives the coefficients, the number of monomials of each degree names
+the form (each such degree profile is one orbit under permuting the
+variables), and c is the constant coefficient.  The 81 quadruples build
+exactly the 81 odd-support-determined tables, and phi on four support keys is
+a linear bijective image of (a, b, c, d) that depends only on the parity of
+n, so a ternary verdict is ``extract_phi`` followed by one linear inverse.  The
 certificate ``z3_build`` rebuilds the table from the parameters alone; the
 form is symmetric in the positions, so it is evaluated once per letter-count
 class and broadcast, without ``extract_phi`` or the link.
@@ -35,8 +38,6 @@ class and broadcast, without ``extract_phi`` or the link.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
 from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError
@@ -48,13 +49,10 @@ from .tables import (
     by_letter_counts,
     determined_via_symmetry,
     essential_variables,
-    iter_tuples,
     pair_scan_limit,
     reduce_to_essential,
-    simple_minor,
 )
 
-Z2 = Group((2,))
 Z3 = Group((3,))
 
 
@@ -83,33 +81,29 @@ class BooleanClassification(Record):
         self.__dict__.update(gap=gap, form=form)
 
 
-def _gf2_table(m: int, poly) -> tuple[int, ...]:
-    """Value tuple of a GF(2) polynomial given as a callable on bit tuples."""
-    return tuple(poly(x) & 1 for x in iter_tuples(2, m))
+# degree profile (monomials of degree 1, ..., m) of each gap-2 polynomial, at
+# m = 2 and at m = 3; each profile is one orbit under permuting the variables
+_GAP2_PROFILES = {(2, 0): PARITY_SUM, (1, 1): PRODUCT_PLUS_ARG,
+                  (3, 0, 0): PARITY_SUM, (0, 3, 0): MAJORITY, (2, 3, 0): MAJORITY_PLUS_PAIR}
 
 
-@lru_cache(maxsize=None)
-def _gap2_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
-    """All gap-2 canonical tables of essential arity m in {2, 3}, up to
-    variable permutation."""
-    index: dict[tuple[int, ...], BooleanGapForm] = {}
-
-    def orbit(values: tuple[int, ...], form: BooleanGapForm) -> None:
-        base = FnTable(2, m, Z2, values)
-        for perm in permutations(range(m)):
-            index.setdefault(simple_minor(base, perm, m).values, form)
-
-    for c in (0, 1):
-        orbit(_gf2_table(m, lambda x: sum(x) + c), BooleanGapForm(PARITY_SUM, c, m))
-        if m == 2:
-            orbit(_gf2_table(2, lambda x: x[0] * x[1] + x[0] + c),
-                  BooleanGapForm(PRODUCT_PLUS_ARG, c))
-        if m == 3:
-            maj = lambda x: x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
-            orbit(_gf2_table(3, lambda x: maj(x) + c), BooleanGapForm(MAJORITY, c))
-            orbit(_gf2_table(3, lambda x: maj(x) + x[0] + x[1] + c),
-                  BooleanGapForm(MAJORITY_PLUS_PAIR, c))
-    return index
+def _gap2_form(g: FnTable) -> BooleanGapForm | None:
+    """The gap-2 form of a Boolean table of arity 2 or 3, read off the degree
+    profile of its GF(2) polynomial, or None."""
+    m = g.arity
+    # Moebius transform: afterwards coef[I] is the coefficient of prod_{i in I} x_i
+    coef = list(g.values)
+    for bit in (1 << i for i in range(m)):
+        for idx in range(bit, len(coef)):
+            if idx & bit:
+                coef[idx] ^= coef[idx ^ bit]
+    profile = [0] * m
+    for idx in range(1, len(coef)):
+        profile[idx.bit_count() - 1] += coef[idx]
+    kind = _GAP2_PROFILES.get(tuple(profile))
+    if kind is None:
+        return None
+    return BooleanGapForm(kind, coef[0], m if kind == PARITY_SUM else None)
 
 
 def check_boolean_table(a_size: int, arity: int, group: Group) -> None:
@@ -125,7 +119,7 @@ def classify_boolean(f: FnTable) -> BooleanClassification:
     if g.arity < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
     if g.arity <= pair_scan_limit(2):
-        form = _gap2_form_index(g.arity).get(g.values)
+        form = _gap2_form(g)
     elif determined_via_symmetry(g):
         form = BooleanGapForm(PARITY_SUM, g.values[0], g.arity)
     else:

@@ -11,7 +11,7 @@ Identity over odd lower indices, for 0 <= t <= (m-1)/2:
 
 The second counts pairs (P, Q) with P subset of Q subset of [m], |P| = 2t and
 |Q| odd; ``odd_sum_pair_count`` reproduces it by enumerating every set Q once
-per m, tallied by |Q|, which gives the count for every t from one walk.
+per m, tallied by odd |Q|, which gives the count for every t from one walk.
 
 All arithmetic is exact big-integer.  The right-hand side of the first
 identity can hit a binomial with negative upper index at boundary parameters;
@@ -77,8 +77,9 @@ def _odd_pair_counts(m: int) -> list[int]:
     """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
     # sizes[q] = |Q| for the bitmask q of every Q: its support against 0^m
     sizes = _support_sizes(2, (0,) * m)
-    tally = [sizes.count(s) for s in range(m + 1)]
-    return [sum(tally[s] * comb(s, 2 * t) for s in range(1, m + 1, 2))
+    odd = range(1, m + 1, 2)
+    tally = [sizes.count(s) for s in odd]
+    return [sum(k * comb(s, 2 * t) for s, k in zip(odd, tally))
             for t in range((m - 1) // 2 + 1)]
 
 

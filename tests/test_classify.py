@@ -19,7 +19,6 @@ from fndecomp import (
 from fndecomp.classify import (
     BooleanGapForm,
     Z3Params,
-    _gap2_form_index,
     params_from_phi,
     phi_values_for_params,
 )
@@ -95,10 +94,16 @@ def test_classify_boolean_matches_orbit_index_at_higher_arity():
     for m in range(2, 8):
         oracle = orbit_form_index(m)
         if m <= 3:
-            assert _gap2_form_index(m) == oracle
+            # every table whose m variables are all essential, against the
+            # permutation orbits of the forms
+            size = 1 << m
+            for code in range(1 << size):
+                f = FnTable(2, m, Z2, tuple(code >> i & 1 for i in range(size)))
+                if essential_arity(f) == m:
+                    assert classify_boolean(f).form == oracle.get(f.values)
             continue
         # above m = 3 the only forms are the two parity sums, which
-        # classify_boolean reads off determination instead of an index
+        # classify_boolean reads off determination, not off the polynomial
         assert len(oracle) == 2
         for values, form in oracle.items():
             assert classify_boolean(FnTable(2, m, Z2, values)).form == form

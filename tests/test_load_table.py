@@ -3,11 +3,12 @@ value token on its own: the same table, or the same error message and line,
 on a corpus of malformed files and under hypothesis."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndecomp import FnTable, Group, dump_table, load_table
+from fndecomp import FnTable, Group, dump_table, load_table, tables
 from fndecomp.errors import FnDecompError, ParseError, ResourceError
 from fndecomp.groups import packed_cell
 from helpers import pointwise_load_table, random_table
@@ -216,3 +217,12 @@ def test_header_check_runs_before_any_value_is_parsed():
         load_table("domain=2\narity=1\ngroup=" + "Z2x" * 16 + "Z2\n0 x\n", packable)
     ok = "domain=2\narity=1\ngroup=Z4096\n0 4095\n"
     assert load_table(ok, packable) == load_table(ok)
+
+
+def test_the_readme_table_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Table file format", 1)[1]
+    example = section.split("```", 2)[1]
+    f = tables.load_table(example)
+    assert (f.a_size, f.arity, f.group.to_text()) == (2, 4, "Z2")
+    assert f.values == tuple(sum(x) % 2 for x in tables.iter_tuples(2, 4))

@@ -62,3 +62,17 @@ def test_the_lazy_registry_holds_every_library_module():
         "print(*(name for name in sys.modules if name.startswith('fndecomp.')))\n")
     assert set(registered) == expected
     assert {f"fndecomp.{name}" for name in fndecomp._EXPORTS} == expected
+
+
+def test_phi_domain_is_the_one_library_cache():
+    # a functools cache keeps what it is given for the life of the process;
+    # the library holds exactly one, bounded, on the small phi domains
+    caches = set()
+    for path in PACKAGE.glob("[!_]*.py"):
+        module = importlib.import_module(f"fndecomp.{path.stem}")
+        objects = list(vars(module).values())
+        objects += [v for cls in objects if isinstance(cls, type) for v in vars(cls).values()]
+        caches |= {(obj.__module__, obj.__qualname__) for obj in objects
+                   if callable(getattr(obj, "cache_info", None))}
+    assert caches == {("fndecomp.oddsupport", "phi_domain")}
+    assert fndecomp.oddsupport.phi_domain.cache_info().maxsize == 8

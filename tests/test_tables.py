@@ -353,7 +353,6 @@ def test_symmetry_matches_the_permutation_definition_exhaustively():
 
 
 def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch):
-    import fndecomp.classify as classify_mod
     import fndecomp.tables as tables_mod
     from fndecomp import (
         BooleanGapForm,
@@ -369,10 +368,9 @@ def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch):
     cases = [(parity, 2), (determined, 2), (random_full_arity_table(rng, 2, 6, Z2), 1),
              (random_full_arity_table(rng, 3, 5, Z3), 1)]
     built = []
-    for module, name in ((tables_mod, "simple_minor"), (tables_mod, "identification_minor"),
-                         (tables_mod, "_identification_drop"), (classify_mod, "simple_minor")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real:
+    for name in ("simple_minor", "identification_minor", "_identification_drop"):
+        real = getattr(tables_mod, name)
+        monkeypatch.setattr(tables_mod, name, lambda *args, _name=name, _real=real:
                             built.append(_name) or _real(*args))
     for f, gap in cases:
         assert essential_arity(f) > tables_mod.pair_scan_limit(f.a_size)
