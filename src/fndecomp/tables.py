@@ -9,7 +9,10 @@ Values are stored as group element codes (see groups.Group.encode); the
 element-level view is available through eval / element_values.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
-list per table index: minors and the odd-support maps are built on it.
+list per table index: general minors and the odd-support maps are built on
+it.  The restriction to the essential coordinates is no general minor:
+``reduce_to_essential`` reads the cells with every inessential coordinate 0
+off slices of the value tuple, and lists no index per cell.
 ``zero_slices`` is the one plan for a scan along coordinates: it covers the
 cells where a few coordinates are 0 by strided slices of the value tuple, and
 moving a slice by d * a**t reads the cells where x_t = d.  Essential
@@ -68,10 +71,10 @@ def check_cells(a_size: int, arity: int) -> None:
         )
 
 
-def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add, start=0) -> list:
-    """start op axes[0][x[0]] op ... op axes[n-1][x[n-1]] for every x, in
+def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add) -> list:
+    """0 op axes[0][x[0]] op ... op axes[n-1][x[n-1]] for every x, in
     table-index order; n = len(axes) and each axis has a_size entries."""
-    out = [start]
+    out = [0]
     for axis in axes:
         # the new coordinate varies slowest: one copy of out per digit
         out = [op(o, d) for d in axis for o in out]
@@ -92,11 +95,6 @@ def by_letter_counts(a_size: int, arity: int, fn: Callable[[list[int]], int]) ->
         counts = [key // base**d % base for d in range(a_size - 1)]
         value[key] = fn([arity - sum(counts)] + counts)
     return list(map(value.__getitem__, keys))
-
-
-def linear_index(a_size: int, weights: Sequence[int], offset: int = 0) -> list[int]:
-    """offset + sum_i x[i] * weights[i] for every x, in table-index order."""
-    return axis_fold(a_size, [[d * w for d in range(a_size)] for w in weights], add, offset)
 
 
 def zero_slices(a_size: int, arity: int, bound: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -219,10 +217,9 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     a = f.a_size
     check_cells(a, arity)
     # the index into f of y is sum_i y[sigma[i]] * a**i
-    weights = [0] * arity
-    for i, s in enumerate(sigma):
-        weights[s] += a**i
-    return FnTable(a, arity, f.group, tuple(map(f.values.__getitem__, linear_index(a, weights))))
+    weights = [sum(a**i for i, s in enumerate(sigma) if s == k) for k in range(arity)]
+    index = axis_fold(a, [[d * w for d in range(a)] for w in weights])
+    return FnTable(a, arity, f.group, tuple(map(f.values.__getitem__, index)))
 
 
 def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
@@ -375,17 +372,30 @@ def determined_via_symmetry(f: FnTable) -> bool:
 
 
 def reduce_to_essential(f: FnTable) -> FnTable:
-    """Restrict f to its essential coordinates (arity = essential arity)."""
-    ess = sorted(essential_variables(f))
-    m = len(ess)
-    if m == f.arity:
-        return f
-    if m == 0:
-        return FnTable(f.a_size, 0, f.group, (f.values[0],))
-    sigma = [0] * f.arity
-    for t, pos in enumerate(ess):
-        sigma[pos] = t
-    return simple_minor(f, tuple(sigma), m)
+    """Restrict f to its essential coordinates (arity = essential arity).
+
+    The restriction is the cells with x_t = 0 for every inessential t, in
+    table-index order, read off slices of the value tuple.  Dropping x_t
+    keeps the first a**t cells of each block of a**(t+1): one slice per
+    block or one strided slice per kept offset, whichever are fewer.  Taking
+    t from high to low leaves every lower coordinate in place.
+    """
+    ess = essential_variables(f)
+    a, vals = f.a_size, f.values
+    for t in sorted(set(range(f.arity)) - ess, reverse=True):
+        keep, block = a**t, a**(t + 1)
+        if len(vals) == block or keep == 1:
+            vals = vals[:keep] if len(vals) == block else vals[::block]
+            continue
+        out = [0] * (len(vals) // a)
+        if len(vals) // block <= keep:
+            for b, s in enumerate(range(0, len(vals), block)):
+                out[b * keep:(b + 1) * keep] = vals[s:s + keep]
+        else:
+            for o in range(keep):
+                out[o::keep] = vals[o::block]
+        vals = out
+    return f if vals is f.values else FnTable(a, len(ess), f.group, vals)
 
 
 # ----------------------------------------------------------------------

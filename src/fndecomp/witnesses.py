@@ -58,7 +58,7 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
     """
     if ell < 1:
         raise ArgumentError(f"alphabet parameter ell must be >= 1, got {ell}")
-    if e < 1 or group.exponent != 1 << e:
+    if e < 1 or group.exponent_pow2() != e:
         raise ArgumentError(
             f"group exponent {group.exponent} is not 2**{e}"
         )
@@ -69,9 +69,9 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
         raise ArgumentError(f"arity must be >= ell+e-1 = {ell + e - 1}, got {n}")
     a_size = ell + 1
     zero = group.zero
-    nonzero_above = frozenset(range(1, a_size))
+    # S holds all of 1..ell when ell of its letters are nonzero
     phi = PhiMap.on_phi_domain(
-        a_size, n, group, lambda S: b if nonzero_above <= S else zero
+        a_size, n, group, lambda S: b if len(S) - (0 in S) == ell else zero
     )
     table = table_from_phi(phi)
     positions = frozenset(range(ell + e - 1))
@@ -124,12 +124,11 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     b = group.validate(b)
     if b == group.zero:
         raise ArgumentError("witness value b must be nonzero")
-    # n letters with odd support {1..n} are 1..n once each
-    target = frozenset(range(1, n + 1))
+    # n letters with odd support {1..n} are 1..n once each; n distinct
+    # nonzero letters up to n are exactly 1..n
     zero = group.zero
-    table = table_from_phi(
-        PhiMap.on_phi_domain(a_size, n, group, lambda S: b if S == target else zero)
-    )
+    table = table_from_phi(PhiMap.on_phi_domain(
+        a_size, n, group, lambda S: b if len(S) == n == max(S) and 0 not in S else zero))
     return WitnessBundle(
         table, frozenset(range(n)), tuple(range(1, n + 1)), b, n - 1
     )

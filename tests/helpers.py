@@ -17,8 +17,10 @@ tried against a reconstruction, every subset pair counted one by one, the
 arity gap scanned over every pair of essential variables (which the
 library reads off odd-support determination above max(|A|, 3)), phi
 extracted by one pass over every cell's odd-support class (which the
-library reads off slices of the value tuple and one cell per key), and the
-table parser and printer that parse and format every value on its own.
+library reads off slices of the value tuple and one cell per key), the
+restriction to the essential coordinates as a general simple_minor (which
+the library reads off slices of the value tuple), and the table parser and
+printer that parse and format every value on its own.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from fndecomp.tables import (
     essential_arity,
     essential_variables,
     iter_tuples,
-    linear_index,
     simple_minor,
     tuple_index,
 )
@@ -158,7 +159,8 @@ def _identification_getter(a_size, arity, i, j):
     weights = [a_size**t for t in range(arity)]
     weights[j] += weights[i]
     weights[i] = 0
-    return itemgetter(*linear_index(a_size, weights))
+    return itemgetter(*[sum(c * w for c, w in zip(x, weights))
+                        for x in all_tuples(a_size, arity)])
 
 
 def pair_scan_arity_gap(f: FnTable) -> int:
@@ -176,6 +178,25 @@ def pair_scan_arity_gap(f: FnTable) -> int:
         if best == 1:
             break
     return best
+
+
+def minor_restriction(f: FnTable) -> FnTable:
+    """f restricted to its essential coordinates the general way: simple_minor
+    with the sigma that sends them to 0, 1, ... in order."""
+    ess = sorted(essential_variables(f))
+    if not ess:
+        return FnTable(f.a_size, 0, f.group, f.values[:1])
+    sigma = [0] * f.arity
+    for t, pos in enumerate(ess):
+        sigma[pos] = t
+    return simple_minor(f, tuple(sigma), len(ess))
+
+
+def with_inessential(g: FnTable, kept, n) -> FnTable:
+    """The n-ary table f(x) = g(x[kept[0]], x[kept[1]], ...), cell by cell:
+    every position outside kept is inessential."""
+    return FnTable.from_callable(g.a_size, n, g.group,
+                                 lambda x: g.eval(tuple(x[k] for k in kept)))
 
 
 def naive_is_totally_symmetric(f: FnTable) -> bool:

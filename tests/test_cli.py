@@ -637,6 +637,29 @@ def test_witness_bad_arguments_exit_3(tmp_path, capsys):
         assert code == 3 and "budget" in err and not out_tbl.exists()
 
 
+def test_huge_witness_arguments_are_refused_in_bounded_memory(tmp_path, capsys):
+    import tracemalloc
+
+    # each refusal comes before anything sized by the argument is built:
+    # 2**e, or the letter sets {1..ell} and {1..n}
+    keys = "the keys of a phi map over a 1000001-letter alphabet would take more than"
+    cases = [(["--kind", "tightness", "--ell", "2", "--e", str(e), "--n", "4"],
+              f"group exponent 2 is not 2**{e}") for e in (10**8, 10**18)]
+    cases += [(["--kind", "tightness", "--ell", str(10**6), "--e", "1", "--n", str(10**6)], keys),
+              (["--kind", "large-alphabet", "--n", str(10**6), "--a-size", str(10**6 + 1)], keys)]
+    out_tbl = tmp_path / "w.tbl"
+    for extra, message in cases:
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "witness", *extra, "--group", "Z2", "--b", "1",
+                               "--out", str(out_tbl))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and err.startswith(f"precondition failed: {message}")
+        assert peak < 1 << 21 and not out_tbl.exists()
+
+
 def test_unwritable_out_exit_3(tmp_path, capsys):
     missing = tmp_path / "missing"
     witness = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1", "--out"]

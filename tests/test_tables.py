@@ -30,11 +30,11 @@ from fndecomp.tables import (
     axis_fold,
     check_cells,
     iter_tuples,
-    linear_index,
     zero_slices,
 )
 from helpers import (
     class_tables,
+    minor_restriction,
     naive_arity_gap,
     naive_essential_variables,
     naive_identification_values,
@@ -45,10 +45,12 @@ from helpers import (
     random_table,
     symmetric_tables,
     with_cell_flipped,
+    with_inessential,
 )
 
 Z2 = Group((2,))
 Z3 = Group((3,))
+Z2xZ2 = Group((2, 2))
 
 
 def gf2(fn, n):
@@ -71,18 +73,18 @@ def test_indexing_convention():
     rng = random.Random(1)
     for a in (2, 3, 5):
         for n in range(5):
-            assert linear_index(a, [a**i for i in range(n)]) == list(range(a**n))
+            assert axis_fold(a, [[d * a**i for d in range(a)] for i in range(n)]) == \
+                list(range(a**n))
             axes = [[rng.randrange(64) for _ in range(a)] for _ in range(n)]
             for op in (add, xor):
-                start = rng.randrange(64)
                 expect = []
                 for x in iter_tuples(a, n):
-                    v = start
+                    v = 0
                     for axis, d in zip(axes, x):
                         v = op(v, axis[d])
                     expect.append(v)
-                assert axis_fold(a, axes, op, start) == expect
-    assert axis_fold(3, [], xor, 7) == [7]
+                assert axis_fold(a, axes, op) == expect
+    assert axis_fold(3, [], xor) == [0]
 
 
 def test_eval_examples():
@@ -321,6 +323,32 @@ def test_reduction_agrees_on_all_tuples():
             assert f.eval(x) == r.eval(tuple(x[i] for i in ess))
 
 
+def test_reduction_matches_the_minor_for_every_set_of_inessential_positions():
+    # each inessential set at |A| = 2, 3 and n <= 4 drops coordinates by one
+    # slice, by slices per block and by strided slices per offset
+    rng = random.Random(47)
+    for a_size, group in [(2, Z3), (3, Z3), (2, Z2xZ2), (3, Z2xZ2)]:
+        for n in range(5):
+            for m in range(n + 1):
+                for kept in combinations(range(n), m):
+                    for _ in range(2):
+                        g = random_full_arity_table(rng, a_size, m, group)
+                        f = with_inessential(g, kept, n)
+                        assert reduce_to_essential(f) == minor_restriction(f) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduction_matches_the_minor_under_hypothesis(data):
+    a_size, n = data.draw(st.sampled_from([(2, 6), (2, 9), (3, 5), (3, 6)]))
+    group = data.draw(st.sampled_from([Z3, Z2xZ2]))
+    kept = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    size = a_size ** len(kept)
+    values = data.draw(st.lists(st.integers(0, group.order - 1), min_size=size, max_size=size))
+    f = with_inessential(FnTable(a_size, len(kept), group, values), kept, n)
+    assert reduce_to_essential(f) == minor_restriction(f)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**16 - 1))
 def test_symmetry_equals_permutation_invariance(code):
@@ -352,33 +380,60 @@ def test_symmetry_matches_the_permutation_definition_exhaustively():
         assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
 
 
-def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch):
+def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch, tmp_path, capsys):
+    import json
+
     import fndecomp.tables as tables_mod
     from fndecomp import (
         BooleanGapForm,
         PhiMap,
         classify_boolean,
         determined_via_symmetry,
+        save_table_file,
         table_from_phi,
     )
+    from fndecomp.cli import main
 
     rng = random.Random(43)
     parity = gf2(lambda x: sum(x), 6)
     determined = table_from_phi(PhiMap.on_phi_domain(3, 5, Z3, lambda S: (len(S) % 3,)))
     cases = [(parity, 2), (determined, 2), (random_full_arity_table(rng, 2, 6, Z2), 1),
              (random_full_arity_table(rng, 3, 5, Z3), 1)]
+    # the same tables padded with x0 and x3 inessential: the restriction
+    # is read off slices, with no index list
+    cases += [(with_inessential(f, [k for k in range(f.arity + 2) if k not in (0, 3)],
+                                f.arity + 2), gap) for f, gap in cases]
     built = []
-    for name in ("simple_minor", "identification_minor", "_identification_drop"):
-        real = getattr(tables_mod, name)
-        monkeypatch.setattr(tables_mod, name, lambda *args, _name=name, _real=real:
-                            built.append(_name) or _real(*args))
+
+    def refuse(name):
+        def call(*args):
+            built.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    real_drop = tables_mod._identification_drop
+    for name in ("simple_minor", "identification_minor", "_identification_drop", "axis_fold"):
+        monkeypatch.setattr(tables_mod, name, refuse(name))
     for f, gap in cases:
-        assert essential_arity(f) > tables_mod.pair_scan_limit(f.a_size)
-        assert determined_via_symmetry(f) == (gap == 2)
+        g = reduce_to_essential(f)
+        assert g.arity == essential_arity(f) > tables_mod.pair_scan_limit(f.a_size)
+        assert determined_via_symmetry(g) == (gap == 2)
         assert arity_gap(f) == gap
         if f.a_size == 2:
             assert classify_boolean(f).gap == gap
     assert classify_boolean(parity).form == BooleanGapForm("parity_sum", 0, 6)
+    assert built == []
+    # the CLI certifies gap 1 by the pairs up to the first drop of one
+    monkeypatch.setattr(tables_mod, "_identification_drop", real_drop)
+    for k, (f, gap) in enumerate(cases):
+        path = str(tmp_path / f"{k}.tbl")
+        save_table_file(f, path)
+        commands = [["analyze", path]]
+        if f.a_size == 2:
+            commands.append(["classify", path, "--target", "boolean"])
+        for argv in commands:
+            assert main(argv + ["--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdicts"]["gap"] == gap
     assert built == []
 
 
