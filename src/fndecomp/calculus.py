@@ -5,12 +5,12 @@ x -> f(x with component i set to a) - f(x).  Derivatives with respect to
 different positions commute, so higher derivatives are indexed by a set of
 positions plus a parameter tuple (components outside the set are irrelevant).
 
-Summing the derivatives of f at a base point over all position sets
-reconstructs f exactly; a function is a sum of essentially-at-most-k-ary
-functions precisely when all its derivatives on more than k positions vanish
-at the base point.  That criterion drives the decomposability tests here.
+Summing the derivatives of f at 0 over all position sets reconstructs f
+exactly; a function is a sum of essentially-at-most-k-ary functions precisely
+when all its derivatives on more than k positions vanish at 0.  That criterion
+drives the decomposability tests here.
 
-Every derivative value at the base comes from one finite-difference transform
+Every derivative value at 0 comes from one finite-difference transform
 of the table (``_derivative_coefficients``): the decomposability tests scan it
 and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
 single derivative on its own, with plain modular sums, and serves as the
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError
 from .groups import Element, Packing
-from .tables import FnTable, tuple_index
+from .tables import FnTable
 
 # bytes.translate table adding 1 to every byte below 255
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -90,13 +90,8 @@ def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) ->
     return FnTable(a, f.arity, f.group, p.unpack(c))
 
 
-def derivative_at_zero(
-    f: FnTable,
-    vars: Iterable[int],
-    params: Sequence[int],
-    base: Sequence[int] | None = None,
-) -> Element:
-    """Value of the derivative at the base point (all-zero tuple by default).
+def derivative_at_zero(f: FnTable, vars: Iterable[int], params: Sequence[int]) -> Element:
+    """Value of the derivative at the all-zero tuple.
 
     Counts how often each value code enters the alternating sum with each
     sign, without building any table, and sums the residues of each cyclic
@@ -104,13 +99,11 @@ def derivative_at_zero(
     """
     positions = _check_positions(f, vars)
     params = _check_point(f, params, "parameter tuple")
-    base = (0,) * f.arity if base is None else _check_point(f, base, "base point")
     a = f.a_size
-    base_idx = tuple_index(a, base)
-    # offsets from base of the cells on an even and an odd number of positions
-    even, odd = [base_idx], []
+    # indices of the cells on an even and an odd number of positions
+    even, odd = [0], []
     for i in positions:
-        delta = (params[i] - base[i]) * a**i
+        delta = params[i] * a**i
         moved = list(map(delta.__add__, odd))
         odd += map(delta.__add__, even)
         even += moved
@@ -130,39 +123,34 @@ def derivative_at_zero(
 # ----------------------------------------------------------------------
 
 
-def _check_base(f: FnTable, base: Sequence[int] | None) -> tuple[int, ...]:
-    return (0,) * f.arity if base is None else _check_point(f, base, "base point")
-
-
 def check_k(arity: int, k: int) -> None:
     """The range 0 <= k <= arity of the decomposability tests."""
     if not 0 <= k <= arity:
         raise ArgumentError(f"k must be between 0 and {arity}, got {k}")
 
 
-def _derivative_coefficients(f: FnTable, base: tuple[int, ...]) -> Sequence[int]:
-    """Codes c with c[index(x)] = the derivative of f at base on the positions
-    where x differs from base, with parameters x.
+def _derivative_coefficients(f: FnTable) -> Sequence[int]:
+    """Codes c with c[index(x)] = the derivative of f at 0 on the nonzero
+    positions of x, with parameters x.
 
     Mixed-radix finite-difference transform on the packed table: one pass per
-    coordinate i subtracts, from every x with x_i != base_i, the entry with
-    x_i = base_i, all cells at once.  Costs arity * |A|**arity field
+    coordinate i subtracts, from every x with x_i != 0, the entry with
+    x_i = 0, all cells at once.  Costs arity * |A|**arity field
     subtractions, done as a few big-int operations per pass.
     """
     a = f.a_size
     p = Packing(f.group, len(f.values))
     c = p.pack(f.values)
-    for i, b in enumerate(base):
-        c = p.sub(c, _copied_along(p, c, a, f.arity, i, b, (d for d in range(a) if d != b)))
+    for i in range(f.arity):
+        c = p.sub(c, _copied_along(p, c, a, f.arity, i, 0, range(1, a)))
     return p.unpack(c)
 
 
-def _support_sizes(a_size: int, base: tuple[int, ...]) -> bytes:
-    """Number of positions where x differs from base, per table index."""
+def _support_sizes(a_size: int, arity: int) -> bytes:
+    """Number of nonzero digits of x, per table index."""
     sizes = b"\0"
-    for b in base:
-        more = sizes.translate(_PLUS_ONE)
-        sizes = b"".join(sizes if d == b else more for d in range(a_size))
+    for _ in range(arity):
+        sizes += sizes.translate(_PLUS_ONE) * (a_size - 1)
     return sizes
 
 
@@ -171,11 +159,9 @@ def _top_size(sizes: bytes, c: Sequence[int]) -> int:
     return max((s for s, v in zip(sizes, c) if v), default=0)
 
 
-def _first_witness(
-    f: FnTable, base: tuple[int, ...], c: Sequence[int], k: int
-) -> Witness | None:
+def _first_witness(f: FnTable, c: Sequence[int], k: int) -> Witness | None:
     """The witness of decomposability_witness, read off the coefficients c."""
-    sizes = _support_sizes(f.a_size, base)
+    sizes = _support_sizes(f.a_size, f.arity)
     top = _top_size(sizes, c)
     if top <= k:
         return None
@@ -183,9 +169,8 @@ def _first_witness(
     powers = [a**i for i in range(f.arity)]
 
     def mask_and_params(idx):
-        x = [(idx // p) % a for p in powers]
-        mask = sum(1 << i for i, (d, b) in enumerate(zip(x, base)) if d != b)
-        return mask, tuple(d if d != b else 0 for d, b in zip(x, base))
+        x = tuple((idx // p) % a for p in powers)
+        return sum(1 << i for i, d in enumerate(x) if d), x
 
     # among the largest supports: mask ascending, then parameters lexicographic
     mask, params = min(
@@ -204,13 +189,13 @@ def _check_taylor_cells(f: FnTable, terms: int) -> None:
 
 
 def _taylor_terms_upto(
-    f: FnTable, base: tuple[int, ...], c: Sequence[int], k: int
+    f: FnTable, c: Sequence[int], k: int
 ) -> list[tuple[frozenset[int], FnTable]]:
     """The terms on at most k positions, by size ascending, then mask ascending.
 
     Term I keeps the coefficients on the cells whose support is exactly I:
-    it drops the cells with x_i = base_i for each i in I, and copies the
-    cells with x_j = base_j along every other position j.
+    it drops the cells with x_i = 0 for each i in I, and copies the cells
+    with x_j = 0 along every other position j.
     """
     a, n = f.a_size, f.arity
     p = Packing(f.group, len(c))
@@ -219,59 +204,50 @@ def _taylor_terms_upto(
     for s in range(k + 1):
         for mask in sorted(sum(1 << i for i in I) for I in combinations(range(n), s)):
             t = packed
-            for i, b in enumerate(base):
+            for i in range(n):
                 if mask >> i & 1:
-                    t -= _copied_along(p, t, a, n, i, b, (b,))
+                    t -= _copied_along(p, t, a, n, i, 0, (0,))
                 else:
-                    t = _copied_along(p, t, a, n, i, b, range(a))
+                    t = _copied_along(p, t, a, n, i, 0, range(a))
             positions = frozenset(i for i in range(n) if mask >> i & 1)
             terms.append((positions, FnTable(a, n, f.group, p.unpack(t))))
     return terms
 
 
-def taylor_terms(
-    f: FnTable, base: Sequence[int] | None = None
-) -> list[tuple[frozenset[int], FnTable]]:
-    """One term table per position set I: x -> derivative of f on I at base,
+def taylor_terms(f: FnTable) -> list[tuple[frozenset[int], FnTable]]:
+    """One term table per position set I: x -> derivative of f on I at 0,
     evaluated with parameter x.  The 2**arity terms sum to f exactly.
 
     Terms come by size of I ascending, then by bitmask of I ascending.  Raises
     ResourceError when the 2**arity * |A|**arity cells exceed MAX_CELLS.
     """
     _check_taylor_cells(f, 1 << f.arity)
-    base = _check_base(f, base)
-    return _taylor_terms_upto(f, base, _derivative_coefficients(f, base), f.arity)
+    return _taylor_terms_upto(f, _derivative_coefficients(f), f.arity)
 
 
-def decomposability_witness(
-    f: FnTable, k: int, base: Sequence[int] | None = None
-) -> Witness | None:
+def decomposability_witness(f: FnTable, k: int) -> Witness | None:
     """First (positions, params) with a nonvanishing derivative on more than k
     positions, or None when f is k-decomposable.
 
     Search order: position-set size descending, then mask ascending, then
     parameter tuples in lexicographic order over ascending positions.
-    Components of params outside the positions are 0, whatever the base.
+    Components of params outside the positions are 0.
     """
     check_k(f.arity, k)
-    base = _check_base(f, base)
-    return _first_witness(f, base, _derivative_coefficients(f, base), k)
+    return _first_witness(f, _derivative_coefficients(f), k)
 
 
-def is_k_decomposable(f: FnTable, k: int, base: Sequence[int] | None = None) -> bool:
+def is_k_decomposable(f: FnTable, k: int) -> bool:
     """True when f is a sum of functions each with essential arity at most k."""
-    return decomposability_witness(f, k, base) is None
+    return decomposability_witness(f, k) is None
 
 
-def min_decomposition_arity(f: FnTable, base: Sequence[int] | None = None) -> int:
-    """Largest position-set size with a nonvanishing derivative at the base (0 if none)."""
-    base = _check_base(f, base)
-    return _top_size(_support_sizes(f.a_size, base), _derivative_coefficients(f, base))
+def min_decomposition_arity(f: FnTable) -> int:
+    """Largest position-set size with a nonvanishing derivative at 0 (0 if none)."""
+    return _top_size(_support_sizes(f.a_size, f.arity), _derivative_coefficients(f))
 
 
-def decompose_via_taylor(
-    f: FnTable, k: int, base: Sequence[int] | None = None
-) -> list[tuple[frozenset[int], FnTable]]:
+def decompose_via_taylor(f: FnTable, k: int) -> list[tuple[frozenset[int], FnTable]]:
     """The (positions, term) pairs of the Taylor terms on at most k positions,
     in the order of taylor_terms; the terms sum to f exactly.
 
@@ -280,9 +256,8 @@ def decompose_via_taylor(
     MAX_CELLS.
     """
     check_k(f.arity, k)
-    base = _check_base(f, base)
-    c = _derivative_coefficients(f, base)
-    witness = _first_witness(f, base, c, k)
+    c = _derivative_coefficients(f)
+    witness = _first_witness(f, c, k)
     if witness is not None:
         positions, params = witness
         raise PreconditionError(
@@ -291,4 +266,4 @@ def decompose_via_taylor(
             witness=witness,
         )
     _check_taylor_cells(f, sum(comb(f.arity, s) for s in range(k + 1)))
-    return _taylor_terms_upto(f, base, c, k)
+    return _taylor_terms_upto(f, c, k)

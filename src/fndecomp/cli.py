@@ -175,9 +175,13 @@ def _cmd_decompose(args) -> None:
         verdicts["k"] = args.k
         import json
 
-        summands = [{"positions": sorted(positions),
-                     "essential_arity": len(tables.essential_variables(term)),
-                     "zero": not any(term.values)} for positions, term in terms]
+        # a nonzero term on positions I vanishes wherever some x_i = 0 for
+        # i in I and reads only x_I, so exactly I is essential
+        summands = []
+        for positions, term in terms:
+            zero = not any(term.values)
+            summands.append({"positions": sorted(positions),
+                             "essential_arity": 0 if zero else len(positions), "zero": zero})
         _emit(args, [digest], verdicts,
               {"summands": [json.dumps(s, sort_keys=True) for s in summands]})
         return

@@ -53,22 +53,26 @@ class ResourceError(FnDecompError, ValueError):
 MAX_CELLS = 1 << 22
 
 
-def excerpt(text: str, limit: int = 40) -> str:
-    """text itself when it has at most limit characters, else its first limit
-    characters and '...': what an error message may quote of its input."""
-    return text if len(text) <= limit else text[:limit] + "..."
+# characters of its input an error message may quote
+EXCERPT = 40
 
 
-def excerpt_int(n: int, limit: int = 40) -> str:
+def excerpt(text: str) -> str:
+    """text itself when it has at most EXCERPT characters, else its first
+    EXCERPT characters and '...'."""
+    return text if len(text) <= EXCERPT else text[:EXCERPT] + "..."
+
+
+def excerpt_int(n: int) -> str:
     """excerpt(str(n)) for an int of any size.  str() refuses more than
     4 300 digits, so the trailing digits of a long n are divided off first,
-    keeping at least limit + 1 of them."""
+    keeping at least EXCERPT + 1 of them."""
     sign, n = ("-", -n) if n < 0 else ("", n)
     # n has more than (bit_length - 1) * 0.30102 digits
-    drop = (n.bit_length() - 1) * 30102 // 100000 - limit
+    drop = (n.bit_length() - 1) * 30102 // 100000 - EXCERPT
     if drop > 0:
         n //= 10**drop
-    return sign + excerpt(str(n), limit)
+    return sign + excerpt(str(n))
 
 
 class ParseError(FnDecompError, ValueError):

@@ -75,8 +75,8 @@ def odd_sum_rhs(m: int, t: int) -> int:
 
 def _odd_pair_counts(m: int) -> list[int]:
     """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
-    # sizes[q] = |Q| for the bitmask q of every Q: its support against 0^m
-    sizes = _support_sizes(2, (0,) * m)
+    # sizes[q] = |Q| for the bitmask q of every Q: its nonzero digits
+    sizes = _support_sizes(2, m)
     odd = range(1, m + 1, 2)
     tally = [sizes.count(s) for s in odd]
     return [sum(k * comb(s, 2 * t) for s, k in zip(odd, tally))

@@ -203,27 +203,16 @@ class PhiMap(Record):
         return sorted(self.entries.items(), key=lambda kv: subset_sort_key(kv[0]))
 
 
-def table_from_phi(phi: PhiMap, n: int | None = None) -> FnTable:
-    """Table of x -> phi(odd_support(x)) on n-tuples: the XOR fold of
-    1 << x[t] over t is the mask of odd_support(x)."""
-    if phi.kind == PNPRIME:
-        if n is None:
-            n = phi.arity
-        elif n != phi.arity:
-            raise ArgumentError(f"pnprime phi map is for arity {phi.arity}, not {n}")
-    elif n is None:
-        raise ArgumentError("full phi map needs an explicit arity")
-    a = phi.a_size
+def table_from_phi(phi: PhiMap) -> FnTable:
+    """Table of x -> phi(odd_support(x)) on the n-tuples of a pnprime phi map
+    of arity n: the XOR fold of 1 << x[t] over t is the mask of
+    odd_support(x)."""
+    if phi.kind != PNPRIME:
+        raise ArgumentError(f"table_from_phi needs a pnprime phi map, not a {phi.kind} one")
+    a, n = phi.a_size, phi.arity
     check_cells(a, n)
     _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
-    code_of = {}
-    for S in phi_domain(a, n):
-        try:
-            code_of[subset_mask(S)] = phi.group.encode(phi.entries[S])
-        except KeyError:
-            raise CoverageError(
-                f"phi map does not cover support value {format_subset(S)}"
-            ) from None
+    code_of = {subset_mask(S): phi.group.encode(v) for S, v in phi.entries.items()}
     masks = axis_fold(a, [[1 << d for d in range(a)]] * n, xor)
     return FnTable(a, n, phi.group, tuple(map(code_of.__getitem__, masks)))
 

@@ -66,7 +66,6 @@ from fndecomp.tables import (
     essential_variables,
     iter_tuples,
     simple_minor,
-    tuple_index,
 )
 
 
@@ -361,18 +360,18 @@ def list_partial_derivative(f: FnTable, i, a_val) -> tuple[int, ...]:
                  for idx, v in enumerate(vals))
 
 
-def list_derivative_coefficients(f: FnTable, base) -> tuple[int, ...]:
+def list_derivative_coefficients(f: FnTable) -> tuple[int, ...]:
     """The finite-difference transform as a list kernel: the pass over
-    coordinate i subtracts, cell by cell, from every x with x_i != base_i
-    the entry with x_i = base_i, which that pass leaves as it is."""
+    coordinate i subtracts, cell by cell, from every x with x_i != 0 the
+    entry with x_i = 0, which that pass leaves as it is."""
     a = f.a_size
     c = list(f.values)
-    for i, b in enumerate(base):
+    for i in range(f.arity):
         stride = a**i
         for idx in range(len(c)):
             d = idx // stride % a
-            if d != b:
-                c[idx] = code_sub(f.group, c[idx], c[idx + (b - d) * stride])
+            if d:
+                c[idx] = code_sub(f.group, c[idx], c[idx - d * stride])
     return tuple(c)
 
 
@@ -387,7 +386,7 @@ def _mask_positions(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def oracle_witness_at_size(f: FnTable, s, base=None):
+def oracle_witness_at_size(f: FnTable, s):
     """First nonzero derivative on s positions: mask ascending, then
     parameters over the positions in lexicographic order, other params 0."""
     zero = f.group.zero
@@ -398,33 +397,28 @@ def oracle_witness_at_size(f: FnTable, s, base=None):
             params = [0] * n
             for t, i in enumerate(positions):
                 params[i] = assign[t]
-            if derivative_at_zero(f, positions, params, base) != zero:
+            if derivative_at_zero(f, positions, params) != zero:
                 return (frozenset(positions), tuple(params))
     return None
 
 
-def oracle_decomposability_witness(f: FnTable, k, base=None):
-    for s in range(f.arity, k, -1):
-        witness = oracle_witness_at_size(f, s, base)
-        if witness is not None:
-            return witness
-    return None
-
-
-def oracle_min_decomposition_arity(f: FnTable, base=None):
+def oracle_top_witness(f: FnTable):
+    """(s, witness) for the largest s with a nonzero derivative on s
+    positions, searching down from the arity; (0, None) if there is none.
+    That s is the min decomposition arity, and the witness is the
+    decomposability witness for every k < s."""
     for s in range(f.arity, 0, -1):
-        if oracle_witness_at_size(f, s, base) is not None:
-            return s
-    return 0
+        witness = oracle_witness_at_size(f, s)
+        if witness is not None:
+            return s, witness
+    return 0, None
 
 
-def oracle_taylor_terms(f: FnTable, base=None):
+def oracle_taylor_terms(f: FnTable):
     """(positions, term) for every position set, size ascending then mask
     ascending; each term value is its own alternating subset sum."""
     n = f.arity
-    base = (0,) * n if base is None else tuple(base)
     a = f.a_size
-    base_idx = tuple_index(a, base)
     group, vals = f.group, f.values
     terms = []
     for s in range(n + 1):
@@ -435,10 +429,10 @@ def oracle_taylor_terms(f: FnTable, base=None):
             # assignment-index order (matching the broadcast below)
             per_assign = []
             for assign in iter_tuples(a, s):
-                deltas = [(assign[t] - base[positions[t]]) * strides[t] for t in range(s)]
+                deltas = [assign[t] * strides[t] for t in range(s)]
                 acc = 0
                 for jmask in range(1 << s):
-                    idx = base_idx
+                    idx = 0
                     for t in range(s):
                         if jmask >> t & 1:
                             idx += deltas[t]

@@ -28,9 +28,8 @@ from helpers import (
     higher_derivative_expansion,
     list_derivative_coefficients,
     list_partial_derivative,
-    oracle_decomposability_witness,
-    oracle_min_decomposition_arity,
     oracle_taylor_terms,
+    oracle_top_witness,
     random_sum_table,
     random_table,
     sum_tables,
@@ -155,8 +154,6 @@ def test_derivative_at_zero_matches_tables():
                 params = tuple(rng.randrange(2) for _ in range(4))
                 full = higher_derivative(f, I, params)
                 assert derivative_at_zero(f, I, params) == full.eval((0, 0, 0, 0))
-                base = tuple(rng.randrange(2) for _ in range(4))
-                assert derivative_at_zero(f, I, params, base) == full.eval(base)
 
 
 def test_hamming_derivative_value():
@@ -186,16 +183,14 @@ def test_taylor_reconstruction_random():
             terms = taylor_terms(f)
             assert len(terms) == 1 << n
             assert sum_tables(group, [t for _, t in terms]) == f.values
-            # term for I depends on at most the I positions
             for I, t in terms:
-                assert essential_variables(t) <= I
+                assert_term_support(I, t)
 
 
-def test_taylor_reconstruction_nonzero_base():
-    rng = random.Random(19)
-    f = random_table(rng, 3, 2, Z4)
-    base = (2, 1)
-    assert sum_tables(Z4, [t for _, t in taylor_terms(f, base)]) == f.values
+def assert_term_support(I, t):
+    """The term on I vanishes wherever some x_i = 0 for i in I and reads only
+    x_I: a nonzero term has exactly I essential, a zero term nothing."""
+    assert essential_variables(t) == (I if any(t.values) else frozenset())
 
 
 def test_taylor_resource_guard():
@@ -278,22 +273,14 @@ def test_decompose_via_taylor_round_trip_and_failure():
     par4 = FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,))
     parts = decompose_via_taylor(par4, 1)
     assert sum_tables(Z2, [p for _, p in parts]) == par4.values
-    assert all(essential_variables(p) <= I and len(I) <= 1 for I, p in parts)
+    for I, p in parts:
+        assert len(I) <= 1
+        assert_term_support(I, p)
 
     w = hamming_witness(3, Z3, (1,))
     with pytest.raises(PreconditionError) as exc:
         decompose_via_taylor(w.table, 2)
     assert exc.value.witness == (frozenset({0, 1, 2}), (1, 1, 1))
-
-
-def test_verdict_base_point_independence():
-    rng = random.Random(21)
-    for _ in range(10):
-        f = random_table(rng, 2, 3, Z3)
-        for k in range(4):
-            verdict = is_k_decomposable(f, k)
-            for base in all_tuples(2, 3):
-                assert is_k_decomposable(f, k, base) == verdict
 
 
 def test_witness_search_order_deterministic():
@@ -322,30 +309,34 @@ def _pairs(terms):
     return [(I, t.values) for I, t in terms]
 
 
-def assert_matches_oracle(f, base):
+def assert_matches_oracle(f):
     from fndecomp.calculus import _derivative_coefficients
     from fndecomp.cli import _sum_tables
 
     # the packed kernel against the list kernel, cell by cell
-    assert tuple(_derivative_coefficients(f, base)) == list_derivative_coefficients(f, base)
+    assert tuple(_derivative_coefficients(f)) == list_derivative_coefficients(f)
     for i in range(f.arity):
         for d in range(f.a_size):
             assert partial_derivative(f, i, d).values == list_partial_derivative(f, i, d)
-    assert min_decomposition_arity(f, base) == oracle_min_decomposition_arity(f, base)
-    terms = _pairs(oracle_taylor_terms(f, base))
-    assert _pairs(taylor_terms(f, base)) == terms
+    top, top_witness = oracle_top_witness(f)
+    assert min_decomposition_arity(f) == top
+    oracle_terms = oracle_taylor_terms(f)
+    for I, t in oracle_terms:
+        assert_term_support(I, t)
+    terms = _pairs(oracle_terms)
+    assert _pairs(taylor_terms(f)) == terms
     # the CLI adds the terms back up with the packed add
     assert _sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]) == (
         sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]))
     for k in range(f.arity + 1):
-        witness = oracle_decomposability_witness(f, k, base)
-        assert decomposability_witness(f, k, base) == witness
+        witness = top_witness if k < top else None
+        assert decomposability_witness(f, k) == witness
         if witness is None:
             kept = [(I, values) for I, values in terms if len(I) <= k]
-            assert _pairs(decompose_via_taylor(f, k, base)) == kept
+            assert _pairs(decompose_via_taylor(f, k)) == kept
         else:
             with pytest.raises(PreconditionError) as exc:
-                decompose_via_taylor(f, k, base)
+                decompose_via_taylor(f, k)
             assert exc.value.witness == witness
 
 
@@ -356,11 +347,10 @@ def test_coefficients_are_the_derivatives_at_the_base():
     rng = random.Random(23)
     for a_size, n, group in [(2, 10, Z3), (3, 7, Z4), (5, 5, Z2xZ3)]:
         f = random_table(rng, a_size, n, group)
-        base = tuple(rng.randrange(a_size) for _ in range(n))
-        c = _derivative_coefficients(f, base)
+        c = _derivative_coefficients(f)
         for x, code in zip(all_tuples(a_size, n), c):
-            positions = [i for i in range(n) if x[i] != base[i]]
-            assert group.decode(code) == derivative_at_zero(f, positions, x, base)
+            positions = [i for i in range(n) if x[i]]
+            assert group.decode(code) == derivative_at_zero(f, positions, x)
 
 
 # groups of every kind the packed kernel meets: one or more factors, prime
@@ -375,14 +365,12 @@ BOUNDARY = [Group((m,)) for m in (64, 65, 128, 129, 16384, 16385, 32768, 32769, 
     (2, 3, Z2), (3, 2, Z2), (2, 2, Z3), (3, 1, Z5), (2, 1, Z6), (2, 1, Z2xZ3), (2, 1, Z2xZ4),
     (2, 1, Z2_11), *[(2, 1, g) for g in BOUNDARY]])
 def test_transform_matches_oracle_exhaustive(a_size, n, group):
-    # every table, at every base point and every k; above order 6 every
-    # table over the corner elements, the ends of every field
+    # every table and every k; above order 6 every table over the corner
+    # elements, the ends of every field
     codes = (range(group.order) if group.order <= 6
              else [group.encode(x) for x in corner_elements(group)])
     for values in product(codes, repeat=a_size**n):
-        f = FnTable(a_size, n, group, values)
-        for base in all_tuples(a_size, n):
-            assert_matches_oracle(f, base)
+        assert_matches_oracle(FnTable(a_size, n, group, values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,5 +384,4 @@ def test_transform_matches_oracle_random(data):
     n = data.draw(st.integers(0, 5 if group.order <= 6 else 3), label="n")
     r = data.draw(st.integers(0, n), label="planted arity")
     f = random_sum_table(random.Random(data.draw(st.integers(0, 2**32))), a_size, n, group, r)
-    base = data.draw(st.tuples(*[st.integers(0, a_size - 1)] * n), label="base")
-    assert_matches_oracle(f, base)
+    assert_matches_oracle(f)

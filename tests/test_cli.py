@@ -698,6 +698,7 @@ GOLDEN_COMMANDS = {
     "analyze-constant": ["analyze", "const.tbl"],
     "decompose-odd": ["decompose", "parity.tbl", "--mode", "odd", "--out", "phi.txt"],
     "decompose-taylor": ["decompose", "parity.tbl", "--mode", "taylor", "--k", "1"],
+    "decompose-taylor-z3": ["decompose", "xy_plus_z.tbl", "--mode", "taylor", "--k", "2"],
     "classify-boolean": ["classify", "parity.tbl", "--target", "boolean"],
     "classify-z3": ["classify", "z3.tbl", "--target", "z3"],
     "identities": ["identities", "--max-m", "4"],
@@ -722,6 +723,9 @@ def golden_outputs(tmp_path):
     save_table_file(FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,)),
                     tmp_path / "parity4.tbl")
     save_table_file(FnTable.constant(2, 2, Group((2, 4)), (1, 3)), tmp_path / "const.tbl")
+    # summands on sets of size 0, 1 and 2, zero and nonzero
+    save_table_file(FnTable.from_callable(3, 3, Z3, lambda x: ((x[0] * x[1] + x[2]) % 3,)),
+                    tmp_path / "xy_plus_z.tbl")
     save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "z3.tbl")
     (tmp_path / "bad.tbl").write_text("domain=2\narity=2\ngroup=Z2\n0 1 1\n")
     cases = {f"{name}{flag}": argv + flag.split() for name, argv in GOLDEN_COMMANDS.items()

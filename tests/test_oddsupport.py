@@ -115,6 +115,16 @@ def test_table_from_phi_constant_and_parity():
         assert t.eval(x) == (sum(x) % 2,)
 
 
+def test_table_from_phi_refuses_a_full_map():
+    # a full map has no arity; the even case rebuilds through its sum table
+    full = PhiMap.full_paired(2, Z2, {
+        frozenset(): (0,), frozenset({0}): (0,),
+        frozenset({1}): (1,), frozenset({0, 1}): (1,),
+    })
+    with pytest.raises(ArgumentError, match="pnprime"):
+        table_from_phi(full)
+
+
 def test_theta_additivity():
     rng = random.Random(4)
     for _ in range(20):
