@@ -30,16 +30,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    ArgumentError,
-    InternalConsistencyError,
-    PreconditionError,
-    excerpt,
-)
+from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group
 from .oddsupport import (
-    FULL,
-    PNPRIME,
     PhiMap,
     extract_phi,
     phi_domain,
@@ -92,7 +85,8 @@ def require_uniform_regime(a_size: int, n: int) -> None:
     limit = pair_scan_limit(a_size)
     if n <= limit:
         raise PreconditionError(
-            f"uniform decomposition needs arity > max(|A|, 3) = {limit}, got {n}"
+            f"uniform decomposition needs arity > max(|A|, 3) = {excerpt_int(limit)}, "
+            f"got {excerpt_int(n)}"
         )
 
 
@@ -149,7 +143,7 @@ def _sum_table(phi: PhiMap, n: int, sizes: list[int]) -> FnTable:
 
 def reconstruct_odd(phi: PhiMap) -> FnTable:
     """Evaluate the odd-case decomposition sum for a phi_domain-keyed map."""
-    if phi.kind != PNPRIME:
+    if phi.arity is None:
         raise ArgumentError("odd-case reconstruction needs a pnprime phi map")
     require_boolean(phi.group)
     n = phi.arity
@@ -159,7 +153,7 @@ def reconstruct_odd(phi: PhiMap) -> FnTable:
 
 def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
     """Evaluate the even-case decomposition sum for a full paired map."""
-    if phi.kind != FULL:
+    if phi.arity is not None:
         raise ArgumentError("even-case reconstruction needs a full paired phi map")
     require_boolean(phi.group)
     t = even_case_shift(phi.a_size, n)
@@ -169,7 +163,7 @@ def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
 
 def reconstruct_uniform(phi: PhiMap) -> FnTable:
     """Evaluate the coefficient-free sum over sizes n-2, n-4, ..."""
-    if phi.kind != PNPRIME:
+    if phi.arity is None:
         raise ArgumentError("uniform reconstruction needs a pnprime phi map")
     require_boolean(phi.group)
     return _sum_table(phi, phi.arity, uniform_sum_sizes(phi.arity))
@@ -222,13 +216,18 @@ def gf2_solve(rows: list[int], n_cols: int, n_rhs: int):
 # ----------------------------------------------------------------------
 
 
-def _probe_rows(a_size: int, n: int, sizes: list[int], pairing: bool) -> list[int]:
+def _probe_rows(a_size: int, n: int, sizes: list[int]) -> list[int]:
     """The defining sum at the representative tuple of each phi_domain key,
-    as a bitset over the keys (column c for key c); with pairing, S and
-    S symdiff {0} share a column."""
+    as a bitset over the keys: column c stands for key c and for its partner,
+    key c symdiff {0}.
+
+    Every case may share the partner's column, so no flag asks for it: an I
+    whose size has the parity of n reaches only phi_domain keys, so the odd
+    and uniform sums never read a partner; only the even case's second sum
+    does.
+    """
     keys = phi_domain(a_size, n)
-    # flip is False or, with pairing, True: S symdiff {0} shares the column of S
-    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, pairing)}
+    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, 1)}
     rows = []
     for S in keys:
         rep = representative_tuple(S, n)
@@ -236,14 +235,14 @@ def _probe_rows(a_size: int, n: int, sizes: list[int], pairing: bool) -> list[in
     return rows
 
 
-def _solve_for_phi(f: FnTable, sizes: list[int], pairing: bool, require_unique: bool):
+def _solve_for_phi(f: FnTable, sizes: list[int], require_unique: bool):
     """Solve the probe system for phi entries keyed on phi_domain(f.a_size, f.arity)."""
     given = extract_phi(f)
     if given is None:
         raise PreconditionError("function is not determined by odd support")
     a, n = f.a_size, f.arity
     keys = phi_domain(a, n)
-    rows = _probe_rows(a, n, sizes, pairing)
+    rows = _probe_rows(a, n, sizes)
     n_rhs = len(f.group.moduli)
     n_cols = len(keys)
     encode = f.group.encode
@@ -269,9 +268,8 @@ def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f."""
     require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
-    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), pairing=False,
-                             require_unique=True)
-    return PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
+    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), require_unique=True)
+    return PhiMap(f.a_size, f.group, f.arity, entries)
 
 
 def decompose_even(f: FnTable) -> PhiMap:
@@ -279,7 +277,7 @@ def decompose_even(f: FnTable) -> PhiMap:
     require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
-    entries = _solve_for_phi(f, sizes, pairing=True, require_unique=True)
+    entries = _solve_for_phi(f, sizes, require_unique=True)
     return full_map_from_domain_entries(f.a_size, f.group, entries)
 
 
@@ -301,8 +299,8 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     """
     require_boolean(f.group)
     require_uniform_regime(f.a_size, f.arity)
-    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity), pairing=False, require_unique=False)
-    phi = PhiMap(f.a_size, f.group, PNPRIME, f.arity, entries)
+    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity), require_unique=False)
+    phi = PhiMap(f.a_size, f.group, f.arity, entries)
     if reconstruct_uniform(phi).values != f.values:
         raise InternalConsistencyError("uniform reconstruction mismatch after solve")
     return phi
@@ -312,6 +310,6 @@ def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
     """(rank, unknowns) of the uniform probe system; rank < unknowns means the
     recovered phi is one of several valid choices."""
     check_cells(a_size, n)
-    rows = _probe_rows(a_size, n, uniform_sum_sizes(n), pairing=False)
+    rows = _probe_rows(a_size, n, uniform_sum_sizes(n))
     _, rank, _ = gf2_solve(rows, len(rows), 0)
     return rank, len(rows)

@@ -29,7 +29,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError
+from .errors import (MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError,
+                     excerpt_int)
 from .groups import Element, Packing
 from .tables import FnTable
 
@@ -47,12 +48,12 @@ def _check_positions(f: FnTable, vars: Iterable[int]) -> list[int]:
     return out
 
 
-def _check_point(f: FnTable, x: Sequence[int], what: str) -> tuple[int, ...]:
+def _check_point(f: FnTable, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != f.arity:
-        raise DomainError(f"{what} has {len(x)} components, arity is {f.arity}")
+        raise DomainError(f"parameter tuple has {len(x)} components, arity is {f.arity}")
     for c in x:
         if not 0 <= c < f.a_size:
-            raise DomainError(f"{what} component {c} out of range for alphabet {f.a_size}")
+            raise DomainError(f"parameter tuple component {c} out of range for alphabet {f.a_size}")
     return tuple(x)
 
 
@@ -81,7 +82,7 @@ def higher_derivative(f: FnTable, vars: Iterable[int], params: Sequence[int]) ->
     """Iterated single derivatives, applied in ascending position order: one
     pass per position on the packed table."""
     positions = _check_positions(f, vars)
-    params = _check_point(f, params, "parameter tuple")
+    params = _check_point(f, params)
     a = f.a_size
     p = Packing(f.group, len(f.values))
     c = p.pack(f.values)
@@ -98,7 +99,7 @@ def derivative_at_zero(f: FnTable, vars: Iterable[int], params: Sequence[int]) -
     factor on their own: the independent check of the packed transform.
     """
     positions = _check_positions(f, vars)
-    params = _check_point(f, params, "parameter tuple")
+    params = _check_point(f, params)
     a = f.a_size
     # indices of the cells on an even and an odd number of positions
     even, odd = [0], []
@@ -126,7 +127,7 @@ def derivative_at_zero(f: FnTable, vars: Iterable[int], params: Sequence[int]) -
 def check_k(arity: int, k: int) -> None:
     """The range 0 <= k <= arity of the decomposability tests."""
     if not 0 <= k <= arity:
-        raise ArgumentError(f"k must be between 0 and {arity}, got {k}")
+        raise ArgumentError(f"k must be between 0 and {excerpt_int(arity)}, got {excerpt_int(k)}")
 
 
 def _derivative_coefficients(f: FnTable) -> Sequence[int]:

@@ -23,6 +23,7 @@ before it builds the parser, so ``--help`` compiles none beyond ``errors``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -295,12 +296,19 @@ def _cmd_witness(args) -> None:
     else:
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
     bundle.verify()
+    created = not os.path.lexists(args.out)
     _write_text(args.out, tables.dump_table(bundle.table))
     sidecar = args.out + ".witness.txt"
     expected = bundle.table.group.format_element(bundle.expected)
     positions, params = sorted(bundle.positions), list(bundle.params)
-    _write_text(sidecar, f"positions={positions}\nparams={params}\n"
-                         f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
+    try:
+        _write_text(sidecar, f"positions={positions}\nparams={params}\n"
+                             f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
+    except ArgumentError:
+        # a refused witness leaves no table; a path that was there before is not ours to remove
+        if created:
+            os.remove(args.out)
+        raise
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
            "expected": expected},

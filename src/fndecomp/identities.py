@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb
 
 from .calculus import _support_sizes
-from .errors import MAX_CELLS, ArgumentError, ResourceError
+from .errors import MAX_CELLS, ArgumentError, ResourceError, excerpt_int
 
 PAIR_COUNT_MAX_M = 20
 
@@ -97,7 +97,7 @@ def _check_row_work(max_m: int) -> None:
     identities for m <= max_m would evaluate more than MAX_CELLS binomial
     products, counted before any row."""
     if max_m < 1:
-        raise ArgumentError(f"max_m must be at least 1, got {max_m}")
+        raise ArgumentError(f"max_m must be at least 1, got {excerpt_int(max_m)}")
     count = 0
     for m in range(1, max_m + 1):
         # even rows: m//2 - t products on the left, t//2 + 1 on the right
@@ -106,7 +106,7 @@ def _check_row_work(max_m: int) -> None:
         count += sum((m + 1) // 2 - t + 1 for t in range((m - 1) // 2 + 1))
         if count > MAX_CELLS:
             raise ResourceError(
-                f"identity rows up to m={max_m} would evaluate more than "
+                f"identity rows up to m={excerpt_int(max_m)} would evaluate more than "
                 f"{MAX_CELLS} binomial products"
             )
 

@@ -31,6 +31,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
     excerpt,
+    excerpt_int,
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
@@ -105,7 +106,8 @@ def _check_mask_words(a_size: int, count: int, what: str) -> None:
     ceil(a_size/64) machine words each, take more than MAX_CELLS words."""
     if count * -(-a_size // 64) > MAX_CELLS:
         raise ResourceError(
-            f"{what} over a {a_size}-letter alphabet would take more than {MAX_CELLS} words"
+            f"{what} over a {excerpt_int(a_size)}-letter alphabet would take more than "
+            f"{MAX_CELLS} words"
         )
 
 
@@ -118,42 +120,33 @@ def _check_key_count(a_size: int, sizes: Iterable[int]) -> None:
         _check_mask_words(a_size, count, "the keys of a phi map")
 
 
-PNPRIME = "pnprime"
-FULL = "full"
-
-
 class PhiMap(Record):
     """Map from alphabet subsets to group elements.
 
-    kind "pnprime": keyed exactly on phi_domain(a_size, arity).
-    kind "full": keyed on every subset, with the pairing constraint
-    phi(S) == phi(S symdiff {0}) for all S.
+    With an arity n the map is keyed exactly on phi_domain(a_size, n) (kind
+    "pnprime"); with arity None it is keyed on every subset, with the pairing
+    constraint phi(S) == phi(S symdiff {0}) for all S (kind "full").  The
+    arity alone tells the two apart, so ``kind`` is read off it, not given.
 
     The entries are a dict, so a PhiMap compares by value but is unhashable.
     """
 
-    _fields = ("a_size", "group", "kind", "arity", "entries")
+    _fields = ("a_size", "group", "arity", "entries")
 
     def __init__(
         self,
         a_size: int,
         group: Group,
-        kind: str,
         arity: int | None,
         entries: Mapping[Subset, Element],
     ):
         if a_size < 2:
             raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
-        if kind == PNPRIME:
-            if arity is None:
-                raise ArgumentError("pnprime phi map needs an arity")
-            expected = set(phi_domain(a_size, arity))
-            if set(entries) != expected:
+        if arity is not None:
+            if set(entries) != set(phi_domain(a_size, arity)):
                 raise ArgumentError("pnprime phi map keys do not match phi_domain")
-        elif kind == FULL:
-            if arity is not None:
-                raise ArgumentError("full phi map takes no arity")
+        else:
             _check_key_count(a_size, range(a_size + 1))
             all_subsets = {
                 frozenset(S)
@@ -168,9 +161,11 @@ class PhiMap(Record):
                         f"pairing violated: phi({format_subset(S)}) != "
                         f"phi({format_subset(S ^ {0})})"
                     )
-        else:
-            raise ArgumentError(f"unknown phi map kind {kind!r}")
-        self.__dict__.update(a_size=a_size, group=group, kind=kind, arity=arity, entries=entries)
+        self.__dict__.update(a_size=a_size, group=group, arity=arity, entries=entries)
+
+    @property
+    def kind(self) -> str:
+        return "full" if self.arity is None else "pnprime"
 
     @classmethod
     def on_phi_domain(
@@ -182,13 +177,13 @@ class PhiMap(Record):
     ) -> "PhiMap":
         getter = assign.__getitem__ if isinstance(assign, Mapping) else assign
         entries = {S: getter(S) for S in phi_domain(a_size, n)}
-        return cls(a_size, group, PNPRIME, n, entries)
+        return cls(a_size, group, n, entries)
 
     @classmethod
     def full_paired(
         cls, a_size: int, group: Group, entries: Mapping[Subset, Element]
     ) -> "PhiMap":
-        return cls(a_size, group, FULL, None, dict(entries))
+        return cls(a_size, group, None, dict(entries))
 
     def value(self, S: Iterable[int]) -> Element:
         key = frozenset(S)
@@ -207,13 +202,13 @@ def table_from_phi(phi: PhiMap) -> FnTable:
     """Table of x -> phi(odd_support(x)) on the n-tuples of a pnprime phi map
     of arity n: the XOR fold of 1 << x[t] over t is the mask of
     odd_support(x)."""
-    if phi.kind != PNPRIME:
+    if phi.arity is None:
         raise ArgumentError(f"table_from_phi needs a pnprime phi map, not a {phi.kind} one")
     a, n = phi.a_size, phi.arity
     check_cells(a, n)
     _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
     code_of = {subset_mask(S): phi.group.encode(v) for S, v in phi.entries.items()}
-    masks = axis_fold(a, [[1 << d for d in range(a)]] * n, xor)
+    masks = axis_fold([[1 << d for d in range(a)]] * n, xor)
     return FnTable(a, n, phi.group, tuple(map(code_of.__getitem__, masks)))
 
 
@@ -271,7 +266,7 @@ def phi_texts(phi: PhiMap) -> tuple[str, list[tuple[str, str]]]:
     """The text of phi's domain (``pnprime:<n>`` or ``full``) and the
     (subset, element) texts of its entries in key order, as dump_phi writes
     them and load_phi reads them."""
-    domain = f"pnprime:{phi.arity}" if phi.kind == PNPRIME else "full"
+    domain = "full" if phi.arity is None else f"pnprime:{phi.arity}"
     fmt = phi.group.format_element
     return domain, [(format_subset(S), fmt(v)) for S, v in phi.sorted_items()]
 
@@ -316,11 +311,7 @@ def load_phi(text: str) -> PhiMap:
     domain = fields["domain"]
     head, _, count = domain.partition(":")
     arity = parse_decimal(count) if head == "pnprime" else None
-    if domain == "full":
-        kind = FULL
-    elif arity is not None:
-        kind = PNPRIME
-    else:
+    if arity is None and domain != "full":
         raise ParseError(f"bad phi domain {excerpt(domain)!r}", line=lineno)
     entries: dict[Subset, Element] = {}
     for lineno, line in entry_lines:
@@ -336,6 +327,6 @@ def load_phi(text: str) -> PhiMap:
             raise ParseError(f"duplicate key {format_subset(S)}", line=lineno)
         entries[S] = v
     try:
-        return PhiMap(a_size, group, kind, arity, entries)
+        return PhiMap(a_size, group, arity, entries)
     except ArgumentError as exc:
         raise ParseError(str(exc)) from None

@@ -41,6 +41,7 @@ from .errors import (
     ResourceError,
     ShapeError,
     excerpt,
+    excerpt_int,
 )
 from .groups import Element, Group, parse_decimal
 from .records import Record
@@ -67,13 +68,14 @@ def check_cells(a_size: int, arity: int) -> None:
     # capped exponent keeps the power small for any arity
     if a_size ** min(arity, MAX_CELLS.bit_length()) > MAX_CELLS:
         raise ResourceError(
-            f"a table of {a_size}**{arity} cells exceeds the budget of {MAX_CELLS} cells"
+            f"a table of {excerpt_int(a_size)}**{excerpt_int(arity)} cells exceeds the "
+            f"budget of {MAX_CELLS} cells"
         )
 
 
-def axis_fold(a_size: int, axes: Sequence[Sequence[int]], op=add) -> list:
+def axis_fold(axes: Sequence[Sequence[int]], op=add) -> list:
     """0 op axes[0][x[0]] op ... op axes[n-1][x[n-1]] for every x, in
-    table-index order; n = len(axes) and each axis has a_size entries."""
+    table-index order; n = len(axes) and each axis has one entry per letter."""
     out = [0]
     for axis in axes:
         # the new coordinate varies slowest: one copy of out per digit
@@ -89,7 +91,7 @@ def by_letter_counts(a_size: int, arity: int, fn: Callable[[list[int]], int]) ->
     # letter 0 takes no digit (its count is arity minus the others): with at
     # most three letters every key within MAX_CELLS stays below 257, so the
     # key list holds CPython's shared small ints, not one new int per cell
-    keys = axis_fold(a_size, [[0] + [base**d for d in range(a_size - 1)]] * arity)
+    keys = axis_fold([[0] + [base**d for d in range(a_size - 1)]] * arity)
     value = {}
     for key in dict.fromkeys(keys):
         counts = [key // base**d % base for d in range(a_size - 1)]
@@ -218,7 +220,7 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     check_cells(a, arity)
     # the index into f of y is sum_i y[sigma[i]] * a**i
     weights = [sum(a**i for i, s in enumerate(sigma) if s == k) for k in range(arity)]
-    index = axis_fold(a, [[d * w for d in range(a)] for w in weights])
+    index = axis_fold([[d * w for d in range(a)] for w in weights])
     return FnTable(a, arity, f.group, tuple(map(f.values.__getitem__, index)))
 
 

@@ -9,7 +9,7 @@ bundle does not certify what it claims.
 from __future__ import annotations
 
 from .calculus import derivative_at_zero
-from .errors import ArgumentError, InternalConsistencyError
+from .errors import ArgumentError, InternalConsistencyError, excerpt_int
 from .groups import Element, Group
 from .oddsupport import PhiMap, table_from_phi
 from .records import Record
@@ -57,16 +57,18 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
     {1..ell} to b.
     """
     if ell < 1:
-        raise ArgumentError(f"alphabet parameter ell must be >= 1, got {ell}")
+        raise ArgumentError(f"alphabet parameter ell must be >= 1, got {excerpt_int(ell)}")
     if e < 1 or group.exponent_pow2() != e:
         raise ArgumentError(
-            f"group exponent {group.exponent} is not 2**{e}"
+            f"group exponent {excerpt_int(group.exponent)} is not 2**{excerpt_int(e)}"
         )
     b = group.validate(b)
     if group.order_of(b) != 1 << e:
         raise ArgumentError(f"element {b} must have order 2**{e}")
     if n < ell + e - 1:
-        raise ArgumentError(f"arity must be >= ell+e-1 = {ell + e - 1}, got {n}")
+        raise ArgumentError(
+            f"arity must be >= ell+e-1 = {excerpt_int(ell + e - 1)}, got {excerpt_int(n)}"
+        )
     a_size = ell + 1
     zero = group.zero
     # S holds all of 1..ell when ell of its letters are nonzero
@@ -87,12 +89,12 @@ def hamming_witness(n: int, group: Group, b: Element) -> WitnessBundle:
     Requires the order of b not to be a power of two.
     """
     if n < 1:
-        raise ArgumentError(f"arity must be >= 1, got {n}")
+        raise ArgumentError(f"arity must be >= 1, got {excerpt_int(n)}")
     b = group.validate(b)
     order = group.order_of(b)
     if order & (order - 1) == 0:
         raise ArgumentError(
-            f"element {b} has order {order}, a power of two; the construction "
+            f"element {b} has order {excerpt_int(order)}, a power of two; the construction "
             "needs an order with an odd prime factor"
         )
     table = hamming_extension(n, 2, group, b)
@@ -104,7 +106,7 @@ def hamming_extension(n: int, a_size: int, group: Group, b: Element) -> FnTable:
     """Odd-support-determined table on a larger alphabet restricting to the
     Hamming witness on {0,1}^n: phi(S) = b exactly when 1 is not in S."""
     if a_size < 2:
-        raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
+        raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
     b = group.validate(b)
     zero = group.zero
     return table_from_phi(PhiMap.on_phi_domain(a_size, n, group, lambda S: zero if 1 in S else b))
@@ -118,9 +120,11 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     a_size >= n+1 and b != 0.
     """
     if n < 2:
-        raise ArgumentError(f"arity must be >= 2, got {n}")
+        raise ArgumentError(f"arity must be >= 2, got {excerpt_int(n)}")
     if a_size < n + 1:
-        raise ArgumentError(f"alphabet size must be >= n+1 = {n + 1}, got {a_size}")
+        raise ArgumentError(
+            f"alphabet size must be >= n+1 = {excerpt_int(n + 1)}, got {excerpt_int(a_size)}"
+        )
     b = group.validate(b)
     if b == group.zero:
         raise ArgumentError("witness value b must be nonzero")

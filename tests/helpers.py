@@ -58,7 +58,7 @@ from fndecomp.classify import (
 from fndecomp.errors import InternalConsistencyError, ParseError, excerpt
 from fndecomp.groups import parse_decimal
 from fndecomp.identities import _check_odd_sum_args
-from fndecomp.oddsupport import PNPRIME, representative_tuple, subset_mask
+from fndecomp.oddsupport import representative_tuple, subset_mask
 from fndecomp.tables import (
     axis_fold,
     check_cells,
@@ -250,7 +250,7 @@ def partition_extract_phi(f: FnTable) -> PhiMap | None:
     a, n = f.a_size, f.arity
     keys = phi_domain(a, n)
     key_id = {subset_mask(S): c for c, S in enumerate(keys)}
-    masks = axis_fold(a, [[1 << d for d in range(a)]] * n, xor)
+    masks = axis_fold([[1 << d for d in range(a)]] * n, xor)
     rep: list[int | None] = [None] * len(keys)
     for cid, v in zip(map(key_id.__getitem__, masks), f.values):
         prev = rep[cid]
@@ -259,7 +259,7 @@ def partition_extract_phi(f: FnTable) -> PhiMap | None:
         elif prev != v:
             return None
     decode = f.group.decode
-    return PhiMap(a, f.group, PNPRIME, n, {S: decode(rep[c]) for c, S in enumerate(keys)})
+    return PhiMap(a, f.group, n, {S: decode(rep[c]) for c, S in enumerate(keys)})
 
 
 def pointwise_hamming_table(n, a_size, group: Group, b) -> FnTable:
@@ -584,7 +584,7 @@ def phi_preimages_bruteforce(f: FnTable, mode: str) -> list[PhiMap]:
         if mode == "even":
             phi = full_map_from_domain_entries(a, f.group, entries)
         else:
-            phi = PhiMap(a, f.group, PNPRIME, n, entries)
+            phi = PhiMap(a, f.group, n, entries)
         if rebuild(phi).values == f.values:
             out.append(phi)
     return out

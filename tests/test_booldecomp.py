@@ -173,7 +173,7 @@ def test_probe_rows_match_pointwise_oracle():
                 cases.append((first_sum_sizes(n, t) + second_sum_sizes(n, t), True))
             for sizes, pairing in cases:
                 expected = pointwise_probe_rows(a, n, sizes, pairing)
-                assert _probe_rows(a, n, sizes, pairing) == expected, (a, n, sizes)
+                assert _probe_rows(a, n, sizes) == expected, (a, n, sizes)
 
 
 def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
@@ -191,7 +191,7 @@ def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
         reconstruct_uniform(phi)
         assert len(calls) == len(set(calls)) == comb(n + a - 1, a - 1)
         calls.clear()
-        _probe_rows(a, n, uniform_sum_sizes(n), pairing=False)
+        _probe_rows(a, n, uniform_sum_sizes(n))
         assert len(calls) == len(phi_domain(a, n))
 
 

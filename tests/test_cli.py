@@ -36,6 +36,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_refused(code, out, err):
+    """Exit 3 with nothing on stdout and one short line on stderr."""
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and len(err) <= 200 and "Traceback" not in err
+
+
+# a number of 4 300 digits, the most int() converts, and its excerpt
+HUGE = "9" * 4300
+HUGE_EXCERPT = "9" * 40 + "..."
+
+
 def test_analyze_parity(tmp_path, capsys):
     path = write_parity(tmp_path, 4)
     code, out, _ = run(capsys, "analyze", path, "--json")
@@ -59,7 +70,7 @@ def test_extract_phi_and_analyze_fold_no_cells(tmp_path, capsys, monkeypatch):
     real = tables_mod.axis_fold
     for module in (tables_mod, oddsupport_mod):
         monkeypatch.setattr(module, "axis_fold",
-                            lambda *args: folds.append(args[0]) or real(*args))
+                            lambda *args: folds.append(len(args[0][0])) or real(*args))
     parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
     determined = table_from_phi(PhiMap.on_phi_domain(3, 5, Z3, lambda S: (len(S) % 3,)))
     ternary = random_full_arity_table(random.Random(9), 3, 5, Z3)
@@ -112,6 +123,22 @@ def test_analyze_parse_error(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", str(bad))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+    # the numbers such a refusal quotes are cut to 40 digits: an arity of
+    # 4 300 digits under every table command
+    bad.write_text(f"domain=2\narity={HUGE}\ngroup=Z2\n0\n")
+    for argv in (["analyze"], ["classify", "--target", "boolean"],
+                 ["classify", "--target", "z3"], ["decompose", "--mode", "odd"],
+                 ["decompose", "--mode", "even"], ["decompose", "--mode", "fitilde"],
+                 ["decompose", "--mode", "taylor", "--k", "1"]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert_refused(code, out, err)
+        assert f"a table of 2**{HUGE_EXCERPT} cells exceeds the budget" in err
+    # a domain of 4 300 digits at arity 0 is one cell, so the uniform regime
+    # check is the one to quote it
+    bad.write_text(f"domain={HUGE}\narity=0\ngroup=Z2\n0\n")
+    code, out, err = run(capsys, "decompose", str(bad), "--mode", "fitilde")
+    assert_refused(code, out, err)
+    assert f"max(|A|, 3) = {HUGE_EXCERPT}, got 0" in err
     # a header number longer than int() converts is a parse error
     bad.write_text("domain=" + "9" * 5000 + "\narity=2\ngroup=Z2\n0\n")
     code, out, err = run(capsys, "analyze", str(bad))
@@ -188,6 +215,12 @@ def test_decompose_taylor_inventory_and_failure(tmp_path, capsys):
     save_table_file(FnTable.constant(2, 14, Z2, (1,)), p)
     code, _, err = run(capsys, "decompose", str(p), "--mode", "taylor", "--k", "7")
     assert code == 3 and "budget" in err
+    # a --k of 4 000 digits either side of the range is quoted to 40 of them
+    for sign in ("", "-"):
+        k = sign + "9" * 4000
+        code, out, err = run(capsys, "decompose", path, "--mode", "taylor", "--k", k)
+        assert_refused(code, out, err)
+        assert err.endswith(f"k must be between 0 and 4, got {sign}{HUGE_EXCERPT}\n")
 
 
 def test_decompose_refuses_flags_its_mode_ignores(tmp_path, capsys):
@@ -558,14 +591,15 @@ def test_identities_ok(capsys):
 
 def test_identities_work_is_bounded(capsys):
     # the binomial products are counted before any row is computed
-    for max_m in ("341", "800", str(10**12)):
+    for max_m in ("341", "800", str(10**12), "9" * 4000):
         code, out, err = run(capsys, "identities", "--max-m", max_m)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "binomial products" in err
+        assert len(err) <= 200 and f"m={max_m[:40]} " in err.replace("...", " ")
     # a range with no row is refused, not reported as all equal
-    for max_m in ("0", "-3"):
+    for max_m, quoted in (("0", "0"), ("-3", "-3"), ("-" + "9" * 4000, "-" + HUGE_EXCERPT)):
         assert run(capsys, "identities", "--max-m", max_m) == (
-            3, "", f"precondition failed: max_m must be at least 1, got {max_m}\n")
+            3, "", f"precondition failed: max_m must be at least 1, got {quoted}\n")
 
 
 def test_identities_mismatch_exits_4(capsys, monkeypatch):
@@ -643,33 +677,61 @@ def test_huge_witness_arguments_are_refused_in_bounded_memory(tmp_path, capsys):
     # each refusal comes before anything sized by the argument is built:
     # 2**e, or the letter sets {1..ell} and {1..n}
     keys = "the keys of a phi map over a 1000001-letter alphabet would take more than"
-    cases = [(["--kind", "tightness", "--ell", "2", "--e", str(e), "--n", "4"],
+    cases = [(["--kind", "tightness", "--ell", "2", "--e", str(e), "--n", "4", "--group", "Z2"],
               f"group exponent 2 is not 2**{e}") for e in (10**8, 10**18)]
-    cases += [(["--kind", "tightness", "--ell", str(10**6), "--e", "1", "--n", str(10**6)], keys),
-              (["--kind", "large-alphabet", "--n", str(10**6), "--a-size", str(10**6 + 1)], keys)]
+    cases += [(["--kind", "tightness", "--ell", str(10**6), "--e", "1", "--n", str(10**6),
+                "--group", "Z2"], keys),
+              (["--kind", "large-alphabet", "--n", str(10**6), "--a-size", str(10**6 + 1),
+                "--group", "Z2"], keys)]
+    # numbers of thousands of digits are quoted to 40 of them, even where the
+    # message quotes a sum with more digits than str() converts
+    big, cut, one = "9" * 4000, "9" * 40 + "...", "1" + "0" * 39 + "..."
+    cases += [
+        (["--kind", "large-alphabet", "--n", HUGE, "--a-size", "3", "--group", "Z4"],
+         f"alphabet size must be >= n+1 = {one}, got 3"),
+        (["--kind", "tightness", "--ell", HUGE, "--e", "2", "--n", "5", "--group", "Z4"],
+         f"arity must be >= ell+e-1 = {one}, got 5"),
+        (["--kind", "tightness", "--ell", big, "--e", "1", "--n", "5", "--group", "Z2"],
+         f"arity must be >= ell+e-1 = {cut}, got 5"),
+        (["--kind", "tightness", "--ell", "-" + big, "--e", "1", "--n", "5", "--group", "Z2"],
+         f"alphabet parameter ell must be >= 1, got -{cut}"),
+        (["--kind", "tightness", "--ell", "2", "--e", big, "--n", "5", "--group", "Z2"],
+         f"group exponent 2 is not 2**{cut}"),
+        (["--kind", "tightness", "--ell", "2", "--e", "1", "--n", big, "--group", "Z2"],
+         f"a table of 3**{cut} cells"),
+        (["--kind", "hamming", "--n", big, "--group", "Z3"], f"a table of 2**{cut} cells"),
+        (["--kind", "hamming", "--n", "-" + big, "--group", "Z3"],
+         f"arity must be >= 1, got -{cut}"),
+        (["--kind", "large-alphabet", "--n", "3", "--a-size", big, "--group", "Z2"],
+         f"the keys of a phi map over a {cut}-letter alphabet"),
+        (["--kind", "large-alphabet", "--n", "3", "--a-size", "-" + big, "--group", "Z2"],
+         f"alphabet size must be >= n+1 = 4, got -{cut}"),
+    ]
     out_tbl = tmp_path / "w.tbl"
     for extra, message in cases:
         tracemalloc.start()
         try:
-            code, _, err = run(capsys, "witness", *extra, "--group", "Z2", "--b", "1",
-                               "--out", str(out_tbl))
+            code, out, err = run(capsys, "witness", *extra, "--b", "1", "--out", str(out_tbl))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 3 and err.startswith(f"precondition failed: {message}")
+        assert_refused(code, out, err)
         assert peak < 1 << 21 and not out_tbl.exists()
 
 
 def test_unwritable_out_exit_3(tmp_path, capsys):
     missing = tmp_path / "missing"
     witness = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1", "--out"]
-    # the table file, then the sidecar (here a directory of that name)
+    # the table file, then the sidecar (here a directory of that name, then
+    # a name over 255 bytes); a refused witness leaves no table behind
     (tmp_path / "w.tbl.witness.txt").mkdir()
-    for out_path in (missing / "w.tbl", tmp_path / "w.tbl"):
+    for out_path in (missing / "w.tbl", tmp_path / "w.tbl", tmp_path / ("w" * 248)):
         code, out, err = run(capsys, *witness, str(out_path))
         assert code == 3 and out == ""
         assert err.startswith("precondition failed: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_path.exists()
     path = write_parity(tmp_path, 5)
     code, out, err = run(capsys, "decompose", path, "--mode", "odd",
                          "--out", str(missing / "p.txt"))

@@ -264,9 +264,9 @@ def test_determined_count_matches_enumeration():
 
 def test_phi_map_validation():
     with pytest.raises(ArgumentError):
-        PhiMap(2, Z2, "pnprime", 3, {frozenset({0}): (0,)})  # missing key
+        PhiMap(2, Z2, 3, {frozenset({0}): (0,)})  # missing key
     with pytest.raises(ArgumentError):
-        PhiMap(2, Z2, "full", None, {
+        PhiMap(2, Z2, None, {
             frozenset(): (0,), frozenset({0}): (1,),
             frozenset({1}): (0,), frozenset({0, 1}): (0,),
         })  # pairing violated
@@ -275,7 +275,7 @@ def test_phi_map_validation():
         phi.value({0})  # size-1 subsets are outside an even-arity domain
     # a full map over fewer than two letters is refused, not half-built
     with pytest.raises(ArgumentError, match="alphabet size"):
-        PhiMap(1, Z2, "full", None, {frozenset(): (1,), frozenset({0}): (1,)})
+        PhiMap(1, Z2, None, {frozenset(): (1,), frozenset({0}): (1,)})
     for text in ("phi domain=full a=0 group=Z2\n{} -> 1\n",
                  "phi domain=full a=1 group=Z2\n{} -> 1\n{0} -> 1\n"):
         with pytest.raises(ParseError, match="alphabet size"):

@@ -28,9 +28,9 @@ RECORDS = [
     (Group, ("moduli",), ((2, 4),), ((2, 2),)),
     (FnTable, ("a_size", "arity", "group", "values"),
      (2, 1, Z2, (1, 0)), (2, 1, Z2, (0, 1))),
-    (PhiMap, ("a_size", "group", "kind", "arity", "entries"),
-     (2, Z2, "pnprime", 1, {frozenset({0}): (0,), frozenset({1}): (1,)}),
-     (2, Z2, "pnprime", 1, {frozenset({0}): (1,), frozenset({1}): (1,)})),
+    (PhiMap, ("a_size", "group", "arity", "entries"),
+     (2, Z2, 1, {frozenset({0}): (0,), frozenset({1}): (1,)}),
+     (2, Z2, 1, {frozenset({0}): (1,), frozenset({1}): (1,)})),
     (WitnessBundle, ("table", "positions", "params", "expected", "claimed_k"),
      (TABLE, frozenset({0}), (1,), (1,), 0), (TABLE, frozenset({0}), (1,), (1,), 1)),
     (BooleanGapForm, ("kind", "c", "m"), ("parity_sum", 1, 3), ("parity_sum", 0, 3)),
@@ -56,8 +56,12 @@ def test_defaults_and_normalisation():
     assert BooleanGapForm("majority", 0) == BooleanGapForm("majority", 0, None)
     assert Group([2, 4]).moduli == (2, 4)
     assert FnTable(2, 1, Z2, [1, 0]).values == (1, 0)
-    phi = PhiMap(2, Z2, "pnprime", 1, {(0,): [0], (1,): [1]})
+    phi = PhiMap(2, Z2, 1, {(0,): [0], (1,): [1]})
     assert phi.entries == {frozenset({0}): (0,), frozenset({1}): (1,)}
+    # the kind is read off the arity: keyed on phi_domain with one, full without
+    assert phi.kind == "pnprime"
+    full = PhiMap(2, Z2, None, {(): [1], (0,): [1], (1,): [0], (0, 1): [0]})
+    assert full.kind == "full" and full.arity is None
 
 
 @pytest.mark.parametrize("cls, fields, args, other", RECORDS, ids=IDS)

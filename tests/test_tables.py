@@ -73,7 +73,7 @@ def test_indexing_convention():
     rng = random.Random(1)
     for a in (2, 3, 5):
         for n in range(5):
-            assert axis_fold(a, [[d * a**i for d in range(a)] for i in range(n)]) == \
+            assert axis_fold([[d * a**i for d in range(a)] for i in range(n)]) == \
                 list(range(a**n))
             axes = [[rng.randrange(64) for _ in range(a)] for _ in range(n)]
             for op in (add, xor):
@@ -83,8 +83,8 @@ def test_indexing_convention():
                     for axis, d in zip(axes, x):
                         v = op(v, axis[d])
                     expect.append(v)
-                assert axis_fold(a, axes, op) == expect
-    assert axis_fold(3, [], xor) == [0]
+                assert axis_fold(axes, op) == expect
+    assert axis_fold([], xor) == [0]
 
 
 def test_eval_examples():
