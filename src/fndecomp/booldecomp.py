@@ -22,12 +22,13 @@ phi recovery reads the same kernel at the canonical representative tuple of
 each key, with one GF(2) column per key, and solves the resulting system per
 cyclic factor against the values of extract_phi(f).  The uniqueness proofs
 guarantee invertibility for the odd/even systems, so a singular matrix is an
-internal-consistency failure, never a user error.
+internal-consistency failure, never a user error.  Each decomposer rebuilds
+the table from the phi it returns and raises InternalConsistencyError unless
+that rebuild is f.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
@@ -264,35 +265,46 @@ def _solve_for_phi(f: FnTable, sizes: list[int], require_unique: bool):
     return entries
 
 
+def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
+    """phi, once rebuilt, the table its defining sum gives, is checked to be f."""
+    if rebuilt.values != f.values:
+        raise InternalConsistencyError("reconstruction does not reproduce the input")
+    return phi
+
+
 def decompose_odd(f: FnTable) -> PhiMap:
-    """The unique phi with reconstruct_odd(phi) == f."""
+    """The unique phi with reconstruct_odd(phi) == f, checked by that rebuild."""
     require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
     entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), require_unique=True)
-    return PhiMap(f.a_size, f.group, f.arity, entries)
+    phi = PhiMap(f.a_size, f.group, f.arity, entries)
+    return _rebuilds(phi, reconstruct_odd(phi), f)
 
 
 def decompose_even(f: FnTable) -> PhiMap:
-    """The unique full paired phi with reconstruct_even(phi, f.arity) == f."""
+    """The unique full paired phi with reconstruct_even(phi, f.arity) == f,
+    checked by that rebuild."""
     require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
     entries = _solve_for_phi(f, sizes, require_unique=True)
-    return full_map_from_domain_entries(f.a_size, f.group, entries)
+    phi = full_map_from_domain_entries(f.a_size, f.group, entries)
+    return _rebuilds(phi, reconstruct_even(phi, f.arity), f)
 
 
 def full_map_from_domain_entries(a_size: int, group: Group, entries) -> PhiMap:
-    """Extend values given on phi_domain keys to the full power set via pairing."""
-    full = {}
-    for size in range(a_size + 1):
-        for S in combinations(range(a_size), size):
-            key = frozenset(S)
-            full[key] = entries[key] if key in entries else entries[key ^ {0}]
-    return PhiMap.full_paired(a_size, group, full)
+    """Extend values given on phi_domain keys to the full power set via pairing.
+
+    Above arity |A| every subset S is a key or the partner S symdiff {0} of
+    one; a given entry wins over a partner, so a conflicting input still fails
+    the pairing check.
+    """
+    return PhiMap(a_size, group, None, {**{S ^ {0}: v for S, v in entries.items()}, **entries})
 
 
 def decompose_uniform(f: FnTable) -> PhiMap:
-    """Some phi satisfying the coefficient-free sum (free variables pinned to 0).
+    """Some phi satisfying the coefficient-free sum (free variables pinned to
+    0), checked by reconstruct_uniform.
 
     Existence is guaranteed for determined f in the regime n > max(|A|, 3);
     uniqueness is not claimed, see uniform_system_rank.
@@ -301,9 +313,7 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     require_uniform_regime(f.a_size, f.arity)
     entries = _solve_for_phi(f, uniform_sum_sizes(f.arity), require_unique=False)
     phi = PhiMap(f.a_size, f.group, f.arity, entries)
-    if reconstruct_uniform(phi).values != f.values:
-        raise InternalConsistencyError("uniform reconstruction mismatch after solve")
-    return phi
+    return _rebuilds(phi, reconstruct_uniform(phi), f)
 
 
 def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:

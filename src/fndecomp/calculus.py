@@ -29,8 +29,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import (MAX_CELLS, ArgumentError, DomainError, PreconditionError, ResourceError,
-                     excerpt_int)
+from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
+                     PreconditionError, ResourceError, excerpt_int)
 from .groups import Element, Packing
 from .tables import FnTable
 
@@ -44,7 +44,7 @@ def _check_positions(f: FnTable, vars: Iterable[int]) -> list[int]:
     out = sorted(set(vars))
     for i in out:
         if not 0 <= i < f.arity:
-            raise ArgumentError(f"position {i} out of range for arity {f.arity}")
+            raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
     return out
 
 
@@ -53,7 +53,8 @@ def _check_point(f: FnTable, x: Sequence[int]) -> tuple[int, ...]:
         raise DomainError(f"parameter tuple has {len(x)} components, arity is {f.arity}")
     for c in x:
         if not 0 <= c < f.a_size:
-            raise DomainError(f"parameter tuple component {c} out of range for alphabet {f.a_size}")
+            raise DomainError(f"parameter tuple component {excerpt_int(c)} out of range for "
+                              f"alphabet {f.a_size}")
     return tuple(x)
 
 
@@ -70,9 +71,9 @@ def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
 def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
     """Table of f(x with position i set to a_val) - f(x)."""
     if not 0 <= i < f.arity:
-        raise ArgumentError(f"position {i} out of range for arity {f.arity}")
+        raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
     if not 0 <= a_val < f.a_size:
-        raise DomainError(f"parameter {a_val} out of range for alphabet {f.a_size}")
+        raise DomainError(f"parameter {excerpt_int(a_val)} out of range for alphabet {f.a_size}")
     params = [0] * f.arity
     params[i] = a_val
     return higher_derivative(f, (i,), params)
@@ -250,11 +251,13 @@ def min_decomposition_arity(f: FnTable) -> int:
 
 def decompose_via_taylor(f: FnTable, k: int) -> list[tuple[frozenset[int], FnTable]]:
     """The (positions, term) pairs of the Taylor terms on at most k positions,
-    in the order of taylor_terms; the terms sum to f exactly.
+    in the order of taylor_terms; the terms sum to f exactly, which is
+    checked by adding them back up on the packed table before they are
+    returned.
 
     Raises PreconditionError carrying the violating witness when f is not
-    k-decomposable, and ResourceError when the terms would exceed
-    MAX_CELLS.
+    k-decomposable, ResourceError when the terms would exceed MAX_CELLS, and
+    InternalConsistencyError when the terms do not add back up to f.
     """
     check_k(f.arity, k)
     c = _derivative_coefficients(f)
@@ -267,4 +270,11 @@ def decompose_via_taylor(f: FnTable, k: int) -> list[tuple[frozenset[int], FnTab
             witness=witness,
         )
     _check_taylor_cells(f, sum(comb(f.arity, s) for s in range(k + 1)))
-    return _taylor_terms_upto(f, c, k)
+    terms = _taylor_terms_upto(f, c, k)
+    p = Packing(f.group, len(f.values))
+    total = 0
+    for _, term in terms:
+        total = p.add(total, p.pack(term.values))
+    if total != p.pack(f.values):
+        raise InternalConsistencyError("taylor summands do not add back to f")
+    return terms

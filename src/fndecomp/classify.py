@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import ArgumentError, InternalConsistencyError, PreconditionError
+from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt_int
 from .groups import Group
 from .oddsupport import PhiMap, extract_phi
 from .records import Record
@@ -138,7 +138,7 @@ class Z3Params(Record):
     def __init__(self, a: int, b: int, c: int, d: int):
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             if not 0 <= v < 3:
-                raise ArgumentError(f"parameter {name}={v} out of range for Z3")
+                raise ArgumentError(f"parameter {name}={excerpt_int(v)} out of range for Z3")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -167,7 +167,7 @@ def z3_build(n: int, params: Z3Params) -> FnTable:
     the pair (u, u) C(k_u, 2) times and the pair (u, v) k_u * k_v times, and
     only the parity of each count survives the symmetric-difference fold."""
     if n < 4:
-        raise ArgumentError(f"classification form needs arity >= 4, got {n}")
+        raise ArgumentError(f"classification form needs arity >= 4, got {excerpt_int(n)}")
     a, b, c, d = params.as_tuple()
     p = [(a * u * u + b * u + c) % 3 for u in range(3)]
     pair = [[((u - v) ** 2 * p[(u + v) % 3] + d) % 3 for v in range(3)] for u in range(3)]
@@ -195,7 +195,7 @@ def check_z3_table(a_size: int, arity: int, group: Group) -> None:
     if a_size != 3 or group.moduli != (3,):
         raise ArgumentError("ternary classification needs a Z3 -> Z3 table")
     if arity < 4:
-        raise ArgumentError(f"ternary classification needs arity >= 4, got {arity}")
+        raise ArgumentError(f"ternary classification needs arity >= 4, got {excerpt_int(arity)}")
 
 
 def z3_classify(f: FnTable) -> Z3Classification:

@@ -2,8 +2,9 @@
 
 Reports are deterministic: identical inputs produce byte-identical output
 (JSON is key-sorted and carries no timestamps unless --meta is given).
-Four commands check what they print before printing it: decompose adds the
-Taylor terms back up or rebuilds the table from phi, classify checks a
+Four commands check what they print before printing it: decompose prints
+what a decomposer returns, and each adds its Taylor terms back up or
+rebuilds the table from phi before it returns; classify checks a
 Boolean gap from its definition and rebuilds a Z3 table from its parameters,
 witness verifies the derivative it claims, and identities compares both
 sides of every row.  analyze prints its verdicts as computed.
@@ -138,14 +139,6 @@ def _cmd_analyze(args) -> None:
     _emit(args, [digest], verdicts, payload)
 
 
-def _sum_tables(group, parts):
-    packing = groups.Packing(group, len(parts[0].values))
-    acc = 0
-    for part in parts:
-        acc = packing.add(acc, packing.pack(part.values))
-    return tuple(packing.unpack(acc))
-
-
 def _cmd_decompose(args) -> None:
     taylor = args.mode == "taylor"
     if taylor and args.k is None:
@@ -154,6 +147,13 @@ def _cmd_decompose(args) -> None:
         raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
     if taylor and args.out is not None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
+    if not taylor:
+        # each decomposer rebuilds f from its phi and raises unless that is exact
+        regime, decompose = {
+            "odd": (booldecomp.odd_case_shift, booldecomp.decompose_odd),
+            "even": (booldecomp.even_case_shift, booldecomp.decompose_even),
+            "fitilde": (booldecomp.require_uniform_regime, booldecomp.decompose_uniform),
+        }[args.mode]
 
     def header(a_size: int, arity: int, group: groups.Group) -> None:
         # the library's own checks of what the mode needs of the header; the
@@ -163,16 +163,13 @@ def _cmd_decompose(args) -> None:
             calculus.check_k(arity, args.k)
         else:
             booldecomp.require_boolean(group)
-            regime = {"odd": booldecomp.odd_case_shift, "even": booldecomp.even_case_shift,
-                      "fitilde": booldecomp.require_uniform_regime}[args.mode]
             regime(a_size, arity)
 
     f, digest = _load_table(args.table, header)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
     if taylor:
+        # decompose_via_taylor raises unless its terms add back up to f
         terms = calculus.decompose_via_taylor(f, args.k)
-        if _sum_tables(f.group, [t for _, t in terms]) != f.values:
-            raise InternalConsistencyError("taylor summands do not add back to f")
         verdicts["k"] = args.k
         import json
 
@@ -186,20 +183,10 @@ def _cmd_decompose(args) -> None:
         _emit(args, [digest], verdicts,
               {"summands": [json.dumps(s, sort_keys=True) for s in summands]})
         return
+    phi = decompose(f)
     if args.mode == "fitilde":
-        # decompose_uniform raises unless its phi reconstructs f exactly
-        phi = booldecomp.decompose_uniform(f)
         rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
         verdicts["system_rank"] = f"{rank}/{unknowns}"
-    else:
-        if args.mode == "odd":
-            phi = booldecomp.decompose_odd(f)
-            rebuilt = booldecomp.reconstruct_odd(phi)
-        else:
-            phi = booldecomp.decompose_even(f)
-            rebuilt = booldecomp.reconstruct_even(phi, f.arity)
-        if rebuilt.values != f.values:
-            raise InternalConsistencyError("reconstruction does not reproduce the input")
     payload = {"phi": _phi_payload(phi)}
     if args.out:
         _write_text(args.out, oddsupport.dump_phi(phi))
@@ -297,7 +284,12 @@ def _cmd_witness(args) -> None:
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
     bundle.verify()
     created = not os.path.lexists(args.out)
-    _write_text(args.out, tables.dump_table(bundle.table))
+    try:
+        # append mode creates --out only when it is absent and leaves a file
+        # that is there as it was until the sidecar is written
+        open(args.out, "ab").close()
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {args.out}: {exc}") from None
     sidecar = args.out + ".witness.txt"
     expected = bundle.table.group.format_element(bundle.expected)
     positions, params = sorted(bundle.positions), list(bundle.params)
@@ -309,6 +301,7 @@ def _cmd_witness(args) -> None:
         if created:
             os.remove(args.out)
         raise
+    _write_text(args.out, tables.dump_table(bundle.table))
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
            "expected": expected},

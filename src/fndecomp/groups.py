@@ -64,7 +64,7 @@ class Group(Record):
         mods = tuple(int(m) for m in moduli)
         for m in mods:
             if m < 2:
-                raise ArgumentError(f"cyclic factor modulus must be >= 2, got {m}")
+                raise ArgumentError(f"cyclic factor modulus must be >= 2, got {excerpt_int(m)}")
         self.__dict__.update(moduli=mods)
 
     # ------------------------------------------------------------------

@@ -43,7 +43,8 @@ def binom(n: int, k: int) -> int:
 
 def _check_even_sum_args(m: int, t: int) -> None:
     if m < 0 or t < 0 or 2 * t + 2 > m:
-        raise ArgumentError(f"need 0 <= t <= m/2 - 1, got m={m}, t={t}")
+        raise ArgumentError(
+            f"need 0 <= t <= m/2 - 1, got m={excerpt_int(m)}, t={excerpt_int(t)}")
 
 
 def even_sum_lhs(m: int, t: int) -> int:
@@ -59,7 +60,8 @@ def even_sum_rhs(m: int, t: int) -> int:
 
 def _check_odd_sum_args(m: int, t: int) -> None:
     if m < 1 or t < 0 or 2 * t + 1 > m:
-        raise ArgumentError(f"need 0 <= t <= (m-1)/2, got m={m}, t={t}")
+        raise ArgumentError(
+            f"need 0 <= t <= (m-1)/2, got m={excerpt_int(m)}, t={excerpt_int(t)}")
 
 
 def odd_sum_lhs(m: int, t: int) -> int:

@@ -45,7 +45,8 @@ def odd_support(a_size: int, x: Sequence[int]) -> Subset:
     mask = 0
     for c in x:
         if not 0 <= c < a_size:
-            raise DomainError(f"component {c} out of range for alphabet {a_size}")
+            raise DomainError(f"component {excerpt_int(c)} out of range for alphabet "
+                              f"{excerpt_int(a_size)}")
         mask ^= 1 << c
     return _subset_from_mask(mask)
 
@@ -91,9 +92,9 @@ def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     the key domain a phi map for arity n must cover.
     """
     if a_size < 2:
-        raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
+        raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
     if n < 1:
-        raise ArgumentError(f"arity must be >= 1, got {n}")
+        raise ArgumentError(f"arity must be >= 1, got {excerpt_int(n)}")
     sizes = range(n % 2, min(a_size, n) + 1, 2)
     _check_key_count(a_size, sizes)
     out = [frozenset(S) for size in sizes for S in combinations(range(a_size), size)]
@@ -141,7 +142,7 @@ class PhiMap(Record):
         entries: Mapping[Subset, Element],
     ):
         if a_size < 2:
-            raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
+            raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
         if arity is not None:
             if set(entries) != set(phi_domain(a_size, arity)):
@@ -178,12 +179,6 @@ class PhiMap(Record):
         getter = assign.__getitem__ if isinstance(assign, Mapping) else assign
         entries = {S: getter(S) for S in phi_domain(a_size, n)}
         return cls(a_size, group, n, entries)
-
-    @classmethod
-    def full_paired(
-        cls, a_size: int, group: Group, entries: Mapping[Subset, Element]
-    ) -> "PhiMap":
-        return cls(a_size, group, None, dict(entries))
 
     def value(self, S: Iterable[int]) -> Element:
         key = frozenset(S)
@@ -245,9 +240,9 @@ def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
             raise ArgumentError("empty support needs even arity")
         return (0,) * n
     if len(s) > n:
-        raise ArgumentError(f"support of size {len(s)} unreachable at arity {n}")
+        raise ArgumentError(f"support of size {len(s)} unreachable at arity {excerpt_int(n)}")
     if (n - len(s)) % 2:
-        raise ArgumentError(f"support size {len(s)} has wrong parity for arity {n}")
+        raise ArgumentError(f"support size {len(s)} has wrong parity for arity {excerpt_int(n)}")
     r = (n - len(s)) // 2
     return (s[0],) * (2 * r + 1) + tuple(s[1:])
 

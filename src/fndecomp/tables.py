@@ -143,9 +143,9 @@ class FnTable(Record):
 
     def __init__(self, a_size: int, arity: int, group: Group, values: Sequence[int]):
         if a_size < 2:
-            raise ArgumentError(f"alphabet size must be >= 2, got {a_size}")
+            raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
         if arity < 0:
-            raise ArgumentError(f"arity must be >= 0, got {arity}")
+            raise ArgumentError(f"arity must be >= 0, got {excerpt_int(arity)}")
         check_cells(a_size, arity)
         values = tuple(values)
         expected = a_size**arity
@@ -188,7 +188,8 @@ class FnTable(Record):
             raise DomainError(f"tuple has {len(x)} components, arity is {self.arity}")
         for c in x:
             if not 0 <= c < self.a_size:
-                raise DomainError(f"component {c} out of range for alphabet {self.a_size}")
+                raise DomainError(
+                    f"component {excerpt_int(c)} out of range for alphabet {self.a_size}")
         return tuple_index(self.a_size, x)
 
     def eval(self, x: Sequence[int]) -> Element:
@@ -215,7 +216,8 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
         raise ArgumentError("target arity must be positive when sigma is nonempty")
     for s in sigma:
         if not 0 <= s < arity:
-            raise DomainError(f"sigma target {s} out of range for arity {arity}")
+            raise DomainError(f"sigma target {excerpt_int(s)} out of range for arity "
+                              f"{excerpt_int(arity)}")
     a = f.a_size
     check_cells(a, arity)
     # the index into f of y is sum_i y[sigma[i]] * a**i
@@ -230,7 +232,8 @@ def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
     if i == j:
         raise ArgumentError("cannot identify a variable with itself")
     if not (0 <= i < n and 0 <= j < n):
-        raise ArgumentError(f"positions {i}, {j} out of range for arity {n}")
+        raise ArgumentError(
+            f"positions {excerpt_int(i)}, {excerpt_int(j)} out of range for arity {n}")
     sigma = list(range(n))
     sigma[i] = j
     return simple_minor(f, sigma, n)

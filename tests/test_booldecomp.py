@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fndecomp import (
+    ArgumentError,
     FnTable,
     Group,
+    InternalConsistencyError,
     PhiMap,
     PreconditionError,
     ResourceError,
@@ -216,6 +218,31 @@ def test_even_parity_example():
     # a full map takes any arity; a table over the cell budget is refused
     with pytest.raises(ResourceError):
         reconstruct_even(phi, 30)
+
+
+@pytest.mark.parametrize("decompose, rebuild, n", [
+    (decompose_odd, "reconstruct_odd", 5),
+    (decompose_even, "reconstruct_even", 4),
+    (decompose_uniform, "reconstruct_uniform", 4),
+], ids=["odd", "even", "uniform"])
+def test_decomposers_check_their_rebuild(monkeypatch, decompose, rebuild, n):
+    wrong = FnTable.constant(2, n, Z2, (0,))
+    monkeypatch.setattr(booldecomp, rebuild, lambda *args: wrong)
+    with pytest.raises(InternalConsistencyError, match="reconstruction"):
+        decompose(parity(n))
+
+
+def test_full_map_pairs_the_domain_entries():
+    entries = {frozenset(): (0,), frozenset({1}): (1,)}
+    full = full_map_from_domain_entries(2, Z2, entries)
+    assert full == PhiMap(2, Z2, None, {**entries, frozenset({0}): (0,),
+                                        frozenset({0, 1}): (1,)})
+    # a given entry wins over a partner, so a conflict fails the pairing check
+    with pytest.raises(ArgumentError, match="pairing violated"):
+        full_map_from_domain_entries(2, Z2, {**entries, frozenset({0}): (1,)})
+    # a subset that is neither a key nor the partner of one is not covered
+    with pytest.raises(ArgumentError, match="cover every subset"):
+        full_map_from_domain_entries(3, Z2, entries)
 
 
 def test_reconstructions_cover_exactly_the_determined_functions():

@@ -8,6 +8,7 @@ from fndecomp import (
     ArgumentError,
     FnTable,
     Group,
+    InternalConsistencyError,
     PreconditionError,
     ResourceError,
     decomposability_witness,
@@ -283,6 +284,16 @@ def test_decompose_via_taylor_round_trip_and_failure():
     assert exc.value.witness == (frozenset({0, 1, 2}), (1, 1, 1))
 
 
+def test_decompose_via_taylor_checks_that_its_terms_add_back(monkeypatch):
+    from fndecomp import calculus
+
+    par4 = FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,))
+    wrong = [(frozenset(), FnTable.constant(2, 4, Z2, (0,)))]
+    monkeypatch.setattr(calculus, "_taylor_terms_upto", lambda f, c, k: wrong)
+    with pytest.raises(InternalConsistencyError, match="add back"):
+        decompose_via_taylor(par4, 1)
+
+
 def test_witness_search_order_deterministic():
     w = hamming_witness(4, Z3, (1,))
     first = decomposability_witness(w.table, 0)
@@ -311,7 +322,6 @@ def _pairs(terms):
 
 def assert_matches_oracle(f):
     from fndecomp.calculus import _derivative_coefficients
-    from fndecomp.cli import _sum_tables
 
     # the packed kernel against the list kernel, cell by cell
     assert tuple(_derivative_coefficients(f)) == list_derivative_coefficients(f)
@@ -325,9 +335,9 @@ def assert_matches_oracle(f):
         assert_term_support(I, t)
     terms = _pairs(oracle_terms)
     assert _pairs(taylor_terms(f)) == terms
-    # the CLI adds the terms back up with the packed add
-    assert _sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]) == (
-        sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]))
+    # the terms add back up to f (decompose_via_taylor checks its own with the packed add)
+    assert sum_tables(f.group, [FnTable(f.a_size, f.arity, f.group, t) for _, t in terms]) == (
+        f.values)
     for k in range(f.arity + 1):
         witness = top_witness if k < top else None
         assert decomposability_witness(f, k) == witness

@@ -442,14 +442,24 @@ def test_decompose_fitilde_reports_rank(tmp_path, capsys):
         assert "system_rank" in report["verdicts"]
 
 
-def test_decompose_fitilde_reconstruction_still_guards_the_verdict(tmp_path, capsys, monkeypatch):
-    import fndecomp.booldecomp as booldecomp_mod
+@pytest.mark.parametrize("mode, n, module, target, message", [
+    ("odd", 5, "booldecomp", "reconstruct_odd", "reconstruction"),
+    ("even", 4, "booldecomp", "reconstruct_even", "reconstruction"),
+    ("fitilde", 4, "booldecomp", "reconstruct_uniform", "reconstruction"),
+    ("taylor", 4, "calculus", "_taylor_terms_upto", "add back"),
+], ids=["odd", "even", "fitilde", "taylor"])
+def test_decompose_reconstruction_still_guards_the_verdict(tmp_path, capsys, monkeypatch, mode,
+                                                           n, module, target, message):
+    # each decomposer's rebuild (or add-back) of f is wrong: no verdict is printed
+    import importlib
 
-    path = write_parity(tmp_path, 4)
-    wrong = FnTable.constant(2, 4, Z2, (0,))
-    monkeypatch.setattr(booldecomp_mod, "reconstruct_uniform", lambda phi: wrong)
-    code, out, err = run(capsys, "decompose", path, "--mode", "fitilde", "--json")
-    assert code == 4 and out == "" and "reconstruction" in err
+    path = write_parity(tmp_path, n)
+    wrong = FnTable.constant(2, n, Z2, (0,))
+    monkeypatch.setattr(importlib.import_module(f"fndecomp.{module}"), target,
+                        lambda *args: [(frozenset(), wrong)] if mode == "taylor" else wrong)
+    flags = ["--k", "1"] if mode == "taylor" else []
+    code, out, err = run(capsys, "decompose", path, "--mode", mode, *flags, "--json")
+    assert code == 4 and out == "" and message in err
 
 
 def test_classify_boolean_and_z3(tmp_path, capsys):
@@ -732,6 +742,12 @@ def test_unwritable_out_exit_3(tmp_path, capsys):
         assert err.startswith("precondition failed: cannot write ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out_path.exists()
+    # a table file that was there before keeps its content
+    (tmp_path / "w.tbl").write_text("old\n")
+    code, out, err = run(capsys, *witness, str(tmp_path / "w.tbl"))
+    assert code == 3 and out == ""
+    assert err.startswith(f"precondition failed: cannot write {tmp_path / 'w.tbl.witness.txt'}: ")
+    assert (tmp_path / "w.tbl").read_text() == "old\n"
     path = write_parity(tmp_path, 5)
     code, out, err = run(capsys, "decompose", path, "--mode", "odd",
                          "--out", str(missing / "p.txt"))

@@ -117,7 +117,7 @@ def test_table_from_phi_constant_and_parity():
 
 def test_table_from_phi_refuses_a_full_map():
     # a full map has no arity; the even case rebuilds through its sum table
-    full = PhiMap.full_paired(2, Z2, {
+    full = PhiMap(2, Z2, None, {
         frozenset(): (0,), frozenset({0}): (0,),
         frozenset({1}): (1,), frozenset({0, 1}): (1,),
     })
@@ -288,7 +288,7 @@ def test_phi_file_round_trip():
         lambda S: (len(S) % 2, 1 if 0 in S else 0),
     )
     assert load_phi(dump_phi(phi)) == phi
-    full = PhiMap.full_paired(2, Z2, {
+    full = PhiMap(2, Z2, None, {
         frozenset(): (0,), frozenset({0}): (0,),
         frozenset({1}): (1,), frozenset({0, 1}): (1,),
     })

@@ -1,4 +1,5 @@
-"""The package's public surface: its re-exported names and its lazy modules."""
+"""The package's public surface: its re-exported names, its lazy modules and
+the messages of its refusals."""
 
 import importlib
 import os
@@ -76,3 +77,43 @@ def test_phi_domain_is_the_one_library_cache():
                    if callable(getattr(obj, "cache_info", None))}
     assert caches == {("fndecomp.oddsupport", "phi_domain")}
     assert fndecomp.oddsupport.phi_domain.cache_info().maxsize == 8
+
+
+# an int of 5 000 digits, more than str() converts; negative where a check is
+# a lower bound
+BIG = 10**4999
+Z2, Z3 = fndecomp.Group((2,)), fndecomp.Group((3,))
+UNARY = fndecomp.FnTable(2, 1, Z2, (0, 1))
+REFUSALS = {
+    "FnTable-a_size": lambda: fndecomp.FnTable(-BIG, 1, Z2, (0,)),
+    "FnTable-arity": lambda: fndecomp.FnTable(2, -BIG, Z2, (0,)),
+    "FnTable.index_of": lambda: UNARY.index_of((BIG,)),
+    "simple_minor": lambda: fndecomp.simple_minor(UNARY, (BIG,), 2),
+    "identification_minor": lambda: fndecomp.identification_minor(UNARY, BIG, -BIG),
+    "_check_positions": lambda: fndecomp.higher_derivative(UNARY, (BIG,), (0,)),
+    "_check_point": lambda: fndecomp.higher_derivative(UNARY, (0,), (BIG,)),
+    "partial_derivative-position": lambda: fndecomp.partial_derivative(UNARY, BIG, 0),
+    "partial_derivative-parameter": lambda: fndecomp.partial_derivative(UNARY, 0, BIG),
+    "odd_support-component": lambda: fndecomp.odd_support(2, (BIG,)),
+    "odd_support-alphabet": lambda: fndecomp.odd_support(BIG, (-1,)),
+    "phi_domain-a_size": lambda: fndecomp.phi_domain(-BIG, 1),
+    "phi_domain-n": lambda: fndecomp.phi_domain(2, -BIG),
+    "PhiMap-a_size": lambda: fndecomp.PhiMap(-BIG, Z2, 1, {}),
+    "representative_tuple": lambda: fndecomp.representative_tuple({0}, -BIG),
+    "Group-modulus": lambda: fndecomp.Group((-BIG,)),
+    "Z3Params": lambda: fndecomp.Z3Params(BIG, 0, 0, 0),
+    "z3_build": lambda: fndecomp.z3_build(-BIG, fndecomp.Z3Params(0, 0, 0, 0)),
+    "check_z3_table": lambda: fndecomp.classify.check_z3_table(3, -BIG, Z3),
+    "even-sum-m": lambda: fndecomp.even_sum_lhs(-BIG, 0),
+    "even-sum-t": lambda: fndecomp.even_sum_rhs(4, BIG),
+    "odd-sum-m": lambda: fndecomp.odd_sum_lhs(-BIG, 0),
+    "odd-sum-t": lambda: fndecomp.odd_sum_rhs(3, BIG),
+}
+
+
+@pytest.mark.parametrize("site", REFUSALS)
+def test_refusals_quote_huge_ints_in_excerpt(site):
+    with pytest.raises(fndecomp.FnDecompError) as info:
+        REFUSALS[site]()
+    message = str(info.value)
+    assert "\n" not in message and len(message) <= 200
