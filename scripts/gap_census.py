@@ -6,7 +6,7 @@ distribution, and breaks the gap-2 tables down by canonical form.  Doubles
 as a consistency sweep: the explicit classification must agree on every
 table with the gap taken from its definition, the least drop in essential
 arity over the identification minors of pairs of essential variables
-(tables.pair_scan_gap on the table restricted to its essential variables).
+(minors.pair_scan_gap on the table restricted to its essential variables).
 """
 
 import argparse
@@ -14,7 +14,7 @@ import time
 from collections import Counter
 
 from fndecomp import FnTable, Group, classify_boolean, reduce_to_essential
-from fndecomp.tables import pair_scan_gap
+from fndecomp.minors import pair_scan_gap
 
 Z2 = Group((2,))
 

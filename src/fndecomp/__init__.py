@@ -21,9 +21,9 @@ _EXPORTS = {
               "ParseError PreconditionError ResourceError ShapeError",
     "records": "",
     "groups": "Group",
-    "tables": "FnTable arity_gap determined_via_symmetry dump_table essential_arity "
-              "essential_variables identification_minor is_totally_symmetric load_table "
-              "load_table_file reduce_to_essential save_table_file simple_minor",
+    "tables": "FnTable dump_table load_table load_table_file save_table_file",
+    "minors": "arity_gap determined_via_symmetry essential_arity essential_variables "
+              "identification_minor is_totally_symmetric reduce_to_essential simple_minor",
     "calculus": "decomposability_witness decompose_via_taylor derivative_at_zero "
                 "higher_derivative is_k_decomposable min_decomposition_arity "
                 "partial_derivative taylor_terms",

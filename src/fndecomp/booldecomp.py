@@ -33,6 +33,7 @@ from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group
+from .minors import pair_scan_limit
 from .oddsupport import (
     PhiMap,
     extract_phi,
@@ -40,7 +41,7 @@ from .oddsupport import (
     representative_tuple,
     subset_mask,
 )
-from .tables import FnTable, by_letter_counts, check_cells, pair_scan_limit
+from .tables import FnTable, by_letter_counts, check_cells
 
 
 # ----------------------------------------------------------------------

@@ -32,10 +32,7 @@ from typing import Iterable, Sequence
 from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
                      PreconditionError, ResourceError, excerpt_int)
 from .groups import Element, Packing
-from .tables import FnTable
-
-# bytes.translate table adding 1 to every byte below 255
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+from .tables import FnTable, _support_sizes
 
 Witness = tuple[frozenset[int], tuple[int, ...]]
 
@@ -146,14 +143,6 @@ def _derivative_coefficients(f: FnTable) -> Sequence[int]:
     for i in range(f.arity):
         c = p.sub(c, _copied_along(p, c, a, f.arity, i, 0, range(1, a)))
     return p.unpack(c)
-
-
-def _support_sizes(a_size: int, arity: int) -> bytes:
-    """Number of nonzero digits of x, per table index."""
-    sizes = b"\0"
-    for _ in range(arity):
-        sizes += sizes.translate(_PLUS_ONE) * (a_size - 1)
-    return sizes
 
 
 def _top_size(sizes: bytes, c: Sequence[int]) -> int:

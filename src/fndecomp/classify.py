@@ -42,16 +42,15 @@ from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt_int
 from .groups import Group
-from .oddsupport import PhiMap, extract_phi
-from .records import Record
-from .tables import (
-    FnTable,
-    by_letter_counts,
+from .minors import (
     determined_via_symmetry,
     essential_variables,
     pair_scan_limit,
     reduce_to_essential,
 )
+from .oddsupport import PhiMap, extract_phi
+from .records import Record
+from .tables import FnTable, by_letter_counts
 
 Z3 = Group((3,))
 

@@ -18,7 +18,8 @@ imported where they are used, so commands that need neither (``--help``,
 ``identities`` and ``witness`` without ``--json``) skip them.  The library
 modules bound below are the package's lazy modules: each is compiled at its
 first attribute access, and main loads those of the named subcommand (_RUNS)
-before it builds the parser, so ``--help`` compiles none beyond ``errors``.
+before it builds the parser, so ``--help`` compiles none beyond ``errors``
+and ``decompose --mode taylor`` none of the index kernels (``minors``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import os
 import sys
 import time
 
-from . import booldecomp, calculus, classify, groups, identities, oddsupport, tables, witnesses
+from . import (booldecomp, calculus, classify, groups, identities, minors, oddsupport, tables,
+               witnesses)
 from .errors import ArgumentError, FnDecompError, InternalConsistencyError, ParseError
 
 EXIT_OK = 0
@@ -119,14 +121,14 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
 
 def _cmd_analyze(args) -> None:
     f, digest = _load_table(args.table, _packable)
-    ess = sorted(tables.essential_variables(f))
+    ess = sorted(minors.essential_variables(f))
     verdicts = {
         "essential_variables": ess,
         "essential_arity": len(ess),
-        "totally_symmetric": tables.is_totally_symmetric(f),
+        "totally_symmetric": minors.is_totally_symmetric(f),
     }
     if len(ess) >= 2:
-        verdicts["gap"] = tables.arity_gap(f)
+        verdicts["gap"] = minors.arity_gap(f)
     else:
         verdicts["gap"] = None
         verdicts["gap_status"] = "undefined: ess<2"
@@ -197,8 +199,8 @@ def _cmd_decompose(args) -> None:
 def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     """Whether gap is the arity gap of f, checked from the definition.
 
-    Up to essential arity tables.pair_scan_limit(|A|) every pair of
-    essential variables is scanned by tables.pair_scan_gap.  Above it one
+    Up to essential arity minors.pair_scan_limit(|A|) every pair of
+    essential variables is scanned by minors.pair_scan_gap.  Above it one
     witness suffices.  No identification drops fewer than one essential
     variable, so a pair that drops exactly one proves gap 1: pair_scan_gap
     stops at the first such pair.  For gap 2 the restriction g to the
@@ -210,15 +212,15 @@ def _gap_certified(f: tables.FnTable, gap: int) -> bool:
     g(0, 0, rest): identifying x0 with x1 drops exactly two iff the slice
     values[::a*a] has all m - 2 of its variables essential.
     """
-    g = tables.reduce_to_essential(f)
+    g = minors.reduce_to_essential(f)
     m = g.arity
-    if m <= tables.pair_scan_limit(f.a_size) or gap == 1:
-        return m >= 2 and tables.pair_scan_gap(g) == gap
+    if m <= minors.pair_scan_limit(f.a_size) or gap == 1:
+        return m >= 2 and minors.pair_scan_gap(g) == gap
     phi = oddsupport.extract_phi(g) if gap == 2 else None
     if phi is None or oddsupport.table_from_phi(phi).values != g.values:
         return False
     rest = tables.FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
-    return tables.essential_arity(rest) == m - 2
+    return minors.essential_arity(rest) == m - 2
 
 
 def _cmd_classify(args) -> None:
@@ -366,18 +368,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # What each subcommand, and each decompose mode, runs of the library, each
-# module after those it imports from this list.  The package loads its
+# module after those it imports from this list (a test in tests/test_cli.py
+# reads that order off the imports).  The package loads its
 # modules lazily; main loads those of every word of argv named here before
 # argparse builds the parser (any attribute access loads a module).  A module
 # compiled after argparse, hashlib or the input stacks its compile memory on
 # top of theirs and raises the command's peak resident set; so does one
 # compiled while a module that imports it runs.  argparse still decides what
 # runs.
-_RUNS = {"analyze": (tables, oddsupport, calculus), "decompose": (tables,),
-         "classify": (tables, oddsupport, classify), "identities": (tables, calculus, identities),
-         "witness": (tables, calculus, oddsupport, witnesses), "taylor": (calculus,),
-         "odd": (oddsupport, booldecomp), "even": (oddsupport, booldecomp),
-         "fitilde": (oddsupport, booldecomp)}
+_RUNS = {"analyze": (tables, minors, oddsupport, calculus), "decompose": (tables,),
+         "classify": (tables, minors, oddsupport, classify), "identities": (tables, identities),
+         "witness": (tables, minors, calculus, oddsupport, witnesses), "taylor": (calculus,),
+         "odd": (minors, oddsupport, booldecomp), "even": (minors, oddsupport, booldecomp),
+         "fitilde": (minors, oddsupport, booldecomp)}
 
 
 def main(argv=None) -> int:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .calculus import _support_sizes
 from .errors import MAX_CELLS, ArgumentError, ResourceError, excerpt_int
+from .tables import _support_sizes
 
 PAIR_COUNT_MAX_M = 20
 

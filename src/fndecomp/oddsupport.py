@@ -6,7 +6,7 @@ the reachable support values into B; ``phi_domain(a_size, n)`` lists those
 values (the subsets of the alphabet whose size is n, n-2, n-4, ...).
 
 Whether a table is determined is decided in one place,
-``tables.determined_via_symmetry``, on slices of its value tuple;
+``minors.determined_via_symmetry``, on slices of its value tuple;
 ``extract_phi`` then reads phi at one representative cell per key.  The way
 back, ``table_from_phi``, maps the XOR fold of ``1 << x[t]`` (the mask of
 odd_support(x)) through the phi codes, so a rebuild checks determination
@@ -34,8 +34,9 @@ from .errors import (
     excerpt_int,
 )
 from .groups import Element, Group, parse_decimal
+from .minors import determined_via_symmetry
 from .records import Record
-from .tables import FnTable, axis_fold, check_cells, determined_via_symmetry
+from .tables import FnTable, axis_fold, check_cells
 
 Subset = frozenset[int]
 
@@ -232,9 +233,17 @@ def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
     """Canonical n-tuple with odd_support equal to S.
 
     For S = {s1 < ... < sk} nonempty: s1 repeated n-k+1 times, then s2..sk.
-    For S empty (n must be even): the all-zero tuple.
+    For S empty (n must be even): the all-zero tuple.  n is checked against
+    MAX_CELLS, as the cells of a table are, before the tuple is built.
     """
+    if n < 0:
+        raise ArgumentError(f"arity must be >= 0, got {excerpt_int(n)}")
+    if n > MAX_CELLS:
+        raise ResourceError(f"a tuple of {excerpt_int(n)} components exceeds the budget of "
+                            f"{MAX_CELLS} cells")
     s = sorted(S)
+    if s and s[0] < 0:
+        raise DomainError(f"letter {excerpt_int(s[0])} is negative")
     if not s:
         if n % 2:
             raise ArgumentError("empty support needs even arity")

@@ -58,15 +58,9 @@ from fndecomp.classify import (
 from fndecomp.errors import InternalConsistencyError, ParseError, excerpt
 from fndecomp.groups import parse_decimal
 from fndecomp.identities import _check_odd_sum_args
+from fndecomp.minors import essential_arity, essential_variables, simple_minor
 from fndecomp.oddsupport import representative_tuple, subset_mask
-from fndecomp.tables import (
-    axis_fold,
-    check_cells,
-    essential_arity,
-    essential_variables,
-    iter_tuples,
-    simple_minor,
-)
+from fndecomp.tables import axis_fold, check_cells, iter_tuples
 
 
 def all_tuples(a_size, n):

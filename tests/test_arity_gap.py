@@ -15,7 +15,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fndecomp.tables as tables_mod
+import fndecomp.minors as minors_mod
 from fndecomp import (
     FnTable,
     Group,
@@ -138,7 +138,7 @@ def assert_drops_match_the_minors(f):
         for j in range(m):
             if i != j:
                 drop = m - essential_arity(identification_minor(g, i, j))
-                assert tables_mod._identification_drop(g, i, j) == drop, (g, i, j)
+                assert minors_mod._identification_drop(g, i, j) == drop, (g, i, j)
     return m * (m - 1)
 
 
@@ -179,13 +179,13 @@ def test_minors_built_on_each_side_of_the_threshold(monkeypatch):
     # each pair the scan tries is one call of the kernel that reads the drop
     # of its identification minor
     built = []
-    real = tables_mod._identification_drop
+    real = minors_mod._identification_drop
 
     def counting(f, i, j):
         built.append((i, j))
         return real(f, i, j)
 
-    monkeypatch.setattr(tables_mod, "_identification_drop", counting)
+    monkeypatch.setattr(minors_mod, "_identification_drop", counting)
     rng = random.Random(9)
     parity6 = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
     above = [parity6, padded(parity6, 2), random_table(rng, 2, 5, Z2),

@@ -61,6 +61,7 @@ def test_analyze_parity(tmp_path, capsys):
 def test_extract_phi_and_analyze_fold_no_cells(tmp_path, capsys, monkeypatch):
     import random
 
+    import fndecomp.minors as minors_mod
     import fndecomp.oddsupport as oddsupport_mod
     import fndecomp.tables as tables_mod
     from fndecomp import PhiMap, extract_phi, table_from_phi
@@ -68,7 +69,7 @@ def test_extract_phi_and_analyze_fold_no_cells(tmp_path, capsys, monkeypatch):
 
     folds = []
     real = tables_mod.axis_fold
-    for module in (tables_mod, oddsupport_mod):
+    for module in (tables_mod, minors_mod, oddsupport_mod):
         monkeypatch.setattr(module, "axis_fold",
                             lambda *args: folds.append(len(args[0][0])) or real(*args))
     parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
@@ -344,14 +345,14 @@ def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys,
     # the width of its cell, are known once the header or --group is parsed,
     # so no value is parsed and no table is built or scanned before the
     # refusal; witness packs nothing, but writes only tables analyze reads
-    import fndecomp.tables as tables_mod
+    import fndecomp.minors as minors_mod
     import fndecomp.witnesses as witnesses_mod
 
     def no_table_work(*args, **kwargs):
         raise AssertionError("table work before the packing refusal")
 
     monkeypatch.setattr(Group, "parse_element", no_table_work)
-    monkeypatch.setattr(tables_mod, "essential_variables", no_table_work)
+    monkeypatch.setattr(minors_mod, "essential_variables", no_table_work)
     monkeypatch.setattr(witnesses_mod, "hamming_witness", no_table_work)
     path = tmp_path / "wide.tbl"
     out_tbl = tmp_path / "w.tbl"
@@ -483,13 +484,13 @@ def test_classify_boolean_and_z3(tmp_path, capsys):
 def test_boolean_gap_certificate(monkeypatch):
     import random
 
-    import fndecomp.tables as tables_mod
+    import fndecomp.minors as minors_mod
     from fndecomp.cli import _gap_certified
     from helpers import pair_scan_arity_gap, random_table
 
     built = []
-    real = tables_mod._identification_drop
-    monkeypatch.setattr(tables_mod, "_identification_drop",
+    real = minors_mod._identification_drop
+    monkeypatch.setattr(minors_mod, "_identification_drop",
                         lambda f, i, j: built.append((i, j)) or real(f, i, j))
     rng = random.Random(12)
     parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
@@ -555,7 +556,7 @@ def test_gap2_certificate_does_not_rest_on_the_slice_test(tmp_path, capsys, monk
     import fndecomp.classify as classify_mod
     import fndecomp.oddsupport as oddsupport_mod
     from fndecomp.cli import _gap_certified
-    from fndecomp.tables import essential_arity, identification_minor
+    from fndecomp.minors import essential_arity, identification_minor
 
     # gap 1, yet identifying x0 with x1 drops exactly two
     f = FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
@@ -857,7 +858,8 @@ def loaded_modules(code):
     return probe_modules(code)[-1]
 
 
-LIBRARY = ["tables", "calculus", "oddsupport", "booldecomp", "classify", "identities", "witnesses"]
+LIBRARY = ["tables", "minors", "calculus", "oddsupport", "booldecomp", "classify", "identities",
+           "witnesses"]
 
 
 def command_modules(argv):
@@ -885,8 +887,8 @@ def test_startup_imports(argv):
 
 
 TAYLOR = {"errors", "records", "groups", "tables", "calculus"}
-PHI = TAYLOR - {"calculus"} | {"oddsupport", "booldecomp"}
-ANALYZE = TAYLOR | {"oddsupport"}
+PHI = TAYLOR - {"calculus"} | {"minors", "oddsupport", "booldecomp"}
+ANALYZE = TAYLOR | {"minors", "oddsupport"}
 # the rows of the start-up table in README.md, for every subcommand and mode
 STARTUP_ROWS = {
     "help": (["--help"], {"errors"}),
@@ -896,13 +898,37 @@ STARTUP_ROWS = {
     "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI),
     "analyze": (["analyze", "z3.tbl"], ANALYZE),
     "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"],
-                         {"errors", "records", "groups", "tables", "oddsupport", "classify"}),
+                         {"errors", "records", "groups", "tables", "minors", "oddsupport",
+                          "classify"}),
     "classify-z3": (["classify", "form.tbl", "--target", "z3"],
-                    {"errors", "records", "groups", "tables", "oddsupport", "classify"}),
-    "identities": (["identities", "--max-m", "3"], TAYLOR | {"identities"}),
+                    {"errors", "records", "groups", "tables", "minors", "oddsupport", "classify"}),
+    "identities": (["identities", "--max-m", "3"],
+                   {"errors", "records", "groups", "tables", "identities"}),
     "witness": (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
                  "--out", "w.tbl"], ANALYZE | {"witnesses"}),
 }
+
+
+def test_runs_list_each_module_after_the_modules_it_imports():
+    # a module compiled while a module that imports it runs stacks its
+    # compile memory on top; main loads the runs of argv's words in order,
+    # and decompose comes before its mode
+    import re
+
+    import fndecomp.cli as cli_mod
+
+    source = Path(cli_mod.__file__).parent
+    imports = {name: set(re.findall(r"^from \.(\w+) import", (source / f"{name}.py").read_text(),
+                                    re.MULTILINE))
+               for name in LIBRARY}
+    runs = {word: [module.__name__.rpartition(".")[2] for module in run]
+            for word, run in cli_mod._RUNS.items()}
+    orders = list(runs.items())
+    orders += [(f"decompose {mode}", runs["decompose"] + runs[mode])
+               for mode in ("taylor", "odd", "even", "fitilde")]
+    for word, order in orders:
+        for k, name in enumerate(order):
+            assert imports[name] & set(order) <= set(order[:k]), (word, name)
 
 
 @pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)

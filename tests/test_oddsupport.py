@@ -95,6 +95,22 @@ def test_representative_tuple():
         representative_tuple({0, 1, 2}, 2)
 
 
+def test_representative_tuple_checks_its_arguments_before_building():
+    from fndecomp.errors import MAX_CELLS
+
+    # the tuple has n entries, so n is held to the cell budget
+    for S, n in (({0}, 10**30 + 1), (set(), 10**30), (set(), MAX_CELLS + 2),
+                 ({0, 1}, MAX_CELLS + 2)):
+        with pytest.raises(ResourceError, match=f"budget of {MAX_CELLS} cells"):
+            representative_tuple(S, n)
+    with pytest.raises(ArgumentError, match="got -2$"):
+        representative_tuple(set(), -2)
+    with pytest.raises(DomainError, match="letter -1 is negative"):
+        representative_tuple({-1}, 1)
+    with pytest.raises(DomainError):
+        representative_tuple({-1, 0}, 4)
+
+
 def test_representative_tuple_round_trip():
     for a, n in [(2, 3), (2, 6), (3, 4), (3, 5), (4, 4)]:
         for S in phi_domain(a, n):

@@ -100,6 +100,8 @@ REFUSALS = {
     "phi_domain-n": lambda: fndecomp.phi_domain(2, -BIG),
     "PhiMap-a_size": lambda: fndecomp.PhiMap(-BIG, Z2, 1, {}),
     "representative_tuple": lambda: fndecomp.representative_tuple({0}, -BIG),
+    "representative_tuple-n": lambda: fndecomp.representative_tuple({0}, BIG),
+    "representative_tuple-letter": lambda: fndecomp.representative_tuple({-BIG}, 1),
     "Group-modulus": lambda: fndecomp.Group((-BIG,)),
     "Z3Params": lambda: fndecomp.Z3Params(BIG, 0, 0, 0),
     "z3_build": lambda: fndecomp.z3_build(-BIG, fndecomp.Z3Params(0, 0, 0, 0)),

@@ -24,14 +24,9 @@ from fndecomp import (
     reduce_to_essential,
     simple_minor,
 )
+from fndecomp.minors import RUN, zero_slices
 from fndecomp.oddsupport import phi_domain
-from fndecomp.tables import (
-    RUN,
-    axis_fold,
-    check_cells,
-    iter_tuples,
-    zero_slices,
-)
+from fndecomp.tables import axis_fold, check_cells, iter_tuples
 from helpers import (
     class_tables,
     minor_restriction,
@@ -383,6 +378,7 @@ def test_symmetry_matches_the_permutation_definition_exhaustively():
 def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch, tmp_path, capsys):
     import json
 
+    import fndecomp.minors as minors_mod
     import fndecomp.tables as tables_mod
     from fndecomp import (
         BooleanGapForm,
@@ -411,12 +407,16 @@ def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch, tm
             raise AssertionError(f"{name} called")
         return call
 
-    real_drop = tables_mod._identification_drop
-    for name in ("simple_minor", "identification_minor", "_identification_drop", "axis_fold"):
-        monkeypatch.setattr(tables_mod, name, refuse(name))
+    real_drop = minors_mod._identification_drop
+    for name in ("simple_minor", "identification_minor", "_identification_drop"):
+        monkeypatch.setattr(minors_mod, name, refuse(name))
+    # axis_fold is defined in tables and bound in minors, where simple_minor
+    # calls it
+    for module in (tables_mod, minors_mod):
+        monkeypatch.setattr(module, "axis_fold", refuse("axis_fold"))
     for f, gap in cases:
         g = reduce_to_essential(f)
-        assert g.arity == essential_arity(f) > tables_mod.pair_scan_limit(f.a_size)
+        assert g.arity == essential_arity(f) > minors_mod.pair_scan_limit(f.a_size)
         assert determined_via_symmetry(g) == (gap == 2)
         assert arity_gap(f) == gap
         if f.a_size == 2:
@@ -424,7 +424,7 @@ def test_determination_above_the_pair_scan_limit_builds_no_minor(monkeypatch, tm
     assert classify_boolean(parity).form == BooleanGapForm("parity_sum", 0, 6)
     assert built == []
     # the CLI certifies gap 1 by the pairs up to the first drop of one
-    monkeypatch.setattr(tables_mod, "_identification_drop", real_drop)
+    monkeypatch.setattr(minors_mod, "_identification_drop", real_drop)
     for k, (f, gap) in enumerate(cases):
         path = str(tmp_path / f"{k}.tbl")
         save_table_file(f, path)
