@@ -34,6 +34,12 @@ n, so a ternary verdict is ``extract_phi`` followed by one linear inverse.  The
 certificate ``z3_build`` rebuilds the table from the parameters alone; the
 form is symmetric in the positions, so it is evaluated once per letter-count
 class and broadcast, without ``extract_phi`` or the link.
+
+Each classifier checks its verdict before it returns it and raises
+InternalConsistencyError when the check fails: ``classify_boolean`` checks
+the gap from its definition on the reduced table (``_gap_certified``), and
+``z3_classify`` rebuilds a gap-2 table with ``z3_build`` from the parameters
+it read and compares it with the input.
 """
 
 from __future__ import annotations
@@ -44,11 +50,12 @@ from .errors import ArgumentError, InternalConsistencyError, PreconditionError, 
 from .groups import Group
 from .minors import (
     determined_via_symmetry,
-    essential_variables,
+    essential_arity,
+    pair_scan_gap,
     pair_scan_limit,
     reduce_to_essential,
 )
-from .oddsupport import PhiMap, extract_phi
+from .oddsupport import PhiMap, extract_phi, table_from_phi
 from .records import Record
 from .tables import FnTable, by_letter_counts
 
@@ -111,8 +118,35 @@ def check_boolean_table(a_size: int, arity: int, group: Group) -> None:
         raise ArgumentError("boolean classification needs a {0,1} -> Z2 table")
 
 
+def _gap_certified(g: FnTable, gap: int) -> bool:
+    """Whether gap is the arity gap of g, all of whose variables are
+    essential, checked from the definition.
+
+    Up to essential arity pair_scan_limit(|A|) every pair of essential
+    variables is scanned by pair_scan_gap.  Above it one witness suffices.
+    No identification drops fewer than one essential variable, so a pair that
+    drops exactly one proves gap 1: pair_scan_gap stops at the first such
+    pair.  For gap 2, g must equal table_from_phi(extract_phi(g)): that
+    rebuild goes through the odd support of each cell, not through the slice
+    test extract_phi decides with, and proves that g is determined by odd
+    support.  Identifying two variables then cancels both in the odd
+    support, so every pair drops at least two, and g(x1, x1, rest) =
+    g(0, 0, rest): identifying x0 with x1 drops exactly two iff the slice
+    values[::a*a] has all m - 2 of its variables essential.
+    """
+    m = g.arity
+    if m <= pair_scan_limit(g.a_size) or gap == 1:
+        return pair_scan_gap(g) == gap
+    phi = extract_phi(g) if gap == 2 else None
+    if phi is None or table_from_phi(phi).values != g.values:
+        return False
+    rest = FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
+    return essential_arity(rest) == m - 2
+
+
 def classify_boolean(f: FnTable) -> BooleanClassification:
-    """Gap verdict for a Boolean table with at least two essential variables."""
+    """Gap verdict for a Boolean table with at least two essential variables,
+    checked from the definition of the gap before it is returned."""
     check_boolean_table(f.a_size, f.arity, f.group)
     g = reduce_to_essential(f)
     if g.arity < 2:
@@ -123,7 +157,10 @@ def classify_boolean(f: FnTable) -> BooleanClassification:
         form = BooleanGapForm(PARITY_SUM, g.values[0], g.arity)
     else:
         form = None
-    return BooleanClassification(1 if form is None else 2, form)
+    gap = 1 if form is None else 2
+    if not _gap_certified(g, gap):
+        raise InternalConsistencyError("classification disagrees with direct gap")
+    return BooleanClassification(gap, form)
 
 
 # ----------------------------------------------------------------------
@@ -198,14 +235,18 @@ def check_z3_table(a_size: int, arity: int, group: Group) -> None:
 
 
 def z3_classify(f: FnTable) -> Z3Classification:
-    """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4."""
+    """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4; a gap-2
+    verdict's parameters are checked to rebuild f before they are returned."""
     check_z3_table(f.a_size, f.arity, f.group)
-    if len(essential_variables(f)) < 2:
+    if essential_arity(f) < 2:
         return Z3Classification("degenerate", None)
     phi = extract_phi(f)
     if phi is None:
         return Z3Classification("gap1", None)
-    return Z3Classification("gap2", params_from_phi(phi))
+    params = params_from_phi(phi)
+    if z3_build(f.arity, params).values != f.values:
+        raise InternalConsistencyError("parameter certificate does not rebuild f")
+    return Z3Classification("gap2", params)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Reports are deterministic: identical inputs produce byte-identical output
 (JSON is key-sorted and carries no timestamps unless --meta is given).
-Four commands check what they print before printing it: decompose prints
-what a decomposer returns, and each adds its Taylor terms back up or
-rebuilds the table from phi before it returns; classify checks a
-Boolean gap from its definition and rebuilds a Z3 table from its parameters,
-witness verifies the derivative it claims, and identities compares both
-sides of every row.  analyze prints its verdicts as computed.
+Each command reads its input, calls the library and reports the result.
+Four commands print only what the library has checked: each decomposer
+adds its Taylor terms back up or rebuilds the table from phi,
+classify_boolean checks its gap from the definition, z3_classify rebuilds a
+gap-2 table from its parameters and each witness builder verifies the
+derivative it claims, all before they return; identities exits 4 unless
+both sides of every row are equal.  analyze prints its verdicts as computed.
 
 Exit codes: 0 all requested checks passed, 2 ParseError, 4
 InternalConsistencyError (a theorem-violation tripwire that should be
@@ -196,33 +197,6 @@ def _cmd_decompose(args) -> None:
     _emit(args, [digest], verdicts, payload)
 
 
-def _gap_certified(f: tables.FnTable, gap: int) -> bool:
-    """Whether gap is the arity gap of f, checked from the definition.
-
-    Up to essential arity minors.pair_scan_limit(|A|) every pair of
-    essential variables is scanned by minors.pair_scan_gap.  Above it one
-    witness suffices.  No identification drops fewer than one essential
-    variable, so a pair that drops exactly one proves gap 1: pair_scan_gap
-    stops at the first such pair.  For gap 2 the restriction g to the
-    essential variables must equal table_from_phi(extract_phi(g)): that
-    rebuild goes through the odd support of each cell, not through the slice
-    test extract_phi decides with, and proves that g is determined by odd
-    support.  Identifying two variables then cancels both in the odd
-    support, so every pair drops at least two, and g(x1, x1, rest) =
-    g(0, 0, rest): identifying x0 with x1 drops exactly two iff the slice
-    values[::a*a] has all m - 2 of its variables essential.
-    """
-    g = minors.reduce_to_essential(f)
-    m = g.arity
-    if m <= minors.pair_scan_limit(f.a_size) or gap == 1:
-        return m >= 2 and minors.pair_scan_gap(g) == gap
-    phi = oddsupport.extract_phi(g) if gap == 2 else None
-    if phi is None or oddsupport.table_from_phi(phi).values != g.values:
-        return False
-    rest = tables.FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
-    return minors.essential_arity(rest) == m - 2
-
-
 def _cmd_classify(args) -> None:
     f, digest = _load_table(args.table, classify.check_boolean_table
                             if args.target == "boolean" else classify.check_z3_table)
@@ -230,8 +204,6 @@ def _cmd_classify(args) -> None:
     payload: dict = {}
     if args.target == "boolean":
         result = classify.classify_boolean(f)
-        if not _gap_certified(f, result.gap):
-            raise InternalConsistencyError("classification disagrees with direct gap")
         verdicts["gap"] = result.gap
         if result.form is not None:
             payload["form"] = {
@@ -243,9 +215,6 @@ def _cmd_classify(args) -> None:
         result = classify.z3_classify(f)
         verdicts["verdict"] = result.verdict
         if result.params is not None:
-            rebuilt = classify.z3_build(f.arity, result.params)
-            if rebuilt.values != f.values:
-                raise InternalConsistencyError("parameter certificate does not rebuild f")
             verdicts["gap"] = 2
             a, b, c, d = result.params.as_tuple()
             payload["params"] = {"a": a, "b": b, "c": c, "d": d}
@@ -284,7 +253,6 @@ def _cmd_witness(args) -> None:
         bundle = witnesses.hamming_witness(args.n, group, b)
     else:
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
-    bundle.verify()
     created = not os.path.lexists(args.out)
     try:
         # append mode creates --out only when it is absent and leaves a file

@@ -33,7 +33,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, parse_decimal
+from .groups import Element, Group, at_least, parse_decimal
 from .minors import determined_via_symmetry
 from .records import Record
 from .tables import FnTable, axis_fold, check_cells
@@ -85,17 +85,14 @@ def parse_subset(text: str) -> Subset:
 
 
 # each entry holds up to MAX_CELLS words of keys; one process uses one (a, n)
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     """Subsets of the alphabet with size in {n, n-2, ...}, sorted by (size, mask).
 
     These are exactly the odd-support values reachable from n-tuples, hence
     the key domain a phi map for arity n must cover.
     """
-    if a_size < 2:
-        raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
-    if n < 1:
-        raise ArgumentError(f"arity must be >= 1, got {excerpt_int(n)}")
+    a_size, n = at_least("alphabet size", a_size, 2), at_least("arity", n, 1)
     sizes = range(n % 2, min(a_size, n) + 1, 2)
     _check_key_count(a_size, sizes)
     out = [frozenset(S) for size in sizes for S in combinations(range(a_size), size)]
@@ -142,8 +139,7 @@ class PhiMap(Record):
         arity: int | None,
         entries: Mapping[Subset, Element],
     ):
-        if a_size < 2:
-            raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
+        a_size = at_least("alphabet size", a_size, 2)
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
         if arity is not None:
             if set(entries) != set(phi_domain(a_size, arity)):
@@ -236,8 +232,7 @@ def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
     For S empty (n must be even): the all-zero tuple.  n is checked against
     MAX_CELLS, as the cells of a table are, before the tuple is built.
     """
-    if n < 0:
-        raise ArgumentError(f"arity must be >= 0, got {excerpt_int(n)}")
+    n = at_least("arity", n, 0)
     if n > MAX_CELLS:
         raise ResourceError(f"a tuple of {excerpt_int(n)} components exceeds the budget of "
                             f"{MAX_CELLS} cells")

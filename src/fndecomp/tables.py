@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import (
     MAX_CELLS,
-    ArgumentError,
     DomainError,
     ParseError,
     ResourceError,
@@ -35,7 +34,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, parse_decimal
+from .groups import Element, Group, at_least, parse_decimal
 from .records import Record
 
 # Distinct value tokens one load_table call remembers: every element of a
@@ -53,8 +52,11 @@ def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
         yield combo[::-1]
 
 
-def check_cells(a_size: int, arity: int) -> None:
-    """ResourceError when a table of a_size**arity cells would exceed MAX_CELLS."""
+def check_cells(a_size: int, arity: int) -> tuple[int, int]:
+    """a_size and arity as plain ints: ArgumentError unless they are integers
+    with a_size >= 2 and arity >= 0, and ResourceError when a table of
+    a_size**arity cells would exceed MAX_CELLS."""
+    a_size, arity = at_least("alphabet size", a_size, 2), at_least("arity", arity, 0)
     # with a_size >= 2 that many factors are over budget already, and the
     # capped exponent keeps the power small for any arity
     if a_size ** min(arity, MAX_CELLS.bit_length()) > MAX_CELLS:
@@ -62,6 +64,7 @@ def check_cells(a_size: int, arity: int) -> None:
             f"a table of {excerpt_int(a_size)}**{excerpt_int(arity)} cells exceeds the "
             f"budget of {MAX_CELLS} cells"
         )
+    return a_size, arity
 
 
 def axis_fold(axes: Sequence[Sequence[int]], op=add) -> list:
@@ -111,11 +114,7 @@ class FnTable(Record):
     _fields = ("a_size", "arity", "group", "values")
 
     def __init__(self, a_size: int, arity: int, group: Group, values: Sequence[int]):
-        if a_size < 2:
-            raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
-        if arity < 0:
-            raise ArgumentError(f"arity must be >= 0, got {excerpt_int(arity)}")
-        check_cells(a_size, arity)
+        a_size, arity = check_cells(a_size, arity)
         values = tuple(values)
         expected = a_size**arity
         if len(values) != expected:

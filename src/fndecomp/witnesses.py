@@ -2,15 +2,17 @@
 
 Each bundle packages a table together with a derivative witness (position
 set, parameter tuple, expected nonzero value) refuting k-decomposability for
-the claimed k.  ``verify`` recomputes the derivative and raises when the
-bundle does not certify what it claims.
+the claimed k.  ``verify`` recomputes the derivative and raises
+InternalConsistencyError when the bundle does not certify what it claims.
+Each constructor verifies its bundle before it returns it; a bundle built by
+hand is verified only when ``verify`` is called.
 """
 
 from __future__ import annotations
 
 from .calculus import derivative_at_zero
 from .errors import ArgumentError, InternalConsistencyError, excerpt_int
-from .groups import Element, Group
+from .groups import Element, Group, at_least
 from .oddsupport import PhiMap, table_from_phi
 from .records import Record
 from .tables import FnTable
@@ -32,8 +34,9 @@ class WitnessBundle(Record):
             claimed_k=claimed_k,
         )
 
-    def verify(self) -> None:
-        """Recompute the derivative witness; raise if the bundle lies."""
+    def verify(self) -> "WitnessBundle":
+        """Recompute the derivative witness; raise if the bundle lies, else
+        return it."""
         if len(self.positions) != self.claimed_k + 1:
             raise InternalConsistencyError(
                 f"witness on {len(self.positions)} positions cannot refute "
@@ -46,6 +49,7 @@ class WitnessBundle(Record):
             )
         if value == self.table.group.zero:
             raise InternalConsistencyError("witness derivative vanishes")
+        return self
 
 
 def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> WitnessBundle:
@@ -56,8 +60,7 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
     n >= ell+e-1.  phi sends exactly the supports containing all of
     {1..ell} to b.
     """
-    if ell < 1:
-        raise ArgumentError(f"alphabet parameter ell must be >= 1, got {excerpt_int(ell)}")
+    ell = at_least("alphabet parameter ell", ell, 1)
     if e < 1 or group.exponent_pow2() != e:
         raise ArgumentError(
             f"group exponent {excerpt_int(group.exponent)} is not 2**{excerpt_int(e)}"
@@ -79,7 +82,7 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
     positions = frozenset(range(ell + e - 1))
     params = tuple(range(1, ell)) + (ell,) * e + (0,) * (n - ell - e + 1)
     expected = group.scalar_mul((-1) ** (e - 1) * (1 << (e - 1)), b)
-    return WitnessBundle(table, positions, params, expected, a_size + e - 3)
+    return WitnessBundle(table, positions, params, expected, a_size + e - 3).verify()
 
 
 def hamming_witness(n: int, group: Group, b: Element) -> WitnessBundle:
@@ -88,8 +91,7 @@ def hamming_witness(n: int, group: Group, b: Element) -> WitnessBundle:
 
     Requires the order of b not to be a power of two.
     """
-    if n < 1:
-        raise ArgumentError(f"arity must be >= 1, got {excerpt_int(n)}")
+    n = at_least("arity", n, 1)
     b = group.validate(b)
     order = group.order_of(b)
     if order & (order - 1) == 0:
@@ -99,14 +101,13 @@ def hamming_witness(n: int, group: Group, b: Element) -> WitnessBundle:
         )
     table = hamming_extension(n, 2, group, b)
     expected = group.scalar_mul((-1) ** n * (1 << (n - 1)), b)
-    return WitnessBundle(table, frozenset(range(n)), (1,) * n, expected, n - 1)
+    return WitnessBundle(table, frozenset(range(n)), (1,) * n, expected, n - 1).verify()
 
 
 def hamming_extension(n: int, a_size: int, group: Group, b: Element) -> FnTable:
     """Odd-support-determined table on a larger alphabet restricting to the
     Hamming witness on {0,1}^n: phi(S) = b exactly when 1 is not in S."""
-    if a_size < 2:
-        raise ArgumentError(f"alphabet size must be >= 2, got {excerpt_int(a_size)}")
+    a_size = at_least("alphabet size", a_size, 2)
     b = group.validate(b)
     zero = group.zero
     return table_from_phi(PhiMap.on_phi_domain(a_size, n, group, lambda S: zero if 1 in S else b))
@@ -119,8 +120,7 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     f(x) = b exactly when {x_1, ..., x_n} = {1, ..., n} as a set; requires
     a_size >= n+1 and b != 0.
     """
-    if n < 2:
-        raise ArgumentError(f"arity must be >= 2, got {excerpt_int(n)}")
+    n = at_least("arity", n, 2)
     if a_size < n + 1:
         raise ArgumentError(
             f"alphabet size must be >= n+1 = {excerpt_int(n + 1)}, got {excerpt_int(a_size)}"
@@ -133,6 +133,5 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     zero = group.zero
     table = table_from_phi(PhiMap.on_phi_domain(
         a_size, n, group, lambda S: b if len(S) == n == max(S) and 0 not in S else zero))
-    return WitnessBundle(
-        table, frozenset(range(n)), tuple(range(1, n + 1)), b, n - 1
-    )
+    return WitnessBundle(table, frozenset(range(n)), tuple(range(1, n + 1)), b,
+                         n - 1).verify()

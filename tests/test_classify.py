@@ -6,6 +6,7 @@ from fndecomp import (
     ArgumentError,
     FnTable,
     Group,
+    InternalConsistencyError,
     PreconditionError,
     arity_gap,
     classify_boolean,
@@ -13,15 +14,19 @@ from fndecomp import (
     extract_phi,
     is_determined,
     phi_domain,
+    reduce_to_essential,
+    save_table_file,
     z3_build,
     z3_classify,
 )
 from fndecomp.classify import (
     BooleanGapForm,
     Z3Params,
+    _gap_certified,
     params_from_phi,
     phi_values_for_params,
 )
+from fndecomp.cli import main
 from helpers import orbit_form_index, pair_scan_arity_gap, pointwise_z3_build, random_table
 
 Z2 = Group((2,))
@@ -120,6 +125,125 @@ def test_classify_boolean_matches_orbit_index_at_higher_arity():
             assert res.gap == pair_scan_arity_gap(f)
             assert res.form == oracle.get(g.values)
             assert (res.gap == 2) == parity
+
+
+def test_boolean_gap_certificate(monkeypatch):
+    import fndecomp.minors as minors_mod
+
+    built = []
+    real = minors_mod._identification_drop
+    monkeypatch.setattr(minors_mod, "_identification_drop",
+                        lambda f, i, j: built.append((i, j)) or real(f, i, j))
+    rng = random.Random(12)
+    parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
+    majority = FnTable.from_callable(2, 4, Z2, lambda x: (int(x[1] + x[2] + x[3] >= 2),))
+    # identifying positions 0 and 1 of the last table drops exactly two, yet
+    # its gap is 1: a gap-2 witness pair needs determination beside it
+    cases = [parity, majority, random_table(rng, 2, 6, Z2), random_table(rng, 2, 3, Z2),
+             FnTable.from_callable(2, 5, Z2, lambda x: ((x[0] * x[1] + x[0]) % 2,)),
+             FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
+                                                         + x[4] * x[5]) % 2,))]
+    for f in cases:
+        gap = pair_scan_arity_gap(f)
+        for claim in (1, 2, 3):
+            assert _gap_certified(reduce_to_essential(f), claim) == (claim == gap)
+    # above the threshold: the rebuild from phi and one slice for gap 2, no
+    # pair read, and the pairs up to the first witness for gap 1
+    built.clear()
+    assert _gap_certified(parity, 2) and built == []
+    built.clear()
+    assert _gap_certified(reduce_to_essential(cases[2]), 1) and 1 <= len(built) <= 14
+
+
+def test_gap1_certificate_keeps_no_table_sized_data():
+    import tracemalloc
+
+    # x0 + ... + x10 + x11*x12: identifying x0 with any of x1..x10 drops two,
+    # so the witness (0, 11) is the 11th pair tried
+    f = FnTable.from_callable(2, 13, Z2, lambda x: ((sum(x[:11]) + x[11] * x[12]) % 2,))
+    assert reduce_to_essential(f) is f
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _gap_certified(f, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * len(f.values)
+
+
+def test_gap2_slice_drop_matches_identification_minor():
+    from fndecomp import PhiMap, identification_minor, table_from_phi
+    from helpers import all_phi_assignments
+
+    # on a determined table g(x1, x1, rest) = g(0, 0, rest), so the drop of
+    # identifying x0 with x1 is read off the slice of cells with x0 = x1 = 0
+    checked = 0
+    for a, n in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 5)):
+        for group in (Z2, Z3) if a < 4 else (Z2,):
+            for entries in all_phi_assignments(a, n, group):
+                g = table_from_phi(PhiMap.on_phi_domain(a, n, group, entries))
+                minor_drop = n - essential_arity(identification_minor(g, 0, 1))
+                rest = FnTable(a, n - 2, group, g.values[::a * a])
+                assert n - essential_arity(rest) == minor_drop
+                if essential_arity(g) == n:
+                    assert minor_drop == 2 and _gap_certified(g, 2)
+                checked += 1
+    assert checked == 476
+
+
+def test_gap2_certificate_does_not_rest_on_the_slice_test(tmp_path, capsys, monkeypatch):
+    import fndecomp.classify as classify_mod
+    import fndecomp.oddsupport as oddsupport_mod
+    from fndecomp.minors import identification_minor
+
+    # gap 1, yet identifying x0 with x1 drops exactly two
+    f = FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
+                                                    + x[4] * x[5]) % 2,))
+    assert 6 - essential_arity(identification_minor(f, 0, 1)) == 2
+    monkeypatch.setattr(oddsupport_mod, "determined_via_symmetry", lambda g: True)
+    assert oddsupport_mod.extract_phi(f) is not None
+    assert not _gap_certified(f, 2) and _gap_certified(f, 1)
+    # the classifier misreads f as the parity sum; its check refuses that
+    monkeypatch.setattr(classify_mod, "determined_via_symmetry", lambda g: True)
+    path = tmp_path / "gap1.tbl"
+    save_table_file(f, path)
+    code = main(["classify", str(path), "--target", "boolean"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "internal consistency failure: classification disagrees with direct gap\n"
+
+
+def test_classify_boolean_checks_its_verdict(monkeypatch):
+    import fndecomp.classify as classify_mod
+
+    majority = gf2(lambda x: x[0] * x[1] + x[0] * x[2] + x[1] * x[2], 3)
+    and2 = gf2(lambda x: x[0] * x[1], 2)
+    real = classify_mod._gap2_form
+    # a gap-2 table read as gap 1, and a gap-1 table read as a gap-2 form
+    for f, misread in ((majority, lambda g: None),
+                       (and2, lambda g: BooleanGapForm("product_plus_arg", 0))):
+        monkeypatch.setattr(classify_mod, "_gap2_form", misread)
+        with pytest.raises(InternalConsistencyError,
+                           match="^classification disagrees with direct gap$"):
+            classify_boolean(f)
+        monkeypatch.setattr(classify_mod, "_gap2_form", real)
+        assert classify_boolean(f).gap == pair_scan_arity_gap(f)
+
+
+def test_z3_classify_checks_its_parameters(tmp_path, capsys, monkeypatch):
+    import fndecomp.classify as classify_mod
+
+    f = z3_build(4, Z3Params(1, 2, 2, 2))
+    monkeypatch.setattr(classify_mod, "params_from_phi", lambda phi: Z3Params(0, 1, 2, 2))
+    with pytest.raises(InternalConsistencyError,
+                       match="^parameter certificate does not rebuild f$"):
+        z3_classify(f)
+    path = tmp_path / "z3.tbl"
+    save_table_file(f, path)
+    assert main(["classify", str(path), "--target", "z3"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal consistency failure: parameter certificate does not rebuild f\n")
 
 
 def test_z3_build_examples():

@@ -481,110 +481,44 @@ def test_classify_boolean_and_z3(tmp_path, capsys):
     assert report["payload"]["params"] == {"a": 1, "b": 2, "c": 2, "d": 2}
 
 
-def test_boolean_gap_certificate(monkeypatch):
-    import random
-
-    import fndecomp.minors as minors_mod
-    from fndecomp.cli import _gap_certified
-    from helpers import pair_scan_arity_gap, random_table
-
-    built = []
-    real = minors_mod._identification_drop
-    monkeypatch.setattr(minors_mod, "_identification_drop",
-                        lambda f, i, j: built.append((i, j)) or real(f, i, j))
-    rng = random.Random(12)
-    parity = FnTable.from_callable(2, 6, Z2, lambda x: (sum(x) % 2,))
-    majority = FnTable.from_callable(2, 4, Z2, lambda x: (int(x[1] + x[2] + x[3] >= 2),))
-    # identifying positions 0 and 1 of the last table drops exactly two, yet
-    # its gap is 1: a gap-2 witness pair needs determination beside it
-    cases = [parity, majority, random_table(rng, 2, 6, Z2), random_table(rng, 2, 3, Z2),
-             FnTable.from_callable(2, 5, Z2, lambda x: ((x[0] * x[1] + x[0]) % 2,)),
-             FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
-                                                         + x[4] * x[5]) % 2,))]
-    for f in cases:
-        gap = pair_scan_arity_gap(f)
-        for claim in (1, 2, 3):
-            assert _gap_certified(f, claim) == (claim == gap)
-    # above the threshold: the rebuild from phi and one slice for gap 2, no
-    # pair read, and the pairs up to the first witness for gap 1
-    built.clear()
-    assert _gap_certified(parity, 2) and built == []
-    built.clear()
-    assert _gap_certified(cases[2], 1) and 1 <= len(built) <= 14
-
-
-def test_gap1_certificate_keeps_no_table_sized_data():
-    import tracemalloc
-
-    from fndecomp.cli import _gap_certified
-
-    # x0 + ... + x10 + x11*x12: identifying x0 with any of x1..x10 drops two,
-    # so the witness (0, 11) is the 11th pair tried
-    f = FnTable.from_callable(2, 13, Z2, lambda x: ((sum(x[:11]) + x[11] * x[12]) % 2,))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert _gap_certified(f, 1)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 8 * len(f.values)
-
-
-def test_gap2_slice_drop_matches_identification_minor():
-    from fndecomp import PhiMap, essential_arity, identification_minor, table_from_phi
-    from fndecomp.cli import _gap_certified
-    from helpers import all_phi_assignments
-
-    # on a determined table g(x1, x1, rest) = g(0, 0, rest), so the drop of
-    # identifying x0 with x1 is read off the slice of cells with x0 = x1 = 0
-    checked = 0
-    for a, n in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 5)):
-        for group in (Z2, Z3) if a < 4 else (Z2,):
-            for entries in all_phi_assignments(a, n, group):
-                g = table_from_phi(PhiMap.on_phi_domain(a, n, group, entries))
-                minor_drop = n - essential_arity(identification_minor(g, 0, 1))
-                rest = FnTable(a, n - 2, group, g.values[::a * a])
-                assert n - essential_arity(rest) == minor_drop
-                if essential_arity(g) == n:
-                    assert minor_drop == 2 and _gap_certified(g, 2)
-                checked += 1
-    assert checked == 476
-
-
-def test_gap2_certificate_does_not_rest_on_the_slice_test(tmp_path, capsys, monkeypatch):
-    import fndecomp.classify as classify_mod
-    import fndecomp.oddsupport as oddsupport_mod
-    from fndecomp.cli import _gap_certified
-    from fndecomp.minors import essential_arity, identification_minor
-
-    # gap 1, yet identifying x0 with x1 drops exactly two
-    f = FnTable.from_callable(2, 6, Z2, lambda x: ((x[0] + x[1] + x[2] * x[3]
-                                                    + x[4] * x[5]) % 2,))
-    assert 6 - essential_arity(identification_minor(f, 0, 1)) == 2
-    monkeypatch.setattr(oddsupport_mod, "determined_via_symmetry", lambda g: True)
-    assert oddsupport_mod.extract_phi(f) is not None
-    assert not _gap_certified(f, 2) and _gap_certified(f, 1)
-    monkeypatch.setattr(classify_mod, "classify_boolean",
-                        lambda g: classify_mod.BooleanClassification(2, None))
-    path = tmp_path / "gap1.tbl"
-    save_table_file(f, path)
-    code, out, err = run(capsys, "classify", str(path), "--target", "boolean")
-    assert code == 4 and out == "" and "direct gap" in err
-
-
 def test_classify_boolean_verdict_is_certified(tmp_path, capsys, monkeypatch):
     import fndecomp.classify as classify_mod
 
+    # the classifier misreads the parity sum as gap 1, and its own check of
+    # the gap from the definition refuses that
     path = write_parity(tmp_path, 5)
-    real = classify_mod.classify_boolean
-    monkeypatch.setattr(classify_mod, "classify_boolean",
-                        lambda f: classify_mod.BooleanClassification(1, None))
+    real = classify_mod.determined_via_symmetry
+    monkeypatch.setattr(classify_mod, "determined_via_symmetry", lambda g: False)
     code, out, err = run(capsys, "classify", path, "--target", "boolean")
     assert code == 4 and out == "" and "direct gap" in err
-    monkeypatch.setattr(classify_mod, "classify_boolean", real)
+    monkeypatch.setattr(classify_mod, "determined_via_symmetry", real)
     code, out, _ = run(capsys, "classify", path, "--target", "boolean")
     assert code == 0 and "gap: 2" in out
+
+
+def test_boolean_classify_reduces_its_table_once(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    import fndecomp
+
+    # parity of x1..x5 and x0*x1 + x2 + ... + x5, each padded with x6
+    # inessential: gap 2 and gap 1 above the pair-scan limit
+    cases = [(lambda x: (sum(x[1:6]) % 2,), 2),
+             (lambda x: ((x[0] * x[1] + sum(x[2:6])) % 2,), 1)]
+    calls = []
+    real = fndecomp.minors.reduce_to_essential
+    for name in fndecomp._EXPORTS:
+        module = importlib.import_module(f"fndecomp.{name}")
+        if hasattr(module, "reduce_to_essential"):
+            monkeypatch.setattr(module, "reduce_to_essential",
+                                lambda f: calls.append(f.arity) or real(f))
+    for k, (fn, gap) in enumerate(cases):
+        path = tmp_path / f"{k}.tbl"
+        save_table_file(FnTable.from_callable(2, 7, Z2, fn), path)
+        calls.clear()
+        code, out, _ = run(capsys, "classify", str(path), "--target", "boolean", "--json")
+        assert code == 0 and json.loads(out)["verdicts"]["gap"] == gap
+        assert calls == [7]
 
 
 def test_identities_ok(capsys):

@@ -114,6 +114,26 @@ def test_shape_and_domain_errors():
         Group((1, 2))
 
 
+def test_moduli_and_residues_must_be_integers():
+    import numpy as np
+
+    for modulus, quoted in ((2.5, "2.5"), (2.0, "2.0"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ArgumentError,
+                           match=f"^cyclic factor modulus must be an integer, got {quoted}$"):
+            Group((modulus,))
+    assert Group((np.int64(3), True + 1)).moduli == (3, 2)
+    assert all(type(m) is int for m in Group((np.int64(3),)).moduli)
+    # validate hands back plain ints; a residue that is no integer is refused
+    for x in ((True,), (np.int8(1),), [1]):
+        assert Z2.validate(x) == (1,) and type(Z2.validate(x)[0]) is int
+    assert Z2xZ4.encode((True, np.uint16(3))) == 7
+    for x in ((1.0,), ("1",), (None,)):
+        with pytest.raises(DomainError, match="has a residue that is not an integer"):
+            Z2.validate(x)
+    with pytest.raises(DomainError, match="not an integer"):
+        Z3.add((1.5,), (0,))
+
+
 def test_text_round_trip():
     assert Group.from_text("Z2xZ4") == Z2xZ4
     assert Group.from_text("z2XZ4") == Z2xZ4

@@ -328,6 +328,19 @@ def test_phi_file_round_trip():
     # the keys are counted against the cell budget before any is built;
     # the alphabet itself is not capped
     assert len(phi_domain(30, 2)) == 436
+
+
+def test_phi_with_bool_and_numpy_residues_round_trips():
+    import numpy as np
+
+    # residues are stored as plain ints, so the text names them as digits
+    for value in (lambda S: (1 in S,), lambda S: (np.int64(1 in S),)):
+        phi = PhiMap.on_phi_domain(2, 3, Z2, value)
+        text = dump_phi(phi)
+        assert text == "phi domain=pnprime:3 a=2 group=Z2\n{0} -> 0\n{1} -> 1\n"
+        assert load_phi(text) == phi
+    with pytest.raises(DomainError, match="not an integer"):
+        PhiMap.on_phi_domain(2, 3, Z2, lambda S: (1.0,))
     for header in ("phi domain=full a=40 group=Z2", "phi domain=pnprime:6 a=100000 group=Z2"):
         with pytest.raises(ResourceError):
             load_phi(header + "\n")

@@ -3,7 +3,9 @@ import pytest
 from fndecomp import (
     ArgumentError,
     Group,
+    InternalConsistencyError,
     ResourceError,
+    WitnessBundle,
     decomposability_witness,
     derivative_at_zero,
     essential_variables,
@@ -181,3 +183,26 @@ def test_witness_tables_depend_on_all_positions():
         large_alphabet_witness(2, 3, Z2, (1,)),
     ):
         assert essential_variables(w.table) == frozenset(range(w.table.arity))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tightness_witness(2, 2, Z4, (1,), 5),
+    lambda: hamming_witness(3, Z3, (1,)),
+    lambda: large_alphabet_witness(2, 3, Z2, (1,)),
+], ids=["tightness", "hamming", "large-alphabet"])
+def test_witness_builders_verify_their_bundles(monkeypatch, build):
+    import fndecomp.witnesses as witnesses_mod
+
+    w = build()
+    # a derivative that reads zero refutes the claimed value
+    monkeypatch.setattr(witnesses_mod, "derivative_at_zero",
+                        lambda table, positions, params: table.group.zero)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^derivative value \(0,\) differs from claimed "):
+        build()
+    # a bundle built by hand is checked only when it is asked to be
+    by_hand = WitnessBundle(w.table, w.positions, w.params, w.expected, w.claimed_k)
+    with pytest.raises(InternalConsistencyError, match="differs from claimed"):
+        by_hand.verify()
+    monkeypatch.undo()
+    assert by_hand.verify() is by_hand
