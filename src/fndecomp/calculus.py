@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
                      PreconditionError, ResourceError, excerpt_int)
-from .groups import Element, Packing
+from .groups import Element, Packing, as_int
 from .tables import FnTable, _support_sizes
 
 Witness = tuple[frozenset[int], tuple[int, ...]]
@@ -122,10 +122,13 @@ def derivative_at_zero(f: FnTable, vars: Iterable[int], params: Sequence[int]) -
 # ----------------------------------------------------------------------
 
 
-def check_k(arity: int, k: int) -> None:
-    """The range 0 <= k <= arity of the decomposability tests."""
+def check_k(arity: int, k: int) -> int:
+    """k as a plain int (groups.as_int), in the range 0 <= k <= arity of the
+    decomposability tests."""
+    k = as_int("k", k)
     if not 0 <= k <= arity:
         raise ArgumentError(f"k must be between 0 and {excerpt_int(arity)}, got {excerpt_int(k)}")
+    return k
 
 
 def _derivative_coefficients(f: FnTable) -> Sequence[int]:
@@ -224,7 +227,7 @@ def decomposability_witness(f: FnTable, k: int) -> Witness | None:
     parameter tuples in lexicographic order over ascending positions.
     Components of params outside the positions are 0.
     """
-    check_k(f.arity, k)
+    k = check_k(f.arity, k)
     return _first_witness(f, _derivative_coefficients(f), k)
 
 
@@ -248,7 +251,7 @@ def decompose_via_taylor(f: FnTable, k: int) -> list[tuple[frozenset[int], FnTab
     k-decomposable, ResourceError when the terms would exceed MAX_CELLS, and
     InternalConsistencyError when the terms do not add back up to f.
     """
-    check_k(f.arity, k)
+    k = check_k(f.arity, k)
     c = _derivative_coefficients(f)
     witness = _first_witness(f, c, k)
     if witness is not None:

@@ -2,13 +2,15 @@
 
 Reports are deterministic: identical inputs produce byte-identical output
 (JSON is key-sorted and carries no timestamps unless --meta is given).
-Each command reads its input, calls the library and reports the result.
-Four commands print only what the library has checked: each decomposer
-adds its Taylor terms back up or rebuilds the table from phi,
+Each command reads its input, makes one library call and reports the
+result.  Four commands print only what the library has checked: each
+decomposer adds its Taylor terms back up or rebuilds the table from phi,
 classify_boolean checks its gap from the definition, z3_classify rebuilds a
 gap-2 table from its parameters and each witness builder verifies the
 derivative it claims, all before they return; identities exits 4 unless
-both sides of every row are equal.  analyze prints its verdicts as computed.
+both sides of every row are equal.  analyze prints the verdicts of
+oddsupport.analyze as computed, all read off the restriction of the table
+to its essential variables.
 
 Exit codes: 0 all requested checks passed, 2 ParseError, 4
 InternalConsistencyError (a theorem-violation tripwire that should be
@@ -122,24 +124,14 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
 
 def _cmd_analyze(args) -> None:
     f, digest = _load_table(args.table, _packable)
-    ess = sorted(minors.essential_variables(f))
-    verdicts = {
-        "essential_variables": ess,
-        "essential_arity": len(ess),
-        "totally_symmetric": minors.is_totally_symmetric(f),
-    }
-    if len(ess) >= 2:
-        verdicts["gap"] = minors.arity_gap(f)
-    else:
-        verdicts["gap"] = None
+    r = oddsupport.analyze(f)
+    ess = list(r.essential_variables)
+    verdicts = {"essential_variables": ess, "essential_arity": len(ess), "gap": r.gap,
+                "totally_symmetric": r.totally_symmetric, "oddsupp_determined": r.phi is not None,
+                "min_decomposition_arity": r.min_decomposition_arity}
+    if r.gap is None:
         verdicts["gap_status"] = "undefined: ess<2"
-    payload = {}
-    phi = oddsupport.extract_phi(f) if f.arity >= 1 else None
-    verdicts["oddsupp_determined"] = phi is not None
-    if phi is not None:
-        payload["phi"] = _phi_payload(phi)
-    verdicts["min_decomposition_arity"] = calculus.min_decomposition_arity(f)
-    _emit(args, [digest], verdicts, payload)
+    _emit(args, [digest], verdicts, {} if r.phi is None else {"phi": _phi_payload(r.phi)})
 
 
 def _cmd_decompose(args) -> None:

@@ -55,14 +55,18 @@ def parse_decimal(text: str) -> int | None:
     return None
 
 
-def at_least(what: str, value, least: int) -> int:
+def as_int(what: str, value) -> int:
     """value as a plain int, read through operator.index so that bool and
-    numpy ints pass; ArgumentError naming what for 2.5, 2.0, "3" and the like,
-    and for an integer below least."""
+    numpy ints pass; ArgumentError naming what for 2.5, 2.0, "3" and the like."""
     try:
-        value = index(value)
+        return index(value)
     except TypeError:
         raise ArgumentError(f"{what} must be an integer, got {excerpt(repr(value))}") from None
+
+
+def at_least(what: str, value, least: int) -> int:
+    """as_int(what, value), and ArgumentError for an integer below least."""
+    value = as_int(what, value)
     if value < least:
         raise ArgumentError(f"{what} must be >= {least}, got {excerpt_int(value)}")
     return value

@@ -6,11 +6,12 @@ plan for a scan along coordinates: it covers the cells where a few
 coordinates are 0 by strided slices of the value tuple, and moving a slice by
 d * a**t reads the cells where x_t = d.  Essential variables and the drop in
 essential arity of one identification walk it; the symmetry and odd-support
-determination tests compare slices of their own.  The restriction to the
-essential coordinates is no general minor: ``reduce_to_essential`` reads the
-cells with every inessential coordinate 0 off slices of the value tuple, and
-lists no index per cell.  General minors (``simple_minor``) are built on
-``tables.axis_fold``.
+determination tests compare slices of their own.  ``essential_restriction``
+finds the essential variables and the restriction to them in one pass, and
+``essential_variables`` and ``reduce_to_essential`` are its two projections.
+The restriction is no general minor: it reads the cells with every
+inessential coordinate 0 off slices of the value tuple, and lists no index
+per cell.  General minors (``simple_minor``) are built on ``tables.axis_fold``.
 
 The Taylor decompositions need none of this, only the table and its
 derivatives (``calculus``), so ``decompose --mode taylor`` never loads it.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import ArgumentError, DomainError, PreconditionError, excerpt_int
+from .groups import as_int
 from .tables import FnTable, axis_fold, check_cells
 
 # Cells per slice of zero_slices: small enough that a slice copy is a short
@@ -67,8 +69,10 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     """Table g of the given arity with g(y) = f(y[sigma[0]], ..., y[sigma[n-1]])."""
     if len(sigma) != f.arity:
         raise ArgumentError(f"sigma has {len(sigma)} entries, arity is {f.arity}")
+    arity = as_int("target arity", arity)
     if arity < 0 or (f.arity > 0 and arity == 0):
         raise ArgumentError("target arity must be positive when sigma is nonempty")
+    sigma = [as_int("sigma target", s) for s in sigma]
     for s in sigma:
         if not 0 <= s < arity:
             raise DomainError(f"sigma target {excerpt_int(s)} out of range for arity "
@@ -83,7 +87,7 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
 
 def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
     """Table of f with its i-th argument replaced by its j-th (i becomes inessential)."""
-    n = f.arity
+    n, i, j = f.arity, as_int("position", i), as_int("position", j)
     if i == j:
         raise ArgumentError("cannot identify a variable with itself")
     if not (0 <= i < n and 0 <= j < n):
@@ -99,20 +103,20 @@ def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
 # ----------------------------------------------------------------------
 
 
-def _moves_change(f: FnTable, bound: Sequence[int], move: int,
+def _moves_change(vals: Sequence[int], a: int, arity: int, bound: Sequence[int], move: int,
                   shifts: Sequence[int] = (0,)) -> bool:
-    """Whether some cell of zero_slices(f.a_size, f.arity, bound), plus one of
-    shifts, differs from its copy moved by d * move, d = 1..a_size-1.
+    """Whether some cell of zero_slices(a, arity, bound), plus one of shifts,
+    differs from its copy moved by d * move, d = 1..a-1, in the values vals
+    of an a-letter table of that arity.
 
     Cell 0 and its moves are compared first, as one strided slice: most
     tables differ there.  Otherwise each slice is compared in turn, up to the
     first that differs.
     """
-    a, vals = f.a_size, f.values
     if vals[:a * move:move].count(vals[0]) < a:
         return True
     moves = range(move, a * move, move)
-    for lo, hi, step in zero_slices(a, f.arity, bound):
+    for lo, hi, step in zero_slices(a, arity, bound):
         for e in shifts:
             ref = vals[lo + e:hi + e:step]
             for d in moves:
@@ -121,14 +125,52 @@ def _moves_change(f: FnTable, bound: Sequence[int], move: int,
     return False
 
 
+def essential_restriction(f: FnTable) -> tuple[tuple[int, ...], FnTable]:
+    """The essential positions of f, ascending, and the restriction g of f to
+    them (arity = essential arity): the cells with x_t = 0 for every
+    inessential t, in table-index order.
+
+    One pass takes t from high to low.  x_t is essential when some cell of
+    the current table with x_t = 0 differs from its copy moved to x_t = d
+    (_moves_change); otherwise it is dropped at once, which leaves every
+    lower coordinate in place and makes each later scan |A| times shorter.
+    Dropping x_t keeps the first a**t cells of each block of a**(t+1): one
+    slice per block or one strided slice per kept offset, whichever are
+    fewer.  One table is built, after the pass, and g is f when every
+    variable is essential.
+    """
+    a, vals, kept = f.a_size, f.values, []
+    for t in reversed(range(f.arity)):
+        if _moves_change(vals, a, t + 1 + len(kept), (t,), a**t):
+            kept.append(t)
+            continue
+        keep, block = a**t, a**(t + 1)
+        if len(vals) == block or keep == 1:
+            vals = vals[:keep] if len(vals) == block else vals[::block]
+            continue
+        out = [0] * (len(vals) // a)
+        if len(vals) // block <= keep:
+            for b, s in enumerate(range(0, len(vals), block)):
+                out[b * keep:(b + 1) * keep] = vals[s:s + keep]
+        else:
+            for o in range(keep):
+                out[o::keep] = vals[o::block]
+        vals = out
+    return tuple(kept[::-1]), f if vals is f.values else FnTable(a, len(kept), f.group, vals)
+
+
 def essential_variables(f: FnTable) -> frozenset[int]:
-    """Positions k whose value can change the output: some cell with x_k = 0
-    differs from its copy moved to x_k = d."""
-    return frozenset(k for k in range(f.arity) if _moves_change(f, (k,), f.a_size**k))
+    """Positions k whose value can change the output (essential_restriction)."""
+    return frozenset(essential_restriction(f)[0])
 
 
 def essential_arity(f: FnTable) -> int:
     return len(essential_variables(f))
+
+
+def reduce_to_essential(f: FnTable) -> FnTable:
+    """Restrict f to its essential coordinates (essential_restriction)."""
+    return essential_restriction(f)[1]
 
 
 def pair_scan_limit(a_size: int) -> int:
@@ -146,11 +188,15 @@ def arity_gap(f: FnTable) -> int:
     O(|A|^n).  At or below it the pairs are scanned
     (pair_scan_gap), at most C(max(|A|, 3), 2) of them.
     """
-    g = reduce_to_essential(f)
-    m = g.arity
-    if m < 2:
+    return restriction_gap(reduce_to_essential(f))
+
+
+def restriction_gap(g: FnTable) -> int:
+    """Arity gap of g, all of whose variables are essential: the one place
+    that chooses between the two ways arity_gap describes."""
+    if g.arity < 2:
         raise PreconditionError("arity gap undefined: fewer than two essential variables")
-    if m > pair_scan_limit(f.a_size):
+    if g.arity > pair_scan_limit(g.a_size):
         return 2 if determined_via_symmetry(g) else 1
     return pair_scan_gap(g)
 
@@ -193,9 +239,9 @@ def _identification_drop(g: FnTable, i: int, j: int) -> int:
         if k == i:
             continue
         if k == j:
-            kept += _moves_change(g, (i, j), pair)
+            kept += _moves_change(g.values, a, m, (i, j), pair)
         else:
-            kept += _moves_change(g, (i, j, k), a**k, range(0, a * pair, pair))
+            kept += _moves_change(g.values, a, m, (i, j, k), a**k, range(0, a * pair, pair))
     return m - kept
 
 
@@ -229,30 +275,3 @@ def determined_via_symmetry(f: FnTable) -> bool:
     square = a * a
     return f.arity == 1 or (is_totally_symmetric(f) and all(
         vals[d * (a + 1)::square] == vals[::square] for d in range(1, a)))
-
-
-def reduce_to_essential(f: FnTable) -> FnTable:
-    """Restrict f to its essential coordinates (arity = essential arity).
-
-    The restriction is the cells with x_t = 0 for every inessential t, in
-    table-index order, read off slices of the value tuple.  Dropping x_t
-    keeps the first a**t cells of each block of a**(t+1): one slice per
-    block or one strided slice per kept offset, whichever are fewer.  Taking
-    t from high to low leaves every lower coordinate in place.
-    """
-    ess = essential_variables(f)
-    a, vals = f.a_size, f.values
-    for t in sorted(set(range(f.arity)) - ess, reverse=True):
-        keep, block = a**t, a**(t + 1)
-        if len(vals) == block or keep == 1:
-            vals = vals[:keep] if len(vals) == block else vals[::block]
-            continue
-        out = [0] * (len(vals) // a)
-        if len(vals) // block <= keep:
-            for b, s in enumerate(range(0, len(vals), block)):
-                out[b * keep:(b + 1) * keep] = vals[s:s + keep]
-        else:
-            for o in range(keep):
-                out[o::keep] = vals[o::block]
-        vals = out
-    return f if vals is f.values else FnTable(a, len(ess), f.group, vals)

@@ -12,6 +12,11 @@ back, ``table_from_phi``, maps the XOR fold of ``1 << x[t]`` (the mask of
 odd_support(x)) through the phi codes, so a rebuild checks determination
 from the definition without the slice test.  The one cache, ``phi_domain``'s,
 holds the keys of at most 8 (alphabet, arity) pairs.
+
+``analyze`` gives every verdict of ``fndecomp analyze``, read off the
+restriction to the essential variables.  It reaches ``calculus`` as an
+attribute of its lazy module, so a command that never calls it compiles no
+``calculus``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from math import comb
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import calculus
 from .errors import (
     MAX_CELLS,
     ArgumentError,
@@ -34,7 +40,8 @@ from .errors import (
     excerpt_int,
 )
 from .groups import Element, Group, at_least, parse_decimal
-from .minors import determined_via_symmetry
+from .minors import (determined_via_symmetry, essential_restriction, is_totally_symmetric,
+                     restriction_gap)
 from .records import Record
 from .tables import FnTable, axis_fold, check_cells
 
@@ -219,6 +226,43 @@ def extract_phi(f: FnTable) -> PhiMap | None:
     if not determined_via_symmetry(f):
         return None
     return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
+
+
+class Analysis(Record):
+    """What ``fndecomp analyze`` reports of a table: its essential positions,
+    ascending, whether it is totally symmetric, its arity gap (None below two
+    essential variables), its phi map (None unless it is determined by odd
+    support) and its minimal decomposition arity."""
+
+    _fields = ("essential_variables", "totally_symmetric", "gap", "phi", "min_decomposition_arity")
+
+    def __init__(self, essential_variables: tuple[int, ...], totally_symmetric: bool,
+                 gap: int | None, phi: PhiMap | None, min_decomposition_arity: int):
+        self.__dict__.update(zip(self._fields, (essential_variables, totally_symmetric, gap,
+                                                phi, min_decomposition_arity)))
+
+
+def analyze(f: FnTable) -> Analysis:
+    """The Analysis of f, read off its restriction g to the essential
+    variables (minors.essential_restriction, one pass).
+
+    f is totally symmetric exactly when it has no essential variable, or all
+    are essential (g is f) and g is symmetric.  Determination by odd support
+    implies symmetry, so phi is extracted in those two cases only; the masks
+    it would take are charged against the budget in every case, as
+    extract_phi charges them.  The gap is minors.restriction_gap of g.  A
+    derivative at 0 on a set holding an inessential position vanishes, so f
+    and g have the same minimal decomposition arity, which calculus reads off
+    g's transform.
+    """
+    ess, g = essential_restriction(f)
+    a, n, m = f.a_size, f.arity, g.arity
+    if n >= 1:
+        _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    phi = extract_phi(f) if n >= 1 and m in (0, n) else None
+    symmetric = phi is not None or (m == n and is_totally_symmetric(g))
+    gap = restriction_gap(g) if m >= 2 else None
+    return Analysis(ess, symmetric, gap, phi, calculus.min_decomposition_arity(g))
 
 
 def is_determined(f: FnTable) -> bool:

@@ -19,8 +19,10 @@ library reads off odd-support determination above max(|A|, 3)), phi
 extracted by one pass over every cell's odd-support class (which the
 library reads off slices of the value tuple and one cell per key), the
 restriction to the essential coordinates as a general simple_minor (which
-the library reads off slices of the value tuple), and the table parser and
-printer that parse and format every value on its own.
+the library reads off slices of the value tuple), analyze's verdicts as the
+five public calls on the whole table (which the library reads off that
+restriction), and the table parser and printer that parse and format every
+value on its own.
 """
 
 from __future__ import annotations
@@ -30,12 +32,17 @@ from itertools import combinations, permutations, product
 from operator import itemgetter, xor
 
 from fndecomp import (
+    Analysis,
     ArgumentError,
     FnTable,
     Group,
     PhiMap,
     ResourceError,
+    arity_gap,
     derivative_at_zero,
+    extract_phi,
+    is_totally_symmetric,
+    min_decomposition_arity,
     phi_domain,
     reconstruct_even,
     reconstruct_odd,
@@ -190,6 +197,16 @@ def with_inessential(g: FnTable, kept, n) -> FnTable:
     every position outside kept is inessential."""
     return FnTable.from_callable(g.a_size, n, g.group,
                                  lambda x: g.eval(tuple(x[k] for k in kept)))
+
+
+def five_call_analysis(f: FnTable) -> Analysis:
+    """analyze's verdicts from the five public functions, each run on the
+    whole table, in the order the CLI once called them."""
+    ess = tuple(sorted(essential_variables(f)))
+    symmetric = is_totally_symmetric(f)
+    gap = arity_gap(f) if len(ess) >= 2 else None
+    phi = extract_phi(f) if f.arity >= 1 else None
+    return Analysis(ess, symmetric, gap, phi, min_decomposition_arity(f))
 
 
 def naive_is_totally_symmetric(f: FnTable) -> bool:

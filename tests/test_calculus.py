@@ -311,6 +311,25 @@ def test_bad_arguments():
         partial_derivative(f, 2, 0)
 
 
+def test_k_must_be_an_integer():
+    import numpy as np
+
+    f = FnTable.from_callable(2, 3, Z2, lambda x: ((x[0] * x[1] + x[2]) % 2,))
+    # a float or a numeric str is refused with the argument quoted, not read
+    # as a bound (1.5 answered False) or left to a bare TypeError
+    for call, message in ((lambda: is_k_decomposable(f, 1.5), "1.5"),
+                          (lambda: decompose_via_taylor(f, 2.0), "2.0"),
+                          (lambda: decomposability_witness(f, "1"), "'1'"),
+                          (lambda: is_k_decomposable(f, "9" * 100), "'" + "9" * 39 + "...")):
+        with pytest.raises(ArgumentError, match=f"^k must be an integer, got {message}$"):
+            call()
+    # an integer k keeps its range message, and numpy ints and bools pass
+    with pytest.raises(ArgumentError, match="^k must be between 0 and 3, got -1$"):
+        is_k_decomposable(f, -1)
+    assert is_k_decomposable(f, np.int64(2)) and not is_k_decomposable(f, True)
+    assert len(decompose_via_taylor(f, np.int32(2))) == 7
+
+
 # ----------------------------------------------------------------------
 # the one-pass transform against the per-derivative alternating sums
 # ----------------------------------------------------------------------

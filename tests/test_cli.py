@@ -521,6 +521,35 @@ def test_boolean_classify_reduces_its_table_once(tmp_path, capsys, monkeypatch):
         assert calls == [7]
 
 
+def test_analyze_finds_the_essential_variables_once(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    import fndecomp
+
+    # x0*x1 and the parity of x1..x5, each padded to 7 positions, a ternary
+    # table with every variable essential and a constant
+    cases = [FnTable.from_callable(2, 7, Z2, lambda x: (x[0] * x[1],)),
+             FnTable.from_callable(2, 7, Z2, lambda x: (sum(x[1:6]) % 2,)),
+             FnTable.from_callable(3, 4, Z3, lambda x: ((x[0] * x[1] + x[2] - x[3]) % 3,)),
+             FnTable.constant(2, 3, Z2, (1,))]
+    calls = []
+    real = fndecomp.minors.essential_restriction
+    for name in fndecomp._EXPORTS:
+        module = importlib.import_module(f"fndecomp.{name}")
+        if hasattr(module, "essential_restriction"):
+            monkeypatch.setattr(module, "essential_restriction",
+                                lambda f: calls.append(f.arity) or real(f))
+    for k, f in enumerate(cases):
+        path = tmp_path / f"{k}.tbl"
+        save_table_file(f, path)
+        calls.clear()
+        for argv in (["--json"], []):
+            code, _, _ = run(capsys, "analyze", str(path), *argv)
+            assert code == 0
+        # essential_variables and reduce_to_essential would each add one
+        assert calls == [f.arity, f.arity]
+
+
 def test_identities_ok(capsys):
     code, out, _ = run(capsys, "identities", "--max-m", "22", "--json")
     assert code == 0

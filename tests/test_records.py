@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 from fndecomp import (
+    Analysis,
     BooleanClassification,
     BooleanGapForm,
     FnTable,
@@ -37,6 +38,9 @@ RECORDS = [
     (BooleanClassification, ("gap", "form"), (2, FORM), (1, None)),
     (Z3Params, ("a", "b", "c", "d"), (1, 2, 0, 1), (1, 2, 0, 2)),
     (Z3Classification, ("verdict", "params"), ("gap2", PARAMS), ("gap1", None)),
+    (Analysis, ("essential_variables", "totally_symmetric", "gap", "phi",
+                "min_decomposition_arity"),
+     ((0, 1), False, 1, None, 2), ((0, 1), False, 2, None, 2)),
 ]
 IDS = [r[0].__name__ for r in RECORDS]
 

@@ -206,6 +206,27 @@ def test_simple_minor_composition_exhaustive_tiny():
                 assert step.values == fused.values
 
 
+def test_minor_positions_must_be_integers():
+    import numpy as np
+
+    # 2.0 and 1.0 built tables, and "3" raised a bare TypeError
+    for call, message in ((lambda: simple_minor(MAJ3, (0, 1, 2.0), 3),
+                           "sigma target must be an integer, got 2.0"),
+                          (lambda: simple_minor(MAJ3, (0, 1, 2), "3"),
+                           "target arity must be an integer, got '3'"),
+                          (lambda: identification_minor(MAJ3, 0, 1.0),
+                           "position must be an integer, got 1.0"),
+                          (lambda: identification_minor(MAJ3, "0", 1),
+                           "position must be an integer, got '0'")):
+        with pytest.raises(ArgumentError, match=f"^{message}$"):
+            call()
+    with pytest.raises(DomainError):
+        simple_minor(MAJ3, (0, 1, 3), 3)
+    g = simple_minor(MAJ3, (np.int64(0), True, 2), np.int32(3))
+    assert g == MAJ3 and type(g.arity) is int
+    assert identification_minor(MAJ3, np.int64(1), 0) == identification_minor(MAJ3, 1, 0)
+
+
 def test_identification_minor():
     par2 = gf2(lambda x: sum(x), 2)
     g = identification_minor(par2, 1, 0)
