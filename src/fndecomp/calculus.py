@@ -213,10 +213,12 @@ def taylor_terms(f: FnTable) -> list[tuple[frozenset[int], FnTable]]:
     evaluated with parameter x.  The 2**arity terms sum to f exactly.
 
     Terms come by size of I ascending, then by bitmask of I ascending.  Raises
-    ResourceError when the 2**arity * |A|**arity cells exceed MAX_CELLS.
+    ResourceError, before the transform, when the 2**arity * |A|**arity cells
+    exceed MAX_CELLS; the terms are decompose_via_taylor(f, arity), so they
+    are added back up to f before they are returned.
     """
     _check_taylor_cells(f, 1 << f.arity)
-    return _taylor_terms_upto(f, _derivative_coefficients(f), f.arity)
+    return decompose_via_taylor(f, f.arity)
 
 
 def decomposability_witness(f: FnTable, k: int) -> Witness | None:

@@ -9,8 +9,9 @@ four polynomial shapes over GF(2) up to permutation of variables:
     majority            x1x2 + x1x3 + x2x3 + c     (m == 3)
     majority_plus_pair  majority + x1 + x2 + c     (m == 3)
 
-Ternary-domain operations (Z3^n -> Z3, n >= 4) have gap 2 exactly when they
-arise from a parameter quadruple (a, b, c, d): with p(u) = a*u^2 + b*u + c
+Ternary-domain operations (Z3^n -> Z3) whose essential arity m is at least
+4 have gap 2 exactly when their restriction to the essential variables
+arises from a parameter quadruple (a, b, c, d): with p(u) = a*u^2 + b*u + c
 evaluated in Z3 and terms combined by symmetric difference on singleton sets
 (xor-folding masks over {0,1,2}), the table is
 
@@ -30,16 +31,22 @@ the form (each such degree profile is one orbit under permuting the
 variables), and c is the constant coefficient.  The 81 quadruples build
 exactly the 81 odd-support-determined tables, and phi on four support keys is
 a linear bijective image of (a, b, c, d) that depends only on the parity of
-n, so a ternary verdict is ``extract_phi`` followed by one linear inverse.  The
-certificate ``z3_build`` rebuilds the table from the parameters alone; the
-form is symmetric in the positions, so it is evaluated once per letter-count
-class and broadcast, without ``extract_phi`` or the link.
+n.  ``z3_classify`` works on the restriction g to the essential variables: its
+gap is ``minors.restriction_gap(g)``, the decision ``arity_gap`` makes, and a
+gap-2 g of arity >= 4 gets its parameters from phi read at representative
+cells followed by one linear inverse, so they describe g.  A gap-2 g of
+arity 2 or 3 has no parameters.  The certificate ``z3_build`` rebuilds the
+table from the parameters alone; the form is symmetric in the positions, so
+it is evaluated once per letter-count class and broadcast, without phi or
+the link.
 
 Each classifier checks its verdict before it returns it and raises
-InternalConsistencyError when the check fails: ``classify_boolean`` checks
-the gap from its definition on the reduced table (``_gap_certified``), and
-``z3_classify`` rebuilds a gap-2 table with ``z3_build`` from the parameters
-it read and compares it with the input.
+InternalConsistencyError when the check fails.  Both check a gap from its
+definition on the reduced table (``_gap_certified``), which for gap 2 above
+the pair-scan limit rebuilds the table from phi and runs no slice test, so
+each classify command runs the odd-support slice test at most once.
+``z3_classify`` checks a gap-2 verdict with parameters by rebuilding g with
+``z3_build`` and comparing it with g.
 """
 
 from __future__ import annotations
@@ -54,8 +61,9 @@ from .minors import (
     pair_scan_gap,
     pair_scan_limit,
     reduce_to_essential,
+    restriction_gap,
 )
-from .oddsupport import PhiMap, extract_phi, table_from_phi
+from .oddsupport import PhiMap, _phi_at_representatives, table_from_phi
 from .records import Record
 from .tables import FnTable, by_letter_counts
 
@@ -126,19 +134,19 @@ def _gap_certified(g: FnTable, gap: int) -> bool:
     variables is scanned by pair_scan_gap.  Above it one witness suffices.
     No identification drops fewer than one essential variable, so a pair that
     drops exactly one proves gap 1: pair_scan_gap stops at the first such
-    pair.  For gap 2, g must equal table_from_phi(extract_phi(g)): that
-    rebuild goes through the odd support of each cell, not through the slice
-    test extract_phi decides with, and proves that g is determined by odd
-    support.  Identifying two variables then cancels both in the odd
-    support, so every pair drops at least two, and g(x1, x1, rest) =
-    g(0, 0, rest): identifying x0 with x1 drops exactly two iff the slice
-    values[::a*a] has all m - 2 of its variables essential.
+    pair.  For gap 2, g must equal the table rebuilt from the phi read at
+    representative cells (oddsupport._phi_at_representatives): that rebuild
+    goes through the odd support of each cell, runs no slice test, and
+    proves that g is determined by odd support.  Identifying two variables
+    then cancels both in the odd support, so every pair drops at least two,
+    and g(x1, x1, rest) = g(0, 0, rest): identifying x0 with x1 drops
+    exactly two iff the slice values[::a*a] has all m - 2 of its variables
+    essential.
     """
     m = g.arity
     if m <= pair_scan_limit(g.a_size) or gap == 1:
         return pair_scan_gap(g) == gap
-    phi = extract_phi(g) if gap == 2 else None
-    if phi is None or table_from_phi(phi).values != g.values:
+    if gap != 2 or table_from_phi(_phi_at_representatives(g)).values != g.values:
         return False
     rest = FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
     return essential_arity(rest) == m - 2
@@ -185,7 +193,7 @@ class Z3Classification(Record):
     _fields = ("verdict", "params")
 
     def __init__(self, verdict: str, params: Z3Params | None):
-        # verdict is "gap2", "gap1" or "degenerate"
+        # verdict is "gap1", "gap2", "gap3" (essential arity 3 only) or "degenerate"
         self.__dict__.update(verdict=verdict, params=params)
 
 
@@ -235,16 +243,22 @@ def check_z3_table(a_size: int, arity: int, group: Group) -> None:
 
 
 def z3_classify(f: FnTable) -> Z3Classification:
-    """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4; a gap-2
-    verdict's parameters are checked to rebuild f before they are returned."""
+    """Gap verdict for an operation Z3^n -> Z3 of arity n >= 4, read off its
+    restriction g to the essential variables: degenerate below two of them,
+    else the gap of restriction_gap(g).  A gap-2 g of arity >= 4 carries the
+    parameters that rebuild g, checked with z3_build; every other verdict is
+    checked by _gap_certified, all before it is returned."""
     check_z3_table(f.a_size, f.arity, f.group)
-    if essential_arity(f) < 2:
+    g = reduce_to_essential(f)
+    if g.arity < 2:
         return Z3Classification("degenerate", None)
-    phi = extract_phi(f)
-    if phi is None:
-        return Z3Classification("gap1", None)
-    params = params_from_phi(phi)
-    if z3_build(f.arity, params).values != f.values:
+    gap = restriction_gap(g)
+    if gap == 1 or g.arity < 4:
+        if not _gap_certified(g, gap):
+            raise InternalConsistencyError("classification disagrees with direct gap")
+        return Z3Classification(f"gap{gap}", None)
+    params = params_from_phi(_phi_at_representatives(g))
+    if z3_build(g.arity, params).values != g.values:
         raise InternalConsistencyError("parameter certificate does not rebuild f")
     return Z3Classification("gap2", params)
 

@@ -5,8 +5,9 @@ Reports are deterministic: identical inputs produce byte-identical output
 Each command reads its input, makes one library call and reports the
 result.  Four commands print only what the library has checked: each
 decomposer adds its Taylor terms back up or rebuilds the table from phi,
-classify_boolean checks its gap from the definition, z3_classify rebuilds a
-gap-2 table from its parameters and each witness builder verifies the
+both classifiers classify the restriction of the table to its essential
+variables and check every verdict (z3_classify's parameters describe that
+restriction and rebuild it) and each witness builder verifies the
 derivative it claims, all before they return; identities exits 4 unless
 both sides of every row are equal.  analyze prints the verdicts of
 oddsupport.analyze as computed, all read off the restriction of the table
@@ -14,7 +15,8 @@ to its essential variables.
 
 Exit codes: 0 all requested checks passed, 2 ParseError, 4
 InternalConsistencyError (a theorem-violation tripwire that should be
-unreachable), 3 any other FnDecompError (a precondition or argument error).
+unreachable), 3 any other FnDecompError (a precondition or argument error),
+among them a report that standard output refuses, such as a closed pipe.
 
 Start-up loads only what a command runs.  ``hashlib`` and ``json`` are
 imported where they are used, so commands that need neither (``--help``,
@@ -92,7 +94,7 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
                   "payload": payload}
         if args.meta:
             report["meta"] = {"unix_time": time.time()}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print(json.dumps(report, indent=2, sort_keys=True))
         return
     lines = [f"command: {args.cmd}"]
     for inp in inputs:
@@ -114,7 +116,21 @@ def _emit(args, inputs: list, verdicts: dict, payload: dict) -> None:
                 lines.append(f"  {item}")
         else:
             lines.append(f"{key}: {val}")
-    print("\n".join(lines))
+    _print("\n".join(lines))
+
+
+def _print(text: str) -> None:
+    """Print text and flush it; ArgumentError when standard output refuses
+    it, say a pipe whose reader is gone."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # what is still buffered would fail again at interpreter exit, so
+        # standard output goes to the null device from here on
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ArgumentError(f"cannot write standard output: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -206,12 +222,11 @@ def _cmd_classify(args) -> None:
     else:
         result = classify.z3_classify(f)
         verdicts["verdict"] = result.verdict
+        if result.verdict != "degenerate":
+            verdicts["gap"] = int(result.verdict.removeprefix("gap"))
         if result.params is not None:
-            verdicts["gap"] = 2
             a, b, c, d = result.params.as_tuple()
             payload["params"] = {"a": a, "b": b, "c": c, "d": d}
-        elif result.verdict == "gap1":
-            verdicts["gap"] = 1
     _emit(args, [digest], verdicts, payload)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import MAX_CELLS, ArgumentError, ResourceError, excerpt_int
+from .groups import as_int
 from .tables import _support_sizes
 
 PAIR_COUNT_MAX_M = 20
@@ -41,37 +42,43 @@ def binom(n: int, k: int) -> int:
     return comb(n, k) if k <= n else 0
 
 
-def _check_even_sum_args(m: int, t: int) -> None:
+def _check_even_sum_args(m: int, t: int) -> tuple[int, int]:
+    """m and t as plain ints (groups.as_int), with 0 <= t <= m/2 - 1."""
+    m, t = as_int("m", m), as_int("t", t)
     if m < 0 or t < 0 or 2 * t + 2 > m:
         raise ArgumentError(
             f"need 0 <= t <= m/2 - 1, got m={excerpt_int(m)}, t={excerpt_int(t)}")
+    return m, t
 
 
 def even_sum_lhs(m: int, t: int) -> int:
-    _check_even_sum_args(m, t)
+    m, t = _check_even_sum_args(m, t)
     return sum(comb(m, 2 * i) * comb(i - 1, t) for i in range(t + 1, m // 2 + 1))
 
 
 def even_sum_rhs(m: int, t: int) -> int:
-    _check_even_sum_args(m, t)
+    m, t = _check_even_sum_args(m, t)
     tail = sum(binom(m - 3 - t - 2 * k, t - 2 * k) for k in range(t // 2 + 1))
     return 2 ** (m - 2 * t - 1) * tail + (-1) ** (t + 1)
 
 
-def _check_odd_sum_args(m: int, t: int) -> None:
+def _check_odd_sum_args(m: int, t: int) -> tuple[int, int]:
+    """m and t as plain ints (groups.as_int), with 0 <= t <= (m-1)/2."""
+    m, t = as_int("m", m), as_int("t", t)
     if m < 1 or t < 0 or 2 * t + 1 > m:
         raise ArgumentError(
             f"need 0 <= t <= (m-1)/2, got m={excerpt_int(m)}, t={excerpt_int(t)}")
+    return m, t
 
 
 def odd_sum_lhs(m: int, t: int) -> int:
-    _check_odd_sum_args(m, t)
+    m, t = _check_odd_sum_args(m, t)
     return sum(comb(m, 2 * k - 1) * comb(2 * k - 1, 2 * t)
                for k in range(t + 1, (m + 1) // 2 + 1))
 
 
 def odd_sum_rhs(m: int, t: int) -> int:
-    _check_odd_sum_args(m, t)
+    m, t = _check_odd_sum_args(m, t)
     return comb(m, 2 * t) * 2 ** (m - 2 * t - 1)
 
 
@@ -88,16 +95,17 @@ def _odd_pair_counts(m: int) -> list[int]:
 def odd_sum_pair_count(m: int, t: int) -> int:
     """Count pairs (P, Q), P subset of Q subset of [m], |P| = 2t, |Q| odd,
     by enumerating every Q."""
-    _check_odd_sum_args(m, t)
+    m, t = _check_odd_sum_args(m, t)
     if m > PAIR_COUNT_MAX_M:
         raise ResourceError(f"pair enumeration capped at m <= {PAIR_COUNT_MAX_M}")
     return _odd_pair_counts(m)[t]
 
 
-def _check_row_work(max_m: int) -> None:
-    """ArgumentError when max_m < 1, ResourceError when the rows of both
-    identities for m <= max_m would evaluate more than MAX_CELLS binomial
-    products, counted before any row."""
+def _check_row_work(max_m: int) -> int:
+    """max_m as a plain int (groups.as_int); ArgumentError when max_m < 1,
+    ResourceError when the rows of both identities for m <= max_m would
+    evaluate more than MAX_CELLS binomial products, counted before any row."""
+    max_m = as_int("max_m", max_m)
     if max_m < 1:
         raise ArgumentError(f"max_m must be at least 1, got {excerpt_int(max_m)}")
     count = 0
@@ -111,11 +119,12 @@ def _check_row_work(max_m: int) -> None:
                 f"identity rows up to m={excerpt_int(max_m)} would evaluate more than "
                 f"{MAX_CELLS} binomial products"
             )
+    return max_m
 
 
 def even_sum_rows(max_m: int) -> list[tuple[int, int, int, int, bool]]:
     """(m, t, lhs, rhs, equal) for every valid pair with m <= max_m."""
-    _check_row_work(max_m)
+    max_m = _check_row_work(max_m)
     out = []
     for m in range(2, max_m + 1):
         for t in range((m - 2) // 2 + 1):
@@ -126,7 +135,7 @@ def even_sum_rows(max_m: int) -> list[tuple[int, int, int, int, bool]]:
 
 def odd_sum_rows(max_m: int) -> list[tuple[int, int, int, int, int | None, bool]]:
     """(m, t, lhs, rhs, pair_count_or_None, all_equal) for m <= max_m."""
-    _check_row_work(max_m)
+    max_m = _check_row_work(max_m)
     out = []
     for m in range(1, max_m + 1):
         counts = _odd_pair_counts(m) if m <= PAIR_COUNT_MAX_M else None

@@ -214,18 +214,24 @@ def table_from_phi(phi: PhiMap) -> FnTable:
 def extract_phi(f: FnTable) -> PhiMap | None:
     """The phi map witnessing that f is determined by odd support, else None.
 
-    The verdict is determined_via_symmetry; phi(S) is then read at
-    representative_tuple(S, n), one cell per key.  The per-cell masks a
-    rebuild would take are charged against the budget first, so a table too
-    wide for table_from_phi is refused here too.
+    The verdict is determined_via_symmetry; phi is then read by
+    _phi_at_representatives.  The per-cell masks a rebuild would take are
+    charged against the budget first, so a table too wide for table_from_phi
+    is refused here too.
     """
     if f.arity < 1:
         raise PreconditionError("odd-support determination needs arity >= 1")
     a, n = f.a_size, f.arity
     _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
-    if not determined_via_symmetry(f):
-        return None
-    return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
+    return _phi_at_representatives(f) if determined_via_symmetry(f) else None
+
+
+def _phi_at_representatives(f: FnTable) -> PhiMap:
+    """phi(S) = f(representative_tuple(S, n)), one cell per key of
+    phi_domain(|A|, n), n >= 1: the phi map of f when f is determined by odd
+    support, which is not tested here."""
+    n = f.arity
+    return PhiMap.on_phi_domain(f.a_size, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
 
 
 class Analysis(Record):

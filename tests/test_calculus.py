@@ -294,6 +294,23 @@ def test_decompose_via_taylor_checks_that_its_terms_add_back(monkeypatch):
         decompose_via_taylor(par4, 1)
 
 
+def test_taylor_terms_check_that_they_add_back(monkeypatch):
+    from fndecomp import calculus
+
+    # the budget is checked before the transform, and the terms are added
+    # back up to f before they are returned
+    monkeypatch.setattr(calculus, "_derivative_coefficients",
+                        lambda f: pytest.fail("transform before the budget check"))
+    with pytest.raises(ResourceError):
+        taylor_terms(FnTable.constant(2, 17, Z2, (0,)))
+    monkeypatch.undo()
+    par4 = FnTable.from_callable(2, 4, Z2, lambda x: (sum(x) % 2,))
+    wrong = [(frozenset(), FnTable.constant(2, 4, Z2, (0,)))]
+    monkeypatch.setattr(calculus, "_taylor_terms_upto", lambda f, c, k: wrong)
+    with pytest.raises(InternalConsistencyError, match="add back"):
+        taylor_terms(par4)
+
+
 def test_witness_search_order_deterministic():
     w = hamming_witness(4, Z3, (1,))
     first = decomposability_witness(w.table, 0)

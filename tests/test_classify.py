@@ -21,13 +21,15 @@ from fndecomp import (
 )
 from fndecomp.classify import (
     BooleanGapForm,
+    Z3Classification,
     Z3Params,
     _gap_certified,
     params_from_phi,
     phi_values_for_params,
 )
 from fndecomp.cli import main
-from helpers import orbit_form_index, pair_scan_arity_gap, pointwise_z3_build, random_table
+from helpers import (orbit_form_index, pair_scan_arity_gap, pointwise_z3_build, random_table,
+                     with_inessential)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -302,6 +304,91 @@ def test_z3_classify_gap1_and_degenerate():
         z3_classify(FnTable.constant(3, 3, Z3, (0,)))
     with pytest.raises(ArgumentError):
         z3_classify(FnTable.constant(2, 4, Z2, (0,)))
+
+
+def z3_forms(rng):
+    """Ternary tables of arity 0-5 with gap 1, 2 or 3 or no gap: random ones,
+    u * (x0 - x1) + c, tables determined by odd support (one that is 1 exactly
+    on distinct letters has gap 3) and z3_build forms, the constant ones
+    among them."""
+    from fndecomp import PhiMap, table_from_phi
+
+    forms = [random_table(rng, 3, m, Z3) for m in range(5) for _ in range(4)]
+    forms += [FnTable.from_callable(3, 2, Z3, lambda x, u=u, c=c: ((u * (x[0] - x[1]) + c) % 3,))
+              for u in (1, 2) for c in range(3)]
+    forms += [FnTable.from_callable(3, 3, Z3, lambda x: ((x[0] - x[1]) * x[2] % 3,)),
+              FnTable.from_callable(3, 3, Z3, lambda x: (int(len(set(x)) == 3),))]
+    forms += [table_from_phi(PhiMap.on_phi_domain(3, m, Z3, lambda S: (rng.randrange(3),)))
+              for m in (2, 3) for _ in range(3)]
+    forms += [z3_build(m, Z3Params(*(rng.randrange(3) for _ in range(4))))
+              for m in (4, 4, 4, 5, 5)]
+    forms += [z3_build(4, Z3Params(0, 0, 0, 1)), z3_build(4, Z3Params(1, 2, 0, 1))]
+    return forms
+
+
+def test_z3_classify_decides_on_the_essential_restriction():
+    # each form at random positions of arity 4 and 5, in order or permuted:
+    # the verdict is that of the restriction to the essential variables
+    rng = random.Random(28)
+    seen = set()
+    for g in z3_forms(rng):
+        for n in range(max(g.arity, 4), 6):
+            kept = rng.sample(range(n), g.arity)
+            if rng.randrange(2):
+                kept.sort()
+            f = with_inessential(g, kept, n)
+            res, m = z3_classify(f), essential_arity(f)
+            if m < 2:
+                assert res == Z3Classification("degenerate", None)
+                continue
+            gap = arity_gap(f)
+            assert gap == pair_scan_arity_gap(f)
+            assert res.verdict == f"gap{gap}"
+            # parameters exactly for gap 2 at essential arity >= 4, and they
+            # describe the restriction
+            assert (res.params is not None) == (gap == 2 and m >= 4)
+            if res.params is not None:
+                assert z3_build(m, res.params) == reduce_to_essential(f)
+            seen.add((res.verdict, m, m < f.arity))
+    assert {("gap1", 2, True), ("gap1", 4, True), ("gap2", 2, True), ("gap2", 3, True),
+            ("gap2", 4, True), ("gap2", 5, False), ("gap3", 3, True)} <= seen
+
+
+def test_z3_classify_checks_its_gap(tmp_path, capsys, monkeypatch):
+    import fndecomp.classify as classify_mod
+    import fndecomp.minors as minors_mod
+
+    # a gap-1 table of essential arity 5 padded to 6, misread as determined:
+    # the parameters read off it do not rebuild its restriction
+    rng = random.Random(5)
+    g = random_table(rng, 3, 5, Z3)
+    f = with_inessential(g, (0, 1, 3, 4, 5), 6)
+    assert arity_gap(f) == 1 and z3_classify(f) == Z3Classification("gap1", None)
+    path = tmp_path / "gap1.tbl"
+    save_table_file(f, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(minors_mod, "determined_via_symmetry", lambda g: True)
+        with pytest.raises(InternalConsistencyError,
+                           match="^parameter certificate does not rebuild f$"):
+            z3_classify(f)
+        assert main(["classify", str(path), "--target", "z3"]) == 4
+        assert capsys.readouterr() == (
+            "", "internal consistency failure: parameter certificate does not rebuild f\n")
+    # each gap read the other way round: a gap 2 below and above the
+    # pair-scan limit is refused by the check from the definition, and the
+    # gap 1 above it by the rebuild from its parameters
+    x0_minus_x1 = FnTable.from_callable(3, 4, Z3, lambda x: ((x[1] - x[3]) % 3,))
+    for f, message in ((x0_minus_x1, "classification disagrees with direct gap"),
+                       (z3_build(5, Z3Params(1, 2, 0, 1)),
+                        "classification disagrees with direct gap"),
+                       (f, "parameter certificate does not rebuild f")):
+        gap = arity_gap(f)
+        monkeypatch.setattr(classify_mod, "restriction_gap", lambda g: 3 - gap)
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            z3_classify(f)
+        save_table_file(f, path)
+        assert main(["classify", str(path), "--target", "z3"]) == 4
+        assert capsys.readouterr() == ("", f"internal consistency failure: {message}\n")
 
 
 def test_z3_gap2_matches_direct_gap():

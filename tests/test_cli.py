@@ -340,6 +340,30 @@ def test_codomains_above_order_2048_answer(tmp_path):
             assert load_table_file(witness).group == Group((4095,))
 
 
+def test_a_closed_pipe_exits_3_with_one_line(capsys):
+    # the report of identities --max-m 60 --json is larger than a pipe
+    # buffer (64 KiB on Linux), that of --max-m 3 fits in stdout's own
+    # buffer, whose flush at interpreter exit would fail again; the read end
+    # is closed before the command starts, and stdout is buffered or not
+    code, out, _ = run(capsys, "identities", "--max-m", "60", "--json")
+    assert code == 0 and len(out) > 1 << 17
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for max_m, unbuffered in (("60", {}), ("3", {}), ("3", {"PYTHONUNBUFFERED": "1"})):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fndecomp", "identities", "--max-m",
+                                   max_m, "--json"], stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120,
+                                  env={**env, **unbuffered, "PYTHONPATH": path})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == ("precondition failed: cannot write standard output: "
+                               "[Errno 32] Broken pipe\n")
+
+
 def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys, monkeypatch):
     # a cell of packed residues holds 32 bits: the order of the group, and
     # the width of its cell, are known once the header or --group is parsed,
@@ -479,6 +503,57 @@ def test_classify_boolean_and_z3(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["verdict"] == "gap2"
     assert report["payload"]["params"] == {"a": 1, "b": 2, "c": 2, "d": 2}
+
+
+def test_classify_z3_reports_the_gap_of_the_restriction(tmp_path, capsys):
+    # a form padded with an inessential x2, and x1 - x3 at arity 4: both have
+    # gap 2, and the parameters describe the restriction to x0, x1, x3, x4
+    form = z3_build(4, Z3Params(1, 2, 0, 1))
+    padded = FnTable.from_callable(3, 5, Z3, lambda x: form.eval(x[:2] + x[3:]))
+    difference = FnTable.from_callable(3, 4, Z3, lambda x: ((x[1] - x[3]) % 3,))
+    for f, params in ((padded, {"a": 1, "b": 2, "c": 0, "d": 1}), (difference, None)):
+        path = tmp_path / "z3.tbl"
+        save_table_file(f, path)
+        code, out, _ = run(capsys, "classify", str(path), "--target", "z3", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["verdicts"] == {"target": "z3", "verdict": "gap2", "gap": 2}
+        assert report["payload"] == ({} if params is None else {"params": params})
+        code, out, _ = run(capsys, "classify", str(path), "--target", "z3")
+        assert code == 0 and "\ngap: 2\n" in out and "\nverdict: gap2\n" in out
+        assert ("params: " in out) == (params is not None)
+        if params is not None:
+            assert f"\nparams: {params}\n" in out
+
+
+def test_classify_runs_one_slice_test(tmp_path, capsys, monkeypatch):
+    import importlib
+    import random
+
+    import fndecomp
+    from helpers import random_table
+
+    # above the pair-scan limit each classify command decides determination
+    # once: the Boolean parity sum and a gap-1 table, a z3_build form of
+    # arity 7 and a random ternary table
+    rng = random.Random(3)
+    cases = [("boolean", FnTable.from_callable(2, 5, Z2, lambda x: (sum(x) % 2,))),
+             ("boolean", FnTable.from_callable(2, 5, Z2, lambda x: ((x[0] * x[1] + sum(x[2:]))
+                                                                  % 2,))),
+             ("z3", z3_build(7, Z3Params(2, 0, 1, 1))),
+             ("z3", random_table(rng, 3, 5, Z3))]
+    calls = []
+    real = fndecomp.minors.determined_via_symmetry
+    for name in fndecomp._EXPORTS:
+        module = importlib.import_module(f"fndecomp.{name}")
+        if hasattr(module, "determined_via_symmetry"):
+            monkeypatch.setattr(module, "determined_via_symmetry",
+                                lambda f: calls.append(f.arity) or real(f))
+    for k, (target, f) in enumerate(cases):
+        path = tmp_path / f"{k}.tbl"
+        save_table_file(f, path)
+        calls.clear()
+        code, _, _ = run(capsys, "classify", str(path), "--target", target)
+        assert code == 0 and calls == [f.arity]
 
 
 def test_classify_boolean_verdict_is_certified(tmp_path, capsys, monkeypatch):
