@@ -21,6 +21,7 @@ _EXPORTS = {
               "ParseError PreconditionError ResourceError ShapeError",
     "records": "",
     "groups": "Group",
+    "packing": "",
     "tables": "FnTable dump_table load_table load_table_file save_table_file",
     "minors": "arity_gap determined_via_symmetry essential_arity essential_variables "
               "identification_minor is_totally_symmetric reduce_to_essential simple_minor",

@@ -15,7 +15,7 @@ of the table (``_derivative_coefficients``): the decomposability tests scan it
 and the Taylor terms are broadcast from it.  ``derivative_at_zero`` evaluates a
 single derivative on its own, with plain modular sums, and serves as the
 independent check.  Every derivative table is built on the packed table of
-``groups.Packing`` by one shift, ``_copied_along``: it masks the cells with
+``packing.Packing`` by one shift, ``_copied_along``: it masks the cells with
 x_i = b and copies them along i, every cell at once.  A pass of the transform
 or of ``higher_derivative`` takes the difference of the table and that copy;
 a Taylor term keeps the coefficients whose support is exactly its position
@@ -31,14 +31,15 @@ from typing import Iterable, Sequence
 
 from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
                      PreconditionError, ResourceError, excerpt_int)
-from .groups import Element, Packing, as_int
+from .groups import Element, as_int
+from .packing import Packing
 from .tables import FnTable, _support_sizes
 
 Witness = tuple[frozenset[int], tuple[int, ...]]
 
 
 def _check_positions(f: FnTable, vars: Iterable[int]) -> list[int]:
-    out = sorted(set(vars))
+    out = sorted({as_int("position", i) for i in vars})
     for i in out:
         if not 0 <= i < f.arity:
             raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
@@ -48,11 +49,12 @@ def _check_positions(f: FnTable, vars: Iterable[int]) -> list[int]:
 def _check_point(f: FnTable, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != f.arity:
         raise DomainError(f"parameter tuple has {len(x)} components, arity is {f.arity}")
+    x = tuple(as_int("parameter tuple component", c) for c in x)
     for c in x:
         if not 0 <= c < f.a_size:
             raise DomainError(f"parameter tuple component {excerpt_int(c)} out of range for "
                               f"alphabet {f.a_size}")
-    return tuple(x)
+    return x
 
 
 def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
@@ -67,6 +69,7 @@ def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
 
 def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
     """Table of f(x with position i set to a_val) - f(x)."""
+    i, a_val = as_int("position", i), as_int("parameter", a_val)
     if not 0 <= i < f.arity:
         raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
     if not 0 <= a_val < f.a_size:

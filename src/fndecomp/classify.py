@@ -51,13 +51,15 @@ each classify command runs the odd-support slice test at most once.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt_int
-from .groups import Group
+from .groups import Group, as_int
 from .minors import (
     determined_via_symmetry,
     essential_arity,
+    identification_minor,
     pair_scan_gap,
     pair_scan_limit,
     reduce_to_essential,
@@ -130,22 +132,27 @@ def _gap_certified(g: FnTable, gap: int) -> bool:
     """Whether gap is the arity gap of g, all of whose variables are
     essential, checked from the definition.
 
-    Up to essential arity pair_scan_limit(|A|) every pair of essential
-    variables is scanned by pair_scan_gap.  Above it one witness suffices.
-    No identification drops fewer than one essential variable, so a pair that
-    drops exactly one proves gap 1: pair_scan_gap stops at the first such
-    pair.  For gap 2, g must equal the table rebuilt from the phi read at
-    representative cells (oddsupport._phi_at_representatives): that rebuild
-    goes through the odd support of each cell, runs no slice test, and
-    proves that g is determined by odd support.  Identifying two variables
-    then cancels both in the odd support, so every pair drops at least two,
-    and g(x1, x1, rest) = g(0, 0, rest): identifying x0 with x1 drops
-    exactly two iff the slice values[::a*a] has all m - 2 of its variables
-    essential.
+    Up to essential arity pair_scan_limit(|A|), where restriction_gap decides
+    by pair_scan_gap, every pair of variables is identified by
+    identification_minor and its drop counted by essential_arity on that
+    minor, not read off the value tuple as that scan reads it.  Above it one
+    witness suffices.  No identification drops fewer than one essential
+    variable, so a pair that drops exactly one proves gap 1: pair_scan_gap,
+    which decided nothing there, stops at the first such pair.  For gap 2, g
+    must equal the table rebuilt from the phi read at representative cells
+    (oddsupport._phi_at_representatives): that rebuild goes through the odd
+    support of each cell, runs no slice test, and proves that g is
+    determined by odd support.  Identifying two variables then cancels both
+    in the odd support, so every pair drops at least two, and g(x1, x1,
+    rest) = g(0, 0, rest): identifying x0 with x1 drops exactly two iff the
+    slice values[::a*a] has all m - 2 of its variables essential.
     """
     m = g.arity
-    if m <= pair_scan_limit(g.a_size) or gap == 1:
-        return pair_scan_gap(g) == gap
+    if m <= pair_scan_limit(g.a_size):
+        return gap == min(m - essential_arity(identification_minor(g, i, j))
+                          for i, j in combinations(range(m), 2))
+    if gap == 1:
+        return pair_scan_gap(g) == 1
     if gap != 2 or table_from_phi(_phi_at_representatives(g)).values != g.values:
         return False
     rest = FnTable(g.a_size, m - 2, g.group, g.values[::g.a_size**2])
@@ -180,10 +187,11 @@ class Z3Params(Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
+        values = {name: as_int(f"parameter {name}", v) for name, v in zip("abcd", (a, b, c, d))}
+        for name, v in values.items():
             if not 0 <= v < 3:
                 raise ArgumentError(f"parameter {name}={excerpt_int(v)} out of range for Z3")
-        self.__dict__.update(a=a, b=b, c=c, d=d)
+        self.__dict__.update(values)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -18,24 +18,27 @@ InternalConsistencyError (a theorem-violation tripwire that should be
 unreachable), 3 any other FnDecompError (a precondition or argument error),
 among them a report that standard output refuses, such as a closed pipe.
 
-Start-up loads only what a command runs.  ``hashlib`` and ``json`` are
+Start-up loads only what a command runs.  This module holds what every
+command shares: reading an input and its digest, the report (_emit), the
+parser and main.  Each subcommand's handler is the ``run`` of a module of
+its own, ``cli_<command>``, which no other subcommand compiles.  The
+library modules are the package's lazy modules, each compiled at its first
+attribute access.  main loads those of the named subcommand and then its
+handler (_RUNS), and only then imports argparse and builds the parser, so
+``--help`` compiles none beyond ``errors`` and ``decompose --mode taylor``
+none of the index kernels (``minors``).  ``hashlib`` and ``json`` are
 imported where they are used, so commands that need neither (``--help``,
-``identities`` and ``witness`` without ``--json``) skip them.  The library
-modules bound below are the package's lazy modules: each is compiled at its
-first attribute access, and main loads those of the named subcommand (_RUNS)
-before it builds the parser, so ``--help`` compiles none beyond ``errors``
-and ``decompose --mode taylor`` none of the index kernels (``minors``).
+``identities`` and ``witness`` without ``--json``) skip them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from importlib import import_module
 
-from . import (booldecomp, calculus, classify, groups, identities, minors, oddsupport, tables,
-               witnesses)
+from . import groups, oddsupport, packing, tables
 from .errors import ArgumentError, FnDecompError, InternalConsistencyError, ParseError
 
 EXIT_OK = 0
@@ -75,8 +78,8 @@ def _load_table(path: str, check) -> tuple[tables.FnTable, dict]:
 
 def _packable(a_size: int, arity: int, group: groups.Group) -> None:
     """What the packed group arithmetic needs of a table's header: cells of
-    at most groups.PACKED_BITS bits, which groups.packed_cell checks."""
-    groups.packed_cell(group.moduli)
+    at most packing.PACKED_BITS bits, which packing.packed_cell checks."""
+    packing.packed_cell(group.moduli)
 
 
 def _phi_payload(phi: oddsupport.PhiMap) -> dict:
@@ -134,164 +137,13 @@ def _print(text: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# subcommands
-# ----------------------------------------------------------------------
-
-
-def _cmd_analyze(args) -> None:
-    f, digest = _load_table(args.table, _packable)
-    r = oddsupport.analyze(f)
-    ess = list(r.essential_variables)
-    verdicts = {"essential_variables": ess, "essential_arity": len(ess), "gap": r.gap,
-                "totally_symmetric": r.totally_symmetric, "oddsupp_determined": r.phi is not None,
-                "min_decomposition_arity": r.min_decomposition_arity}
-    if r.gap is None:
-        verdicts["gap_status"] = "undefined: ess<2"
-    _emit(args, [digest], verdicts, {} if r.phi is None else {"phi": _phi_payload(r.phi)})
-
-
-def _cmd_decompose(args) -> None:
-    taylor = args.mode == "taylor"
-    if taylor and args.k is None:
-        raise ArgumentError("--mode taylor requires --k")
-    if not taylor and args.k is not None:
-        raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
-    if taylor and args.out is not None:
-        raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
-    if not taylor:
-        # each decomposer rebuilds f from its phi and raises unless that is exact
-        regime, decompose = {
-            "odd": (booldecomp.odd_case_shift, booldecomp.decompose_odd),
-            "even": (booldecomp.even_case_shift, booldecomp.decompose_even),
-            "fitilde": (booldecomp.require_uniform_regime, booldecomp.decompose_uniform),
-        }[args.mode]
-
-    def header(a_size: int, arity: int, group: groups.Group) -> None:
-        # the library's own checks of what the mode needs of the header; the
-        # phi modes run them in the library's order
-        if taylor:
-            _packable(a_size, arity, group)
-            calculus.check_k(arity, args.k)
-        else:
-            booldecomp.require_boolean(group)
-            regime(a_size, arity)
-
-    f, digest = _load_table(args.table, header)
-    verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
-    if taylor:
-        # decompose_via_taylor raises unless its terms add back up to f
-        terms = calculus.decompose_via_taylor(f, args.k)
-        verdicts["k"] = args.k
-        import json
-
-        # a nonzero term on positions I vanishes wherever some x_i = 0 for
-        # i in I and reads only x_I, so exactly I is essential
-        summands = []
-        for positions, term in terms:
-            zero = not any(term.values)
-            summands.append({"positions": sorted(positions),
-                             "essential_arity": 0 if zero else len(positions), "zero": zero})
-        _emit(args, [digest], verdicts,
-              {"summands": [json.dumps(s, sort_keys=True) for s in summands]})
-        return
-    phi = decompose(f)
-    if args.mode == "fitilde":
-        rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
-        verdicts["system_rank"] = f"{rank}/{unknowns}"
-    payload = {"phi": _phi_payload(phi)}
-    if args.out:
-        _write_text(args.out, oddsupport.dump_phi(phi))
-        payload["phi_file"] = args.out
-    _emit(args, [digest], verdicts, payload)
-
-
-def _cmd_classify(args) -> None:
-    f, digest = _load_table(args.table, classify.check_boolean_table
-                            if args.target == "boolean" else classify.check_z3_table)
-    verdicts: dict = {"target": args.target}
-    payload: dict = {}
-    if args.target == "boolean":
-        result = classify.classify_boolean(f)
-        verdicts["gap"] = result.gap
-        if result.form is not None:
-            payload["form"] = {
-                "kind": result.form.kind,
-                "c": result.form.c,
-                **({"m": result.form.m} if result.form.m is not None else {}),
-            }
-    else:
-        result = classify.z3_classify(f)
-        verdicts["verdict"] = result.verdict
-        if result.verdict != "degenerate":
-            verdicts["gap"] = int(result.verdict.removeprefix("gap"))
-        if result.params is not None:
-            a, b, c, d = result.params.as_tuple()
-            payload["params"] = {"a": a, "b": b, "c": c, "d": d}
-    _emit(args, [digest], verdicts, payload)
-
-
-def _cmd_identities(args) -> None:
-    even_rows = identities.even_sum_rows(args.max_m)
-    odd_rows = identities.odd_sum_rows(args.max_m)
-    ok = all(r[-1] for r in even_rows) and all(r[-1] for r in odd_rows)
-    _emit(args, [], {"max_m": args.max_m, "all_equal": ok},
-          {"even_sum_rows": [list(r) for r in even_rows],
-           "odd_sum_rows": [list(r) for r in odd_rows]})
-    if not ok:
-        raise InternalConsistencyError("binomial identity mismatch")
-
-
-def _cmd_witness(args) -> None:
-    if args.kind == "tightness" and None in (args.ell, args.e, args.n):
-        raise ArgumentError("--kind tightness requires --ell, --e and --n")
-    if args.kind == "hamming" and args.n is None:
-        raise ArgumentError("--kind hamming requires --n")
-    if args.kind == "large-alphabet" and None in (args.n, args.a_size):
-        raise ArgumentError("--kind large-alphabet requires --n and --a-size")
-    group = groups.Group.from_text(args.group)
-    # witness packs nothing (verify sums residues factor by factor); the
-    # packing cap keeps every table it writes one that analyze and
-    # decompose --mode taylor read back
-    groups.packed_cell(group.moduli)
-    b = group.parse_element(args.b)
-    if args.kind == "tightness":
-        bundle = witnesses.tightness_witness(args.ell, args.e, group, b, args.n)
-    elif args.kind == "hamming":
-        bundle = witnesses.hamming_witness(args.n, group, b)
-    else:
-        bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
-    created = not os.path.lexists(args.out)
-    try:
-        # append mode creates --out only when it is absent and leaves a file
-        # that is there as it was until the sidecar is written
-        open(args.out, "ab").close()
-    except OSError as exc:
-        raise ArgumentError(f"cannot write {args.out}: {exc}") from None
-    sidecar = args.out + ".witness.txt"
-    expected = bundle.table.group.format_element(bundle.expected)
-    positions, params = sorted(bundle.positions), list(bundle.params)
-    try:
-        _write_text(sidecar, f"positions={positions}\nparams={params}\n"
-                             f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
-    except ArgumentError:
-        # a refused witness leaves no table; a path that was there before is not ours to remove
-        if created:
-            os.remove(args.out)
-        raise
-    _write_text(args.out, tables.dump_table(bundle.table))
-    _emit(args, [],
-          {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
-           "expected": expected},
-          {"table_file": args.out, "sidecar_file": sidecar, "positions": positions,
-           "params": params})
-
-
-# ----------------------------------------------------------------------
 # argument parsing and dispatch
 # ----------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fndecomp",
         description="Analyze and decompose finite functions valued in finite abelian groups.",
@@ -306,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="essential variables, gap, symmetry, determination")
     p.add_argument("table", help="function table file")
     common(p)
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("decompose", help="additive decompositions of a table")
     p.add_argument("table", help="function table file")
@@ -314,18 +165,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="target essential arity for --mode taylor")
     p.add_argument("--out", help="write the recovered phi map to this file")
     common(p)
-    p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("classify", help="explicit gap classification of a table")
     p.add_argument("table", help="function table file")
     p.add_argument("--target", required=True, choices=["boolean", "z3"])
     common(p)
-    p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("identities", help="verify the two binomial identities")
     p.add_argument("--max-m", type=int, required=True, dest="max_m")
     common(p)
-    p.set_defaults(fn=_cmd_identities)
 
     p = sub.add_parser("witness", help="build a non-decomposability witness table")
     p.add_argument("--kind", required=True, choices=["tightness", "hamming", "large-alphabet"])
@@ -337,37 +185,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-size", type=int, dest="a_size", help="large-alphabet: alphabet size")
     p.add_argument("--out", required=True, help="where to write the table file")
     common(p)
-    p.set_defaults(fn=_cmd_witness)
 
     return parser
 
 
-# What each subcommand, and each decompose mode, runs of the library, each
-# module after those it imports from this list (a test in tests/test_cli.py
-# reads that order off the imports).  The package loads its
-# modules lazily; main loads those of every word of argv named here before
-# argparse builds the parser (any attribute access loads a module).  A module
-# compiled after argparse, hashlib or the input stacks its compile memory on
-# top of theirs and raises the command's peak resident set; so does one
-# compiled while a module that imports it runs.  argparse still decides what
-# runs.
-_RUNS = {"analyze": (tables, minors, oddsupport, calculus), "decompose": (tables,),
-         "classify": (tables, minors, oddsupport, classify), "identities": (tables, identities),
-         "witness": (tables, minors, calculus, oddsupport, witnesses), "taylor": (calculus,),
-         "odd": (minors, oddsupport, booldecomp), "even": (minors, oddsupport, booldecomp),
-         "fitilde": (minors, oddsupport, booldecomp)}
+# The modules each subcommand, and each decompose mode, runs: the library
+# modules, each after those it imports from this list (a test in
+# tests/test_cli.py reads that order off the imports), then the subcommand's
+# handler, which reaches the modules of a decompose mode as lazy modules and so
+# may come before them.  The package loads its library modules lazily; main
+# loads the modules of every word of argv named here before it imports argparse
+# (any attribute access loads a module).  A module compiled after argparse,
+# hashlib or the input stacks its compile memory on top of theirs and raises
+# the command's peak resident set; so does one compiled while a module that
+# imports it runs.  argparse still decides what runs.
+_RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "cli_analyze"),
+         "decompose": ("tables", "cli_decompose"),
+         "classify": ("tables", "minors", "oddsupport", "classify", "cli_classify"),
+         "identities": ("tables", "identities", "cli_identities"),
+         "witness": ("tables", "minors", "packing", "calculus", "oddsupport", "witnesses",
+                     "cli_witness"),
+         "taylor": ("packing", "calculus"), "odd": ("minors", "oddsupport", "booldecomp"),
+         "even": ("minors", "oddsupport", "booldecomp"),
+         "fitilde": ("minors", "oddsupport", "booldecomp")}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     for word in argv:
-        for module in _RUNS.get(word, ()):
-            vars(module)
+        for name in _RUNS.get(word, ()):
+            vars(import_module(f"{__package__}.{name}"))
     args = _build_parser().parse_args(argv)
     try:
         if args.meta and not args.json:
             raise ArgumentError("--meta requires --json")
-        args.fn(args)
+        import_module(f"{__package__}.cli_{args.cmd}").run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -381,4 +233,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the handlers import this module as fndecomp.cli, which run as a script
+    # it is not yet: without the alias they would compile a second copy
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     raise SystemExit(main())

@@ -1,0 +1,69 @@
+"""``fndecomp decompose``: the Taylor terms of a table, or the phi map of one
+of the Boolean decompositions, each checked by its decomposer.
+
+The modes share this handler but not their library modules: it reaches
+``calculus`` and ``booldecomp`` as attributes of their lazy modules, so
+``--mode taylor`` compiles no ``booldecomp`` and the phi modes no
+``calculus``.
+"""
+
+from __future__ import annotations
+
+from . import booldecomp, calculus, groups, oddsupport
+from .cli import _emit, _load_table, _packable, _phi_payload, _write_text
+from .errors import ArgumentError
+
+
+def run(args) -> None:
+    taylor = args.mode == "taylor"
+    if taylor and args.k is None:
+        raise ArgumentError("--mode taylor requires --k")
+    if not taylor and args.k is not None:
+        raise ArgumentError(f"--k applies to --mode taylor only, not --mode {args.mode}")
+    if taylor and args.out is not None:
+        raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
+    if not taylor:
+        # each decomposer rebuilds f from its phi and raises unless that is exact
+        regime, decompose = {
+            "odd": (booldecomp.odd_case_shift, booldecomp.decompose_odd),
+            "even": (booldecomp.even_case_shift, booldecomp.decompose_even),
+            "fitilde": (booldecomp.require_uniform_regime, booldecomp.decompose_uniform),
+        }[args.mode]
+
+    def header(a_size: int, arity: int, group: groups.Group) -> None:
+        # the library's own checks of what the mode needs of the header; the
+        # phi modes run them in the library's order
+        if taylor:
+            _packable(a_size, arity, group)
+            calculus.check_k(arity, args.k)
+        else:
+            booldecomp.require_boolean(group)
+            regime(a_size, arity)
+
+    f, digest = _load_table(args.table, header)
+    verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}
+    if taylor:
+        # decompose_via_taylor raises unless its terms add back up to f
+        terms = calculus.decompose_via_taylor(f, args.k)
+        verdicts["k"] = args.k
+        import json
+
+        # a nonzero term on positions I vanishes wherever some x_i = 0 for
+        # i in I and reads only x_I, so exactly I is essential
+        summands = []
+        for positions, term in terms:
+            zero = not any(term.values)
+            summands.append({"positions": sorted(positions),
+                             "essential_arity": 0 if zero else len(positions), "zero": zero})
+        _emit(args, [digest], verdicts,
+              {"summands": [json.dumps(s, sort_keys=True) for s in summands]})
+        return
+    phi = decompose(f)
+    if args.mode == "fitilde":
+        rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
+        verdicts["system_rank"] = f"{rank}/{unknowns}"
+    payload = {"phi": _phi_payload(phi)}
+    if args.out:
+        _write_text(args.out, oddsupport.dump_phi(phi))
+        payload["phi_file"] = args.out
+    _emit(args, [digest], verdicts, payload)

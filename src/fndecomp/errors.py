@@ -5,7 +5,7 @@ InternalConsistencyError exits 4, and every other FnDecompError (precondition,
 argument, shape, domain, coverage and resource errors) exits 3.
 
 MAX_CELLS, the one size budget behind every ResourceError but the width of a
-packed cell (groups.PACKED_BITS), lives here beside its error, so that every
+packed cell (packing.PACKED_BITS), lives here beside its error, so that every
 module reads it from one place: tables, calculus, oddsupport and identities
 count their tables, masks and products against it.
 """
@@ -49,7 +49,7 @@ class ResourceError(FnDecompError, ValueError):
 
 # Cells one table, or one Taylor materialization in all, may allocate: about
 # 32 MB of value codes as a tuple, and at most 16 MB as a packed table
-# (groups.Packing takes at most four bytes per cell).
+# (packing.Packing takes at most four bytes per cell).
 MAX_CELLS = 1 << 22
 
 

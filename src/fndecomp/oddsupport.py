@@ -39,9 +39,9 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, at_least, parse_decimal
+from .groups import Element, Group, as_int, at_least, parse_decimal
 from .minors import (determined_via_symmetry, essential_restriction, is_totally_symmetric,
-                     restriction_gap)
+                     pair_scan_limit, restriction_gap)
 from .records import Record
 from .tables import FnTable, axis_fold, check_cells
 
@@ -50,8 +50,9 @@ Subset = frozenset[int]
 
 def odd_support(a_size: int, x: Sequence[int]) -> Subset:
     """Letters occurring an odd number of times in x."""
-    mask = 0
+    a_size, mask = at_least("alphabet size", a_size, 2), 0
     for c in x:
+        c = as_int("component", c)
         if not 0 <= c < a_size:
             raise DomainError(f"component {excerpt_int(c)} out of range for alphabet "
                               f"{excerpt_int(a_size)}")
@@ -256,18 +257,23 @@ def analyze(f: FnTable) -> Analysis:
     are essential (g is f) and g is symmetric.  Determination by odd support
     implies symmetry, so phi is extracted in those two cases only; the masks
     it would take are charged against the budget in every case, as
-    extract_phi charges them.  The gap is minors.restriction_gap of g.  A
-    derivative at 0 on a set holding an inessential position vanishes, so f
-    and g have the same minimal decomposition arity, which calculus reads off
-    g's transform.
+    extract_phi charges them.  The gap is minors.restriction_gap of g, which
+    above the pair-scan limit is 2 exactly when g is determined: there, with
+    every variable essential, phi is read at representative cells when the
+    gap is 2, so the slice test runs once.  A derivative at 0 on a set
+    holding an inessential position vanishes, so f and g have the same
+    minimal decomposition arity, which calculus reads off g's transform.
     """
     ess, g = essential_restriction(f)
     a, n, m = f.a_size, f.arity, g.arity
     if n >= 1:
         _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
-    phi = extract_phi(f) if n >= 1 and m in (0, n) else None
-    symmetric = phi is not None or (m == n and is_totally_symmetric(g))
     gap = restriction_gap(g) if m >= 2 else None
+    if m == n > pair_scan_limit(a):
+        phi = _phi_at_representatives(g) if gap == 2 else None
+    else:
+        phi = extract_phi(f) if n >= 1 and m in (0, n) else None
+    symmetric = phi is not None or (m == n and is_totally_symmetric(g))
     return Analysis(ess, symmetric, gap, phi, calculus.min_decomposition_arity(g))
 
 

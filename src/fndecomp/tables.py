@@ -34,7 +34,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, at_least, parse_decimal
+from .groups import Element, Group, as_int, at_least, parse_decimal
 from .records import Record
 
 # Distinct value tokens one load_table call remembers: every element of a
@@ -154,6 +154,7 @@ class FnTable(Record):
     def index_of(self, x: Sequence[int]) -> int:
         if len(x) != self.arity:
             raise DomainError(f"tuple has {len(x)} components, arity is {self.arity}")
+        x = [as_int("component", c) for c in x]
         for c in x:
             if not 0 <= c < self.a_size:
                 raise DomainError(

@@ -106,3 +106,27 @@ def test_analysis_matches_the_five_calls_under_hypothesis(data):
     n = m + pad
     kept = tuple(sorted(data.draw(st.permutations(range(n)), label="order")[:m]))
     assert_analysis_agrees(with_inessential(g, kept, n))
+
+
+def test_analyze_runs_one_slice_test(monkeypatch):
+    import importlib
+
+    import fndecomp
+
+    # above the pair-scan limit, with every variable essential, the gap and
+    # phi both come from one determination test: the parity of x0..x7 and a
+    # random table of the same shape
+    calls = []
+    real = fndecomp.minors.determined_via_symmetry
+    for name in fndecomp._EXPORTS:
+        module = importlib.import_module(f"fndecomp.{name}")
+        if hasattr(module, "determined_via_symmetry"):
+            monkeypatch.setattr(module, "determined_via_symmetry",
+                                lambda f: calls.append(f.arity) or real(f))
+    parity = FnTable.from_callable(2, 8, Z2, lambda x: (sum(x) % 2,))
+    for f, gap in ((parity, 2), (random_table(random.Random(8), 2, 8, Z2), 1)):
+        calls.clear()
+        result = analyze(f)
+        assert calls == [8]
+        assert result.gap == gap and (result.phi is not None) == (gap == 2)
+        assert result == five_call_analysis(f)

@@ -391,6 +391,29 @@ def test_z3_classify_checks_its_gap(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"internal consistency failure: {message}\n")
 
 
+def test_small_restrictions_are_checked_without_the_pair_scan(monkeypatch):
+    import importlib
+
+    import fndecomp
+
+    # at essential arity 2 and 3 restriction_gap decides by pair_scan_gap;
+    # the check reads each drop off an identification minor, so a pair scan
+    # that returns a wrong gap is caught: x1 - x3 (gap 2) and x0 + x1 * x2
+    # (gap 1), each at arity 4
+    cases = [FnTable.from_callable(3, 4, Z3, lambda x: ((x[1] - x[3]) % 3,)),
+             FnTable.from_callable(3, 4, Z3, lambda x: ((x[0] + x[1] * x[2]) % 3,))]
+    assert [z3_classify(f).verdict for f in cases] == ["gap2", "gap1"]
+    real = fndecomp.minors.pair_scan_gap
+    for name in fndecomp._EXPORTS:
+        module = importlib.import_module(f"fndecomp.{name}")
+        if hasattr(module, "pair_scan_gap"):
+            monkeypatch.setattr(module, "pair_scan_gap", lambda g: 3 - real(g))
+    for f in cases:
+        with pytest.raises(InternalConsistencyError,
+                           match="^classification disagrees with direct gap$"):
+            z3_classify(f)
+
+
 def test_z3_gap2_matches_direct_gap():
     rng = random.Random(37)
     for _ in range(6):

@@ -653,10 +653,9 @@ def test_identities_work_is_bounded(capsys):
 
 def test_identities_mismatch_exits_4(capsys, monkeypatch):
     # the identities hold, so exercise the tripwire wiring with a stub
-    import fndecomp.cli as cli_mod
+    import fndecomp.identities as identities_mod
 
-    monkeypatch.setattr(cli_mod.identities, "even_sum_rows",
-                        lambda max_m: [(2, 0, 1, 0, False)])
+    monkeypatch.setattr(identities_mod, "even_sum_rows", lambda max_m: [(2, 0, 1, 0, False)])
     code, _, err = run(capsys, "identities", "--max-m", "2")
     assert code == 4 and "mismatch" in err
 
@@ -673,12 +672,12 @@ def test_identities_mismatch_exits_4(capsys, monkeypatch):
     (errors.InternalConsistencyError, 4, "internal consistency failure: "),
 ])
 def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix):
-    import fndecomp.cli as cli_mod
+    import fndecomp.cli_identities as handler
 
     def fail(args):
         raise error("stubbed")
 
-    monkeypatch.setattr(cli_mod, "_cmd_identities", fail)
+    monkeypatch.setattr(handler, "run", fail)
     assert run(capsys, "identities", "--max-m", "2") == (code, "", prefix + "stubbed\n")
 
 
@@ -896,8 +895,9 @@ def loaded_modules(code):
     return probe_modules(code)[-1]
 
 
-LIBRARY = ["tables", "minors", "calculus", "oddsupport", "booldecomp", "classify", "identities",
-           "witnesses"]
+LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "booldecomp", "classify",
+           "identities", "witnesses", "cli_analyze", "cli_decompose", "cli_classify",
+           "cli_identities", "cli_witness"]
 
 
 def command_modules(argv):
@@ -924,26 +924,26 @@ def test_startup_imports(argv):
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
 
 
-TAYLOR = {"errors", "records", "groups", "tables", "calculus"}
-PHI = TAYLOR - {"calculus"} | {"minors", "oddsupport", "booldecomp"}
+BASE = {"errors", "records", "groups", "tables"}
+TAYLOR = BASE | {"packing", "calculus"}
+PHI = BASE | {"minors", "oddsupport", "booldecomp"}
 ANALYZE = TAYLOR | {"minors", "oddsupport"}
-# the rows of the start-up table in README.md, for every subcommand and mode
+CLASSIFY = BASE | {"minors", "oddsupport", "classify", "cli_classify"}
+# the rows of the start-up table in README.md, for every subcommand and mode,
+# each with the handler module of its subcommand
 STARTUP_ROWS = {
     "help": (["--help"], {"errors"}),
-    "taylor": (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"], TAYLOR),
-    "odd": (["decompose", "parity3.tbl", "--mode", "odd"], PHI),
-    "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI),
-    "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI),
-    "analyze": (["analyze", "z3.tbl"], ANALYZE),
-    "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"],
-                         {"errors", "records", "groups", "tables", "minors", "oddsupport",
-                          "classify"}),
-    "classify-z3": (["classify", "form.tbl", "--target", "z3"],
-                    {"errors", "records", "groups", "tables", "minors", "oddsupport", "classify"}),
-    "identities": (["identities", "--max-m", "3"],
-                   {"errors", "records", "groups", "tables", "identities"}),
+    "taylor": (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"],
+               TAYLOR | {"cli_decompose"}),
+    "odd": (["decompose", "parity3.tbl", "--mode", "odd"], PHI | {"cli_decompose"}),
+    "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI | {"cli_decompose"}),
+    "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI | {"cli_decompose"}),
+    "analyze": (["analyze", "z3.tbl"], ANALYZE | {"cli_analyze"}),
+    "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"], CLASSIFY),
+    "classify-z3": (["classify", "form.tbl", "--target", "z3"], CLASSIFY),
+    "identities": (["identities", "--max-m", "3"], BASE | {"identities", "cli_identities"}),
     "witness": (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
-                 "--out", "w.tbl"], ANALYZE | {"witnesses"}),
+                 "--out", "w.tbl"], ANALYZE | {"witnesses", "cli_witness"}),
 }
 
 
@@ -959,8 +959,7 @@ def test_runs_list_each_module_after_the_modules_it_imports():
     imports = {name: set(re.findall(r"^from \.(\w+) import", (source / f"{name}.py").read_text(),
                                     re.MULTILINE))
                for name in LIBRARY}
-    runs = {word: [module.__name__.rpartition(".")[2] for module in run]
-            for word, run in cli_mod._RUNS.items()}
+    runs = {word: list(run) for word, run in cli_mod._RUNS.items()}
     orders = list(runs.items())
     orders += [(f"decompose {mode}", runs["decompose"] + runs[mode])
                for mode in ("taylor", "odd", "even", "fitilde")]
@@ -969,19 +968,62 @@ def test_runs_list_each_module_after_the_modules_it_imports():
             assert imports[name] & set(order) <= set(order[:k]), (word, name)
 
 
-@pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
-def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
-    # without bytecode every module loaded is compiled from source; main
-    # loads a command's modules (cli._RUNS) before it builds the parser
+def startup_argv(tmp_path, argv):
+    """argv of a STARTUP_ROWS command, with its table files written to tmp_path."""
     (tmp_path / "z3.tbl").write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
     write_parity(tmp_path, 3, "parity3.tbl")
     write_parity(tmp_path, 4, "parity4.tbl")
     save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "form.tbl")
-    argv = [str(tmp_path / word) if word.endswith(".tbl") else word for word in argv]
+    return [str(tmp_path / word) if word.endswith(".tbl") else word for word in argv]
+
+
+@pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
+def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
+    # without bytecode every module loaded is compiled from source; main
+    # loads a command's modules (cli._RUNS) before it builds the parser
     at_parser, done = ({name for name in names if name.startswith("fndecomp.")}
-                       for names in command_modules(argv))
+                       for names in command_modules(startup_argv(tmp_path, argv)))
     assert done == at_parser
     assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in STARTUP_ROWS.values()], ids=STARTUP_ROWS)
+def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
+    # the "exec" audit event fires as each module's code starts to run, after
+    # it is compiled; at the last module of the command's runs (cli._RUNS)
+    # argparse is not loaded yet, and it is loaded by the end
+    import fndecomp.cli as cli_mod
+
+    argv = startup_argv(tmp_path, argv)
+    runs = [name for word in argv for name in cli_mod._RUNS.get(word, ())]
+    last = Path(cli_mod.__file__).with_name(f"{runs[-1] if runs else 'cli'}.py")
+    lines = probe_modules(
+        "import runpy\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec' and getattr(args[0], 'co_filename', None) == %r:\n"
+        "        loaded()\n"
+        "sys.addaudithook(hook)\n"
+        "sys.argv = ['fndecomp', *%r]\n"
+        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (str(last), argv))
+    at_last, done = lines
+    assert "argparse" not in at_last and "argparse" in done
+
+
+def test_cli_run_as_a_script_is_compiled_once():
+    # python -m fndecomp.cli runs the module as __main__, and the handler
+    # modules import it as fndecomp.cli: both names hold one module
+    lines = probe_modules(
+        "import runpy\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec' and getattr(args[0], 'co_filename', '').endswith('cli.py'):\n"
+        "        loaded()\n"
+        "sys.addaudithook(hook)\n"
+        "sys.argv = ['fndecomp.cli', 'identities', '--max-m', '2']\n"
+        "try:\n"
+        "    runpy.run_module('fndecomp.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n")
+    assert len(lines) == 2 and "fndecomp.cli_identities" in lines[-1]
 
 
 if __name__ == "__main__":

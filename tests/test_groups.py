@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from fndecomp import ArgumentError, DomainError, Group, ParseError, ResourceError, ShapeError
 from fndecomp.errors import MAX_CELLS
-from fndecomp.groups import PACKED_BITS, Packing, packed_cell
+from fndecomp.packing import PACKED_BITS, Packing, packed_cell
 from helpers import code_add, code_sub, corner_elements
 
 Z2 = Group((2,))

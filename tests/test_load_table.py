@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fndecomp import FnTable, Group, dump_table, load_table, tables
 from fndecomp.errors import FnDecompError, ParseError, ResourceError
-from fndecomp.groups import packed_cell
+from fndecomp.packing import packed_cell
 from helpers import pointwise_load_table, random_table
 
 

@@ -55,9 +55,11 @@ def test_a_submodule_loads_at_its_first_attribute_access():
 
 def test_the_lazy_registry_holds_every_library_module():
     # a module file the registry missed would be left out of sys.modules,
-    # where bench/tracer.py looks for the modules it wraps
+    # where bench/tracer.py looks for the modules it wraps; the CLI and its
+    # subcommand handlers (cli_<command>) are no library modules
     expected = {f"fndecomp.{p.stem}" for p in PACKAGE.glob("*.py")
-                if p.stem not in ("__init__", "__main__", "cli")}
+                if p.stem not in ("__init__", "__main__", "cli")
+                and not p.stem.startswith("cli_")}
     registered = run_fresh(
         "import sys, fndecomp\n"
         "print(*(name for name in sys.modules if name.startswith('fndecomp.')))\n")
@@ -119,3 +121,35 @@ def test_refusals_quote_huge_ints_in_excerpt(site):
         REFUSALS[site]()
     message = str(info.value)
     assert "\n" not in message and len(message) <= 200
+
+
+TERNARY = fndecomp.FnTable(2, 3, Z2, (0,) * 8)
+NON_INTEGERS = {
+    "partial_derivative-position": (lambda: fndecomp.partial_derivative(TERNARY, 1.0, 1),
+                                    "position must be an integer, got 1.0"),
+    "partial_derivative-parameter": (lambda: fndecomp.partial_derivative(TERNARY, 1, 1.0),
+                                     "parameter must be an integer, got 1.0"),
+    "higher_derivative": (lambda: fndecomp.higher_derivative(TERNARY, [0.0], [1, 0, 0]),
+                          "position must be an integer, got 0.0"),
+    "derivative_at_zero": (lambda: fndecomp.derivative_at_zero(TERNARY, [0], [1.0, 0, 0]),
+                           "parameter tuple component must be an integer, got 1.0"),
+    "FnTable.eval": (lambda: TERNARY.eval((0, 1, 1.0)), "component must be an integer, got 1.0"),
+    "FnTable.index_of": (lambda: TERNARY.index_of((0, 1, 1.0)),
+                         "component must be an integer, got 1.0"),
+    "odd_support-component": (lambda: fndecomp.odd_support(2, (0, 1.0)),
+                              "component must be an integer, got 1.0"),
+    "odd_support-alphabet": (lambda: fndecomp.odd_support(2.0, (0, 1)),
+                             "alphabet size must be an integer, got 2.0"),
+    "Z3Params": (lambda: fndecomp.Z3Params(0.0, 1, 0, 0),
+                 "parameter a must be an integer, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("site", NON_INTEGERS)
+def test_non_integer_arguments_are_refused(site):
+    # each is read through groups.as_int: a float passes a range check, so it
+    # is refused before one, not left to fail as an index or a shift
+    call, message = NON_INTEGERS[site]
+    with pytest.raises(fndecomp.FnDecompError) as info:
+        call()
+    assert str(info.value) == message
