@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
-from .groups import Group
+from .groups import Group, as_int
 from .minors import pair_scan_limit
 from .oddsupport import (
     PhiMap,
@@ -158,6 +158,7 @@ def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
     if phi.arity is not None:
         raise ArgumentError("even-case reconstruction needs a full paired phi map")
     require_boolean(phi.group)
+    n = as_int("arity", n)
     t = even_case_shift(phi.a_size, n)
     sizes = first_sum_sizes(n, t) + second_sum_sizes(n, t)
     return _sum_table(phi, n, sizes)

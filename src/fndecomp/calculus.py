@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
                      PreconditionError, ResourceError, excerpt_int)
-from .groups import Element, as_int
+from .groups import Element, as_int, below
 from .packing import Packing
 from .tables import FnTable, _support_sizes
 
@@ -39,22 +39,15 @@ Witness = tuple[frozenset[int], tuple[int, ...]]
 
 
 def _check_positions(f: FnTable, vars: Iterable[int]) -> list[int]:
-    out = sorted({as_int("position", i) for i in vars})
-    for i in out:
-        if not 0 <= i < f.arity:
-            raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
-    return out
+    where = f"arity {f.arity}"
+    return sorted({below("position", i, f.arity, where, ArgumentError) for i in vars})
 
 
 def _check_point(f: FnTable, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != f.arity:
         raise DomainError(f"parameter tuple has {len(x)} components, arity is {f.arity}")
-    x = tuple(as_int("parameter tuple component", c) for c in x)
-    for c in x:
-        if not 0 <= c < f.a_size:
-            raise DomainError(f"parameter tuple component {excerpt_int(c)} out of range for "
-                              f"alphabet {f.a_size}")
-    return x
+    where = f"alphabet {f.a_size}"
+    return tuple(below("parameter tuple component", c, f.a_size, where) for c in x)
 
 
 def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
@@ -69,11 +62,8 @@ def _copied_along(p: Packing, c: int, a_size: int, arity: int, i: int, b: int,
 
 def partial_derivative(f: FnTable, i: int, a_val: int) -> FnTable:
     """Table of f(x with position i set to a_val) - f(x)."""
-    i, a_val = as_int("position", i), as_int("parameter", a_val)
-    if not 0 <= i < f.arity:
-        raise ArgumentError(f"position {excerpt_int(i)} out of range for arity {f.arity}")
-    if not 0 <= a_val < f.a_size:
-        raise DomainError(f"parameter {excerpt_int(a_val)} out of range for alphabet {f.a_size}")
+    i = below("position", i, f.arity, f"arity {f.arity}", ArgumentError)
+    a_val = below("parameter", a_val, f.a_size, f"alphabet {f.a_size}")
     params = [0] * f.arity
     params[i] = a_val
     return higher_derivative(f, (i,), params)

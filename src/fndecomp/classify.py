@@ -55,7 +55,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt_int
-from .groups import Group, as_int
+from .groups import Group, as_int, below
 from .minors import (
     determined_via_symmetry,
     essential_arity,
@@ -187,11 +187,8 @@ class Z3Params(Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        values = {name: as_int(f"parameter {name}", v) for name, v in zip("abcd", (a, b, c, d))}
-        for name, v in values.items():
-            if not 0 <= v < 3:
-                raise ArgumentError(f"parameter {name}={excerpt_int(v)} out of range for Z3")
-        self.__dict__.update(values)
+        self.__dict__.update({name: below(f"parameter {name}", v, 3, "Z3", ArgumentError)
+                              for name, v in zip("abcd", (a, b, c, d))})
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -218,6 +215,7 @@ def z3_build(n: int, params: Z3Params) -> FnTable:
     class: with k_u copies of letter u, the unary term of u appears k_u times,
     the pair (u, u) C(k_u, 2) times and the pair (u, v) k_u * k_v times, and
     only the parity of each count survives the symmetric-difference fold."""
+    n = as_int("arity", n)
     if n < 4:
         raise ArgumentError(f"classification form needs arity >= 4, got {excerpt_int(n)}")
     a, b, c, d = params.as_tuple()

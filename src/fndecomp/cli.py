@@ -194,8 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # tests/test_cli.py reads that order off the imports), then the subcommand's
 # handler, which reaches the modules of a decompose mode as lazy modules and so
 # may come before them.  The package loads its library modules lazily; main
-# loads the modules of every word of argv named here before it imports argparse
-# (any attribute access loads a module).  A module compiled after argparse,
+# loads the modules of every word of argv named here, or of the value of an
+# option written --option=value, before it imports argparse (any attribute
+# access loads a module).  A module compiled after argparse,
 # hashlib or the input stacks its compile memory on top of theirs and raises
 # the command's peak resident set; so does one compiled while a module that
 # imports it runs.  argparse still decides what runs.
@@ -213,6 +214,8 @@ _RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "c
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     for word in argv:
+        if word.startswith("--"):
+            word = word.partition("=")[2]
         for name in _RUNS.get(word, ()):
             vars(import_module(f"{__package__}.{name}"))
     args = _build_parser().parse_args(argv)

@@ -52,6 +52,15 @@ def at_least(what: str, value, least: int) -> int:
     return value
 
 
+def below(what: str, value, stop: int, where: str, error=DomainError) -> int:
+    """as_int(what, value), and error naming what and where for an integer
+    outside range(stop)."""
+    value = as_int(what, value)
+    if not 0 <= value < stop:
+        raise error(f"{what} {excerpt_int(value)} out of range for {where}")
+    return value
+
+
 class Group(Record):
     """Direct product of cyclic groups Z_{m1} x ... x Z_{mk}, written additively."""
 
@@ -154,7 +163,7 @@ class Group(Record):
 
     def scalar_mul(self, k: int, x: Sequence[int]) -> Element:
         """k-fold sum of x; k may be negative (scalar_mul(-1, x) == neg(x))."""
-        x = self.validate(x)
+        k, x = as_int("k", k), self.validate(x)
         return tuple((k * a) % m for a, m in zip(x, self.moduli))
 
     def order_of(self, x: Sequence[int]) -> int:
@@ -178,6 +187,7 @@ class Group(Record):
         return code
 
     def decode(self, code: int) -> Element:
+        code = as_int("element code", code)
         if not 0 <= code < self.order:
             raise DomainError(
                 f"element code {excerpt_int(code)} out of range for {excerpt(self.to_text())}"

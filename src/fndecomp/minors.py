@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import ArgumentError, DomainError, PreconditionError, excerpt_int
-from .groups import as_int
+from .errors import ArgumentError, PreconditionError, excerpt_int
+from .groups import as_int, below
 from .tables import FnTable, axis_fold, check_cells
 
 # Cells per slice of zero_slices: small enough that a slice copy is a short
@@ -72,11 +72,8 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
     arity = as_int("target arity", arity)
     if arity < 0 or (f.arity > 0 and arity == 0):
         raise ArgumentError("target arity must be positive when sigma is nonempty")
-    sigma = [as_int("sigma target", s) for s in sigma]
-    for s in sigma:
-        if not 0 <= s < arity:
-            raise DomainError(f"sigma target {excerpt_int(s)} out of range for arity "
-                              f"{excerpt_int(arity)}")
+    where = f"arity {excerpt_int(arity)}"
+    sigma = [below("sigma target", s, arity, where) for s in sigma]
     a = f.a_size
     check_cells(a, arity)
     # the index into f of y is sum_i y[sigma[i]] * a**i
@@ -87,12 +84,10 @@ def simple_minor(f: FnTable, sigma: Sequence[int], arity: int) -> FnTable:
 
 def identification_minor(f: FnTable, i: int, j: int) -> FnTable:
     """Table of f with its i-th argument replaced by its j-th (i becomes inessential)."""
-    n, i, j = f.arity, as_int("position", i), as_int("position", j)
+    n = f.arity
+    i, j = (below("position", p, n, f"arity {n}", ArgumentError) for p in (i, j))
     if i == j:
         raise ArgumentError("cannot identify a variable with itself")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ArgumentError(
-            f"positions {excerpt_int(i)}, {excerpt_int(j)} out of range for arity {n}")
     sigma = list(range(n))
     sigma[i] = j
     return simple_minor(f, sigma, n)

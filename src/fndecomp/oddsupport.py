@@ -39,7 +39,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, as_int, at_least, parse_decimal
+from .groups import Element, Group, as_int, at_least, below, parse_decimal
 from .minors import (determined_via_symmetry, essential_restriction, is_totally_symmetric,
                      pair_scan_limit, restriction_gap)
 from .records import Record
@@ -51,12 +51,9 @@ Subset = frozenset[int]
 def odd_support(a_size: int, x: Sequence[int]) -> Subset:
     """Letters occurring an odd number of times in x."""
     a_size, mask = at_least("alphabet size", a_size, 2), 0
+    where = f"alphabet {excerpt_int(a_size)}"
     for c in x:
-        c = as_int("component", c)
-        if not 0 <= c < a_size:
-            raise DomainError(f"component {excerpt_int(c)} out of range for alphabet "
-                              f"{excerpt_int(a_size)}")
-        mask ^= 1 << c
+        mask ^= 1 << below("component", c, a_size, where)
     return _subset_from_mask(mask)
 
 
@@ -292,7 +289,7 @@ def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
     if n > MAX_CELLS:
         raise ResourceError(f"a tuple of {excerpt_int(n)} components exceeds the budget of "
                             f"{MAX_CELLS} cells")
-    s = sorted(S)
+    s = sorted(as_int("letter", c) for c in S)
     if s and s[0] < 0:
         raise DomainError(f"letter {excerpt_int(s[0])} is negative")
     if not s:

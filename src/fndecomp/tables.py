@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import (
     MAX_CELLS,
+    ArgumentError,
     DomainError,
     ParseError,
     ResourceError,
@@ -34,7 +35,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, as_int, at_least, parse_decimal
+from .groups import Element, Group, at_least, below, parse_decimal
 from .records import Record
 
 # Distinct value tokens one load_table call remembers: every element of a
@@ -154,12 +155,8 @@ class FnTable(Record):
     def index_of(self, x: Sequence[int]) -> int:
         if len(x) != self.arity:
             raise DomainError(f"tuple has {len(x)} components, arity is {self.arity}")
-        x = [as_int("component", c) for c in x]
-        for c in x:
-            if not 0 <= c < self.a_size:
-                raise DomainError(
-                    f"component {excerpt_int(c)} out of range for alphabet {self.a_size}")
-        return tuple_index(self.a_size, x)
+        where = f"alphabet {self.a_size}"
+        return tuple_index(self.a_size, [below("component", c, self.a_size, where) for c in x])
 
     def eval(self, x: Sequence[int]) -> Element:
         return self.group.decode(self.values[self.index_of(x)])
@@ -203,6 +200,8 @@ def load_table(text: str, check: Callable[[int, int, Group], None] | None = None
     over a small group thus costs one element parse per distinct token and a
     dictionary lookup per cell.
     """
+    if not isinstance(text, str):
+        raise ArgumentError(f"table text must be a str, got {excerpt(type(text).__name__)}")
     lines = enumerate(text.splitlines(), start=1)
     headers: list[tuple[int, str]] = []
     for lineno, raw in lines:

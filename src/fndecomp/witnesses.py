@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .calculus import derivative_at_zero
 from .errors import ArgumentError, InternalConsistencyError, excerpt_int
-from .groups import Element, Group, at_least
+from .groups import Element, Group, as_int, at_least
 from .oddsupport import PhiMap, table_from_phi
 from .records import Record
 from .tables import FnTable
@@ -31,7 +31,7 @@ class WitnessBundle(Record):
     ):
         self.__dict__.update(
             table=table, positions=positions, params=params, expected=expected,
-            claimed_k=claimed_k,
+            claimed_k=as_int("claimed k", claimed_k),
         )
 
     def verify(self) -> "WitnessBundle":
@@ -40,7 +40,7 @@ class WitnessBundle(Record):
         if len(self.positions) != self.claimed_k + 1:
             raise InternalConsistencyError(
                 f"witness on {len(self.positions)} positions cannot refute "
-                f"k={self.claimed_k}"
+                f"k={excerpt_int(self.claimed_k)}"
             )
         value = derivative_at_zero(self.table, self.positions, self.params)
         if value != self.expected:
@@ -61,6 +61,7 @@ def tightness_witness(ell: int, e: int, group: Group, b: Element, n: int) -> Wit
     {1..ell} to b.
     """
     ell = at_least("alphabet parameter ell", ell, 1)
+    e, n = as_int("exponent parameter e", e), as_int("arity", n)
     if e < 1 or group.exponent_pow2() != e:
         raise ArgumentError(
             f"group exponent {excerpt_int(group.exponent)} is not 2**{excerpt_int(e)}"
@@ -120,7 +121,7 @@ def large_alphabet_witness(n: int, a_size: int, group: Group, b: Element) -> Wit
     f(x) = b exactly when {x_1, ..., x_n} = {1, ..., n} as a set; requires
     a_size >= n+1 and b != 0.
     """
-    n = at_least("arity", n, 2)
+    n, a_size = at_least("arity", n, 2), as_int("alphabet size", a_size)
     if a_size < n + 1:
         raise ArgumentError(
             f"alphabet size must be >= n+1 = {excerpt_int(n + 1)}, got {excerpt_int(a_size)}"

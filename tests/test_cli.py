@@ -935,7 +935,9 @@ STARTUP_ROWS = {
     "help": (["--help"], {"errors"}),
     "taylor": (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"],
                TAYLOR | {"cli_decompose"}),
+    "taylor=": (["decompose", "z3.tbl", "--mode=taylor", "--k", "1"], TAYLOR | {"cli_decompose"}),
     "odd": (["decompose", "parity3.tbl", "--mode", "odd"], PHI | {"cli_decompose"}),
+    "odd=": (["decompose", "parity3.tbl", "--mode=odd"], PHI | {"cli_decompose"}),
     "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI | {"cli_decompose"}),
     "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI | {"cli_decompose"}),
     "analyze": (["analyze", "z3.tbl"], ANALYZE | {"cli_analyze"}),
@@ -995,7 +997,8 @@ def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
     import fndecomp.cli as cli_mod
 
     argv = startup_argv(tmp_path, argv)
-    runs = [name for word in argv for name in cli_mod._RUNS.get(word, ())]
+    words = [word.partition("=")[2] if word.startswith("--") else word for word in argv]
+    runs = [name for word in words for name in cli_mod._RUNS.get(word, ())]
     last = Path(cli_mod.__file__).with_name(f"{runs[-1] if runs else 'cli'}.py")
     lines = probe_modules(
         "import runpy\n"

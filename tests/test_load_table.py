@@ -226,3 +226,13 @@ def test_the_readme_table_example_loads():
     f = tables.load_table(example)
     assert (f.a_size, f.arity, f.group.to_text()) == (2, 4, "Z2")
     assert f.values == tuple(sum(x) % 2 for x in tables.iter_tuples(2, 4))
+
+
+def test_text_must_be_a_str():
+    # bytes split into lines of bytes, and the first comparison with a str
+    # raised a bare TypeError
+    from fndecomp.errors import ArgumentError
+
+    for text, name in ((b"domain=2\narity=1\ngroup=Z2\n0 1\n", "bytes"), (None, "NoneType")):
+        with pytest.raises(ArgumentError, match=f"^table text must be a str, got {name}$"):
+            load_table(text)

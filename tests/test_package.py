@@ -2,14 +2,18 @@
 the messages of its refusals."""
 
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 import fndecomp
+from fndecomp.errors import excerpt
 
 PACKAGE = Path(fndecomp.__file__).resolve().parent
 
@@ -153,3 +157,174 @@ def test_non_integer_arguments_are_refused(site):
     with pytest.raises(fndecomp.FnDecompError) as info:
         call()
     assert str(info.value) == message
+
+
+# The integer contract of the public API.  Each integer parameter of the
+# names in fndecomp.__all__ and of the FnTable and Group methods has a row:
+# the call with a value in the parameter's place, the name its refusals give
+# it, a value the call accepts and the values among -1 and BIG that break its
+# bound.  None as the name marks the residues of an element, which
+# Group.validate reads and names by the element.
+P0 = fndecomp.Z3Params(0, 0, 0, 0)
+Z4 = fndecomp.Group((4,))
+FULL2 = fndecomp.PhiMap(2, Z2, None, {S: (0,) for S in map(frozenset, ((), (0,), (1,), (0, 1)))})
+BOTH = (-1, BIG)
+
+
+def bundle(positions=(0,), params=(1,), claimed_k=0):
+    return fndecomp.WitnessBundle(UNARY, frozenset(positions), params, (1,), claimed_k).verify()
+
+
+CONTRACT = {
+    "FnTable.a_size": (lambda v: fndecomp.FnTable(v, 1, Z2, (0, 1)), "alphabet size", 2, BOTH),
+    "FnTable.arity": (lambda v: fndecomp.FnTable(2, v, Z2, (0, 1)), "arity", 1, BOTH),
+    "FnTable.from_callable.a_size": (
+        lambda v: fndecomp.FnTable.from_callable(v, 1, Z2, lambda x: (0,)), "alphabet size", 2,
+        BOTH),
+    "FnTable.from_callable.arity": (
+        lambda v: fndecomp.FnTable.from_callable(2, v, Z2, lambda x: (0,)), "arity", 1, BOTH),
+    "FnTable.constant.a_size": (lambda v: fndecomp.FnTable.constant(v, 1, Z2, (0,)),
+                                "alphabet size", 2, BOTH),
+    "FnTable.constant.arity": (lambda v: fndecomp.FnTable.constant(2, v, Z2, (0,)), "arity", 1,
+                               BOTH),
+    "FnTable.index_of.x": (lambda v: UNARY.index_of((v,)), "component", 1, BOTH),
+    "FnTable.eval.x": (lambda v: UNARY.eval((v,)), "component", 1, BOTH),
+    "Group.moduli": (lambda v: fndecomp.Group((v,)), "cyclic factor modulus", 2, (-1,)),
+    "Group.validate.x": (lambda v: Z2.validate((v,)), None, 1, BOTH),
+    "Group.add.x": (lambda v: Z2.add((v,), (0,)), None, 1, BOTH),
+    "Group.add.y": (lambda v: Z2.add((0,), (v,)), None, 1, BOTH),
+    "Group.neg.x": (lambda v: Z2.neg((v,)), None, 1, BOTH),
+    "Group.sub.x": (lambda v: Z2.sub((v,), (0,)), None, 1, BOTH),
+    "Group.sub.y": (lambda v: Z2.sub((0,), (v,)), None, 1, BOTH),
+    "Group.scalar_mul.k": (lambda v: Z2.scalar_mul(v, (1,)), "k", 3, ()),
+    "Group.scalar_mul.x": (lambda v: Z2.scalar_mul(1, (v,)), None, 1, BOTH),
+    "Group.order_of.x": (lambda v: Z2.order_of((v,)), None, 1, BOTH),
+    "Group.encode.x": (lambda v: Z2.encode((v,)), None, 1, BOTH),
+    "Group.decode.code": (lambda v: Z2.decode(v), "element code", 1, BOTH),
+    "Group.format_element.x": (lambda v: Z2.format_element((v,)), None, 1, BOTH),
+    "PhiMap.a_size": (lambda v: fndecomp.PhiMap(v, Z2, None, FULL2.entries), "alphabet size", 2,
+                      BOTH),
+    "PhiMap.arity": (lambda v: fndecomp.PhiMap(2, Z2, v, {frozenset({d}): (0,) for d in (0, 1)}),
+                     "arity", 1, (-1,)),
+    "WitnessBundle.positions": (lambda v: bundle(positions=(v,)), "position", 0, BOTH),
+    "WitnessBundle.params": (lambda v: bundle(params=(v,)), "parameter tuple component", 1, BOTH),
+    "WitnessBundle.claimed_k": (lambda v: bundle(claimed_k=v), "claimed k", 0, BOTH),
+    "Z3Params.a": (lambda v: fndecomp.Z3Params(v, 0, 0, 0), "parameter a", 2, BOTH),
+    "Z3Params.b": (lambda v: fndecomp.Z3Params(0, v, 0, 0), "parameter b", 2, BOTH),
+    "Z3Params.c": (lambda v: fndecomp.Z3Params(0, 0, v, 0), "parameter c", 2, BOTH),
+    "Z3Params.d": (lambda v: fndecomp.Z3Params(0, 0, 0, v), "parameter d", 2, BOTH),
+    "decomposability_witness.k": (lambda v: fndecomp.decomposability_witness(UNARY, v), "k", 1,
+                                  BOTH),
+    "decompose_via_taylor.k": (lambda v: fndecomp.decompose_via_taylor(UNARY, v), "k", 1, BOTH),
+    "is_k_decomposable.k": (lambda v: fndecomp.is_k_decomposable(UNARY, v), "k", 1, BOTH),
+    "derivative_at_zero.vars": (lambda v: fndecomp.derivative_at_zero(UNARY, (v,), (1,)),
+                                "position", 0, BOTH),
+    "derivative_at_zero.params": (lambda v: fndecomp.derivative_at_zero(UNARY, (0,), (v,)),
+                                  "parameter tuple component", 1, BOTH),
+    "higher_derivative.vars": (lambda v: fndecomp.higher_derivative(UNARY, (v,), (1,)),
+                               "position", 0, BOTH),
+    "higher_derivative.params": (lambda v: fndecomp.higher_derivative(UNARY, (0,), (v,)),
+                                 "parameter tuple component", 1, BOTH),
+    "partial_derivative.i": (lambda v: fndecomp.partial_derivative(UNARY, v, 1), "position", 0,
+                             BOTH),
+    "partial_derivative.a_val": (lambda v: fndecomp.partial_derivative(UNARY, 0, v), "parameter",
+                                 1, BOTH),
+    "simple_minor.sigma": (lambda v: fndecomp.simple_minor(UNARY, (v,), 2), "sigma target", 1,
+                           BOTH),
+    "simple_minor.arity": (lambda v: fndecomp.simple_minor(UNARY, (0,), v), "target arity", 2,
+                           BOTH),
+    "identification_minor.i": (lambda v: fndecomp.identification_minor(TERNARY, v, 1), "position",
+                               0, BOTH),
+    "identification_minor.j": (lambda v: fndecomp.identification_minor(TERNARY, 0, v), "position",
+                               1, BOTH),
+    "odd_support.a_size": (lambda v: fndecomp.odd_support(v, (0,)), "alphabet size", 2, (-1,)),
+    "odd_support.x": (lambda v: fndecomp.odd_support(2, (v,)), "component", 1, BOTH),
+    # the typed cache of phi_domain holds (2, 1) from the accepted call
+    "phi_domain.a_size": (lambda v: fndecomp.phi_domain(v, 1), "alphabet size", 2, BOTH),
+    "phi_domain.n": (lambda v: fndecomp.phi_domain(2, v), "arity", 1, (-1,)),
+    "determined_count.a_size": (lambda v: fndecomp.determined_count(v, 1, Z2), "alphabet size", 2,
+                                BOTH),
+    "determined_count.n": (lambda v: fndecomp.determined_count(2, v, Z2), "arity", 1, (-1,)),
+    "representative_tuple.S": (lambda v: fndecomp.representative_tuple({v}, 1), "letter", 1,
+                               (-1,)),
+    "representative_tuple.n": (lambda v: fndecomp.representative_tuple({0}, v), "arity", 1, BOTH),
+    "reconstruct_even.n": (lambda v: fndecomp.reconstruct_even(FULL2, v), "arity", 4, BOTH),
+    "uniform_system_rank.a_size": (lambda v: fndecomp.uniform_system_rank(v, 5), "alphabet size",
+                                   2, BOTH),
+    "uniform_system_rank.n": (lambda v: fndecomp.uniform_system_rank(2, v), "arity", 5, BOTH),
+    "z3_build.n": (lambda v: fndecomp.z3_build(v, P0), "arity", 4, BOTH),
+    "even_sum_lhs.m": (lambda v: fndecomp.even_sum_lhs(v, 0), "m", 4, (-1,)),
+    "even_sum_lhs.t": (lambda v: fndecomp.even_sum_lhs(4, v), "t", 1, BOTH),
+    "even_sum_rhs.m": (lambda v: fndecomp.even_sum_rhs(v, 0), "m", 4, (-1,)),
+    "even_sum_rhs.t": (lambda v: fndecomp.even_sum_rhs(4, v), "t", 1, BOTH),
+    "odd_sum_lhs.m": (lambda v: fndecomp.odd_sum_lhs(v, 0), "m", 3, (-1,)),
+    "odd_sum_lhs.t": (lambda v: fndecomp.odd_sum_lhs(3, v), "t", 1, BOTH),
+    "odd_sum_rhs.m": (lambda v: fndecomp.odd_sum_rhs(v, 0), "m", 3, (-1,)),
+    "odd_sum_rhs.t": (lambda v: fndecomp.odd_sum_rhs(3, v), "t", 1, BOTH),
+    "odd_sum_pair_count.m": (lambda v: fndecomp.odd_sum_pair_count(v, 0), "m", 3, BOTH),
+    "odd_sum_pair_count.t": (lambda v: fndecomp.odd_sum_pair_count(3, v), "t", 1, BOTH),
+    "hamming_extension.n": (lambda v: fndecomp.hamming_extension(v, 2, Z3, (1,)), "arity", 3,
+                            BOTH),
+    "hamming_extension.a_size": (lambda v: fndecomp.hamming_extension(3, v, Z3, (1,)),
+                                 "alphabet size", 2, BOTH),
+    "hamming_witness.n": (lambda v: fndecomp.hamming_witness(v, Z3, (1,)), "arity", 3, BOTH),
+    "large_alphabet_witness.n": (lambda v: fndecomp.large_alphabet_witness(v, 4, Z2, (1,)),
+                                 "arity", 3, BOTH),
+    "large_alphabet_witness.a_size": (lambda v: fndecomp.large_alphabet_witness(3, v, Z2, (1,)),
+                                      "alphabet size", 4, BOTH),
+    "tightness_witness.ell": (lambda v: fndecomp.tightness_witness(v, 2, Z4, (1,), 5),
+                              "alphabet parameter ell", 2, BOTH),
+    "tightness_witness.e": (lambda v: fndecomp.tightness_witness(2, v, Z4, (1,), 5),
+                            "exponent parameter e", 2, BOTH),
+    "tightness_witness.n": (lambda v: fndecomp.tightness_witness(2, 2, Z4, (1,), v), "arity", 5,
+                            BOTH),
+}
+# integer parameters outside the contract: the per-cell value codes stay
+# open, and the result records store what a library call computed
+EXEMPT = {"FnTable.values", "Analysis.essential_variables", "Analysis.gap",
+          "Analysis.min_decomposition_arity", "BooleanClassification.gap",
+          "BooleanGapForm.c", "BooleanGapForm.m"}
+INTEGER_ANNOTATION = re.compile(
+    r"int( \| None)?|(Sequence|Iterable|tuple|frozenset)\[int(, \.\.\.)?\]")
+
+
+def integer_parameters():
+    """owner.parameter for each parameter annotated as an integer or a
+    sequence of integers, of the names in __all__ and of the public FnTable
+    and Group methods."""
+    owners = {name: getattr(fndecomp, name) for name in fndecomp.__all__
+              if name not in fndecomp._EXPORTS["errors"].split()}
+    owners.update({f"{cls.__name__}.{name}": getattr(cls, name)
+                   for cls in (fndecomp.FnTable, fndecomp.Group)
+                   for name, attr in vars(cls).items()
+                   if not name.startswith("_") and isinstance(attr, (FunctionType, classmethod))})
+    return {f"{owner}.{name}" for owner, call in owners.items()
+            for name, param in inspect.signature(call).parameters.items()
+            if INTEGER_ANNOTATION.fullmatch(str(param.annotation))}
+
+
+def test_the_integer_contract_lists_every_integer_parameter():
+    assert not set(CONTRACT) & EXEMPT
+    assert set(CONTRACT) | EXEMPT == integer_parameters()
+
+
+@pytest.mark.parametrize("param", CONTRACT)
+def test_integer_contract(param):
+    # the call accepts an integer in the parameter's place, refuses 2.0 and
+    # "3" by name before any comparison, and refuses each bound it breaks in
+    # one line
+    call, what, ok, breaks = CONTRACT[param]
+    call(ok)
+    for value in (2.0, "3"):
+        with pytest.raises(fndecomp.FnDecompError) as info:
+            call(value)
+        if what is None:
+            assert str(info.value) == (f"element {excerpt(repr((value,)))} has a residue "
+                                       "that is not an integer")
+        else:
+            assert str(info.value) == f"{what} must be an integer, got {excerpt(repr(value))}"
+    for value in breaks:
+        with pytest.raises(fndecomp.FnDecompError) as info:
+            call(value)
+        message = str(info.value)
+        assert "\n" not in message and len(message) <= 200

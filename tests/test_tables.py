@@ -135,29 +135,12 @@ def test_sizes_must_be_integers():
     # zero on an empty alphabet and a negative arity
     with pytest.raises(ArgumentError, match="^alphabet size must be >= 2, got 0$"):
         FnTable.from_callable(0, -1, Z2, lambda x: (0,))
-    # every other alphabet size and arity of the library is read the same way,
-    # a phi domain even when the same int key is cached
-    phi_domain(2, 3)
-    from fndecomp import (PhiMap, even_sum_lhs, hamming_extension, hamming_witness,
-                          large_alphabet_witness, odd_sum_pair_count, representative_tuple,
-                          tightness_witness)
+    # every other integer parameter of the public API is read the same way
+    # (tests/test_package.py, CONTRACT), and so are the row bounds of the
+    # identities
     from fndecomp.identities import even_sum_rows, odd_sum_rows
-    for call, message in (
-            (lambda: phi_domain(2.0, 3), "alphabet size must be an integer, got 2.0"),
-            (lambda: phi_domain(2, 3.0), "arity must be an integer, got 3.0"),
-            (lambda: PhiMap(2.0, Z2, None, {}), "alphabet size must be an integer, got 2.0"),
-            (lambda: representative_tuple({1}, 3.0), "arity must be an integer, got 3.0"),
-            (lambda: tightness_witness(2.0, 1, Z2, (1,), 4),
-             "alphabet parameter ell must be an integer, got 2.0"),
-            (lambda: hamming_witness(3.0, Z3, (1,)), "arity must be an integer, got 3.0"),
-            (lambda: hamming_extension(3, 2.0, Z3, (1,)),
-             "alphabet size must be an integer, got 2.0"),
-            (lambda: large_alphabet_witness(2.0, 3, Z2, (1,)),
-             "arity must be an integer, got 2.0"),
-            (lambda: even_sum_rows(3.0), "max_m must be an integer, got 3.0"),
-            (lambda: odd_sum_rows(3.0), "max_m must be an integer, got 3.0"),
-            (lambda: odd_sum_pair_count(3, 1.0), "t must be an integer, got 1.0"),
-            (lambda: even_sum_lhs(3.0, 1), "m must be an integer, got 3.0")):
+    for call, message in ((lambda: even_sum_rows(3.0), "max_m must be an integer, got 3.0"),
+                          (lambda: odd_sum_rows(3.0), "max_m must be an integer, got 3.0")):
         with pytest.raises(ArgumentError, match=f"^{message}$"):
             call()
 
