@@ -2,8 +2,9 @@
 """Round-trip demo of the canonical decompositions over Boolean groups.
 
 Builds every odd-support-determined function for a few (alphabet, arity)
-pairs, recovers the unique phi by GF(2) solving, confirms the reconstruction
-is exact, and reports the rank of the coefficient-free ("fitilde") system.
+pairs, recovers the unique phi by forward substitution, confirms the
+reconstruction is exact, and reports the rank of the coefficient-free
+("fitilde") system.
 """
 
 from itertools import product

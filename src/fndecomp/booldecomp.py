@@ -9,22 +9,29 @@ For a Boolean codomain (every factor Z2) and n = arity, |A| = alphabet size:
 * even case, n - |A| = 2t > 0: same first sum plus a second sum over sets K
   of size n-2k+1 (k in [t+1, (n+1)//2]) with coefficient C(2k-1, 2t), for a
   unique phi on the full power set satisfying phi(S) = phi(S symdiff {0}).
-* uniform case ("fitilde"): the coefficient-free sum over all sizes
-  n-2, n-4, ... reproduces every determined f for some phi (existence only;
-  free variables of the solve are pinned to 0).
+* uniform case ("fitilde"), n > max(|A|, 3): the coefficient-free sum over
+  all sizes n-2, n-4, ... reproduces every determined f for a unique phi on
+  phi_domain(|A|, n).
 
 Every defining sum is symmetric in the positions, so it depends on x only
 through its letter counts.  One kernel, ``_class_sum``, evaluates it for one
 count vector by a parity DP over the letters; a reconstruction calls it once
 per count class and broadcasts (``tables.by_letter_counts``).
 
-phi recovery reads the same kernel at the canonical representative tuple of
-each key, with one GF(2) column per key, and solves the resulting system per
-cyclic factor against the values of extract_phi(f).  The uniqueness proofs
-guarantee invertibility for the odd/even systems, so a singular matrix is an
-internal-consistency failure, never a user error.  Each decomposer rebuilds
-the table from the phi it returns and raises InternalConsistencyError unless
-that rebuild is f.
+phi recovery reads the same kernel at the representative tuple of each key,
+with one column per key, and takes the right-hand side from extract_phi(f).
+The row of key S is read at representative_tuple(S, n), which holds only
+letters of S, so every support it meets is a subset T of S: S itself or a
+key before it in phi_domain's (size, mask) order.  The partner T symdiff {0}
+that the even case's second sum reads is no larger than S and, at equal
+size, has the smaller mask, so it is S or comes before it too.  The system
+is therefore lower-triangular, and its diagonal is 1 on every (|A|, n) the
+cell budget admits in each case (tested exhaustively).  Forward substitution
+over Boolean codes, which add by XOR, solves it, and the solution is unique:
+in the uniform case as much as in the odd and even ones.  A row without its
+own bit is an internal-consistency failure, never a user error.  Each
+decomposer rebuilds the table from the phi it returns and raises
+InternalConsistencyError unless that rebuild is f.
 """
 
 from __future__ import annotations
@@ -173,48 +180,6 @@ def reconstruct_uniform(phi: PhiMap) -> FnTable:
 
 
 # ----------------------------------------------------------------------
-# GF(2) elimination on bitset rows
-# ----------------------------------------------------------------------
-
-
-def gf2_solve(rows: list[int], n_cols: int, n_rhs: int):
-    """Gauss-Jordan over GF(2); rhs bits ride in positions n_cols..n_cols+n_rhs-1.
-
-    Returns (solutions, rank, consistent) where solutions[j] is the
-    free-variables-zero solution bitmask for rhs column j.
-    """
-    work = list(rows)
-    pivot_row_of: dict[int, int] = {}
-    r = 0
-    for col in range(n_cols):
-        piv = None
-        for idx in range(r, len(work)):
-            if (work[idx] >> col) & 1:
-                piv = idx
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        cur = work[r]
-        for idx in range(len(work)):
-            if idx != r and (work[idx] >> col) & 1:
-                work[idx] ^= cur
-        pivot_row_of[col] = r
-        r += 1
-    coeff_mask = (1 << n_cols) - 1
-    consistent = all(w & coeff_mask or not (w >> n_cols) for w in work[r:])
-    solutions = []
-    for j in range(n_rhs):
-        bitpos = n_cols + j
-        mask = 0
-        for col, ridx in pivot_row_of.items():
-            if (work[ridx] >> bitpos) & 1:
-                mask |= 1 << col
-        solutions.append(mask)
-    return solutions, r, consistent
-
-
-# ----------------------------------------------------------------------
 # phi recovery by probing at canonical representatives
 # ----------------------------------------------------------------------
 
@@ -238,33 +203,35 @@ def _probe_rows(a_size: int, n: int, sizes: list[int]) -> list[int]:
     return rows
 
 
-def _solve_for_phi(f: FnTable, sizes: list[int], require_unique: bool):
-    """Solve the probe system for phi entries keyed on phi_domain(f.a_size, f.arity)."""
+def _unit_lower_rows(a_size: int, n: int, sizes: list[int]) -> list[int]:
+    """The probe rows, each checked to be its own key's bit plus bits of
+    earlier keys (row >> c == 1)."""
+    rows = _probe_rows(a_size, n, sizes)
+    for c, row in enumerate(rows):
+        if row >> c != 1:
+            raise InternalConsistencyError(
+                f"phi probe system is not unit lower-triangular at key {c} of {len(rows)}"
+            )
+    return rows
+
+
+def _solve_for_phi(f: FnTable, sizes: list[int]):
+    """phi entries keyed on phi_domain(f.a_size, f.arity), by forward
+    substitution: the code of key c is the code extract_phi(f) gives it,
+    XOR the codes of the earlier keys its row selects."""
     given = extract_phi(f)
     if given is None:
         raise PreconditionError("function is not determined by odd support")
-    a, n = f.a_size, f.arity
-    keys = phi_domain(a, n)
-    rows = _probe_rows(a, n, sizes)
-    n_rhs = len(f.group.moduli)
-    n_cols = len(keys)
-    encode = f.group.encode
-    augmented = [row | encode(given.entries[S]) << n_cols for row, S in zip(rows, keys)]
-    solutions, rank, consistent = gf2_solve(augmented, n_cols, n_rhs)
-    if not consistent:
-        raise InternalConsistencyError("phi probe system has no solution")
-    if require_unique and rank != n_cols:
-        raise InternalConsistencyError(
-            f"phi probe system is singular (rank {rank} of {n_cols})"
-        )
-    decode = f.group.decode
-    entries = {}
-    for c, S in enumerate(keys):
-        code = 0
-        for j in range(n_rhs):
-            code |= (solutions[j] >> c & 1) << j
-        entries[S] = decode(code)
-    return entries
+    keys = phi_domain(f.a_size, f.arity)
+    encode, decode = f.group.encode, f.group.decode
+    codes: list[int] = []
+    for row, S in zip(_unit_lower_rows(f.a_size, f.arity, sizes), keys):
+        code = encode(given.entries[S])
+        for j, earlier in enumerate(codes):
+            if row >> j & 1:
+                code ^= earlier
+        codes.append(code)
+    return {S: decode(code) for S, code in zip(keys, codes)}
 
 
 def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
@@ -278,7 +245,7 @@ def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f, checked by that rebuild."""
     require_boolean(f.group)
     t = odd_case_shift(f.a_size, f.arity)
-    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t), require_unique=True)
+    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t))
     phi = PhiMap(f.a_size, f.group, f.arity, entries)
     return _rebuilds(phi, reconstruct_odd(phi), f)
 
@@ -289,7 +256,7 @@ def decompose_even(f: FnTable) -> PhiMap:
     require_boolean(f.group)
     t = even_case_shift(f.a_size, f.arity)
     sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
-    entries = _solve_for_phi(f, sizes, require_unique=True)
+    entries = _solve_for_phi(f, sizes)
     phi = full_map_from_domain_entries(f.a_size, f.group, entries)
     return _rebuilds(phi, reconstruct_even(phi, f.arity), f)
 
@@ -305,23 +272,29 @@ def full_map_from_domain_entries(a_size: int, group: Group, entries) -> PhiMap:
 
 
 def decompose_uniform(f: FnTable) -> PhiMap:
-    """Some phi satisfying the coefficient-free sum (free variables pinned to
-    0), checked by reconstruct_uniform.
+    """The unique phi with reconstruct_uniform(phi) == f, checked by that
+    rebuild.
 
-    Existence is guaranteed for determined f in the regime n > max(|A|, 3);
-    uniqueness is not claimed, see uniform_system_rank.
+    It exists for every determined f in the regime n > max(|A|, 3), and it
+    is unique there because the probe system is unit lower-triangular (see
+    uniform_system_rank).
     """
     require_boolean(f.group)
     require_uniform_regime(f.a_size, f.arity)
-    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity), require_unique=False)
+    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity))
     phi = PhiMap(f.a_size, f.group, f.arity, entries)
     return _rebuilds(phi, reconstruct_uniform(phi), f)
 
 
 def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
-    """(rank, unknowns) of the uniform probe system; rank < unknowns means the
-    recovered phi is one of several valid choices."""
-    check_cells(a_size, n)
-    rows = _probe_rows(a_size, n, uniform_sum_sizes(n))
-    _, rank, _ = gf2_solve(rows, len(rows), 0)
-    return rank, len(rows)
+    """(rank, unknowns) of the uniform probe system, in the regime of
+    decompose_uniform only (PreconditionError outside it).
+
+    The system is checked to be unit lower-triangular, so its rank is its
+    number of unknowns, one per phi_domain key, and the recovered phi is
+    the only one.
+    """
+    a_size, n = check_cells(a_size, n)
+    require_uniform_regime(a_size, n)
+    k = len(_unit_lower_rows(a_size, n, uniform_sum_sizes(n)))
+    return k, k

@@ -25,7 +25,7 @@ set and copies them along every other position.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Iterable, Sequence
 
@@ -143,7 +143,7 @@ def _derivative_coefficients(f: FnTable) -> Sequence[int]:
 
 def _top_size(sizes: bytes, c: Sequence[int]) -> int:
     """Largest support size with a nonzero coefficient (0 if none)."""
-    return max((s for s, v in zip(sizes, c) if v), default=0)
+    return max(compress(sizes, c), default=0)
 
 
 def _first_witness(f: FnTable, c: Sequence[int], k: int) -> Witness | None:

@@ -44,6 +44,14 @@ def as_int(what: str, value) -> int:
         raise ArgumentError(f"{what} must be an integer, got {excerpt(repr(value))}") from None
 
 
+def as_text(what: str, value) -> str:
+    """value itself when it is a str; ArgumentError naming what for bytes or
+    any other type."""
+    if not isinstance(value, str):
+        raise ArgumentError(f"{what} must be a str, got {excerpt(type(value).__name__)}")
+    return value
+
+
 def at_least(what: str, value, least: int) -> int:
     """as_int(what, value), and ArgumentError for an integer below least."""
     value = as_int(what, value)
@@ -76,7 +84,7 @@ class Group(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "Group":
-        compact = "".join(text.split()).lower()
+        compact = "".join(as_text("group text", text).split()).lower()
         if not compact:
             raise ParseError("empty group spec")
         moduli = []
@@ -209,7 +217,13 @@ class Group(Record):
         return ",".join(str(r) for r in x)
 
     def parse_element(self, text: str) -> Element:
-        text = text.strip()
+        try:
+            # str.strip refuses a non-str itself, so the parse of each value
+            # token of a table pays for no separate type test
+            text = str.strip(text)
+        except TypeError:
+            as_text("element text", text)  # raises, naming the parameter
+            raise
         if not self.moduli:
             if text != "0":
                 raise ParseError(f"bad trivial-group element {excerpt(text)!r} (expected '0')")

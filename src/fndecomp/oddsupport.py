@@ -39,7 +39,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, as_int, at_least, below, parse_decimal
+from .groups import Element, Group, as_int, as_text, at_least, below, parse_decimal
 from .minors import (determined_via_symmetry, essential_restriction, is_totally_symmetric,
                      pair_scan_limit, restriction_gap)
 from .records import Record
@@ -333,7 +333,7 @@ def dump_phi(phi: PhiMap) -> str:
 def load_phi(text: str) -> PhiMap:
     header = None
     entry_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(as_text("phi text", text).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import (
     MAX_CELLS,
-    ArgumentError,
     DomainError,
     ParseError,
     ResourceError,
@@ -35,7 +34,7 @@ from .errors import (
     excerpt,
     excerpt_int,
 )
-from .groups import Element, Group, at_least, below, parse_decimal
+from .groups import Element, Group, as_text, at_least, below, parse_decimal
 from .records import Record
 
 # Distinct value tokens one load_table call remembers: every element of a
@@ -200,9 +199,7 @@ def load_table(text: str, check: Callable[[int, int, Group], None] | None = None
     over a small group thus costs one element parse per distinct token and a
     dictionary lookup per cell.
     """
-    if not isinstance(text, str):
-        raise ArgumentError(f"table text must be a str, got {excerpt(type(text).__name__)}")
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(as_text("table text", text).splitlines(), start=1)
     headers: list[tuple[int, str]] = []
     for lineno, raw in lines:
         line = raw.strip()

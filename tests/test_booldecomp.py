@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -29,12 +30,12 @@ from fndecomp.booldecomp import (
     _probe_rows,
     first_sum_sizes,
     full_map_from_domain_entries,
-    gf2_solve,
     odd_case_shift,
     even_case_shift,
     second_sum_sizes,
     uniform_sum_sizes,
 )
+from fndecomp.errors import MAX_CELLS
 from helpers import (
     all_phi_assignments,
     phi_preimages_bruteforce,
@@ -72,20 +73,6 @@ def test_sum_size_structure():
     assert second_sum_sizes(5, 1) == [2]
     assert uniform_sum_sizes(5) == [3, 1]
     assert uniform_sum_sizes(4) == [2, 0]
-
-
-def test_gf2_solve_small():
-    # x0 + x1 = 1, x1 = 1 over GF(2)
-    rows = [0b11 | 1 << 2, 0b10 | 1 << 2]
-    sols, rank, consistent = gf2_solve(rows, 2, 1)
-    assert consistent and rank == 2 and sols == [0b10]
-    # inconsistent: x0 = 0 and x0 = 1
-    rows = [0b1, 0b1 | 1 << 1]
-    _, _, consistent = gf2_solve(rows, 1, 1)
-    assert not consistent
-    # underdetermined: free variable pinned to 0
-    sols, rank, consistent = gf2_solve([0b11 | 1 << 2], 2, 1)
-    assert consistent and rank == 1 and sols == [0b01]
 
 
 def test_reconstruct_odd_zero_and_parity():
@@ -176,6 +163,74 @@ def test_probe_rows_match_pointwise_oracle():
             for sizes, pairing in cases:
                 expected = pointwise_probe_rows(a, n, sizes, pairing)
                 assert _probe_rows(a, n, sizes) == expected, (a, n, sizes)
+
+
+def admissible_probe_systems():
+    """(case, a, n, sizes) for every probe system the cell budget admits: each
+    case's regime at every (a, n) with a**n <= MAX_CELLS."""
+    out = []
+    for a in range(2, MAX_CELLS.bit_length()):
+        for n in range(1, MAX_CELLS.bit_length()):
+            if a**n > MAX_CELLS:
+                break
+            d = n - a
+            if d > 0 and d % 2:
+                out.append(("odd", a, n, first_sum_sizes(n, odd_case_shift(a, n))))
+            if d > 0 and d % 2 == 0:
+                t = even_case_shift(a, n)
+                out.append(("even", a, n, first_sum_sizes(n, t) + second_sum_sizes(n, t)))
+            if n > max(a, 3):
+                out.append(("uniform", a, n, uniform_sum_sizes(n)))
+    return out
+
+
+def test_every_admissible_probe_system_is_unit_lower_triangular():
+    # row c is bit c plus bits of earlier keys, so forward substitution
+    # recovers phi and the recovered phi is unique, in every case
+    systems = admissible_probe_systems()
+    assert {case for case, *_ in systems} == {"odd", "even", "uniform"}
+    for case, a, n, sizes in systems:
+        rows = _probe_rows(a, n, sizes)
+        assert len(rows) == len(phi_domain(a, n))
+        assert [row >> c for c, row in enumerate(rows)] == [1] * len(rows), (case, a, n)
+
+
+def test_forward_substitution_solves_unit_lower_triangular_rows(monkeypatch):
+    # the admissible systems have no bit below the diagonal, so rows with
+    # random lower bits exercise the substitution: each row, applied to the
+    # solution, must give back the code extract_phi reads at its key
+    group = Group((2, 2))
+    elements = list(group.elements())
+    keys = phi_domain(3, 6)
+    for seed in range(20):
+        rng = random.Random(seed)
+        rows = [1 << c | rng.getrandbits(c) for c in range(len(keys))]
+        given = PhiMap.on_phi_domain(3, 6, group, {S: rng.choice(elements) for S in keys})
+        monkeypatch.setattr(booldecomp, "_probe_rows", lambda a, n, sizes: rows)
+        entries = booldecomp._solve_for_phi(table_from_phi(given), uniform_sum_sizes(6))
+        codes = [group.encode(entries[S]) for S in keys]
+        for row, S in zip(rows, keys):
+            applied = 0
+            for j, code in enumerate(codes):
+                if row >> j & 1:
+                    applied ^= code
+            assert applied == group.encode(given.entries[S]), (seed, S)
+
+
+@pytest.mark.parametrize("decompose, n", [
+    (decompose_odd, 5), (decompose_even, 4), (decompose_uniform, 5),
+    (lambda f: uniform_system_rank(f.a_size, f.arity), 5),
+], ids=["odd", "even", "uniform", "rank"])
+def test_a_row_without_its_diagonal_bit_is_an_internal_error(monkeypatch, decompose, n):
+    probe = booldecomp._probe_rows
+
+    def dropped(a, n, sizes):
+        rows = probe(a, n, sizes)
+        return [rows[0] ^ 1] + rows[1:]
+
+    monkeypatch.setattr(booldecomp, "_probe_rows", dropped)
+    with pytest.raises(InternalConsistencyError, match="lower-triangular"):
+        decompose(parity(n))
 
 
 def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
@@ -296,8 +351,12 @@ def test_uniform_decomposition():
         f = table_from_phi(PhiMap.on_phi_domain(2, 5, Z2, entries))
         phi = decompose_uniform(f)
         assert reconstruct_uniform(phi).values == f.values
-    # existence route from brute force agrees on solvability
-    assert len(phi_preimages_bruteforce(parity(5), "uniform")) >= 1
+    # the one preimage brute force finds is the decomposition, for every
+    # determined table at each size
+    for a, n in [(2, 4), (2, 5), (3, 4)]:
+        for entries in all_phi_assignments(a, n, Z2):
+            f = table_from_phi(PhiMap.on_phi_domain(a, n, Z2, entries))
+            assert phi_preimages_bruteforce(f, "uniform") == [decompose_uniform(f)]
 
 
 def test_uniform_regime_precondition():
@@ -306,14 +365,19 @@ def test_uniform_regime_precondition():
 
 
 def test_uniform_rank_reported():
-    rank, unknowns = uniform_system_rank(2, 4)
-    assert unknowns == len(phi_domain(2, 4))
-    assert 0 <= rank <= unknowns
-    # solvable for every determined table even when rank deficient
-    rank5, unknowns5 = uniform_system_rank(2, 5)
-    assert 0 <= rank5 <= unknowns5 == 2
+    assert uniform_system_rank(2, 4) == (2, 2) == (len(phi_domain(2, 4)),) * 2
+    assert uniform_system_rank(2, 5) == (2, 2)
+    assert uniform_system_rank(3, 8) == (len(phi_domain(3, 8)),) * 2
     with pytest.raises(ResourceError):
         uniform_system_rank(2, 30)
+
+
+@pytest.mark.parametrize("a, n", [(2, 3), (40, 2), (100, 2)])
+def test_uniform_rank_refuses_outside_the_regime_at_once(a, n):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="max"):
+        uniform_system_rank(a, n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_multi_factor_group_round_trip_spotcheck():

@@ -288,10 +288,10 @@ INTEGER_ANNOTATION = re.compile(
     r"int( \| None)?|(Sequence|Iterable|tuple|frozenset)\[int(, \.\.\.)?\]")
 
 
-def integer_parameters():
-    """owner.parameter for each parameter annotated as an integer or a
-    sequence of integers, of the names in __all__ and of the public FnTable
-    and Group methods."""
+def annotated_parameters(annotation):
+    """owner.parameter for each parameter whose annotation fully matches the
+    pattern, of the names in __all__ and of the public FnTable and Group
+    methods."""
     owners = {name: getattr(fndecomp, name) for name in fndecomp.__all__
               if name not in fndecomp._EXPORTS["errors"].split()}
     owners.update({f"{cls.__name__}.{name}": getattr(cls, name)
@@ -300,12 +300,12 @@ def integer_parameters():
                    if not name.startswith("_") and isinstance(attr, (FunctionType, classmethod))})
     return {f"{owner}.{name}" for owner, call in owners.items()
             for name, param in inspect.signature(call).parameters.items()
-            if INTEGER_ANNOTATION.fullmatch(str(param.annotation))}
+            if annotation.fullmatch(str(param.annotation))}
 
 
 def test_the_integer_contract_lists_every_integer_parameter():
     assert not set(CONTRACT) & EXEMPT
-    assert set(CONTRACT) | EXEMPT == integer_parameters()
+    assert set(CONTRACT) | EXEMPT == annotated_parameters(INTEGER_ANNOTATION)
 
 
 @pytest.mark.parametrize("param", CONTRACT)
@@ -328,3 +328,35 @@ def test_integer_contract(param):
             call(value)
         message = str(info.value)
         assert "\n" not in message and len(message) <= 200
+
+
+# The text contract of the public API, beside the integer one.  Each str
+# parameter of the same names has a row: the calls that take a text there,
+# the name their refusals give it and a text every call accepts.  A text
+# reader refuses anything but a str, bytes included, by name and in one line,
+# as load_table does.
+TEXT = {
+    "load_table.text": ((fndecomp.load_table,), "table text", fndecomp.dump_table(UNARY)),
+    "load_phi.text": ((fndecomp.load_phi,), "phi text", fndecomp.dump_phi(FULL2)),
+    "Group.from_text.text": ((fndecomp.Group.from_text,), "group text", "Z2"),
+    "Group.parse_element.text": ((Z2.parse_element, fndecomp.Group(()).parse_element),
+                                 "element text", "0"),
+}
+# str fields of the result records store what a library call computed
+TEXT_EXEMPT = {"BooleanGapForm.kind", "Z3Classification.verdict"}
+
+
+def test_the_text_contract_lists_every_text_parameter():
+    assert not set(TEXT) & TEXT_EXEMPT
+    assert set(TEXT) | TEXT_EXEMPT == annotated_parameters(re.compile(r"str( \| None)?"))
+
+
+@pytest.mark.parametrize("param", TEXT)
+def test_text_contract(param):
+    calls, what, ok = TEXT[param]
+    for call in calls:
+        call(ok)
+        for value in (ok.encode(), None):
+            with pytest.raises(fndecomp.ArgumentError) as info:
+                call(value)
+            assert str(info.value) == f"{what} must be a str, got {type(value).__name__}"
