@@ -2,7 +2,8 @@
 """Round-trip demo of the canonical decompositions over Boolean groups.
 
 Builds every odd-support-determined function for a few (alphabet, arity)
-pairs, recovers the unique phi by forward substitution, confirms the
+pairs, recovers the unique phi, which is extract_phi(f) because every
+admissible probe system is the identity (as the tests check), confirms the
 reconstruction is exact, and reports the rank of the coefficient-free
 ("fitilde") system.
 """

@@ -18,20 +18,16 @@ through its letter counts.  One kernel, ``_class_sum``, evaluates it for one
 count vector by a parity DP over the letters; a reconstruction calls it once
 per count class and broadcasts (``tables.by_letter_counts``).
 
-phi recovery reads the same kernel at the representative tuple of each key,
-with one column per key, and takes the right-hand side from extract_phi(f).
-The row of key S is read at representative_tuple(S, n), which holds only
-letters of S, so every support it meets is a subset T of S: S itself or a
-key before it in phi_domain's (size, mask) order.  The partner T symdiff {0}
-that the even case's second sum reads is no larger than S and, at equal
-size, has the smaller mask, so it is S or comes before it too.  The system
-is therefore lower-triangular, and its diagonal is 1 on every (|A|, n) the
-cell budget admits in each case (tested exhaustively).  Forward substitution
-over Boolean codes, which add by XOR, solves it, and the solution is unique:
-in the uniform case as much as in the odd and even ones.  A row without its
-own bit is an internal-consistency failure, never a user error.  Each
-decomposer rebuilds the table from the phi it returns and raises
-InternalConsistencyError unless that rebuild is f.
+phi is read, not solved.  The defining sum at representative_tuple(S, n),
+which holds only letters of S, reads phi at S and at keys before S in
+phi_domain's (size, mask) order (the even case's second sum at partners
+T symdiff {0}, which come no later).  On every (|A|, n) the cell budget
+admits, in each case, it reads phi at S alone: every probe system is the
+identity, as tests/test_booldecomp.py checks on all 85 of them.  So the
+value of f at the representative of S is phi(S), the unique phi is
+extract_phi(f), and the uniform phi is unique as much as the odd and even
+ones.  Each decomposer rebuilds the table from the phi it returns and
+raises InternalConsistencyError unless that rebuild is f.
 """
 
 from __future__ import annotations
@@ -41,13 +37,7 @@ from math import comb
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group, as_int
 from .minors import pair_scan_limit
-from .oddsupport import (
-    PhiMap,
-    extract_phi,
-    phi_domain,
-    representative_tuple,
-    subset_mask,
-)
+from .oddsupport import PhiMap, extract_phi, phi_domain, subset_mask
 from .tables import FnTable, by_letter_counts, check_cells
 
 
@@ -180,58 +170,17 @@ def reconstruct_uniform(phi: PhiMap) -> FnTable:
 
 
 # ----------------------------------------------------------------------
-# phi recovery by probing at canonical representatives
+# phi recovery: extract_phi, checked by a rebuild
 # ----------------------------------------------------------------------
 
 
-def _probe_rows(a_size: int, n: int, sizes: list[int]) -> list[int]:
-    """The defining sum at the representative tuple of each phi_domain key,
-    as a bitset over the keys: column c stands for key c and for its partner,
-    key c symdiff {0}.
-
-    Every case may share the partner's column, so no flag asks for it: an I
-    whose size has the parity of n reaches only phi_domain keys, so the odd
-    and uniform sums never read a partner; only the even case's second sum
-    does.
-    """
-    keys = phi_domain(a_size, n)
-    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, 1)}
-    rows = []
-    for S in keys:
-        rep = representative_tuple(S, n)
-        rows.append(_class_sum([rep.count(d) for d in range(a_size)], sizes, units))
-    return rows
-
-
-def _unit_lower_rows(a_size: int, n: int, sizes: list[int]) -> list[int]:
-    """The probe rows, each checked to be its own key's bit plus bits of
-    earlier keys (row >> c == 1)."""
-    rows = _probe_rows(a_size, n, sizes)
-    for c, row in enumerate(rows):
-        if row >> c != 1:
-            raise InternalConsistencyError(
-                f"phi probe system is not unit lower-triangular at key {c} of {len(rows)}"
-            )
-    return rows
-
-
-def _solve_for_phi(f: FnTable, sizes: list[int]):
-    """phi entries keyed on phi_domain(f.a_size, f.arity), by forward
-    substitution: the code of key c is the code extract_phi(f) gives it,
-    XOR the codes of the earlier keys its row selects."""
-    given = extract_phi(f)
-    if given is None:
+def _read_phi(f: FnTable) -> PhiMap:
+    """extract_phi(f), keyed on phi_domain(f.a_size, f.arity); a table that
+    is not determined by odd support has no decomposition."""
+    phi = extract_phi(f)
+    if phi is None:
         raise PreconditionError("function is not determined by odd support")
-    keys = phi_domain(f.a_size, f.arity)
-    encode, decode = f.group.encode, f.group.decode
-    codes: list[int] = []
-    for row, S in zip(_unit_lower_rows(f.a_size, f.arity, sizes), keys):
-        code = encode(given.entries[S])
-        for j, earlier in enumerate(codes):
-            if row >> j & 1:
-                code ^= earlier
-        codes.append(code)
-    return {S: decode(code) for S, code in zip(keys, codes)}
+    return phi
 
 
 def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
@@ -244,9 +193,8 @@ def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
 def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f, checked by that rebuild."""
     require_boolean(f.group)
-    t = odd_case_shift(f.a_size, f.arity)
-    entries = _solve_for_phi(f, first_sum_sizes(f.arity, t))
-    phi = PhiMap(f.a_size, f.group, f.arity, entries)
+    odd_case_shift(f.a_size, f.arity)
+    phi = _read_phi(f)
     return _rebuilds(phi, reconstruct_odd(phi), f)
 
 
@@ -254,10 +202,8 @@ def decompose_even(f: FnTable) -> PhiMap:
     """The unique full paired phi with reconstruct_even(phi, f.arity) == f,
     checked by that rebuild."""
     require_boolean(f.group)
-    t = even_case_shift(f.a_size, f.arity)
-    sizes = first_sum_sizes(f.arity, t) + second_sum_sizes(f.arity, t)
-    entries = _solve_for_phi(f, sizes)
-    phi = full_map_from_domain_entries(f.a_size, f.group, entries)
+    even_case_shift(f.a_size, f.arity)
+    phi = full_map_from_domain_entries(f.a_size, f.group, _read_phi(f).entries)
     return _rebuilds(phi, reconstruct_even(phi, f.arity), f)
 
 
@@ -276,13 +222,12 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     rebuild.
 
     It exists for every determined f in the regime n > max(|A|, 3), and it
-    is unique there because the probe system is unit lower-triangular (see
-    uniform_system_rank).
+    is extract_phi(f), unique there, because every admissible probe system
+    is the identity (see the module docstring and uniform_system_rank).
     """
     require_boolean(f.group)
     require_uniform_regime(f.a_size, f.arity)
-    entries = _solve_for_phi(f, uniform_sum_sizes(f.arity))
-    phi = PhiMap(f.a_size, f.group, f.arity, entries)
+    phi = _read_phi(f)
     return _rebuilds(phi, reconstruct_uniform(phi), f)
 
 
@@ -290,11 +235,11 @@ def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
     """(rank, unknowns) of the uniform probe system, in the regime of
     decompose_uniform only (PreconditionError outside it).
 
-    The system is checked to be unit lower-triangular, so its rank is its
-    number of unknowns, one per phi_domain key, and the recovered phi is
-    the only one.
+    Every admissible probe system is the identity, as the tests check, so
+    the rank is the number of unknowns, one per phi_domain key, and the phi
+    that extract_phi reads is the only one.
     """
     a_size, n = check_cells(a_size, n)
     require_uniform_regime(a_size, n)
-    k = len(_unit_lower_rows(a_size, n, uniform_sum_sizes(n)))
+    k = len(phi_domain(a_size, n))
     return k, k

@@ -42,12 +42,33 @@ def binom(n: int, k: int) -> int:
     return comb(n, k) if k <= n else 0
 
 
+def _charge_products(m: int, products: int) -> None:
+    """ResourceError when products of up to m bits each, the size of C(m, j)
+    and of 2^(m-1), would take more than MAX_CELLS bits, before any is built."""
+    if products * m > MAX_CELLS:
+        raise ResourceError(
+            f"identity at m={excerpt_int(m)} would build {excerpt_int(products)} products of "
+            f"{excerpt_int(m)} bits, more than {MAX_CELLS} bits")
+
+
+def _even_products(m: int, t: int) -> int:
+    """m//2 - t products on the left-hand side, t//2 + 1 on the right."""
+    return m // 2 - t + t // 2 + 1
+
+
+def _odd_products(m: int, t: int) -> int:
+    """(m+1)//2 - t products on the left-hand side, one on the right."""
+    return (m + 1) // 2 - t + 1
+
+
 def _check_even_sum_args(m: int, t: int) -> tuple[int, int]:
-    """m and t as plain ints (groups.as_int), with 0 <= t <= m/2 - 1."""
+    """m and t as plain ints (groups.as_int), with 0 <= t <= m/2 - 1 and
+    the products of the row within budget (_charge_products)."""
     m, t = as_int("m", m), as_int("t", t)
     if m < 0 or t < 0 or 2 * t + 2 > m:
         raise ArgumentError(
             f"need 0 <= t <= m/2 - 1, got m={excerpt_int(m)}, t={excerpt_int(t)}")
+    _charge_products(m, _even_products(m, t))
     return m, t
 
 
@@ -63,11 +84,13 @@ def even_sum_rhs(m: int, t: int) -> int:
 
 
 def _check_odd_sum_args(m: int, t: int) -> tuple[int, int]:
-    """m and t as plain ints (groups.as_int), with 0 <= t <= (m-1)/2."""
+    """m and t as plain ints (groups.as_int), with 0 <= t <= (m-1)/2 and
+    the products of the row within budget (_charge_products)."""
     m, t = as_int("m", m), as_int("t", t)
     if m < 1 or t < 0 or 2 * t + 1 > m:
         raise ArgumentError(
             f"need 0 <= t <= (m-1)/2, got m={excerpt_int(m)}, t={excerpt_int(t)}")
+    _charge_products(m, _odd_products(m, t))
     return m, t
 
 
@@ -110,10 +133,8 @@ def _check_row_work(max_m: int) -> int:
         raise ArgumentError(f"max_m must be at least 1, got {excerpt_int(max_m)}")
     count = 0
     for m in range(1, max_m + 1):
-        # even rows: m//2 - t products on the left, t//2 + 1 on the right
-        count += sum(m // 2 - t + t // 2 + 1 for t in range((m - 2) // 2 + 1))
-        # odd rows: (m+1)//2 - t products on the left, one on the right
-        count += sum((m + 1) // 2 - t + 1 for t in range((m - 1) // 2 + 1))
+        count += sum(_even_products(m, t) for t in range((m - 2) // 2 + 1))
+        count += sum(_odd_products(m, t) for t in range((m - 1) // 2 + 1))
         if count > MAX_CELLS:
             raise ResourceError(
                 f"identity rows up to m={excerpt_int(max_m)} would evaluate more than "

@@ -5,9 +5,11 @@ definitions on explicit tuples, so they cross-check the library's optimized
 index arithmetic.  The derivative oracles evaluate each (positions,
 parameters) pair through its own alternating subset sum, which is what the
 library's one-pass finite-difference transform replaces.  The defining-sum
-oracles evaluate the Boolean decomposition sums, their GF(2) probe rows and
-the Z3 gap-2 form one position set (or pair of positions) at a time, at every
-tuple; they pin the library's one letter-count kernel.  The remaining
+oracles evaluate the Boolean decomposition sums, the probe rows by which the
+tests show that every admissible probe system is the identity (so phi is
+extract_phi(f)), and the Z3 gap-2 form one position set (or pair of
+positions) at a time, at every tuple; they pin the library's one
+letter-count kernel.  The remaining
 oracles are the slow enumerations that the library's direct computations
 replace: group arithmetic on codes one entry at a time, through decode,
 Group.add or Group.sub and encode (code_add, code_sub), and with it the
@@ -495,10 +497,10 @@ def pointwise_sum_table(phi: PhiMap, n, sizes) -> FnTable:
 
 
 def pointwise_probe_rows(a_size, n, sizes, pairing) -> list[int]:
-    """Probe rows of the GF(2) system built one position set at a time: the
-    row of key S has bit c flipped once per I of the listed sizes with
-    odd_support(rep|_I) equal to key c (or, with pairing, to key c symdiff
-    {0}), where rep = representative_tuple(S, n)."""
+    """Probe rows built one position set at a time: the row of key S has
+    bit c flipped once per I of the listed sizes with odd_support(rep|_I)
+    equal to key c (or, with pairing, to key c symdiff {0}), where
+    rep = representative_tuple(S, n)."""
     keys = phi_domain(a_size, n)
     col_of = {subset_mask(S): c for c, S in enumerate(keys)}
     rows = []

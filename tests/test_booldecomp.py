@@ -22,12 +22,12 @@ from fndecomp import (
     reconstruct_even,
     reconstruct_odd,
     reconstruct_uniform,
+    representative_tuple,
     table_from_phi,
     uniform_system_rank,
 )
 from fndecomp import booldecomp
 from fndecomp.booldecomp import (
-    _probe_rows,
     first_sum_sizes,
     full_map_from_domain_entries,
     odd_case_shift,
@@ -36,6 +36,7 @@ from fndecomp.booldecomp import (
     uniform_sum_sizes,
 )
 from fndecomp.errors import MAX_CELLS
+from fndecomp.oddsupport import subset_mask
 from helpers import (
     all_phi_assignments,
     phi_preimages_bruteforce,
@@ -149,6 +150,16 @@ def test_reconstructions_match_pointwise_sums_exhaustive():
         assert_reconstructions_match_pointwise_sums(a, n, Z2xZ2, entries)
 
 
+def probe_rows(a, n, sizes):
+    """The defining sum at representative_tuple(S, n) of each phi_domain key
+    S, as a bitset over the keys: key c and its partner, key c symdiff {0},
+    carry the unit code 1 << c."""
+    keys = phi_domain(a, n)
+    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, 1)}
+    reps = [representative_tuple(S, n) for S in keys]
+    return [booldecomp._class_sum([r.count(d) for d in range(a)], sizes, units) for r in reps]
+
+
 def test_probe_rows_match_pointwise_oracle():
     for a in (2, 3, 4):
         for n in range(1, 13):
@@ -162,7 +173,7 @@ def test_probe_rows_match_pointwise_oracle():
                 cases.append((first_sum_sizes(n, t) + second_sum_sizes(n, t), True))
             for sizes, pairing in cases:
                 expected = pointwise_probe_rows(a, n, sizes, pairing)
-                assert _probe_rows(a, n, sizes) == expected, (a, n, sizes)
+                assert probe_rows(a, n, sizes) == expected, (a, n, sizes)
 
 
 def admissible_probe_systems():
@@ -184,53 +195,15 @@ def admissible_probe_systems():
     return out
 
 
-def test_every_admissible_probe_system_is_unit_lower_triangular():
-    # row c is bit c plus bits of earlier keys, so forward substitution
-    # recovers phi and the recovered phi is unique, in every case
+def test_every_admissible_probe_system_is_the_identity():
+    # the sum at the representative of key c reads phi at key c alone, so
+    # phi is extract_phi(f) and the recovered phi is unique, in every case
     systems = admissible_probe_systems()
     assert {case for case, *_ in systems} == {"odd", "even", "uniform"}
+    assert len(systems) == 85
     for case, a, n, sizes in systems:
-        rows = _probe_rows(a, n, sizes)
-        assert len(rows) == len(phi_domain(a, n))
-        assert [row >> c for c, row in enumerate(rows)] == [1] * len(rows), (case, a, n)
-
-
-def test_forward_substitution_solves_unit_lower_triangular_rows(monkeypatch):
-    # the admissible systems have no bit below the diagonal, so rows with
-    # random lower bits exercise the substitution: each row, applied to the
-    # solution, must give back the code extract_phi reads at its key
-    group = Group((2, 2))
-    elements = list(group.elements())
-    keys = phi_domain(3, 6)
-    for seed in range(20):
-        rng = random.Random(seed)
-        rows = [1 << c | rng.getrandbits(c) for c in range(len(keys))]
-        given = PhiMap.on_phi_domain(3, 6, group, {S: rng.choice(elements) for S in keys})
-        monkeypatch.setattr(booldecomp, "_probe_rows", lambda a, n, sizes: rows)
-        entries = booldecomp._solve_for_phi(table_from_phi(given), uniform_sum_sizes(6))
-        codes = [group.encode(entries[S]) for S in keys]
-        for row, S in zip(rows, keys):
-            applied = 0
-            for j, code in enumerate(codes):
-                if row >> j & 1:
-                    applied ^= code
-            assert applied == group.encode(given.entries[S]), (seed, S)
-
-
-@pytest.mark.parametrize("decompose, n", [
-    (decompose_odd, 5), (decompose_even, 4), (decompose_uniform, 5),
-    (lambda f: uniform_system_rank(f.a_size, f.arity), 5),
-], ids=["odd", "even", "uniform", "rank"])
-def test_a_row_without_its_diagonal_bit_is_an_internal_error(monkeypatch, decompose, n):
-    probe = booldecomp._probe_rows
-
-    def dropped(a, n, sizes):
-        rows = probe(a, n, sizes)
-        return [rows[0] ^ 1] + rows[1:]
-
-    monkeypatch.setattr(booldecomp, "_probe_rows", dropped)
-    with pytest.raises(InternalConsistencyError, match="lower-triangular"):
-        decompose(parity(n))
+        rows = probe_rows(a, n, sizes)
+        assert rows == [1 << c for c in range(len(phi_domain(a, n)))], (case, a, n)
 
 
 def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
@@ -247,9 +220,6 @@ def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
         calls.clear()
         reconstruct_uniform(phi)
         assert len(calls) == len(set(calls)) == comb(n + a - 1, a - 1)
-        calls.clear()
-        _probe_rows(a, n, uniform_sum_sizes(n))
-        assert len(calls) == len(phi_domain(a, n))
 
 
 @settings(max_examples=25, deadline=None)
@@ -284,6 +254,23 @@ def test_decomposers_check_their_rebuild(monkeypatch, decompose, rebuild, n):
     wrong = FnTable.constant(2, n, Z2, (0,))
     monkeypatch.setattr(booldecomp, rebuild, lambda *args: wrong)
     with pytest.raises(InternalConsistencyError, match="reconstruction"):
+        decompose(parity(n))
+
+
+@pytest.mark.parametrize("decompose, n", [
+    (decompose_odd, 5), (decompose_even, 4), (decompose_uniform, 5),
+], ids=["odd", "even", "uniform"])
+def test_a_wrong_phi_fails_the_rebuild(monkeypatch, decompose, n):
+    extract = booldecomp.extract_phi
+
+    def flipped(f):
+        phi = extract(f)
+        S = phi_domain(f.a_size, f.arity)[0]
+        return PhiMap(phi.a_size, phi.group, phi.arity,
+                      {**phi.entries, S: (1 - phi.entries[S][0],)})
+
+    monkeypatch.setattr(booldecomp, "extract_phi", flipped)
+    with pytest.raises(InternalConsistencyError, match="does not reproduce the input"):
         decompose(parity(n))
 
 

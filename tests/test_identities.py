@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from fndecomp import ArgumentError, ResourceError, identities
@@ -75,6 +78,26 @@ def test_oracle_guardrails(monkeypatch):
         odd_sum_pair_count_full(13, 0)
     with pytest.raises(ArgumentError):
         odd_sum_lhs(4, 2)
+
+
+def test_one_identity_call_charges_its_product_bits_first():
+    # the widest rows the identities command admits (max_m 340, t = 0) are
+    # answered; past the budget a call is refused before any product is built
+    assert even_sum_lhs(340, 0) == even_sum_rhs(340, 0)
+    assert odd_sum_lhs(340, 0) == odd_sum_rhs(340, 0)
+    for call in (lambda: even_sum_lhs(10**4, 0), lambda: even_sum_rhs(10**12, 0),
+                 lambda: odd_sum_lhs(10**4, 0), lambda: odd_sum_rhs(10**12, 0),
+                 lambda: odd_sum_pair_count(10**12, 0)):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="bits"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 1 << 20
 
 
 def test_parity_corollaries():
