@@ -20,15 +20,18 @@ among them a report that standard output refuses, such as a closed pipe.
 
 Start-up loads only what a command runs.  This module holds what every
 command shares: reading an input and its digest, the report (_emit), the
-parser and main.  Each subcommand's handler is the ``run`` of a module of
-its own, ``cli_<command>``, which no other subcommand compiles.  The
-library modules are the package's lazy modules, each compiled at its first
-attribute access.  main loads those of the named subcommand and then its
-handler (_RUNS), and only then imports argparse and builds the parser, so
-``--help`` compiles none beyond ``errors`` and ``decompose --mode taylor``
-none of the index kernels (``minors``).  ``hashlib`` and ``json`` are
-imported where they are used, so commands that need neither (``--help``,
-``identities`` and ``witness`` without ``--json``) skip them.
+option table (_COMMANDS), its two readers and main.  A well-formed command
+is read by _read_argv, which imports nothing, so it never imports argparse;
+--help, abbreviations and usage errors go through the argparse parser that
+_build_parser builds from the same table.  Each subcommand's handler is the
+``run`` of a module of its own, ``cli_<command>``, which no other subcommand
+compiles.  The library modules are the package's lazy modules, each compiled
+at its first attribute access.  Once main has the command, it loads those of
+the subcommand and then its handler (_RUNS), so ``--help`` compiles none
+beyond ``errors`` and ``decompose --mode taylor`` none of the index kernels
+(``minors``).  ``hashlib`` and ``json`` are imported where they are used, so
+commands that need neither (``--help``, ``identities`` and ``witness``
+without ``--json``) skip them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import types
 from importlib import import_module
 
 from . import groups, oddsupport, packing, tables
@@ -141,7 +145,39 @@ def _print(text: str) -> None:
 # ----------------------------------------------------------------------
 
 
+# Every subcommand's help, its positional argument (name and help, or None)
+# and its options, each (flag, kind, required, help): kind is bool for a
+# switch, int, str for text or the tuple of its choices, and the option's dest
+# is its flag without the dashes, "-" read as "_", as argparse derives it.
+# _build_parser declares them to argparse and _read_argv reads them.
+_TABLE = ("table", "function table file")
+_COMMON = (("--json", bool, False, "emit a JSON report"),
+           ("--meta", bool, False, "attach volatile metadata (timestamps) to the report"))
+_COMMANDS = {
+    "analyze": ("essential variables, gap, symmetry, determination", _TABLE, ()),
+    "decompose": ("additive decompositions of a table", _TABLE, (
+        ("--mode", ("taylor", "odd", "even", "fitilde"), True, None),
+        ("--k", int, False, "target essential arity for --mode taylor"),
+        ("--out", str, False, "write the recovered phi map to this file"))),
+    "classify": ("explicit gap classification of a table", _TABLE, (
+        ("--target", ("boolean", "z3"), True, None),)),
+    "identities": ("verify the two binomial identities", None, (
+        ("--max-m", int, True, None),)),
+    "witness": ("build a non-decomposability witness table", None, (
+        ("--kind", ("tightness", "hamming", "large-alphabet"), True, None),
+        ("--group", str, True, "codomain group spec, e.g. Z3 or Z2xZ4"),
+        ("--b", str, True, "witness element text, e.g. 1 or 1,0"),
+        ("--n", int, False, "arity"),
+        ("--ell", int, False, "tightness: alphabet is {0..ell}"),
+        ("--e", int, False, "tightness: group exponent is 2**e"),
+        ("--a-size", int, False, "large-alphabet: alphabet size"),
+        ("--out", str, True, "where to write the table file"))),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS: the one source of help text and of
+    usage errors, and the reader of every argv that _read_argv declines."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -149,57 +185,76 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze and decompose finite functions valued in finite abelian groups.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--meta", action="store_true",
-                       help="attach volatile metadata (timestamps) to the report")
-
-    p = sub.add_parser("analyze", help="essential variables, gap, symmetry, determination")
-    p.add_argument("table", help="function table file")
-    common(p)
-
-    p = sub.add_parser("decompose", help="additive decompositions of a table")
-    p.add_argument("table", help="function table file")
-    p.add_argument("--mode", required=True, choices=["taylor", "odd", "even", "fitilde"])
-    p.add_argument("--k", type=int, help="target essential arity for --mode taylor")
-    p.add_argument("--out", help="write the recovered phi map to this file")
-    common(p)
-
-    p = sub.add_parser("classify", help="explicit gap classification of a table")
-    p.add_argument("table", help="function table file")
-    p.add_argument("--target", required=True, choices=["boolean", "z3"])
-    common(p)
-
-    p = sub.add_parser("identities", help="verify the two binomial identities")
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    common(p)
-
-    p = sub.add_parser("witness", help="build a non-decomposability witness table")
-    p.add_argument("--kind", required=True, choices=["tightness", "hamming", "large-alphabet"])
-    p.add_argument("--group", required=True, help="codomain group spec, e.g. Z3 or Z2xZ4")
-    p.add_argument("--b", required=True, help="witness element text, e.g. 1 or 1,0")
-    p.add_argument("--n", type=int, help="arity")
-    p.add_argument("--ell", type=int, help="tightness: alphabet is {0..ell}")
-    p.add_argument("--e", type=int, help="tightness: group exponent is 2**e")
-    p.add_argument("--a-size", type=int, dest="a_size", help="large-alphabet: alphabet size")
-    p.add_argument("--out", required=True, help="where to write the table file")
-    common(p)
-
+    for cmd, (summary, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=summary)
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
+        for flag, kind, required, text in options + _COMMON:
+            how = ({"action": "store_true"} if kind is bool else
+                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(flag, required=required, help=text, **how)
     return parser
+
+
+def _read_argv(argv) -> types.SimpleNamespace | None:
+    """The namespace _build_parser().parse_args(argv) returns, read off
+    _COMMANDS without argparse; None wherever argparse could answer
+    otherwise: an unknown subcommand, a word starting with "-" that is not
+    an exact long option of the subcommand (an abbreviation, -h, --, a
+    negative number), a repeated option, a switch given a value, a missing
+    or empty value or one starting with "-", a value that int() or the
+    choices refuse, the wrong number of positionals or a missing required
+    option.  argparse then reads argv, and prints the help or usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positional, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options + _COMMON}
+    values, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        kind = kinds.get(flag)
+        if kind is None or flag in values or kind is bool and eq:
+            return None
+        if kind is bool:
+            value = True
+        else:
+            if not eq:
+                value = next(words, "")
+            if not value or value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+        values[flag] = value
+    names = (positional[0],) if positional else ()
+    if len(positionals) != len(names) or any(
+            required and flag not in values for flag, _, required, _ in options):
+        return None
+    return types.SimpleNamespace(
+        cmd=argv[0], **dict(zip(names, positionals)),
+        **{flag[2:].replace("-", "_"): values.get(flag, False if kind is bool else None)
+           for flag, kind in kinds.items()})
 
 
 # The modules each subcommand, and each decompose mode, runs: the library
 # modules, each after those it imports from this list (a test in
 # tests/test_cli.py reads that order off the imports), then the subcommand's
 # handler, which reaches the modules of a decompose mode as lazy modules and so
-# may come before them.  The package loads its library modules lazily; main
-# loads the modules of every word of argv named here, or of the value of an
-# option written --option=value, before it imports argparse (any attribute
-# access loads a module).  A module compiled after argparse,
-# hashlib or the input stacks its compile memory on top of theirs and raises
-# the command's peak resident set; so does one compiled while a module that
-# imports it runs.  argparse still decides what runs.
+# may come before them.  The package loads its library modules lazily; once
+# main has the namespace of argv, it loads those of args.cmd and, under
+# decompose, of args.mode (any attribute access loads a module), before the
+# handler imports hashlib or json or reads the input.  A module compiled after
+# one of those stacks its compile memory on top of theirs and raises the
+# command's peak resident set; so does one compiled while a module that
+# imports it runs.
 _RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "cli_analyze"),
          "decompose": ("tables", "cli_decompose"),
          "classify": ("tables", "minors", "oddsupport", "classify", "cli_classify"),
@@ -213,12 +268,11 @@ _RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "c
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    for word in argv:
-        if word.startswith("--"):
-            word = word.partition("=")[2]
-        for name in _RUNS.get(word, ()):
-            vars(import_module(f"{__package__}.{name}"))
-    args = _build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
+    for name in _RUNS[args.cmd] + _RUNS.get(getattr(args, "mode", None), ()):
+        vars(import_module(f"{__package__}.{name}"))
     try:
         if args.meta and not args.json:
             raise ArgumentError("--meta requires --json")

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fndecomp import (
     FnTable,
@@ -16,7 +19,7 @@ from fndecomp import (
     load_table_file,
     save_table_file,
 )
-from fndecomp.cli import main
+from fndecomp.cli import _COMMANDS, _COMMON, _build_parser, _read_argv, main
 from fndecomp.classify import Z3Params, z3_build
 
 Z2 = Group((2,))
@@ -901,26 +904,35 @@ LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "booldecomp"
 
 
 def command_modules(argv):
-    """The names loaded when cli.main builds its parser, and when the command
-    argv is done."""
+    """The names loaded when cli.main has read argv without argparse (or
+    found that it cannot), when the command first imports hashlib or json,
+    if it does, and when the command argv is done."""
     return probe_modules(
         "import runpy, fndecomp.cli as cli\n"
-        "build = cli._build_parser\n"
-        "cli._build_parser = lambda: (loaded(), build())[1]\n"
+        "read = cli._read_argv\n"
+        "cli._read_argv = lambda argv: (read(argv), loaded())[0]\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0] in ('hashlib', 'json'):\n"
+        "        loaded()\n"
+        "sys.addaudithook(hook)\n"
         "sys.argv = ['fndecomp', *%r]\n"
         "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["identities", "--max-m", "3"]])
 def test_startup_imports(argv):
-    # each of these costs milliseconds of start-up on every command
+    # each of these costs milliseconds of start-up on every command; only
+    # --help, abbreviations and usage errors go through argparse
     bare = loaded_modules("pass")
     cli = loaded_modules("import fndecomp.cli") - bare
     assert "fndecomp.cli" in cli
     assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert not cli & {f"fndecomp.{name}" for name in LIBRARY}
     command = command_modules(argv)[-1] - bare
-    assert "argparse" in command
+    if argv == ["--help"]:
+        assert "argparse" in command
+    else:
+        assert not command & {"argparse", "gettext", "locale"}
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
 
 
@@ -981,35 +993,139 @@ def startup_argv(tmp_path, argv):
 
 @pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
 def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
-    # without bytecode every module loaded is compiled from source; main
-    # loads a command's modules (cli._RUNS) before it builds the parser
-    at_parser, done = ({name for name in names if name.startswith("fndecomp.")}
-                       for names in command_modules(startup_argv(tmp_path, argv)))
-    assert done == at_parser
+    # without bytecode every module loaded is compiled from source; reading
+    # argv compiles no library module, and main then loads the command's
+    # modules (cli._RUNS) before the handler imports hashlib (to digest the
+    # input) or json
+    at_argv, *at_imports, done = ({name for name in names if name.startswith("fndecomp.")}
+                                  for names in command_modules(startup_argv(tmp_path, argv)))
+    assert at_argv == {"fndecomp.cli", "fndecomp.errors"}
+    assert all(names == done for names in at_imports)
     assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in STARTUP_ROWS.values()], ids=STARTUP_ROWS)
-def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
-    # the "exec" audit event fires as each module's code starts to run, after
-    # it is compiled; at the last module of the command's runs (cli._RUNS)
-    # argparse is not loaded yet, and it is loaded by the end
-    import fndecomp.cli as cli_mod
+ABBREVIATED = ["identities", "--max", "3"]
 
-    argv = startup_argv(tmp_path, argv)
-    words = [word.partition("=")[2] if word.startswith("--") else word for word in argv]
-    runs = [name for word in words for name in cli_mod._RUNS.get(word, ())]
-    last = Path(cli_mod.__file__).with_name(f"{runs[-1] if runs else 'cli'}.py")
-    lines = probe_modules(
-        "import runpy\n"
-        "def hook(event, args):\n"
-        "    if event == 'exec' and getattr(args[0], 'co_filename', None) == %r:\n"
-        "        loaded()\n"
-        "sys.addaudithook(hook)\n"
-        "sys.argv = ['fndecomp', *%r]\n"
-        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (str(last), argv))
-    at_last, done = lines
-    assert "argparse" not in at_last and "argparse" in done
+
+@pytest.mark.parametrize("argv", [*(argv for argv, _ in STARTUP_ROWS.values()), ABBREVIATED],
+                         ids=[*STARTUP_ROWS, "identities-abbreviated"])
+def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
+    # a well-formed command is read without argparse; --help and argv that
+    # only argparse reads, such as an abbreviated option, load it, and the
+    # abbreviated command still compiles the modules of its runs (cli._RUNS)
+    # and no others
+    done = command_modules(startup_argv(tmp_path, argv))[-1]
+    assert ("argparse" in done) == (argv in (["--help"], ABBREVIATED))
+    if argv == ABBREVIATED:
+        _, row = STARTUP_ROWS["identities"]
+        assert {name for name in done if name.startswith("fndecomp.")} == {
+            "fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
+
+
+PARSER = _build_parser()
+# words that are no option of any subcommand, or not of all of them
+STRAY = ["", "x", "-", "--", "-h", "--help", "-1", "--1", "-x", "--nope", "--mode", "--target=z3"]
+TEXT = st.text("ab1Z,= -", min_size=1).filter(lambda text: not text.startswith("-"))
+
+
+def option_values(kind):
+    """Values an option (or, as str, the positional) of this kind accepts, and
+    values it refuses or that only argparse reads (empty, or starting with
+    "-")."""
+    if kind is int:
+        return (st.one_of(st.integers(0, 99).map(str), st.sampled_from([" 7", "+3", "1_0", "007"])),
+                st.sampled_from(["", "x", "1.5", "0x1", "-1", "1__0", "9" * 4301]))
+    if kind is str:
+        return TEXT, st.sampled_from(["", "-", "-x", "-h", "--json", "-1"])
+    return st.sampled_from(kind), st.sampled_from(["", "bogus", kind[0][:2], kind[0].upper()])
+
+
+@st.composite
+def command_argv(draw):
+    """(argv, well_formed): a subcommand of cli._COMMANDS with a positional
+    if it takes one and its options in any order, each written "--opt value"
+    or "--opt=value", then up to two mutations: an abbreviated flag, a
+    repeated or dropped word, argv cut short, an option moved to the end
+    without its value, a stray word, a switch given a value or another
+    subcommand name.  A bad value, positional or option, also makes argv not
+    well formed."""
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    _, positional, options = _COMMANDS[cmd]
+    valued = {flag for flag, kind, _, _ in options if kind is not bool}
+    well_formed = True
+
+    def value(kind):
+        nonlocal well_formed
+        good, bad = option_values(kind)
+        valid = draw(st.integers(0, 4)) > 0
+        well_formed &= valid
+        return draw(good if valid else bad)
+
+    items = [[value(str)]] if positional else []
+    for flag, kind, required, _ in options + _COMMON:
+        if not required and draw(st.booleans()):
+            continue
+        if kind is bool:
+            items.append([flag])
+            continue
+        text = value(kind)
+        items.append(draw(st.sampled_from([[flag, text], [f"{flag}={text}"]])))
+    words = [cmd, *(word for item in draw(st.permutations(items)) for word in item)]
+    for _ in range(draw(st.integers(0, 2))):
+        well_formed = False
+        at = draw(st.integers(1, len(words) - 1)) if len(words) > 1 else None
+        mutation = draw(st.sampled_from(["abbreviate", "repeat", "drop", "cut", "no value",
+                                         "stray", "switch=", "command"]))
+        if mutation == "abbreviate" and at and words[at].startswith("--"):
+            flag, eq, value = words[at].partition("=")
+            words[at] = flag[:draw(st.integers(2, max(2, len(flag) - 1)))] + eq + value
+        elif mutation == "repeat" and at:
+            words.insert(draw(st.integers(1, len(words))), words[at])
+        elif mutation == "drop" and at:
+            del words[at]
+        elif mutation == "cut" and at:
+            del words[at:]
+        elif mutation == "no value" and at and words[at].partition("=")[0] in valued:
+            flag, eq, _ = words[at].partition("=")
+            del words[at:at + (1 if eq else 2)]
+            words.append(flag)
+        elif mutation == "stray":
+            words.insert(draw(st.integers(1, len(words))), draw(st.sampled_from(STRAY)))
+        elif mutation == "switch=":
+            switch = draw(st.sampled_from(["--json", "--meta"]))
+            words = [word for word in words if word != switch]
+            words.insert(draw(st.integers(1, len(words))),
+                         f"{switch}={draw(st.sampled_from(['', '1', 'x']))}")
+        elif mutation == "command":
+            words[0] = draw(st.sampled_from(["", "anal", "Analyze", "-h", "--help", "odd",
+                                             *_COMMANDS]))
+    return words, well_formed
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_argv())
+def test_read_argv_gives_what_argparse_gives_or_declines(case):
+    # argparse is the oracle: the reader answers a well-formed command with
+    # parse_args' namespace, and declines (None) wherever parse_args exits
+    argv, well_formed = case
+    read = _read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(PARSER.parse_args(argv))
+    except SystemExit:
+        assert read is None
+        return
+    assert read is None or vars(read) == parsed
+    assert read is not None or not well_formed
+
+
+def test_read_argv_answers_every_golden_and_startup_command():
+    argvs = [case["argv"] for case in json.loads(GOLDEN.read_text()).values()]
+    argvs += [argv for argv, _ in STARTUP_ROWS.values() if argv != ["--help"]]
+    for argv in argvs:
+        read = _read_argv(argv)
+        assert read is not None and vars(read) == vars(PARSER.parse_args(argv)), argv
+    assert _read_argv(["--help"]) is None and _read_argv(ABBREVIATED) is None
 
 
 def test_cli_run_as_a_script_is_compiled_once():

@@ -1,8 +1,7 @@
 """README.md is the manual and CHANGES.md keeps the measurements: the README
-states no timing or memory figure, and the constants, modules and
-subcommands it names are those of the code."""
+states no timing or memory figure, and the constants, modules,
+subcommands and options it names are those of the code."""
 
-import argparse
 import re
 from pathlib import Path
 
@@ -46,8 +45,7 @@ def test_readme_matches_the_code():
     for name in fndecomp._EXPORTS:
         assert f"`fndecomp.{name}`" in README, name
 
-    parser = cli._build_parser()
-    (commands,) = [action.choices for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    for command in commands:
+    for command, (_, _, options) in cli._COMMANDS.items():
         assert f"fndecomp {command}" in README, command
+        for flag, _, _, _ in options + cli._COMMON:
+            assert re.search(re.escape(flag) + r"(?![\w-])", README), (command, flag)
