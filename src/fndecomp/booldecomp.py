@@ -14,35 +14,29 @@ For a Boolean codomain (every factor Z2) and n = arity, |A| = alphabet size:
   phi_domain(|A|, n).
 
 Every defining sum is symmetric in the positions, so it depends on x only
-through its letter counts.  One kernel, ``_class_sum``, evaluates it for one
-count vector by a parity DP over the letters; a reconstruction calls it once
-per count class and broadcasts (``tables.by_letter_counts``).
-
-phi is read, not solved.  The defining sum at representative_tuple(S, n),
-which holds only letters of S, reads phi at S and at keys before S in
-phi_domain's (size, mask) order (the even case's second sum at partners
-T symdiff {0}, which come no later).  On every (|A|, n) the cell budget
-admits, in each case, it reads phi at S alone: every probe system is the
-identity, as tests/test_booldecomp.py checks on all 85 of them.  So the
-value of f at the representative of S is phi(S), the unique phi is
-extract_phi(f), and the uniform phi is unique as much as the odd and even
-ones.  Each decomposer rebuilds the table from the phi it returns and
-raises InternalConsistencyError unless that rebuild is f.
+through its letter counts.  On every (|A|, n) the cell budget admits, in
+each case, the sum at every count class reads phi at odd_support(x) alone:
+tests/test_booldecomp.py checks all 85 such systems class by class, with a
+unit code per key.  So each defining sum is x -> phi(odd_support(x)), the
+table ``table_from_phi`` builds, and each reconstruction returns that table
+after its checks (in the even case, of phi restricted to phi_domain(|A|, n)).
+In particular f at representative_tuple(S, n) is phi(S): phi is read, not
+solved, and the unique phi, in the uniform case too, is extract_phi(f).
+Each decomposer rebuilds the table from the phi it returns and raises
+InternalConsistencyError unless that rebuild is f.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group, as_int
 from .minors import pair_scan_limit
-from .oddsupport import PhiMap, extract_phi, phi_domain, subset_mask
-from .tables import FnTable, by_letter_counts, check_cells
+from .oddsupport import PhiMap, extract_phi, phi_domain, table_from_phi
+from .tables import FnTable, check_cells
 
 
 # ----------------------------------------------------------------------
-# case structure: which subset sizes carry an odd coefficient
+# case structure: the regime of each decomposition
 # ----------------------------------------------------------------------
 
 
@@ -64,21 +58,6 @@ def even_case_shift(a_size: int, n: int) -> int:
     return d // 2
 
 
-def first_sum_sizes(n: int, t: int) -> list[int]:
-    """Sizes n-2i (i in [t+1, n//2]) whose coefficient C(i-1, t) is odd."""
-    return [n - 2 * i for i in range(t + 1, n // 2 + 1) if comb(i - 1, t) & 1]
-
-
-def second_sum_sizes(n: int, t: int) -> list[int]:
-    """Sizes n-2k+1 (k in [t+1, (n+1)//2]) whose coefficient C(2k-1, 2t) is odd."""
-    return [n - 2 * k + 1 for k in range(t + 1, (n + 1) // 2 + 1) if comb(2 * k - 1, 2 * t) & 1]
-
-
-def uniform_sum_sizes(n: int) -> list[int]:
-    """Sizes n-2i for i in [1, n//2]; every coefficient is 1."""
-    return [n - 2 * i for i in range(1, n // 2 + 1)]
-
-
 def require_uniform_regime(a_size: int, n: int) -> None:
     """The regime n > max(|A|, 3) of decompose_uniform."""
     limit = pair_scan_limit(a_size)
@@ -97,76 +76,38 @@ def require_boolean(group: Group) -> None:
 
 
 # ----------------------------------------------------------------------
-# evaluation of the defining sums
+# the defining sums, each the table of phi through odd support
 # ----------------------------------------------------------------------
 
 
-def _class_sum(counts: list[int], sizes: list[int], codes: dict[int, int]) -> int:
-    """XOR of codes[odd_support(x|_I)] over all I of the listed sizes, for any
-    x whose letter d occurs counts[d] times.
-
-    Taking j of the k positions that hold letter d puts d in the support when
-    j is odd, in C(k, j) ways, and C(k, j) is odd iff j & k == j (Lucas).
-    polys[mask] holds, as bit s, the parity of the number of sets I of size s
-    over the letters done so far whose support is mask.
-    """
-    polys = {0: 1}
-    for d, k in enumerate(counts):
-        steps = [(j, (j & 1) << d) for j in range(k + 1) if j & k == j]
-        grown: dict[int, int] = {}
-        for mask, poly in polys.items():
-            for j, bit in steps:
-                grown[mask ^ bit] = grown.get(mask ^ bit, 0) ^ poly << j
-        polys = grown
-    size_bits = sum(1 << s for s in sizes)
-    acc = 0
-    for mask, poly in polys.items():
-        if (poly & size_bits).bit_count() & 1:
-            code = codes.get(mask)
-            if code is None:
-                raise InternalConsistencyError("support value outside the phi domain")
-            acc ^= code
-    return acc
-
-
-def _sum_table(phi: PhiMap, n: int, sizes: list[int]) -> FnTable:
-    """XOR of phi(odd_support(x|_I)) over all I of the listed sizes, at every x.
-
-    Boolean codes are bitmasks over the factors, so group addition is XOR.
-    """
-    encode = phi.group.encode
-    codes = {subset_mask(S): encode(v) for S, v in phi.entries.items()}
-    vals = by_letter_counts(phi.a_size, n, lambda counts: _class_sum(counts, sizes, codes))
-    return FnTable(phi.a_size, n, phi.group, vals)
-
-
 def reconstruct_odd(phi: PhiMap) -> FnTable:
-    """Evaluate the odd-case decomposition sum for a phi_domain-keyed map."""
+    """The odd-case decomposition sum of a phi_domain-keyed map."""
     if phi.arity is None:
         raise ArgumentError("odd-case reconstruction needs a pnprime phi map")
     require_boolean(phi.group)
-    n = phi.arity
-    t = odd_case_shift(phi.a_size, n)
-    return _sum_table(phi, n, first_sum_sizes(n, t))
+    odd_case_shift(phi.a_size, phi.arity)
+    return table_from_phi(phi)
 
 
 def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
-    """Evaluate the even-case decomposition sum for a full paired map."""
+    """The even-case decomposition sum of a full paired map at arity n."""
     if phi.arity is not None:
         raise ArgumentError("even-case reconstruction needs a full paired phi map")
     require_boolean(phi.group)
     n = as_int("arity", n)
-    t = even_case_shift(phi.a_size, n)
-    sizes = first_sum_sizes(n, t) + second_sum_sizes(n, t)
-    return _sum_table(phi, n, sizes)
+    even_case_shift(phi.a_size, n)
+    check_cells(phi.a_size, n)
+    return table_from_phi(PhiMap.on_phi_domain(phi.a_size, n, phi.group, phi.value))
 
 
 def reconstruct_uniform(phi: PhiMap) -> FnTable:
-    """Evaluate the coefficient-free sum over sizes n-2, n-4, ..."""
+    """The coefficient-free sum over sizes n-2, n-4, ..., in the regime
+    n > max(|A|, 3) of decompose_uniform only (PreconditionError outside it)."""
     if phi.arity is None:
         raise ArgumentError("uniform reconstruction needs a pnprime phi map")
     require_boolean(phi.group)
-    return _sum_table(phi, phi.arity, uniform_sum_sizes(phi.arity))
+    require_uniform_regime(phi.a_size, phi.arity)
+    return table_from_phi(phi)
 
 
 # ----------------------------------------------------------------------

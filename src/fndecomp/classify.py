@@ -36,9 +36,10 @@ gap is ``minors.restriction_gap(g)``, the decision ``arity_gap`` makes, and a
 gap-2 g of arity >= 4 gets its parameters from phi read at representative
 cells followed by one linear inverse, so they describe g.  A gap-2 g of
 arity 2 or 3 has no parameters.  The certificate ``z3_build`` rebuilds the
-table from the parameters alone; the form is symmetric in the positions, so
-it is evaluated once per letter-count class and broadcast, without phi or
-the link.
+table from the parameters as ``table_from_phi`` of their link image.  The
+form is symmetric in the positions, and the tests check, at every
+letter-count class of every arity n = 4..13 the cell budget admits and for
+all 81 quadruples, that it is that table.
 
 Each classifier checks its verdict before it returns it and raises
 InternalConsistencyError when the check fails.  Both check a gap from its
@@ -52,7 +53,6 @@ each classify command runs the odd-support slice test at most once.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt_int
 from .groups import Group, as_int, below
@@ -67,7 +67,7 @@ from .minors import (
 )
 from .oddsupport import PhiMap, _phi_at_representatives, table_from_phi
 from .records import Record
-from .tables import FnTable, by_letter_counts
+from .tables import FnTable
 
 Z3 = Group((3,))
 
@@ -202,42 +202,15 @@ class Z3Classification(Record):
         self.__dict__.update(verdict=verdict, params=params)
 
 
-def _singleton_value(mask: int) -> int:
-    if mask not in (1, 2, 4):
-        raise InternalConsistencyError(
-            f"symmetric-difference fold left a non-singleton mask {mask:#05b}"
-        )
-    return mask.bit_length() - 1
-
-
 def z3_build(n: int, params: Z3Params) -> FnTable:
-    """The parameterized gap-2 form on Z3^n, evaluated once per letter-count
-    class: with k_u copies of letter u, the unary term of u appears k_u times,
-    the pair (u, u) C(k_u, 2) times and the pair (u, v) k_u * k_v times, and
-    only the parity of each count survives the symmetric-difference fold."""
+    """The parameterized gap-2 form on Z3^n: the table of its link image
+    phi_values_for_params(n, params) through odd support.  The form equals
+    that table at every letter-count class of every arity the cell budget
+    admits, for all 81 quadruples, as the tests check class by class."""
     n = as_int("arity", n)
     if n < 4:
         raise ArgumentError(f"classification form needs arity >= 4, got {excerpt_int(n)}")
-    a, b, c, d = params.as_tuple()
-    p = [(a * u * u + b * u + c) % 3 for u in range(3)]
-    pair = [[((u - v) ** 2 * p[(u + v) % 3] + d) % 3 for v in range(3)] for u in range(3)]
-    unary = [(p[u] + d) % 3 for u in range(3)]
-    use_unary = n % 2 == 1
-    base_mask = 1 << d if n % 4 in (0, 3) else 0
-
-    def form(counts: list[int]) -> int:
-        mask = base_mask
-        for u, k in enumerate(counts):
-            if use_unary and k & 1:
-                mask ^= 1 << unary[u]
-            if comb(k, 2) & 1:
-                mask ^= 1 << pair[u][u]
-            for v in range(u + 1, 3):
-                if k * counts[v] & 1:
-                    mask ^= 1 << pair[u][v]
-        return _singleton_value(mask)
-
-    return FnTable(3, n, Z3, by_letter_counts(3, n, form))
+    return table_from_phi(PhiMap.on_phi_domain(3, n, Z3, phi_values_for_params(n, params)))
 
 
 def check_z3_table(a_size: int, arity: int, group: Group) -> None:

@@ -10,8 +10,10 @@ Whether a table is determined is decided in one place,
 ``extract_phi`` then reads phi at one representative cell per key.  The way
 back, ``table_from_phi``, maps the XOR fold of ``1 << x[t]`` (the mask of
 odd_support(x)) through the phi codes, so a rebuild checks determination
-from the definition without the slice test.  The one cache, ``phi_domain``'s,
-holds the keys of at most 8 (alphabet, arity) pairs.
+from the definition without the slice test.  It is the one builder of a
+determined table: the Boolean reconstructions and ``classify.z3_build``
+return it.  The one cache, ``phi_domain``'s, holds the keys of at most 8
+(alphabet, arity) pairs.
 
 ``analyze`` gives every verdict of ``fndecomp analyze``, read off the
 restriction to the essential variables.  It reaches ``calculus`` as an
@@ -34,7 +36,6 @@ from .errors import (
     CoverageError,
     DomainError,
     ParseError,
-    PreconditionError,
     ResourceError,
     excerpt,
     excerpt_int,
@@ -178,9 +179,12 @@ class PhiMap(Record):
         group: Group,
         assign: Mapping[Subset, Element] | Callable[[Subset], Element],
     ) -> "PhiMap":
-        getter = assign.__getitem__ if isinstance(assign, Mapping) else assign
-        entries = {S: getter(S) for S in phi_domain(a_size, n)}
-        return cls(a_size, group, n, entries)
+        """The pnprime map of arity n whose entries are assign: a Mapping,
+        whose keys must be phi_domain(a_size, n) (ArgumentError otherwise),
+        or a function called once per key."""
+        if isinstance(assign, Mapping):
+            return cls(a_size, group, n, assign)
+        return cls(a_size, group, n, {S: assign(S) for S in phi_domain(a_size, n)})
 
     def value(self, S: Iterable[int]) -> Element:
         key = frozenset(S)
@@ -212,24 +216,21 @@ def table_from_phi(phi: PhiMap) -> FnTable:
 def extract_phi(f: FnTable) -> PhiMap | None:
     """The phi map witnessing that f is determined by odd support, else None.
 
-    The verdict is determined_via_symmetry; phi is then read by
-    _phi_at_representatives.  The per-cell masks a rebuild would take are
-    charged against the budget first, so a table too wide for table_from_phi
-    is refused here too.
+    The verdict is determined_via_symmetry (PreconditionError at arity 0);
+    phi is then read by _phi_at_representatives.
     """
-    if f.arity < 1:
-        raise PreconditionError("odd-support determination needs arity >= 1")
-    a, n = f.a_size, f.arity
-    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
     return _phi_at_representatives(f) if determined_via_symmetry(f) else None
 
 
 def _phi_at_representatives(f: FnTable) -> PhiMap:
     """phi(S) = f(representative_tuple(S, n)), one cell per key of
     phi_domain(|A|, n), n >= 1: the phi map of f when f is determined by odd
-    support, which is not tested here."""
-    n = f.arity
-    return PhiMap.on_phi_domain(f.a_size, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
+    support, which is not tested here.  The per-cell masks a rebuild from it
+    would take are charged against the budget first, so a table too wide
+    for table_from_phi is refused wherever phi is read."""
+    a, n = f.a_size, f.arity
+    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
 
 
 class Analysis(Record):
@@ -252,10 +253,10 @@ def analyze(f: FnTable) -> Analysis:
 
     f is totally symmetric exactly when it has no essential variable, or all
     are essential (g is f) and g is symmetric.  Determination by odd support
-    implies symmetry, so phi is extracted in those two cases only; the masks
-    it would take are charged against the budget in every case, as
-    extract_phi charges them.  The gap is minors.restriction_gap of g, which
-    above the pair-scan limit is 2 exactly when g is determined: there, with
+    implies symmetry, so phi is extracted in those two cases only, and the
+    masks a rebuild from it would take are charged against the budget only
+    where it is read.  The gap is minors.restriction_gap of g, which above
+    the pair-scan limit is 2 exactly when g is determined: there, with
     every variable essential, phi is read at representative cells when the
     gap is 2, so the slice test runs once.  A derivative at 0 on a set
     holding an inessential position vanishes, so f and g have the same
@@ -263,8 +264,6 @@ def analyze(f: FnTable) -> Analysis:
     """
     ess, g = essential_restriction(f)
     a, n, m = f.a_size, f.arity, g.arity
-    if n >= 1:
-        _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
     gap = restriction_gap(g) if m >= 2 else None
     if m == n > pair_scan_limit(a):
         phi = _phi_at_representatives(g) if gap == 2 else None

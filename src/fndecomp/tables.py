@@ -11,11 +11,10 @@ holds the table, the index helpers and the text file format; the kernels on
 essential variables, minors and the arity gap are in ``minors``.
 
 ``axis_fold`` is the one place where a map given per coordinate becomes a
-list per table index: general minors and the odd-support maps are built on
-it.  ``by_letter_counts`` folds the letter counts of each x into one class
-key on ``axis_fold`` and evaluates a symmetric function once per class: the
-Boolean decomposition sums and the Z3 gap-2 form are broadcast from there.
-``_support_sizes`` lists the number of nonzero digits per index by a byte
+list per table index: general minors and the odd-support masks of
+``oddsupport.table_from_phi``, which builds every determined table (the
+Boolean decomposition sums and the Z3 gap-2 form among them), are built on
+it.  ``_support_sizes`` lists the number of nonzero digits per index by a byte
 broadcast, which was measured faster than the fold for the calculus kernel
 and serves the identities' subset walk too.
 """
@@ -75,22 +74,6 @@ def axis_fold(axes: Sequence[Sequence[int]], op=add) -> list:
         # the new coordinate varies slowest: one copy of out per digit
         out = [op(o, d) for d in axis for o in out]
     return out
-
-
-def by_letter_counts(a_size: int, arity: int, fn: Callable[[list[int]], int]) -> list:
-    """fn(counts) for every x, in table-index order, where counts[d] is how
-    often letter d occurs in x; fn is called once per distinct count vector."""
-    check_cells(a_size, arity)
-    base = arity + 1
-    # letter 0 takes no digit (its count is arity minus the others): with at
-    # most three letters every key within MAX_CELLS stays below 257, so the
-    # key list holds CPython's shared small ints, not one new int per cell
-    keys = axis_fold([[0] + [base**d for d in range(a_size - 1)]] * arity)
-    value = {}
-    for key in dict.fromkeys(keys):
-        counts = [key // base**d % base for d in range(a_size - 1)]
-        value[key] = fn([arity - sum(counts)] + counts)
-    return list(map(value.__getitem__, keys))
 
 
 def _support_sizes(a_size: int, arity: int) -> bytes:

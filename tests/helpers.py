@@ -5,11 +5,15 @@ definitions on explicit tuples, so they cross-check the library's optimized
 index arithmetic.  The derivative oracles evaluate each (positions,
 parameters) pair through its own alternating subset sum, which is what the
 library's one-pass finite-difference transform replaces.  The defining-sum
-oracles evaluate the Boolean decomposition sums, the probe rows by which the
-tests show that every admissible probe system is the identity (so phi is
-extract_phi(f)), and the Z3 gap-2 form one position set (or pair of
-positions) at a time, at every tuple; they pin the library's one
-letter-count kernel.  The remaining
+oracles evaluate the Boolean decomposition sums, the probe rows at the
+representative tuples, and the Z3 gap-2 form one position set (or pair of
+positions) at a time, at every tuple.  They pin the count-class oracles: a
+parity DP over the letters that evaluates a defining sum once per
+letter-count class (class_sum, with the size lists of each case), and the Z3
+form as a function of the letter counts.  On those, the tests prove class by
+class, over every size the cell budget admits, that each defining sum and
+the Z3 form is the table of phi through odd support, which the library
+builds with table_from_phi (so phi is extract_phi(f)).  The remaining
 oracles are the slow enumerations that the library's direct computations
 replace: group arithmetic on codes one entry at a time, through decode,
 Group.add or Group.sub and encode (code_add, code_sub), and with it the
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from operator import itemgetter, xor
 
 from fndecomp import (
@@ -545,6 +550,116 @@ def pointwise_z3_build(n, params: Z3Params) -> FnTable:
         assert mask in (1, 2, 4), "the fold left a non-singleton mask"
         vals.append(mask.bit_length() - 1)
     return FnTable(3, n, Group((3,)), tuple(vals))
+
+
+# ----------------------------------------------------------------------
+# count-class oracles: the defining sums and the Z3 form once per class
+# ----------------------------------------------------------------------
+
+
+def first_sum_sizes(n, t) -> list[int]:
+    """Sizes n-2i (i in [t+1, n//2]) whose coefficient C(i-1, t) is odd."""
+    return [n - 2 * i for i in range(t + 1, n // 2 + 1) if comb(i - 1, t) & 1]
+
+
+def second_sum_sizes(n, t) -> list[int]:
+    """Sizes n-2k+1 (k in [t+1, (n+1)//2]) whose coefficient C(2k-1, 2t) is odd."""
+    return [n - 2 * k + 1 for k in range(t + 1, (n + 1) // 2 + 1) if comb(2 * k - 1, 2 * t) & 1]
+
+
+def uniform_sum_sizes(n) -> list[int]:
+    """Sizes n-2i for i in [1, n//2]; every coefficient is 1."""
+    return [n - 2 * i for i in range(1, n // 2 + 1)]
+
+
+def sum_sizes(case, a_size, n) -> list[int]:
+    """The sizes of the defining sum of case "odd", "even" or "uniform" at
+    (a_size, n); the odd and even cases check their regime."""
+    if case == "uniform":
+        return uniform_sum_sizes(n)
+    if case == "odd":
+        return first_sum_sizes(n, odd_case_shift(a_size, n))
+    t = even_case_shift(a_size, n)
+    return first_sum_sizes(n, t) + second_sum_sizes(n, t)
+
+
+def count_classes(a_size, n):
+    """Every letter-count vector of the n-tuples over a_size letters (counts[d]
+    is how often letter d occurs), by stars and bars: C(n+a_size-1, a_size-1)."""
+    for bars in combinations(range(n + a_size - 1), a_size - 1):
+        edges = (-1, *bars, n + a_size - 1)
+        yield tuple(edges[d + 1] - edges[d] - 1 for d in range(a_size))
+
+
+def class_sum(counts, sizes, codes: dict[int, int]) -> int:
+    """XOR of codes[odd_support(x|_I)] over all I of the listed sizes, for any
+    x whose letter d occurs counts[d] times.
+
+    Taking j of the k positions that hold letter d puts d in the support when
+    j is odd, in C(k, j) ways, and C(k, j) is odd iff j & k == j (Lucas).
+    polys[mask] holds, as bit s, the parity of the number of sets I of size s
+    over the letters done so far whose support is mask.
+    """
+    polys = {0: 1}
+    for d, k in enumerate(counts):
+        steps = [(j, (j & 1) << d) for j in range(k + 1) if j & k == j]
+        grown: dict[int, int] = {}
+        for mask, poly in polys.items():
+            for j, bit in steps:
+                grown[mask ^ bit] = grown.get(mask ^ bit, 0) ^ poly << j
+        polys = grown
+    size_bits = sum(1 << s for s in sizes)
+    acc = 0
+    for mask, poly in polys.items():
+        if (poly & size_bits).bit_count() & 1:
+            code = codes.get(mask)
+            if code is None:
+                raise InternalConsistencyError("support value outside the phi domain")
+            acc ^= code
+    return acc
+
+
+def class_sum_values(phi: PhiMap, n, sizes) -> tuple[int, ...]:
+    """class_sum at the letter counts of every n-tuple, in table-index order,
+    with phi's codes: one DP per class, looked up at each tuple."""
+    a = phi.a_size
+    codes = {subset_mask(S): phi.group.encode(v) for S, v in phi.entries.items()}
+    value: dict[tuple[int, ...], int] = {}
+    out = []
+    for x in iter_tuples(a, n):
+        counts = tuple(x.count(d) for d in range(a))
+        if counts not in value:
+            value[counts] = class_sum(counts, sizes, codes)
+        out.append(value[counts])
+    return tuple(out)
+
+
+def z3_class_form(n, params: Z3Params):
+    """The parameterized Z3 gap-2 form as a function of the letter counts:
+    with k_u copies of letter u, the unary term of u appears k_u times, the
+    pair (u, u) C(k_u, 2) times and the pair (u, v) k_u * k_v times, and only
+    the parity of each count survives the symmetric-difference fold."""
+    a, b, c, d = params.as_tuple()
+    p = [(a * u * u + b * u + c) % 3 for u in range(3)]
+    pair = [[((u - v) ** 2 * p[(u + v) % 3] + d) % 3 for v in range(3)] for u in range(3)]
+    unary = [(p[u] + d) % 3 for u in range(3)]
+    use_unary = n % 2 == 1
+    base_mask = 1 << d if n % 4 in (0, 3) else 0
+
+    def form(counts) -> int:
+        mask = base_mask
+        for u, k in enumerate(counts):
+            if use_unary and k & 1:
+                mask ^= 1 << unary[u]
+            if comb(k, 2) & 1:
+                mask ^= 1 << pair[u][u]
+            for v in range(u + 1, 3):
+                if k * counts[v] & 1:
+                    mask ^= 1 << pair[u][v]
+        assert mask in (1, 2, 4), "the fold left a non-singleton mask"
+        return mask.bit_length() - 1
+
+    return form
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,10 @@ essential arity up to 3 and under hypothesis above that.
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndecomp import FnTable, Group, PhiMap, analyze, table_from_phi
+from fndecomp import FnTable, Group, PhiMap, ResourceError, analyze, oddsupport, table_from_phi
 from fndecomp.minors import essential_restriction
 from helpers import (
     five_call_analysis,
@@ -130,3 +131,19 @@ def test_analyze_runs_one_slice_test(monkeypatch):
         assert calls == [8]
         assert result.gap == gap and (result.phi is not None) == (gap == 2)
         assert result == five_call_analysis(f)
+
+
+def test_analyze_charges_the_masks_only_where_it_reads_phi(monkeypatch):
+    # 3**4 cells take 81 mask words, over a budget of 80: a rebuild from phi
+    # would not fit, so a table whose phi analyze reads is refused, through
+    # the representative cells of g or through extract_phi, but a table that
+    # is not symmetric has no phi to read and is answered
+    determined = table_from_phi(PhiMap.on_phi_domain(3, 4, Z3, lambda S: (len(S) % 3,)))
+    constant = FnTable.constant(3, 4, Z3, (1,))
+    asymmetric = random_table(random.Random(13), 3, 4, Z3)
+    expected = five_call_analysis(asymmetric)
+    monkeypatch.setattr(oddsupport, "MAX_CELLS", 80)
+    assert analyze(asymmetric) == expected and not expected.totally_symmetric
+    for f in (determined, constant):
+        with pytest.raises(ResourceError, match="odd-support masks of 3\\*\\*4 cells"):
+            analyze(f)

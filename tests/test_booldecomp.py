@@ -1,6 +1,5 @@
 import random
 import time
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,20 +27,24 @@ from fndecomp import (
 )
 from fndecomp import booldecomp
 from fndecomp.booldecomp import (
-    first_sum_sizes,
     full_map_from_domain_entries,
     odd_case_shift,
     even_case_shift,
-    second_sum_sizes,
-    uniform_sum_sizes,
 )
 from fndecomp.errors import MAX_CELLS
 from fndecomp.oddsupport import subset_mask
 from helpers import (
     all_phi_assignments,
+    class_sum,
+    class_sum_values,
+    count_classes,
+    first_sum_sizes,
     phi_preimages_bruteforce,
     pointwise_probe_rows,
     pointwise_sum_table,
+    second_sum_sizes,
+    sum_sizes,
+    uniform_sum_sizes,
 )
 
 Z2 = Group((2,))
@@ -66,7 +69,8 @@ def test_case_shift_preconditions():
 
 
 def test_sum_size_structure():
-    # only sizes whose binomial coefficient is odd survive
+    # the oracle's size lists: only sizes whose binomial coefficient is odd
+    # survive
     assert first_sum_sizes(5, 1) == [1]
     assert first_sum_sizes(4, 0) == [2, 0]
     assert first_sum_sizes(6, 1) == [2]
@@ -123,18 +127,21 @@ def test_even_round_trip_exhaustive():
 
 
 def assert_reconstructions_match_pointwise_sums(a, n, group, entries):
-    """Every reconstruction that applies at (a, n) equals the defining sum
-    evaluated one tuple at a time."""
+    """Every reconstruction that applies at (a, n), and the count-class DP of
+    its defining sum, equal that sum evaluated one tuple at a time."""
     phi = PhiMap.on_phi_domain(a, n, group, entries)
     if (n - a) % 2 == 1:
-        sizes = first_sum_sizes(n, odd_case_shift(a, n))
-        assert reconstruct_odd(phi) == pointwise_sum_table(phi, n, sizes)
+        cases = [("odd", phi, reconstruct_odd(phi))]
     else:
-        t = even_case_shift(a, n)
         full = full_map_from_domain_entries(a, group, entries)
-        sizes = first_sum_sizes(n, t) + second_sum_sizes(n, t)
-        assert reconstruct_even(full, n) == pointwise_sum_table(full, n, sizes)
-    assert reconstruct_uniform(phi) == pointwise_sum_table(phi, n, uniform_sum_sizes(n))
+        cases = [("even", full, reconstruct_even(full, n))]
+    if n > max(a, 3):
+        cases.append(("uniform", phi, reconstruct_uniform(phi)))
+    for case, psi, rebuilt in cases:
+        sizes = sum_sizes(case, a, n)
+        expected = pointwise_sum_table(psi, n, sizes)
+        assert rebuilt == expected, (case, a, n)
+        assert class_sum_values(psi, n, sizes) == expected.values, (case, a, n)
 
 
 def test_reconstructions_match_pointwise_sums_exhaustive():
@@ -150,14 +157,22 @@ def test_reconstructions_match_pointwise_sums_exhaustive():
         assert_reconstructions_match_pointwise_sums(a, n, Z2xZ2, entries)
 
 
-def probe_rows(a, n, sizes):
+def unit_codes(case, a, n):
+    """Key c of phi_domain(a, n) carries the unit code 1 << c, and in the even
+    case so does its partner, key c symdiff {0}, which the full map pairs
+    with it."""
+    flips = (0, 1) if case == "even" else (0,)
+    return {subset_mask(S) ^ flip: 1 << c
+            for c, S in enumerate(phi_domain(a, n)) for flip in flips}
+
+
+def probe_rows(case, a, n):
     """The defining sum at representative_tuple(S, n) of each phi_domain key
-    S, as a bitset over the keys: key c and its partner, key c symdiff {0},
-    carry the unit code 1 << c."""
-    keys = phi_domain(a, n)
-    units = {subset_mask(S) ^ flip: 1 << c for c, S in enumerate(keys) for flip in (0, 1)}
-    reps = [representative_tuple(S, n) for S in keys]
-    return [booldecomp._class_sum([r.count(d) for d in range(a)], sizes, units) for r in reps]
+    S, as a bitset over the keys (unit_codes)."""
+    units = unit_codes(case, a, n)
+    reps = [representative_tuple(S, n) for S in phi_domain(a, n)]
+    return [class_sum([r.count(d) for d in range(a)], sum_sizes(case, a, n), units)
+            for r in reps]
 
 
 def test_probe_rows_match_pointwise_oracle():
@@ -165,61 +180,47 @@ def test_probe_rows_match_pointwise_oracle():
         for n in range(1, 13):
             if a**n > 1 << 12:
                 break
-            cases = [(uniform_sum_sizes(n), False)]
-            if n - a > 0 and (n - a) % 2 == 1:
-                cases.append((first_sum_sizes(n, odd_case_shift(a, n)), False))
-            if n - a > 0 and (n - a) % 2 == 0:
-                t = even_case_shift(a, n)
-                cases.append((first_sum_sizes(n, t) + second_sum_sizes(n, t), True))
-            for sizes, pairing in cases:
-                expected = pointwise_probe_rows(a, n, sizes, pairing)
-                assert probe_rows(a, n, sizes) == expected, (a, n, sizes)
+            cases = ["uniform"]
+            if n - a > 0:
+                cases.append("odd" if (n - a) % 2 else "even")
+            for case in cases:
+                expected = pointwise_probe_rows(a, n, sum_sizes(case, a, n), case == "even")
+                assert probe_rows(case, a, n) == expected, (case, a, n)
 
 
 def admissible_probe_systems():
-    """(case, a, n, sizes) for every probe system the cell budget admits: each
-    case's regime at every (a, n) with a**n <= MAX_CELLS."""
+    """(case, a, n) for every probe system the cell budget admits: each case's
+    regime at every (a, n) with a**n <= MAX_CELLS."""
     out = []
     for a in range(2, MAX_CELLS.bit_length()):
         for n in range(1, MAX_CELLS.bit_length()):
             if a**n > MAX_CELLS:
                 break
-            d = n - a
-            if d > 0 and d % 2:
-                out.append(("odd", a, n, first_sum_sizes(n, odd_case_shift(a, n))))
-            if d > 0 and d % 2 == 0:
-                t = even_case_shift(a, n)
-                out.append(("even", a, n, first_sum_sizes(n, t) + second_sum_sizes(n, t)))
+            if n > a:
+                out.append(("odd" if (n - a) % 2 else "even", a, n))
             if n > max(a, 3):
-                out.append(("uniform", a, n, uniform_sum_sizes(n)))
+                out.append(("uniform", a, n))
     return out
 
 
 def test_every_admissible_probe_system_is_the_identity():
-    # the sum at the representative of key c reads phi at key c alone, so
-    # phi is extract_phi(f) and the recovered phi is unique, in every case
+    # with a unit code per key, the sum at every letter-count class reads
+    # phi at the key of its odd support alone.  The sum is linear in phi, so
+    # each defining sum is x -> phi(odd_support(x)), the table that
+    # table_from_phi builds and that every reconstruction returns; at the
+    # representative of key S it is phi(S), so phi is extract_phi(f) and
+    # the recovered phi is unique, in every case
     systems = admissible_probe_systems()
     assert {case for case, *_ in systems} == {"odd", "even", "uniform"}
     assert len(systems) == 85
-    for case, a, n, sizes in systems:
-        rows = probe_rows(a, n, sizes)
-        assert rows == [1 << c for c in range(len(phi_domain(a, n)))], (case, a, n)
-
-
-def test_symmetric_sums_run_once_per_letter_count_class(monkeypatch):
-    calls = []
-    kernel = booldecomp._class_sum
-
-    def counted(counts, sizes, codes):
-        calls.append(tuple(counts))
-        return kernel(counts, sizes, codes)
-
-    monkeypatch.setattr(booldecomp, "_class_sum", counted)
-    for a, n in [(2, 9), (3, 7), (3, 8), (4, 7)]:
-        phi = PhiMap.on_phi_domain(a, n, Z2, lambda S: (len(S) & 1,))
-        calls.clear()
-        reconstruct_uniform(phi)
-        assert len(calls) == len(set(calls)) == comb(n + a - 1, a - 1)
+    classes = 0
+    for case, a, n in systems:
+        units, sizes = unit_codes(case, a, n), sum_sizes(case, a, n)
+        for counts in count_classes(a, n):
+            support = sum(1 << d for d, k in enumerate(counts) if k & 1)
+            assert class_sum(counts, sizes, units) == units[support], (case, a, n, counts)
+            classes += 1
+    assert classes == 11864
 
 
 @settings(max_examples=25, deadline=None)
@@ -300,12 +301,8 @@ def test_reconstructions_cover_exactly_the_determined_functions():
 
 def test_summands_certify_alphabet_bound():
     # every summand in the defining sums depends on at most |A|-1 positions
-    for a, n in [(2, 5), (3, 4)]:
-        t = odd_case_shift(a, n)
-        assert all(s <= a - 1 for s in first_sum_sizes(n, t))
-    for a, n in [(2, 4), (3, 5)]:
-        t = even_case_shift(a, n)
-        assert all(s <= a - 1 for s in first_sum_sizes(n, t) + second_sum_sizes(n, t))
+    for case, a, n in [("odd", 2, 5), ("odd", 3, 4), ("even", 2, 4), ("even", 3, 5)]:
+        assert all(s <= a - 1 for s in sum_sizes(case, a, n))
 
 
 def test_bruteforce_oracle_agrees():
@@ -349,6 +346,10 @@ def test_uniform_decomposition():
 def test_uniform_regime_precondition():
     with pytest.raises(PreconditionError, match="max"):
         decompose_uniform(FnTable.from_callable(2, 3, Z2, lambda x: (sum(x) % 2,)))
+    # outside the regime the coefficient-free sum is not phi through odd
+    # support, so the reconstruction refuses too
+    with pytest.raises(PreconditionError, match="max"):
+        reconstruct_uniform(PhiMap.on_phi_domain(4, 2, Z2, lambda S: (len(S) & 1,)))
 
 
 def test_uniform_rank_reported():

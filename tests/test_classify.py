@@ -28,8 +28,10 @@ from fndecomp.classify import (
     phi_values_for_params,
 )
 from fndecomp.cli import main
-from helpers import (orbit_form_index, pair_scan_arity_gap, pointwise_z3_build, random_table,
-                     with_inessential)
+from fndecomp.errors import MAX_CELLS
+from fndecomp.tables import iter_tuples
+from helpers import (count_classes, orbit_form_index, pair_scan_arity_gap, pointwise_z3_build,
+                     random_table, with_inessential, z3_class_form)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -260,9 +262,31 @@ def test_z3_build_examples():
 
 
 def test_z3_build_matches_pointwise_form():
+    # the fold at every tuple pins z3_build and the class form of the tests
     for n in range(4, 9):
+        counts = [tuple(x.count(u) for u in range(3)) for x in iter_tuples(3, n)]
         for params in all_z3_params():
-            assert z3_build(n, params) == pointwise_z3_build(n, params), (n, params)
+            expected = pointwise_z3_build(n, params)
+            assert z3_build(n, params) == expected, (n, params)
+            form = z3_class_form(n, params)
+            value = {k: form(k) for k in set(counts)}
+            assert tuple(map(value.__getitem__, counts)) == expected.values, (n, params)
+
+
+def test_z3_form_is_its_link_image_through_odd_support_at_every_class():
+    # z3_build is table_from_phi of the link image: at every letter-count
+    # class of every arity the cell budget admits, the form is the link image
+    # at the class's odd support
+    assert 3**13 <= MAX_CELLS < 3**14
+    classes = 0
+    for n in range(4, 14):
+        for params in all_z3_params():
+            link, form = phi_values_for_params(n, params), z3_class_form(n, params)
+            for counts in count_classes(3, n):
+                support = frozenset(u for u, k in enumerate(counts) if k & 1)
+                assert link[support] == (form(counts),), (n, params, counts)
+                classes += 1
+    assert classes == 43740
 
 
 def test_z3_build_identification_cancels():

@@ -289,6 +289,11 @@ def test_phi_map_validation():
     phi = PhiMap.on_phi_domain(2, 4, Z2, lambda S: (0,))
     with pytest.raises(CoverageError):
         phi.value({0})  # size-1 subsets are outside an even-arity domain
+    # a Mapping goes to the constructor as it is: missing keys and extra keys
+    # are refused by its key check
+    for entries in ({}, {frozenset(): (0,), frozenset({0}): (0,), frozenset({1}): (1,)}):
+        with pytest.raises(ArgumentError, match="keys do not match phi_domain"):
+            PhiMap.on_phi_domain(2, 3, Z2, entries)
     # a full map over fewer than two letters is refused, not half-built
     with pytest.raises(ArgumentError, match="alphabet size"):
         PhiMap(1, Z2, None, {frozenset(): (1,), frozenset({0}): (1,)})
