@@ -31,7 +31,7 @@ from __future__ import annotations
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group, as_int
 from .minors import pair_scan_limit
-from .oddsupport import PhiMap, extract_phi, phi_domain, table_from_phi
+from .oddsupport import PhiMap, domain_sizes, extract_phi, table_from_phi
 from .tables import FnTable, check_cells
 
 
@@ -182,5 +182,5 @@ def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
     """
     a_size, n = check_cells(a_size, n)
     require_uniform_regime(a_size, n)
-    k = len(phi_domain(a_size, n))
+    k = domain_sizes(a_size, n)[2]
     return k, k

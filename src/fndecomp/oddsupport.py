@@ -98,12 +98,18 @@ def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     These are exactly the odd-support values reachable from n-tuples, hence
     the key domain a phi map for arity n must cover.
     """
-    a_size, n = at_least("alphabet size", a_size, 2), at_least("arity", n, 1)
-    sizes = range(n % 2, min(a_size, n) + 1, 2)
-    _check_key_count(a_size, sizes)
+    a_size, sizes, _ = domain_sizes(a_size, n)
     out = [frozenset(S) for size in sizes for S in combinations(range(a_size), size)]
     out.sort(key=subset_sort_key)
     return tuple(out)
+
+
+def domain_sizes(a_size: int, n: int) -> tuple[int, range, int]:
+    """a_size checked, the key sizes of phi_domain(a_size, n) and the number
+    of its keys, counted and charged against the budget with no key built."""
+    a_size, n = at_least("alphabet size", a_size, 2), at_least("arity", n, 1)
+    sizes = range(n % 2, min(a_size, n) + 1, 2)
+    return a_size, sizes, _check_key_count(a_size, sizes)
 
 
 def _check_mask_words(a_size: int, count: int, what: str) -> None:
@@ -116,13 +122,14 @@ def _check_mask_words(a_size: int, count: int, what: str) -> None:
         )
 
 
-def _check_key_count(a_size: int, sizes: Iterable[int]) -> None:
-    """_check_mask_words for the subsets of the alphabet with the given sizes,
-    counted before any subset is built."""
+def _check_key_count(a_size: int, sizes: Iterable[int]) -> int:
+    """The number of subsets of the alphabet with the given sizes, counted
+    before any subset is built and charged by _check_mask_words."""
     count = 0
     for size in sizes:
         count += comb(a_size, size)
         _check_mask_words(a_size, count, "the keys of a phi map")
+    return count
 
 
 class PhiMap(Record):
@@ -151,15 +158,11 @@ class PhiMap(Record):
             if set(entries) != set(phi_domain(a_size, arity)):
                 raise ArgumentError("pnprime phi map keys do not match phi_domain")
         else:
-            _check_key_count(a_size, range(a_size + 1))
-            all_subsets = {
-                frozenset(S)
-                for size in range(a_size + 1)
-                for S in combinations(range(a_size), size)
-            }
-            if set(entries) != all_subsets:
+            # 2**a_size distinct subsets of the alphabet are all of them
+            if len(entries) != _check_key_count(a_size, range(a_size + 1)) or not all(
+                    map(frozenset(range(a_size)).issuperset, entries)):
                 raise ArgumentError("full phi map must cover every subset of the alphabet")
-            for S in all_subsets:
+            for S in entries:
                 if entries[S] != entries[S ^ {0}]:
                     raise ArgumentError(
                         f"pairing violated: phi({format_subset(S)}) != "
@@ -274,7 +277,7 @@ def analyze(f: FnTable) -> Analysis:
 
 
 def is_determined(f: FnTable) -> bool:
-    return f.arity >= 1 and extract_phi(f) is not None
+    return f.arity >= 1 and determined_via_symmetry(f)
 
 
 def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
@@ -305,7 +308,7 @@ def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
 
 def determined_count(a_size: int, n: int, group: Group) -> int:
     """|B| ** |phi_domain|: how many n-ary functions are determined by odd support."""
-    return group.order ** len(phi_domain(a_size, n))
+    return group.order ** domain_sizes(a_size, n)[2]
 
 
 # ----------------------------------------------------------------------

@@ -28,15 +28,18 @@ restriction to the essential coordinates as a general simple_minor (which
 the library reads off slices of the value tuple), analyze's verdicts as the
 five public calls on the whole table (which the library reads off that
 restriction), and the table parser and printer that parse and format every
-value on its own.
+value on its own.  The exhaustive Boolean tests read one corpus, every table
+{0,1}^n -> Z2 for n <= 4 with its essential arity and pair-scan gap, built
+once per session (boolean_corpus).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 from operator import itemgetter, xor
+from typing import NamedTuple
 
 from fndecomp import (
     Analysis,
@@ -170,18 +173,29 @@ def _identification_getter(a_size, arity, i, j):
                         for x in all_tuples(a_size, arity)])
 
 
+@lru_cache(maxsize=1 << 10)
+def _minor_essential_arity(a_size, arity, group, values):
+    """essential_arity of the table with these values: a sweep meets the same
+    identification minor again and again (410 distinct minors over the
+    65 536 Boolean tables of arity 4)."""
+    return essential_arity(FnTable(a_size, arity, group, values))
+
+
 def pair_scan_arity_gap(f: FnTable) -> int:
     """The arity gap by its definition on the library's index kernels: the
     least drop in essential arity over the identification minors of the
     unordered pairs of essential variables, stopping at a drop of 1 (no
     identification drops less)."""
-    ess = sorted(essential_variables(f))
+    return _pair_scan(f, sorted(essential_variables(f)))
+
+
+def _pair_scan(f: FnTable, ess: list[int]) -> int:
     m = len(ess)
     assert m >= 2
     best = m
     for i, j in combinations(ess, 2):
         minor = _identification_getter(f.a_size, f.arity, i, j)(f.values)
-        best = min(best, m - essential_arity(FnTable(f.a_size, f.arity, f.group, minor)))
+        best = min(best, m - _minor_essential_arity(f.a_size, f.arity, f.group, minor))
         if best == 1:
             break
     return best
@@ -665,6 +679,31 @@ def z3_class_form(n, params: Z3Params):
 # ----------------------------------------------------------------------
 # enumeration oracles
 # ----------------------------------------------------------------------
+
+
+class BooleanCase(NamedTuple):
+    """A table {0,1}^n -> Z2 with its oracle values: its essential arity and,
+    at two or more essential variables, pair_scan_arity_gap (else None)."""
+
+    table: FnTable
+    essential_arity: int
+    gap: int | None
+
+
+@cache
+def boolean_corpus(n: int) -> tuple[BooleanCase, ...]:
+    """Every table {0,1}^n -> Z2 for n <= 4, in the order of its code (cell i
+    holds bit i of the code), with its oracle values.  Built once per
+    session, on first use, so the exhaustive Boolean tests share one sweep of
+    the oracle while each of them still runs alone."""
+    assert 0 <= n <= 4
+    z2, cases = Group((2,)), []
+    # product varies its last component fastest, and cell 0 holds the low bit
+    for bits in product((0, 1), repeat=1 << n):
+        f = FnTable(2, n, z2, bits[::-1])
+        ess = sorted(essential_variables(f))
+        cases.append(BooleanCase(f, len(ess), _pair_scan(f, ess) if len(ess) >= 2 else None))
+    return tuple(cases)
 
 
 def orbit_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:

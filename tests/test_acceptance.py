@@ -41,6 +41,7 @@ from fndecomp.identities import even_sum_rows, odd_sum_rows
 from fndecomp.tables import iter_tuples
 from helpers import (
     all_phi_assignments,
+    boolean_corpus,
     higher_derivative_expansion,
     pair_scan_arity_gap,
     random_full_arity_table,
@@ -54,20 +55,14 @@ Z6 = Group((6,))
 Z2xZ2 = Group((2, 2))
 
 
-def _all_boolean_tables(n):
-    size = 1 << n
-    for code in range(1 << size):
-        yield FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
-
-
 def test_criterion_01_boolean_classification_exhaustive():
     start = time.time()
     checked = 0
     for n in (3, 4):
-        for f in _all_boolean_tables(n):
-            if essential_arity(f) < 2:
+        for case in boolean_corpus(n):
+            if case.essential_arity < 2:
                 continue
-            assert classify_boolean(f).gap == pair_scan_arity_gap(f)
+            assert classify_boolean(case.table).gap == case.gap
             checked += 1
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -77,10 +72,10 @@ def test_criterion_01_boolean_classification_exhaustive():
 def test_criterion_02_willard_dichotomy():
     # exhaustive at |A|=2, n=4
     mismatches = 0
-    for f in _all_boolean_tables(4):
-        if essential_arity(f) != 4:
+    for case in boolean_corpus(4):
+        if case.essential_arity != 4:
             continue
-        if (pair_scan_arity_gap(f) == 2) != (extract_phi(f) is not None):
+        if (case.gap == 2) != (extract_phi(case.table) is not None):
             mismatches += 1
     assert mismatches == 0
 
@@ -257,15 +252,9 @@ def test_criterion_10_binomial_identities():
 
 
 def test_criterion_11_determined_counts():
-    # (2,3) and (2,4): enumerate every table through the library
+    # (2,3) and (2,4): every table of the Boolean corpus through the library
     for n in (3, 4):
-        size = 1 << n
-        hits = sum(
-            1
-            for code in range(1 << size)
-            if extract_phi(FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size))))
-            is not None
-        )
+        hits = sum(extract_phi(case.table) is not None for case in boolean_corpus(n))
         assert hits == determined_count(2, n, Z2)
 
     # (3,3): 2**27 tables, enumerated in numpy chunks; a table is determined

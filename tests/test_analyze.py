@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from fndecomp import FnTable, Group, PhiMap, ResourceError, analyze, oddsupport, table_from_phi
 from fndecomp.minors import essential_restriction
 from helpers import (
+    boolean_corpus,
     five_call_analysis,
     minor_restriction,
     naive_arity_gap,
@@ -54,8 +55,8 @@ def test_boolean_tables_of_essential_arity_up_to_3_at_every_embedding():
     # restriction stands for the gap of its 3 270 embeddings of arity up to 5
     checked = {0: 0, 1: 0, 2: 0, 3: 0}
     for m in range(4):
-        for code in range(1 << (1 << m)):
-            g = FnTable(2, m, Z2, tuple(code >> i & 1 for i in range(1 << m)))
+        for case in boolean_corpus(m):
+            g = case.table
             if len(naive_essential_variables(g)) < m:
                 continue
             gap = naive_arity_gap(g) if m >= 2 else None

@@ -27,7 +27,7 @@ from fndecomp import (
     simple_minor,
     table_from_phi,
 )
-from helpers import all_phi_assignments, pair_scan_arity_gap, random_table
+from helpers import all_phi_assignments, boolean_corpus, pair_scan_arity_gap, random_table
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -35,12 +35,6 @@ Z3 = Group((3,))
 
 def threshold(a_size):
     return max(a_size, 3)
-
-
-def boolean_tables(n):
-    size = 1 << n
-    for code in range(1 << size):
-        yield FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
 
 
 def determined_and_changed(a_size, n, group, step):
@@ -76,8 +70,13 @@ def test_boolean_tables_at_and_above_the_threshold_exhaustively():
     # every table of arity 3 and 4; those of arity 4 include every table of
     # essential arity 2 or 3 with inessential positions, such as majority
     # (gap 2, not determined by odd support) on three of four positions
-    assert assert_gaps_agree(boolean_tables(3)) == 248
-    assert assert_gaps_agree(boolean_tables(4)) == 65526
+    for n, count in ((3, 248), (4, 65526)):
+        checked = 0
+        for case in boolean_corpus(n):
+            if case.essential_arity >= 2:
+                assert arity_gap(case.table) == case.gap, case.table
+                checked += 1
+        assert checked == count
 
 
 @pytest.mark.parametrize("a_size, group, steps", [
@@ -144,7 +143,7 @@ def assert_drops_match_the_minors(f):
 
 def test_identification_drop_matches_the_minor_exhaustively():
     # every Boolean table of arity up to 3 and every Z3 table at (3, 2)
-    booleans = [f for n in range(4) for f in boolean_tables(n)]
+    booleans = [case.table for n in range(4) for case in boolean_corpus(n)]
     ternary = (FnTable(3, 2, Z3, [code // 3**k % 3 for k in range(9)]) for code in range(3**9))
     # ordered pairs: 40 tables of essential arity 2, 218 of essential arity 3
     assert sum(map(assert_drops_match_the_minors, booleans)) == 40 * 2 + 218 * 6

@@ -353,9 +353,14 @@ def test_uniform_regime_precondition():
 
 
 def test_uniform_rank_reported():
-    assert uniform_system_rank(2, 4) == (2, 2) == (len(phi_domain(2, 4)),) * 2
+    assert uniform_system_rank(2, 4) == (2, 2)
     assert uniform_system_rank(2, 5) == (2, 2)
-    assert uniform_system_rank(3, 8) == (len(phi_domain(3, 8)),) * 2
+    # every (|A|, n) of the regime n > max(|A|, 3) that the cell budget admits
+    admitted = [(a, n) for a in range(2, 8) for n in range(max(a, 3) + 1, 23)
+                if a**n <= MAX_CELLS]
+    assert len(admitted) == 19 + 10 + 7 + 4 + 2
+    for a, n in admitted:
+        assert uniform_system_rank(a, n) == (len(phi_domain(a, n)),) * 2
     with pytest.raises(ResourceError):
         uniform_system_rank(2, 30)
 

@@ -30,8 +30,8 @@ from fndecomp.classify import (
 from fndecomp.cli import main
 from fndecomp.errors import MAX_CELLS
 from fndecomp.tables import iter_tuples
-from helpers import (count_classes, orbit_form_index, pair_scan_arity_gap, pointwise_z3_build,
-                     random_table, with_inessential, z3_class_form)
+from helpers import (boolean_corpus, count_classes, orbit_form_index, pair_scan_arity_gap,
+                     pointwise_z3_build, random_table, with_inessential, z3_class_form)
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -87,17 +87,6 @@ def test_classify_boolean_preconditions():
         classify_boolean(FnTable.constant(2, 2, Z3, (0,)))
 
 
-def test_classify_boolean_exhaustive_3ary():
-    # every table of arity 3 and 4 (65 536 of them at arity 4)
-    for n in (3, 4):
-        size = 1 << n
-        for code in range(1 << size):
-            f = FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
-            if essential_arity(f) < 2:
-                continue
-            assert classify_boolean(f).gap == pair_scan_arity_gap(f)
-
-
 def test_classify_boolean_matches_orbit_index_at_higher_arity():
     rng = random.Random(41)
     for m in range(2, 8):
@@ -105,11 +94,9 @@ def test_classify_boolean_matches_orbit_index_at_higher_arity():
         if m <= 3:
             # every table whose m variables are all essential, against the
             # permutation orbits of the forms
-            size = 1 << m
-            for code in range(1 << size):
-                f = FnTable(2, m, Z2, tuple(code >> i & 1 for i in range(size)))
-                if essential_arity(f) == m:
-                    assert classify_boolean(f).form == oracle.get(f.values)
+            for case in boolean_corpus(m):
+                if case.essential_arity == m:
+                    assert classify_boolean(case.table).form == oracle.get(case.table.values)
             continue
         # above m = 3 the only forms are the two parity sums, which
         # classify_boolean reads off determination, not off the polynomial

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,6 +28,7 @@ from fndecomp import (
 )
 from helpers import (
     all_phi_assignments,
+    boolean_corpus,
     naive_is_determined,
     partition_extract_phi,
     random_table,
@@ -179,14 +182,13 @@ def test_extract_phi_round_trip_exhaustive():
 
 def test_extract_phi_matches_partition_oracle_exhaustively():
     # every table at (2, 3) and (2, 4) over Z2 and at (3, 2) over Z3
+    booleans = [case.table for n in (3, 4) for case in boolean_corpus(n)]
+    ternary = [FnTable(3, 2, Z3, [code // 3**k % 3 for k in range(9)]) for code in range(3**9)]
     determined = 0
-    for a, n, group in ((2, 3, Z2), (2, 4, Z2), (3, 2, Z3)):
-        order, size = group.order, a**n
-        for code in range(order**size):
-            f = FnTable(a, n, group, tuple(code // order**i % order for i in range(size)))
-            phi = extract_phi(f)
-            assert phi == partition_extract_phi(f)
-            determined += phi is not None
+    for f in booleans + ternary:
+        phi = extract_phi(f)
+        assert phi == partition_extract_phi(f)
+        determined += phi is not None
     assert determined == sum(map(determined_count, (2, 2, 3), (3, 4, 2), (Z2, Z2, Z3)))
 
 
@@ -254,28 +256,71 @@ def test_boolean_determined_are_constants_and_parities():
             tuple(k.bit_count() & 1 for k in range(size)),
             tuple(k.bit_count() + 1 & 1 for k in range(size)),
         }
-        found = set()
-        for code in range(1 << size):
-            f = FnTable(2, n, Z2, tuple(code >> i & 1 for i in range(size)))
-            if is_determined(f):
-                found.add(f.values)
+        found = {case.table.values for case in boolean_corpus(n) if is_determined(case.table)}
         assert found == expected
+
+
+def test_is_determined_reads_the_verdict_not_phi():
+    # the verdict extract_phi reads, on every Boolean table of arity 1 to 4;
+    # a table too wide for phi's odd-support masks is answered too
+    for n in (1, 2, 3, 4):
+        for case in boolean_corpus(n):
+            assert is_determined(case.table) == (extract_phi(case.table) is not None)
+    wide = FnTable.constant(129, 3, Z2, (1,))
+    assert is_determined(wide)
+    with pytest.raises(ResourceError):
+        extract_phi(wide)
 
 
 def test_determined_count_examples():
     assert determined_count(2, 3, Z2) == 4
     assert determined_count(3, 4, Z2) == 16
     assert determined_count(2, 2, Z3) == 9
+    # the key count, summed from binomials, against the keys phi_domain builds
+    for a in range(2, 7):
+        for n in range(1, 9):
+            for group in (Z2, Z3, Group((2, 2))):
+                assert determined_count(a, n, group) == group.order ** len(phi_domain(a, n))
 
 
 def test_determined_count_matches_enumeration():
     # exhaustive over all 256 tables at (2, 3)
-    hits = sum(
-        1
-        for code in range(256)
-        if is_determined(FnTable(2, 3, Z2, tuple(code >> i & 1 for i in range(8))))
-    )
+    hits = sum(is_determined(case.table) for case in boolean_corpus(3))
     assert hits == determined_count(2, 3, Z2)
+
+
+def time_and_peak(call):
+    """Wall time and tracemalloc peak of call(), which may raise."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        call()
+    finally:
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return elapsed, peak
+
+
+def test_determined_count_builds_no_key():
+    # 2**21 keys at (22, 22): counted, not built, and phi_domain not called
+    info, counts = phi_domain.cache_info(), []
+    elapsed, peak = time_and_peak(lambda: counts.append(determined_count(22, 22, Z2)))
+    assert counts == [2 ** 2**21]
+    assert elapsed < 1.0 and peak < 5 << 20
+    assert phi_domain.cache_info() == info
+
+
+def test_full_phi_map_is_checked_by_count_and_containment():
+    def refuse(a_size, entries):
+        with pytest.raises(ArgumentError, match="full phi map must cover every subset"):
+            PhiMap(a_size, Z2, None, entries)
+
+    # 2**22 subsets are counted, not built
+    elapsed, peak = time_and_peak(lambda: refuse(22, {}))
+    assert elapsed < 1.0 and peak < 5 << 20
+    # 2**2 keys, one of which holds a letter outside the alphabet
+    PhiMap(2, Z2, None, {frozenset(S): (0,) for S in ((), (0,), (1,), (0, 1))})
+    refuse(2, {frozenset(S): (0,) for S in ((), (0,), (1,), (0, 2))})
 
 
 def test_phi_map_validation():

@@ -28,6 +28,7 @@ from fndecomp.minors import RUN, zero_slices
 from fndecomp.oddsupport import phi_domain
 from fndecomp.tables import axis_fold, check_cells, iter_tuples
 from helpers import (
+    boolean_corpus,
     class_tables,
     minor_restriction,
     naive_arity_gap,
@@ -186,8 +187,8 @@ def test_simple_minor_composition():
 def test_simple_minor_composition_exhaustive_tiny():
     from itertools import product as iproduct
 
-    for code in range(16):
-        f = FnTable(2, 2, Z2, tuple(code >> i & 1 for i in range(4)))
+    for case in boolean_corpus(2):
+        f = case.table
         for s1 in iproduct(range(2), repeat=2):
             for s2 in iproduct(range(2), repeat=2):
                 step = simple_minor(simple_minor(f, s1, 2), s2, 2)
@@ -407,14 +408,12 @@ def test_symmetry_equals_permutation_invariance(code):
 
 
 def test_symmetry_matches_the_permutation_definition_exhaustively():
-    # every Boolean table at arities 0-3 and every {0,1,2}^2 -> Z2 table:
-    # n = 2, where the transposition and the cycle coincide, and n < 2,
-    # where there is no generator at all
-    for a, n in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)]:
-        size = a**n
-        for code in range(1 << size):
-            f = FnTable(a, n, Z2, tuple(code >> i & 1 for i in range(size)))
-            assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
+    # every Boolean table at arities 0-3 and every {0,1,2}^2 -> Z2 table
+    # (constant on the classes of x itself): n = 2, where the transposition
+    # and the cycle coincide, and n < 2, where there is no generator at all
+    tables = [case.table for n in range(4) for case in boolean_corpus(n)]
+    for f in tables + class_tables(3, 2, lambda x: x):
+        assert is_totally_symmetric(f) == naive_is_totally_symmetric(f)
     # |A| = 3, n = 3, where the transposition, the cycle and the block
     # strides all differ: every symmetric table, each of them with one cell
     # flipped, and every table invariant under the cycle alone
