@@ -16,7 +16,9 @@ to its essential variables.
 Exit codes: 0 all requested checks passed, 2 ParseError, 4
 InternalConsistencyError (a theorem-violation tripwire that should be
 unreachable), 3 any other FnDecompError (a precondition or argument error),
-among them a report that standard output refuses, such as a closed pipe.
+among them a report that standard output refuses, such as a closed pipe, and
+a MemoryError, which prints the one line "precondition failed: out of
+memory".
 
 Start-up loads only what a command runs.  This module holds what every
 command shares: reading an input and its digest, the report (_emit), the
@@ -29,7 +31,10 @@ compiles.  The library modules are the package's lazy modules, each compiled
 at its first attribute access.  Once main has the command, it loads those of
 the subcommand and then its handler (_RUNS), so ``--help`` compiles none
 beyond ``errors`` and ``decompose --mode taylor`` none of the index kernels
-(``minors``).  ``hashlib`` and ``json`` are imported where they are used, so
+(``minors``).  The input digest is CPython's built-in SHA-256 (``_sha2``, or
+``_sha256`` before Python 3.12), the module hashlib itself falls back to:
+hashlib would load OpenSSL (``_hashlib``) for one digest, and no command
+does.  The digest module and ``json`` are imported where they are used, so
 commands that need neither (``--help``, ``identities`` and ``witness``
 without ``--json``) skip them.
 """
@@ -54,14 +59,23 @@ EXIT_INTERNAL = 4
 def _read_text(path: str) -> tuple[str, dict]:
     """The file's text, decoded strictly as UTF-8, and the digest of the very
     bytes that were decoded."""
-    import hashlib
+    # CPython's built-in SHA-256, which hashlib itself falls back to: hashlib
+    # would map OpenSSL (_hashlib), the largest share of a small command's
+    # memory, for one digest
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    digest = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    digest = {"path": path, "sha256": sha256(data).hexdigest()}
     return tables.decode_text(data, path), digest
 
 
@@ -251,10 +265,10 @@ def _read_argv(argv) -> types.SimpleNamespace | None:
 # may come before them.  The package loads its library modules lazily; once
 # main has the namespace of argv, it loads those of args.cmd and, under
 # decompose, of args.mode (any attribute access loads a module), before the
-# handler imports hashlib or json or reads the input.  A module compiled after
-# one of those stacks its compile memory on top of theirs and raises the
-# command's peak resident set; so does one compiled while a module that
-# imports it runs.
+# handler imports the digest module or json or reads the input.  A module
+# compiled after one of those stacks its compile memory on top of theirs and
+# raises the command's peak resident set; so does one compiled while a module
+# that imports it runs.
 _RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "cli_analyze"),
          "decompose": ("tables", "cli_decompose"),
          "classify": ("tables", "minors", "oddsupport", "classify", "cli_classify"),
@@ -285,6 +299,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except FnDecompError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        # a constant line: the handler formats nothing while memory is short
+        sys.stderr.write("precondition failed: out of memory\n")
         return EXIT_PRECONDITION
     return EXIT_OK
 

@@ -41,12 +41,12 @@ def run(args) -> None:
     try:
         _write_text(sidecar, f"positions={positions}\nparams={params}\n"
                              f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
-    except ArgumentError:
+        _write_text(args.out, tables.dump_table(bundle.table))
+    except (ArgumentError, MemoryError):
         # a refused witness leaves no table; a path that was there before is not ours to remove
         if created:
             os.remove(args.out)
         raise
-    _write_text(args.out, tables.dump_table(bundle.table))
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
            "expected": expected},

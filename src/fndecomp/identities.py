@@ -11,7 +11,8 @@ Identity over odd lower indices, for 0 <= t <= (m-1)/2:
 
 The second counts pairs (P, Q) with P subset of Q subset of [m], |P| = 2t and
 |Q| odd; ``odd_sum_pair_count`` reproduces it by enumerating every set Q once
-per m, tallied by odd |Q|, which gives the count for every t from one walk.
+per m, tallied by odd |Q|, which gives the count for every t from one walk;
+the walk goes in blocks of 2^10 sets, so its memory does not grow with m.
 
 All arithmetic is exact big-integer.  The right-hand side of the first
 identity can hit a binomial with negative upper index at boundary parameters;
@@ -29,6 +30,9 @@ from .groups import as_int
 from .tables import _support_sizes
 
 PAIR_COUNT_MAX_M = 20
+# the pair count walks the subsets of [m] in blocks of 2^_BLOCK_BITS, so it
+# never holds more than 2^_BLOCK_BITS subset sizes at once
+_BLOCK_BITS = 10
 
 
 def binom(n: int, k: int) -> int:
@@ -107,10 +111,18 @@ def odd_sum_rhs(m: int, t: int) -> int:
 
 def _odd_pair_counts(m: int) -> list[int]:
     """Pair counts for t = 0, ..., (m-1)/2 from one walk over every Q of [m]."""
-    # sizes[q] = |Q| for the bitmask q of every Q: its nonzero digits
-    sizes = _support_sizes(2, m)
+    # block h holds the Q whose elements from low_bits up are the bits of h;
+    # low[q] = |q| for the bitmask q of the rest, so the Q of size s in the
+    # block are the q with low[q] = s - |h|
+    low_bits = min(m, _BLOCK_BITS)
+    low = _support_sizes(2, low_bits)
     odd = range(1, m + 1, 2)
-    tally = [sizes.count(s) for s in odd]
+    tally = [0] * len(odd)
+    for h in range(1 << (m - low_bits)):
+        high = h.bit_count()
+        for j, s in enumerate(odd):
+            if s >= high:
+                tally[j] += low.count(s - high)
     return [sum(k * comb(s, 2 * t) for s, k in zip(odd, tally))
             for t in range((m - 1) // 2 + 1)]
 

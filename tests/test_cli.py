@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fndecomp import (
     FnTable,
@@ -19,7 +20,7 @@ from fndecomp import (
     load_table_file,
     save_table_file,
 )
-from fndecomp.cli import _COMMANDS, _COMMON, _build_parser, _read_argv, main
+from fndecomp.cli import _COMMANDS, _COMMON, _build_parser, _read_argv, _read_text, main
 from fndecomp.classify import Z3Params, z3_build
 
 Z2 = Group((2,))
@@ -178,6 +179,47 @@ def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):
     assert json.loads(out)["inputs"] == [
         {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     ]
+
+
+# CPython's built-in SHA-256 module, which the CLI digests with where the
+# build has it: _sha2 from Python 3.12 on, _sha256 before
+BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text().map(str.encode))
+@example(b"")
+@example(b"1" * 55)
+@example(b"1" * 56)
+@example(b"1" * 63)
+@example(b"1" * 64)
+@example(b"1" * 65)
+@example("\u00e9".encode() * (1 << 19))
+def test_digest_is_hashlib_sha256_of_the_bytes(tmp_path_factory, data):
+    # hashlib is the oracle: empty input, the last length one padded block
+    # holds (55), the lengths about a block (64) and 1 MiB
+    path = tmp_path_factory.mktemp("digest") / "input.tbl"
+    path.write_bytes(data)
+    assert _read_text(str(path)) == (data.decode(), {"path": str(path),
+                                                      "sha256": hashlib.sha256(data).hexdigest()})
+
+
+def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # with the built-in modules hidden the digest goes through hashlib, and
+    # is the same digest
+    path = tmp_path / "parity.tbl"
+    data = b"domain=2\narity=1\ngroup=Z2\n0 1\n"
+    path.write_bytes(data)
+    real = hashlib.sha256
+    calls = []
+    monkeypatch.setattr(hashlib, "sha256", lambda chunk: calls.append(chunk) or real(chunk))
+    expected = real(data).hexdigest()
+    assert _read_text(str(path))[1]["sha256"] == expected
+    assert calls == ([] if BUILT_IN_SHA256 else [data])
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert _read_text(str(path))[1]["sha256"] == expected
+    assert calls[-1:] == [data]
 
 
 def test_decompose_odd_round_trip(tmp_path, capsys):
@@ -684,6 +726,31 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix)
     assert run(capsys, "identities", "--max-m", "2") == (code, "", prefix + "stubbed\n")
 
 
+@pytest.mark.parametrize("argv, module, kernel", [
+    (["analyze", "z3.tbl"], "calculus", "_derivative_coefficients"),
+    (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"], "calculus",
+     "_derivative_coefficients"),
+    (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
+      "--out", "w.tbl"], "tables", "dump_table"),
+], ids=["analyze", "taylor", "witness"])
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kernel):
+    # out of memory is one stderr line and exit 3, and a witness table that
+    # the command created is removed; one that was there before stays
+    def fail(*args):
+        raise MemoryError
+
+    argv = startup_argv(tmp_path, argv)
+    monkeypatch.setattr(importlib.import_module(f"fndecomp.{module}"), kernel, fail)
+    out_tbl = tmp_path / "w.tbl"
+    for before in (None, "old\n"):
+        if before is not None:
+            out_tbl.write_text(before)
+        code, out, err = run(capsys, *argv)
+        assert_refused(code, out, err)
+        assert err == "precondition failed: out of memory\n"
+        assert (out_tbl.read_text() if out_tbl.exists() else None) == before
+
+
 def test_witness_writes_files(tmp_path, capsys):
     out_tbl = tmp_path / "w.tbl"
     code, out, _ = run(capsys, "witness", "--kind", "hamming", "--n", "3",
@@ -905,14 +972,15 @@ LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "booldecomp"
 
 def command_modules(argv):
     """The names loaded when cli.main has read argv without argparse (or
-    found that it cannot), when the command first imports hashlib or json,
-    if it does, and when the command argv is done."""
+    found that it cannot), when the command first imports a digest module
+    (the built-in SHA-256 or hashlib) or json, if it does, and when the
+    command argv is done."""
     return probe_modules(
         "import runpy, fndecomp.cli as cli\n"
         "read = cli._read_argv\n"
         "cli._read_argv = lambda argv: (read(argv), loaded())[0]\n"
         "def hook(event, args):\n"
-        "    if event == 'import' and args[0] in ('hashlib', 'json'):\n"
+        "    if event == 'import' and args[0] in ('_sha2', '_sha256', 'hashlib', 'json'):\n"
         "        loaded()\n"
         "sys.addaudithook(hook)\n"
         "sys.argv = ['fndecomp', *%r]\n"
@@ -934,6 +1002,7 @@ def test_startup_imports(argv):
     else:
         assert not command & {"argparse", "gettext", "locale"}
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
+    assert not command & {"_sha2", "_sha256", "_hashlib"}
 
 
 BASE = {"errors", "records", "groups", "tables"}
@@ -995,13 +1064,16 @@ def startup_argv(tmp_path, argv):
 def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
     # without bytecode every module loaded is compiled from source; reading
     # argv compiles no library module, and main then loads the command's
-    # modules (cli._RUNS) before the handler imports hashlib (to digest the
-    # input) or json
+    # modules (cli._RUNS) before the handler imports the digest module (to
+    # digest the input) or json; OpenSSL is never loaded for the digest
+    lines = command_modules(startup_argv(tmp_path, argv))
     at_argv, *at_imports, done = ({name for name in names if name.startswith("fndecomp.")}
-                                  for names in command_modules(startup_argv(tmp_path, argv)))
+                                  for names in lines)
     assert at_argv == {"fndecomp.cli", "fndecomp.errors"}
     assert all(names == done for names in at_imports)
     assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
+    if BUILT_IN_SHA256:
+        assert "_hashlib" not in lines[-1]
 
 
 ABBREVIATED = ["identities", "--max", "3"]

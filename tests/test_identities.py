@@ -66,6 +66,21 @@ def test_full_enumeration_oracle_agrees():
             assert odd_sum_pair_count_full(m, t) == odd_sum_pair_count(m, t)
 
 
+def test_pair_counts_walk_in_bounded_memory():
+    # the walk in blocks counts each Q once: one block up to m = 10, 2^10 at
+    # m = 20; and it never holds the 2^m subset sizes at once
+    for m in range(1, PAIR_COUNT_MAX_M + 1):
+        assert identities._odd_pair_counts(m) == [
+            odd_sum_lhs(m, t) for t in range((m - 1) // 2 + 1)], m
+    tracemalloc.start()
+    try:
+        identities._odd_pair_counts(PAIR_COUNT_MAX_M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_oracle_guardrails(monkeypatch):
     def walk(m):
         raise AssertionError(f"walked the subsets of [{m}]")
