@@ -28,8 +28,9 @@ _EXPORTS = {
     "calculus": "decomposability_witness decompose_via_taylor derivative_at_zero "
                 "higher_derivative is_k_decomposable min_decomposition_arity "
                 "partial_derivative taylor_terms",
-    "oddsupport": "Analysis PhiMap analyze determined_count dump_phi extract_phi is_determined "
-                  "load_phi odd_support phi_domain representative_tuple table_from_phi",
+    "oddsupport": "Analysis PhiMap analyze determined_count extract_phi is_determined "
+                  "odd_support phi_domain representative_tuple table_from_phi",
+    "phitext": "dump_phi load_phi",
     "booldecomp": "decompose_even decompose_odd decompose_uniform reconstruct_even "
                   "reconstruct_odd reconstruct_uniform uniform_system_rank",
     "classify": "BooleanClassification BooleanGapForm Z3Classification Z3Params "

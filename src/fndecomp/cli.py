@@ -268,13 +268,13 @@ def _read_argv(argv) -> types.SimpleNamespace | None:
 # handler imports the digest module or json or reads the input.  A module
 # compiled after one of those stacks its compile memory on top of theirs and
 # raises the command's peak resident set; so does one compiled while a module
-# that imports it runs.
+# that imports it runs.  phitext is in no run: the decompose handler compiles
+# it only when it writes --out, once the decomposition is done.
 _RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "cli_analyze"),
          "decompose": ("tables", "cli_decompose"),
          "classify": ("tables", "minors", "oddsupport", "classify", "cli_classify"),
          "identities": ("tables", "identities", "cli_identities"),
-         "witness": ("tables", "minors", "packing", "calculus", "oddsupport", "witnesses",
-                     "cli_witness"),
+         "witness": ("tables", "packing", "calculus", "oddsupport", "witnesses", "cli_witness"),
          "taylor": ("packing", "calculus"), "odd": ("minors", "oddsupport", "booldecomp"),
          "even": ("minors", "oddsupport", "booldecomp"),
          "fitilde": ("minors", "oddsupport", "booldecomp")}

@@ -2,14 +2,15 @@
 of the Boolean decompositions, each checked by its decomposer.
 
 The modes share this handler but not their library modules: it reaches
-``calculus`` and ``booldecomp`` as attributes of their lazy modules, so
-``--mode taylor`` compiles no ``booldecomp`` and the phi modes no
-``calculus``.
+``calculus``, ``booldecomp`` and ``phitext`` as attributes of their lazy
+modules, so ``--mode taylor`` compiles no ``booldecomp``, the phi modes no
+``calculus``, and only ``--out`` the phi file format, once the decomposition
+is done.
 """
 
 from __future__ import annotations
 
-from . import booldecomp, calculus, groups, oddsupport
+from . import booldecomp, calculus, groups, phitext
 from .cli import _emit, _load_table, _packable, _phi_payload, _write_text
 from .errors import ArgumentError
 
@@ -64,6 +65,6 @@ def run(args) -> None:
         verdicts["system_rank"] = f"{rank}/{unknowns}"
     payload = {"phi": _phi_payload(phi)}
     if args.out:
-        _write_text(args.out, oddsupport.dump_phi(phi))
+        _write_text(args.out, phitext.dump_phi(phi))
         payload["phi_file"] = args.out
     _emit(args, [digest], verdicts, payload)

@@ -28,24 +28,29 @@ def run(args) -> None:
         bundle = witnesses.hamming_witness(args.n, group, b)
     else:
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
-    created = not os.path.lexists(args.out)
+    sidecar = args.out + ".witness.txt"
+    created = [path for path in (args.out, sidecar) if not os.path.lexists(path)]
     try:
         # append mode creates --out only when it is absent and leaves a file
         # that is there as it was until the sidecar is written
         open(args.out, "ab").close()
     except OSError as exc:
         raise ArgumentError(f"cannot write {args.out}: {exc}") from None
-    sidecar = args.out + ".witness.txt"
     expected = bundle.table.group.format_element(bundle.expected)
     positions, params = sorted(bundle.positions), list(bundle.params)
     try:
+        # the table's text is built before either file is written, so running
+        # out of memory there leaves a sidecar that was there as it was
+        text = tables.dump_table(bundle.table)
         _write_text(sidecar, f"positions={positions}\nparams={params}\n"
                              f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
-        _write_text(args.out, tables.dump_table(bundle.table))
+        _write_text(args.out, text)
     except (ArgumentError, MemoryError):
-        # a refused witness leaves no table; a path that was there before is not ours to remove
-        if created:
-            os.remove(args.out)
+        # a refused witness leaves neither file behind; a path that was there
+        # before is not ours to remove
+        for path in created:
+            if os.path.lexists(path):
+                os.remove(path)
         raise
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,

@@ -16,9 +16,13 @@ return it.  The one cache, ``phi_domain``'s, holds the keys of at most 8
 (alphabet, arity) pairs.
 
 ``analyze`` gives every verdict of ``fndecomp analyze``, read off the
-restriction to the essential variables.  It reaches ``calculus`` as an
-attribute of its lazy module, so a command that never calls it compiles no
-``calculus``.
+restriction to the essential variables.  This module reaches ``calculus``
+and ``minors`` as attributes of their lazy modules, so a command that never
+calls ``analyze`` compiles no ``calculus``, and one that only builds tables
+from phi maps (``witness``) no ``minors``.  ``phi_texts`` gives the texts of
+a phi map's domain and entries, which the JSON report and the phi file
+format (``phitext``) share; the file format itself is not here, so the
+commands that write no phi file do not compile it.
 """
 
 from __future__ import annotations
@@ -29,20 +33,9 @@ from math import comb
 from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import calculus
-from .errors import (
-    MAX_CELLS,
-    ArgumentError,
-    CoverageError,
-    DomainError,
-    ParseError,
-    ResourceError,
-    excerpt,
-    excerpt_int,
-)
-from .groups import Element, Group, as_int, as_text, at_least, below, parse_decimal
-from .minors import (determined_via_symmetry, essential_restriction, is_totally_symmetric,
-                     pair_scan_limit, restriction_gap)
+from . import calculus, minors
+from .errors import MAX_CELLS, ArgumentError, CoverageError, DomainError, ResourceError, excerpt_int
+from .groups import Element, Group, as_int, at_least, below
 from .records import Record
 from .tables import FnTable, axis_fold, check_cells
 
@@ -75,19 +68,6 @@ def subset_sort_key(S: Subset) -> tuple[int, int]:
 
 def format_subset(S: Subset) -> str:
     return "{" + ",".join(str(v) for v in sorted(S)) + "}"
-
-
-def parse_subset(text: str) -> Subset:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad subset text {excerpt(text)!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    letters = [parse_decimal(p) for p in inner.split(",")]
-    if None in letters:
-        raise ParseError(f"bad subset text {excerpt(text)!r}")
-    return frozenset(letters)
 
 
 # each entry holds up to MAX_CELLS words of keys; one process uses one (a, n)
@@ -222,7 +202,7 @@ def extract_phi(f: FnTable) -> PhiMap | None:
     The verdict is determined_via_symmetry (PreconditionError at arity 0);
     phi is then read by _phi_at_representatives.
     """
-    return _phi_at_representatives(f) if determined_via_symmetry(f) else None
+    return _phi_at_representatives(f) if minors.determined_via_symmetry(f) else None
 
 
 def _phi_at_representatives(f: FnTable) -> PhiMap:
@@ -265,19 +245,19 @@ def analyze(f: FnTable) -> Analysis:
     holding an inessential position vanishes, so f and g have the same
     minimal decomposition arity, which calculus reads off g's transform.
     """
-    ess, g = essential_restriction(f)
+    ess, g = minors.essential_restriction(f)
     a, n, m = f.a_size, f.arity, g.arity
-    gap = restriction_gap(g) if m >= 2 else None
-    if m == n > pair_scan_limit(a):
+    gap = minors.restriction_gap(g) if m >= 2 else None
+    if m == n > minors.pair_scan_limit(a):
         phi = _phi_at_representatives(g) if gap == 2 else None
     else:
         phi = extract_phi(f) if n >= 1 and m in (0, n) else None
-    symmetric = phi is not None or (m == n and is_totally_symmetric(g))
+    symmetric = phi is not None or (m == n and minors.is_totally_symmetric(g))
     return Analysis(ess, symmetric, gap, phi, calculus.min_decomposition_arity(g))
 
 
 def is_determined(f: FnTable) -> bool:
-    return f.arity >= 1 and determined_via_symmetry(f)
+    return f.arity >= 1 and minors.determined_via_symmetry(f)
 
 
 def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
@@ -311,76 +291,10 @@ def determined_count(a_size: int, n: int, group: Group) -> int:
     return group.order ** domain_sizes(a_size, n)[2]
 
 
-# ----------------------------------------------------------------------
-# phi map text format
-# ----------------------------------------------------------------------
-
-
 def phi_texts(phi: PhiMap) -> tuple[str, list[tuple[str, str]]]:
     """The text of phi's domain (``pnprime:<n>`` or ``full``) and the
-    (subset, element) texts of its entries in key order, as dump_phi writes
-    them and load_phi reads them."""
+    (subset, element) texts of its entries in key order, as the CLI reports
+    them and phitext.dump_phi writes them."""
     domain = "full" if phi.arity is None else f"pnprime:{phi.arity}"
     fmt = phi.group.format_element
     return domain, [(format_subset(S), fmt(v)) for S, v in phi.sorted_items()]
-
-
-def dump_phi(phi: PhiMap) -> str:
-    domain, entries = phi_texts(phi)
-    lines = [f"phi domain={domain} a={phi.a_size} group={phi.group.to_text()}"]
-    lines += [f"{S} -> {v}" for S, v in entries]
-    return "\n".join(lines) + "\n"
-
-
-def load_phi(text: str) -> PhiMap:
-    header = None
-    entry_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(as_text("phi text", text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = (lineno, line)
-        else:
-            entry_lines.append((lineno, line))
-    if header is None:
-        raise ParseError("empty phi file")
-    lineno, line = header
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "phi":
-        raise ParseError("bad phi header (expected 'phi domain=... a=... group=...')", line=lineno)
-    fields = {}
-    for part in parts[1:]:
-        key, _, val = part.partition("=")
-        fields[key] = val
-    if set(fields) != {"domain", "a", "group"}:
-        raise ParseError("bad phi header fields", line=lineno)
-    a_size = parse_decimal(fields["a"])
-    if a_size is None:
-        raise ParseError(f"bad alphabet size {excerpt(fields['a'])!r}", line=lineno)
-    try:
-        group = Group.from_text(fields["group"])
-    except ParseError as exc:
-        raise ParseError(str(exc), line=lineno) from None
-    domain = fields["domain"]
-    head, _, count = domain.partition(":")
-    arity = parse_decimal(count) if head == "pnprime" else None
-    if arity is None and domain != "full":
-        raise ParseError(f"bad phi domain {excerpt(domain)!r}", line=lineno)
-    entries: dict[Subset, Element] = {}
-    for lineno, line in entry_lines:
-        left, sep, right = line.partition("->")
-        if not sep:
-            raise ParseError(f"bad phi entry {excerpt(line)!r}", line=lineno)
-        try:
-            S = parse_subset(left)
-            v = group.parse_element(right)
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if S in entries:
-            raise ParseError(f"duplicate key {format_subset(S)}", line=lineno)
-        entries[S] = v
-    try:
-        return PhiMap(a_size, group, arity, entries)
-    except ArgumentError as exc:
-        raise ParseError(str(exc)) from None

@@ -751,6 +751,44 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kerne
         assert (out_tbl.read_text() if out_tbl.exists() else None) == before
 
 
+def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
+    # out of memory while the table text is built, or a refused table write,
+    # removes the sidecar with the table when the command created them; a
+    # sidecar that was there before stays, and out of memory, which comes
+    # before either file is written, leaves its content as it was
+    import fndecomp.cli_witness as handler
+
+    def no_memory(*args):
+        raise MemoryError
+
+    write = handler._write_text
+
+    def refuse_table(path, text):
+        if path.endswith(".tbl"):
+            raise errors.ArgumentError(f"cannot write {path}: refused")
+        write(path, text)
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    sidecar = out_dir / "w.tbl.witness.txt"
+    argv = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
+            "--out", str(out_dir / "w.tbl")]
+    for target, name, fail, message in (
+            (importlib.import_module("fndecomp.tables"), "dump_table", no_memory,
+             "out of memory"),
+            (handler, "_write_text", refuse_table, f"cannot write {out_dir / 'w.tbl'}: refused")):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fail)
+            assert run(capsys, *argv) == (3, "", f"precondition failed: {message}\n")
+            assert list(out_dir.iterdir()) == []
+            sidecar.write_text("old\n")
+            assert run(capsys, *argv) == (3, "", f"precondition failed: {message}\n")
+            assert [path.name for path in out_dir.iterdir()] == [sidecar.name]
+            if fail is no_memory:
+                assert sidecar.read_text() == "old\n"
+            sidecar.unlink()
+
+
 def test_witness_writes_files(tmp_path, capsys):
     out_tbl = tmp_path / "w.tbl"
     code, out, _ = run(capsys, "witness", "--kind", "hamming", "--n", "3",
@@ -965,8 +1003,8 @@ def loaded_modules(code):
     return probe_modules(code)[-1]
 
 
-LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "booldecomp", "classify",
-           "identities", "witnesses", "cli_analyze", "cli_decompose", "cli_classify",
+LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "phitext", "booldecomp",
+           "classify", "identities", "witnesses", "cli_analyze", "cli_decompose", "cli_classify",
            "cli_identities", "cli_witness"]
 
 
@@ -1021,12 +1059,14 @@ STARTUP_ROWS = {
     "odd=": (["decompose", "parity3.tbl", "--mode=odd"], PHI | {"cli_decompose"}),
     "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI | {"cli_decompose"}),
     "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI | {"cli_decompose"}),
+    "odd-out": (["decompose", "parity3.tbl", "--mode", "odd", "--out", "phi.txt"],
+                PHI | {"cli_decompose", "phitext"}),
     "analyze": (["analyze", "z3.tbl"], ANALYZE | {"cli_analyze"}),
     "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"], CLASSIFY),
     "classify-z3": (["classify", "form.tbl", "--target", "z3"], CLASSIFY),
     "identities": (["identities", "--max-m", "3"], BASE | {"identities", "cli_identities"}),
     "witness": (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
-                 "--out", "w.tbl"], ANALYZE | {"witnesses", "cli_witness"}),
+                 "--out", "w.tbl"], TAYLOR | {"oddsupport", "witnesses", "cli_witness"}),
 }
 
 
@@ -1057,7 +1097,7 @@ def startup_argv(tmp_path, argv):
     write_parity(tmp_path, 3, "parity3.tbl")
     write_parity(tmp_path, 4, "parity4.tbl")
     save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "form.tbl")
-    return [str(tmp_path / word) if word.endswith(".tbl") else word for word in argv]
+    return [str(tmp_path / word) if word.endswith((".tbl", ".txt")) else word for word in argv]
 
 
 @pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
@@ -1065,12 +1105,14 @@ def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
     # without bytecode every module loaded is compiled from source; reading
     # argv compiles no library module, and main then loads the command's
     # modules (cli._RUNS) before the handler imports the digest module (to
-    # digest the input) or json; OpenSSL is never loaded for the digest
+    # digest the input) or json; OpenSSL is never loaded for the digest.  The
+    # phi file format alone is compiled by the handler, once the decomposition
+    # is done and only under --out
     lines = command_modules(startup_argv(tmp_path, argv))
     at_argv, *at_imports, done = ({name for name in names if name.startswith("fndecomp.")}
                                   for names in lines)
     assert at_argv == {"fndecomp.cli", "fndecomp.errors"}
-    assert all(names == done for names in at_imports)
+    assert all(names == done - {"fndecomp.phitext"} for names in at_imports)
     assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
     if BUILT_IN_SHA256:
         assert "_hashlib" not in lines[-1]
