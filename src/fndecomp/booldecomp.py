@@ -23,7 +23,9 @@ after its checks (in the even case, of phi restricted to phi_domain(|A|, n)).
 In particular f at representative_tuple(S, n) is phi(S): phi is read, not
 solved, and the unique phi, in the uniform case too, is extract_phi(f).
 Each decomposer rebuilds the table from the phi it returns and raises
-InternalConsistencyError unless that rebuild is f.
+InternalConsistencyError unless that rebuild is f.  What a case needs of a
+table, a Boolean codomain and then its regime, is checked by ``require_case``
+alone, in the decomposers, the reconstructions and the CLI's header hook.
 """
 
 from __future__ import annotations
@@ -40,22 +42,23 @@ from .tables import FnTable, check_cells
 # ----------------------------------------------------------------------
 
 
-def odd_case_shift(a_size: int, n: int) -> int:
+def _case_shift(a_size: int, n: int, parity: int) -> int:
+    """t with n - |A| = 2t + parity > 0: the shift of the odd (parity 1) or
+    even (parity 0) case."""
     d = n - a_size
-    if d <= 0 or d % 2 == 0:
-        raise PreconditionError(
-            "parity mismatch: n-|A| even" if d % 2 == 0 else "n-|A| must be positive"
-        )
-    return (d - 1) // 2
+    if d % 2 != parity:
+        raise PreconditionError(f"parity mismatch: n-|A| {('even', 'odd')[d % 2]}")
+    if d <= 0:
+        raise PreconditionError("n-|A| must be positive")
+    return d // 2
+
+
+def odd_case_shift(a_size: int, n: int) -> int:
+    return _case_shift(a_size, n, 1)
 
 
 def even_case_shift(a_size: int, n: int) -> int:
-    d = n - a_size
-    if d <= 0 or d % 2 == 1:
-        raise PreconditionError(
-            "parity mismatch: n-|A| odd" if d % 2 == 1 else "n-|A| must be positive"
-        )
-    return d // 2
+    return _case_shift(a_size, n, 0)
 
 
 def require_uniform_regime(a_size: int, n: int) -> None:
@@ -75,27 +78,43 @@ def require_boolean(group: Group) -> None:
         )
 
 
+def require_case(case: str, group: Group, a_size: int, n: int) -> int:
+    """The arity n as an int, once the codomain is checked Boolean, then
+    (a_size, n) in the regime of case "odd", "even" or "uniform"; what a
+    decomposition and its reconstruction need of a table's header."""
+    require_boolean(group)
+    n = as_int("arity", n)
+    if case == "uniform":
+        require_uniform_regime(a_size, n)
+    else:
+        _case_shift(a_size, n, case == "odd")
+    return n
+
+
 # ----------------------------------------------------------------------
 # the defining sums, each the table of phi through odd support
 # ----------------------------------------------------------------------
 
 
+def _pnprime_sum(phi: PhiMap, case: str, name: str) -> FnTable:
+    """The defining sum of case "odd" or "uniform" (called name in messages)
+    of a phi_domain-keyed map, the table of phi through odd support."""
+    if phi.arity is None:
+        raise ArgumentError(f"{name} reconstruction needs a pnprime phi map")
+    require_case(case, phi.group, phi.a_size, phi.arity)
+    return table_from_phi(phi)
+
+
 def reconstruct_odd(phi: PhiMap) -> FnTable:
     """The odd-case decomposition sum of a phi_domain-keyed map."""
-    if phi.arity is None:
-        raise ArgumentError("odd-case reconstruction needs a pnprime phi map")
-    require_boolean(phi.group)
-    odd_case_shift(phi.a_size, phi.arity)
-    return table_from_phi(phi)
+    return _pnprime_sum(phi, "odd", "odd-case")
 
 
 def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
     """The even-case decomposition sum of a full paired map at arity n."""
     if phi.arity is not None:
         raise ArgumentError("even-case reconstruction needs a full paired phi map")
-    require_boolean(phi.group)
-    n = as_int("arity", n)
-    even_case_shift(phi.a_size, n)
+    n = require_case("even", phi.group, phi.a_size, n)
     check_cells(phi.a_size, n)
     return table_from_phi(PhiMap.on_phi_domain(phi.a_size, n, phi.group, phi.value))
 
@@ -103,11 +122,7 @@ def reconstruct_even(phi: PhiMap, n: int) -> FnTable:
 def reconstruct_uniform(phi: PhiMap) -> FnTable:
     """The coefficient-free sum over sizes n-2, n-4, ..., in the regime
     n > max(|A|, 3) of decompose_uniform only (PreconditionError outside it)."""
-    if phi.arity is None:
-        raise ArgumentError("uniform reconstruction needs a pnprime phi map")
-    require_boolean(phi.group)
-    require_uniform_regime(phi.a_size, phi.arity)
-    return table_from_phi(phi)
+    return _pnprime_sum(phi, "uniform", "uniform")
 
 
 # ----------------------------------------------------------------------
@@ -115,17 +130,19 @@ def reconstruct_uniform(phi: PhiMap) -> FnTable:
 # ----------------------------------------------------------------------
 
 
-def _read_phi(f: FnTable) -> PhiMap:
-    """extract_phi(f), keyed on phi_domain(f.a_size, f.arity); a table that
-    is not determined by odd support has no decomposition."""
+def _decompose(case: str, f: FnTable) -> PhiMap:
+    """extract_phi(f), extended to the full power set in the even case, once
+    f is checked to be in case "odd", "even" or "uniform" and determined by
+    odd support, and the table its defining sum gives is checked to be f."""
+    require_case(case, f.group, f.a_size, f.arity)
     phi = extract_phi(f)
     if phi is None:
         raise PreconditionError("function is not determined by odd support")
-    return phi
-
-
-def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
-    """phi, once rebuilt, the table its defining sum gives, is checked to be f."""
+    if case == "even":
+        phi = full_map_from_domain_entries(f.a_size, f.group, phi.entries)
+        rebuilt = reconstruct_even(phi, f.arity)
+    else:
+        rebuilt = (reconstruct_odd if case == "odd" else reconstruct_uniform)(phi)
     if rebuilt.values != f.values:
         raise InternalConsistencyError("reconstruction does not reproduce the input")
     return phi
@@ -133,19 +150,13 @@ def _rebuilds(phi: PhiMap, rebuilt: FnTable, f: FnTable) -> PhiMap:
 
 def decompose_odd(f: FnTable) -> PhiMap:
     """The unique phi with reconstruct_odd(phi) == f, checked by that rebuild."""
-    require_boolean(f.group)
-    odd_case_shift(f.a_size, f.arity)
-    phi = _read_phi(f)
-    return _rebuilds(phi, reconstruct_odd(phi), f)
+    return _decompose("odd", f)
 
 
 def decompose_even(f: FnTable) -> PhiMap:
     """The unique full paired phi with reconstruct_even(phi, f.arity) == f,
     checked by that rebuild."""
-    require_boolean(f.group)
-    even_case_shift(f.a_size, f.arity)
-    phi = full_map_from_domain_entries(f.a_size, f.group, _read_phi(f).entries)
-    return _rebuilds(phi, reconstruct_even(phi, f.arity), f)
+    return _decompose("even", f)
 
 
 def full_map_from_domain_entries(a_size: int, group: Group, entries) -> PhiMap:
@@ -166,10 +177,7 @@ def decompose_uniform(f: FnTable) -> PhiMap:
     is extract_phi(f), unique there, because every admissible probe system
     is the identity (see the module docstring and uniform_system_rank).
     """
-    require_boolean(f.group)
-    require_uniform_regime(f.a_size, f.arity)
-    phi = _read_phi(f)
-    return _rebuilds(phi, reconstruct_uniform(phi), f)
+    return _decompose("uniform", f)
 
 
 def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:

@@ -25,21 +25,19 @@ def run(args) -> None:
         raise ArgumentError("--out writes a phi map, which --mode taylor does not produce")
     if not taylor:
         # each decomposer rebuilds f from its phi and raises unless that is exact
-        regime, decompose = {
-            "odd": (booldecomp.odd_case_shift, booldecomp.decompose_odd),
-            "even": (booldecomp.even_case_shift, booldecomp.decompose_even),
-            "fitilde": (booldecomp.require_uniform_regime, booldecomp.decompose_uniform),
+        case, decompose = {
+            "odd": ("odd", booldecomp.decompose_odd),
+            "even": ("even", booldecomp.decompose_even),
+            "fitilde": ("uniform", booldecomp.decompose_uniform),
         }[args.mode]
 
     def header(a_size: int, arity: int, group: groups.Group) -> None:
-        # the library's own checks of what the mode needs of the header; the
-        # phi modes run them in the library's order
+        # the library's own checks of what the mode needs of the header
         if taylor:
             _packable(a_size, arity, group)
             calculus.check_k(arity, args.k)
         else:
-            booldecomp.require_boolean(group)
-            regime(a_size, arity)
+            booldecomp.require_case(case, group, a_size, arity)
 
     f, digest = _load_table(args.table, header)
     verdicts: dict = {"mode": args.mode, "reconstruction": "exact"}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from . import groups, packing, tables, witnesses
-from .cli import _emit, _write_text
+from .cli import _emit
 from .errors import ArgumentError
 
 
@@ -29,31 +29,36 @@ def run(args) -> None:
     else:
         bundle = witnesses.large_alphabet_witness(args.n, args.a_size, group, b)
     sidecar = args.out + ".witness.txt"
-    created = [path for path in (args.out, sidecar) if not os.path.lexists(path)]
-    try:
-        # append mode creates --out only when it is absent and leaves a file
-        # that is there as it was until the sidecar is written
-        open(args.out, "ab").close()
-    except OSError as exc:
-        raise ArgumentError(f"cannot write {args.out}: {exc}") from None
     expected = bundle.table.group.format_element(bundle.expected)
     positions, params = sorted(bundle.positions), list(bundle.params)
+    files = ((sidecar, f"positions={positions}\nparams={params}\n"
+                       f"expected={expected}\nclaimed_k={bundle.claimed_k}\n"),
+             (args.out, tables.dump_table(bundle.table)))
+    # both files are written whole to new temporaries beside them before
+    # either path changes, so a refused or failed witness leaves both as they
+    # were; a table path that is a directory is refused before, and a name
+    # too long fails at the sidecar's, which is replaced first
+    temps: list[str] = []
     try:
-        # the table's text is built before either file is written, so running
-        # out of memory there leaves a sidecar that was there as it was
-        text = tables.dump_table(bundle.table)
-        _write_text(sidecar, f"positions={positions}\nparams={params}\n"
-                             f"expected={expected}\nclaimed_k={bundle.claimed_k}\n")
-        _write_text(args.out, text)
-    except (ArgumentError, MemoryError):
-        # a refused witness leaves neither file behind; a path that was there
-        # before is not ours to remove
-        for path in created:
-            if os.path.lexists(path):
-                os.remove(path)
-        raise
+        for path, text in files:
+            tmp = os.path.join(os.path.dirname(path), f".fndecomp-{os.getpid()}-{len(temps)}")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        if os.path.isdir(args.out):
+            raise ArgumentError(f"cannot write {args.out}: Is a directory")
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        # a temporary still there was never moved into place
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
            "expected": expected},
           {"table_file": args.out, "sidecar_file": sidecar, "positions": positions,
            "params": params})
+

@@ -12,8 +12,9 @@ back, ``table_from_phi``, maps the XOR fold of ``1 << x[t]`` (the mask of
 odd_support(x)) through the phi codes, so a rebuild checks determination
 from the definition without the slice test.  It is the one builder of a
 determined table: the Boolean reconstructions and ``classify.z3_build``
-return it.  The one cache, ``phi_domain``'s, holds the keys of at most 8
-(alphabet, arity) pairs.
+return it.  A ``PhiMap`` of either kind checks its keys by count and
+containment, with no key built, so a map builds ``phi_domain`` only where
+``on_phi_domain`` calls a function per key, and nothing is cached.
 
 ``analyze`` gives every verdict of ``fndecomp analyze``, read off the
 restriction to the essential variables.  This module reaches ``calculus``
@@ -27,7 +28,6 @@ commands that write no phi file do not compile it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import xor
@@ -70,8 +70,6 @@ def format_subset(S: Subset) -> str:
     return "{" + ",".join(str(v) for v in sorted(S)) + "}"
 
 
-# each entry holds up to MAX_CELLS words of keys; one process uses one (a, n)
-@lru_cache(maxsize=8, typed=True)
 def phi_domain(a_size: int, n: int) -> tuple[Subset, ...]:
     """Subsets of the alphabet with size in {n, n-2, ...}, sorted by (size, mask).
 
@@ -119,6 +117,8 @@ class PhiMap(Record):
     "pnprime"); with arity None it is keyed on every subset, with the pairing
     constraint phi(S) == phi(S symdiff {0}) for all S (kind "full").  The
     arity alone tells the two apart, so ``kind`` is read off it, not given.
+    Either key set is checked without building it: as many distinct keys as
+    the domain holds, each a subset of the alphabet of a size it holds.
 
     The entries are a dict, so a PhiMap compares by value but is unhashable.
     """
@@ -134,14 +134,15 @@ class PhiMap(Record):
     ):
         a_size = at_least("alphabet size", a_size, 2)
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
-        if arity is not None:
-            if set(entries) != set(phi_domain(a_size, arity)):
-                raise ArgumentError("pnprime phi map keys do not match phi_domain")
-        else:
-            # 2**a_size distinct subsets of the alphabet are all of them
-            if len(entries) != _check_key_count(a_size, range(a_size + 1)) or not all(
-                    map(frozenset(range(a_size)).issuperset, entries)):
-                raise ArgumentError("full phi map must cover every subset of the alphabet")
+        # a full map is keyed on the subsets of every size; as many distinct
+        # keys as the domain holds, each in it, are all of it.  The count is
+        # charged before the alphabet is built.
+        sizes = range(a_size + 1) if arity is None else domain_sizes(a_size, arity)[1]
+        count, letters = _check_key_count(a_size, sizes), frozenset(range(a_size))
+        if len(entries) != count or not all(len(S) in sizes and S <= letters for S in entries):
+            raise ArgumentError("full phi map must cover every subset of the alphabet"
+                                if arity is None else "pnprime phi map keys do not match phi_domain")
+        if arity is None:
             for S in entries:
                 if entries[S] != entries[S ^ {0}]:
                     raise ArgumentError(

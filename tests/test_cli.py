@@ -752,41 +752,65 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kerne
 
 
 def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
-    # out of memory while the table text is built, or a refused table write,
-    # removes the sidecar with the table when the command created them; a
-    # sidecar that was there before stays, and out of memory, which comes
-    # before either file is written, leaves its content as it was
+    # out of memory while the table text is built, or a write of the table
+    # refused partway, leaves both paths as they were: no file where there
+    # was none, an old sidecar and an old table with their bytes, and no
+    # temporary file behind
+    import errno
+
     import fndecomp.cli_witness as handler
 
     def no_memory(*args):
         raise MemoryError
 
-    write = handler._write_text
+    def refuse_table(file, mode="r", **kwargs):
+        # the table's text is written, half of it, and then the disk is full
+        fh = open(file, mode, **kwargs)
+        write = fh.write
 
-    def refuse_table(path, text):
-        if path.endswith(".tbl"):
-            raise errors.ArgumentError(f"cannot write {path}: refused")
-        write(path, text)
+        def no_space(text):
+            if text.startswith("domain="):
+                write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(text)
+
+        fh.write = no_space
+        return fh
 
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    sidecar = out_dir / "w.tbl.witness.txt"
+    table, sidecar = out_dir / "w.tbl", out_dir / "w.tbl.witness.txt"
     argv = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
-            "--out", str(out_dir / "w.tbl")]
+            "--out", str(table)]
     for target, name, fail, message in (
             (importlib.import_module("fndecomp.tables"), "dump_table", no_memory,
              "out of memory"),
-            (handler, "_write_text", refuse_table, f"cannot write {out_dir / 'w.tbl'}: refused")):
+            (handler, "open", refuse_table, f"cannot write {table}: No space left on device")):
         with monkeypatch.context() as patch:
-            patch.setattr(target, name, fail)
+            patch.setattr(target, name, fail, raising=False)
             assert run(capsys, *argv) == (3, "", f"precondition failed: {message}\n")
             assert list(out_dir.iterdir()) == []
             sidecar.write_text("old\n")
+            table.write_bytes(b"old table\r\n")
             assert run(capsys, *argv) == (3, "", f"precondition failed: {message}\n")
-            assert [path.name for path in out_dir.iterdir()] == [sidecar.name]
-            if fail is no_memory:
-                assert sidecar.read_text() == "old\n"
+            assert sorted(path.name for path in out_dir.iterdir()) == [table.name, sidecar.name]
+            assert sidecar.read_text() == "old\n"
+            assert table.read_bytes() == b"old table\r\n"
             sidecar.unlink()
+            table.unlink()
+    # a table path that is a directory is refused before the sidecar changes
+    table.mkdir()
+    assert run(capsys, *argv) == (3, "", f"precondition failed: cannot write {table}: "
+                                         "Is a directory\n")
+    assert [path.name for path in out_dir.iterdir()] == [table.name]
+    table.rmdir()
+    # unpatched, the witness replaces both old files
+    sidecar.write_text("old\n")
+    table.write_bytes(b"old table\r\n")
+    assert run(capsys, *argv)[0] == 0
+    assert sorted(path.name for path in out_dir.iterdir()) == [table.name, sidecar.name]
+    assert sidecar.read_text().startswith("positions=")
+    assert table.read_text().startswith("domain=")
 
 
 def test_witness_writes_files(tmp_path, capsys):

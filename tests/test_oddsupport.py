@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +26,7 @@ from fndecomp import (
     representative_tuple,
     table_from_phi,
 )
+from fndecomp import oddsupport
 from helpers import (
     all_phi_assignments,
     boolean_corpus,
@@ -301,13 +302,20 @@ def time_and_peak(call):
     return elapsed, peak
 
 
-def test_determined_count_builds_no_key():
+def forbid_phi_domain(monkeypatch):
+    def build(*args):
+        raise AssertionError("phi_domain was called")
+
+    monkeypatch.setattr(oddsupport, "phi_domain", build)
+
+
+def test_determined_count_builds_no_key(monkeypatch):
     # 2**21 keys at (22, 22): counted, not built, and phi_domain not called
-    info, counts = phi_domain.cache_info(), []
+    forbid_phi_domain(monkeypatch)
+    counts = []
     elapsed, peak = time_and_peak(lambda: counts.append(determined_count(22, 22, Z2)))
     assert counts == [2 ** 2**21]
     assert elapsed < 1.0 and peak < 5 << 20
-    assert phi_domain.cache_info() == info
 
 
 def test_full_phi_map_is_checked_by_count_and_containment():
@@ -321,6 +329,41 @@ def test_full_phi_map_is_checked_by_count_and_containment():
     # 2**2 keys, one of which holds a letter outside the alphabet
     PhiMap(2, Z2, None, {frozenset(S): (0,) for S in ((), (0,), (1,), (0, 1))})
     refuse(2, {frozenset(S): (0,) for S in ((), (0,), (1,), (0, 2))})
+
+
+def test_pnprime_phi_map_is_checked_by_count_and_containment(monkeypatch):
+    # 2**21 keys at (22, 22) are counted, not built, by the map and by the
+    # phi file reader, and phi_domain is not called
+    forbid_phi_domain(monkeypatch)
+
+    def refuse(call):
+        with pytest.raises((ArgumentError, ParseError),
+                           match="^pnprime phi map keys do not match phi_domain$"):
+            call()
+
+    for call in (lambda: PhiMap(22, Z2, 22, {}),
+                 lambda: load_phi("phi domain=pnprime:22 a=22 group=Z2\n")):
+        elapsed, peak = time_and_peak(lambda: refuse(call))
+        assert elapsed < 1.0 and peak < 5 << 20
+
+
+@given(st.data())
+def test_pnprime_key_rule_is_the_set_comparison(data):
+    # the whole domain or part of it, with or without subsets of range(a + 1)
+    # from outside it, some of which hold the letter a outside the alphabet
+    a, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+    domain = set(phi_domain(a, n))
+    subsets = [frozenset(S) for size in range(a + 2) for S in combinations(range(a + 1), size)]
+    inside = data.draw(st.one_of(st.just(domain), st.sets(st.sampled_from(
+        [S for S in subsets if S in domain]))))
+    outside = data.draw(st.sets(st.sampled_from([S for S in subsets if S not in domain]),
+                                max_size=3))
+    entries = {S: (len(S) % 2,) for S in inside | outside}
+    if set(entries) == domain:
+        assert PhiMap(a, Z2, n, entries).entries == entries
+    else:
+        with pytest.raises(ArgumentError, match="^pnprime phi map keys do not match phi_domain$"):
+            PhiMap(a, Z2, n, entries)
 
 
 def test_phi_map_validation():

@@ -71,9 +71,10 @@ def test_the_lazy_registry_holds_every_library_module():
     assert {f"fndecomp.{name}" for name in fndecomp._EXPORTS} == expected
 
 
-def test_phi_domain_is_the_one_library_cache():
+def test_the_library_holds_no_cache():
     # a functools cache keeps what it is given for the life of the process;
-    # the library holds exactly one, bounded, on the small phi domains
+    # the library holds none, not even of the small phi domains, whose keys
+    # each PhiMap checks without building them
     caches = set()
     for path in PACKAGE.glob("[!_]*.py"):
         module = importlib.import_module(f"fndecomp.{path.stem}")
@@ -81,8 +82,7 @@ def test_phi_domain_is_the_one_library_cache():
         objects += [v for cls in objects if isinstance(cls, type) for v in vars(cls).values()]
         caches |= {(obj.__module__, obj.__qualname__) for obj in objects
                    if callable(getattr(obj, "cache_info", None))}
-    assert caches == {("fndecomp.oddsupport", "phi_domain")}
-    assert fndecomp.oddsupport.phi_domain.cache_info().maxsize == 8
+    assert caches == set()
 
 
 # an int of 5 000 digits, more than str() converts; negative where a check is
@@ -239,7 +239,8 @@ CONTRACT = {
                                1, BOTH),
     "odd_support.a_size": (lambda v: fndecomp.odd_support(v, (0,)), "alphabet size", 2, (-1,)),
     "odd_support.x": (lambda v: fndecomp.odd_support(2, (v,)), "component", 1, BOTH),
-    # the typed cache of phi_domain holds (2, 1) from the accepted call
+    # phi_domain reads its arguments on every call: no cache can answer a
+    # refused value, such as 2.0, with the keys of an accepted call's 2
     "phi_domain.a_size": (lambda v: fndecomp.phi_domain(v, 1), "alphabet size", 2, BOTH),
     "phi_domain.n": (lambda v: fndecomp.phi_domain(2, v), "arity", 1, (-1,)),
     "determined_count.a_size": (lambda v: fndecomp.determined_count(v, 1, Z2), "alphabet size", 2,

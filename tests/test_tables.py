@@ -25,7 +25,6 @@ from fndecomp import (
     simple_minor,
 )
 from fndecomp.minors import RUN, zero_slices
-from fndecomp.oddsupport import phi_domain
 from fndecomp.tables import axis_fold, check_cells, iter_tuples
 from helpers import (
     boolean_corpus,
@@ -144,10 +143,6 @@ def test_sizes_must_be_integers():
                           (lambda: odd_sum_rows(3.0), "max_m must be an integer, got 3.0")):
         with pytest.raises(ArgumentError, match=f"^{message}$"):
             call()
-
-
-def test_caches_of_table_sized_data_are_bounded():
-    assert 2 <= phi_domain.cache_parameters()["maxsize"] <= 16
 
 
 def test_simple_minor_identity_and_collapse():
