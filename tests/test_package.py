@@ -71,10 +71,11 @@ def test_the_lazy_registry_holds_every_library_module():
     assert {f"fndecomp.{name}" for name in fndecomp._EXPORTS} == expected
 
 
-def test_the_library_holds_no_cache():
+def test_phi_domain_is_the_one_library_cache(monkeypatch):
     # a functools cache keeps what it is given for the life of the process;
-    # the library holds none, not even of the small phi domains, whose keys
-    # each PhiMap checks without building them
+    # the library holds none.  The one store of phi keys is the tuple that
+    # phi_domain builds for an on_phi_domain map, once per map; a map given
+    # its entries checks their keys by count and containment, building none
     caches = set()
     for path in PACKAGE.glob("[!_]*.py"):
         module = importlib.import_module(f"fndecomp.{path.stem}")
@@ -83,6 +84,15 @@ def test_the_library_holds_no_cache():
         caches |= {(obj.__module__, obj.__qualname__) for obj in objects
                    if callable(getattr(obj, "cache_info", None))}
     assert caches == set()
+
+    oddsupport, calls = fndecomp.oddsupport, []
+    build = oddsupport.phi_domain
+    monkeypatch.setattr(oddsupport, "phi_domain", lambda *args: calls.append(args) or build(*args))
+    z2 = fndecomp.Group((2,))
+    phi = oddsupport.PhiMap.on_phi_domain(3, 4, z2, lambda S: (len(S) % 2,))
+    assert calls == [(3, 4)]
+    oddsupport.PhiMap(3, z2, 4, dict(phi.entries))
+    assert calls == [(3, 4)]
 
 
 # an int of 5 000 digits, more than str() converts; negative where a check is

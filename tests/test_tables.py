@@ -25,6 +25,7 @@ from fndecomp import (
     simple_minor,
 )
 from fndecomp.minors import RUN, zero_slices
+from fndecomp.oddsupport import phi_domain
 from fndecomp.tables import axis_fold, check_cells, iter_tuples
 from helpers import (
     boolean_corpus,
@@ -143,6 +144,12 @@ def test_sizes_must_be_integers():
                           (lambda: odd_sum_rows(3.0), "max_m must be an integer, got 3.0")):
         with pytest.raises(ArgumentError, match=f"^{message}$"):
             call()
+
+
+def test_caches_of_table_sized_data_are_bounded():
+    # nothing keeps phi keys between calls: each call builds its own tuple
+    first, second = phi_domain(4, 3), phi_domain(4, 3)
+    assert first == second and first is not second
 
 
 def test_simple_minor_identity_and_collapse():
