@@ -29,8 +29,8 @@ from itertools import combinations, compress
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import (MAX_CELLS, ArgumentError, DomainError, InternalConsistencyError,
-                     PreconditionError, ResourceError, excerpt_int)
+from .errors import (ArgumentError, DomainError, InternalConsistencyError, PreconditionError,
+                     charge, excerpt_int)
 from .groups import Element, as_int, below
 from .packing import Packing
 from .tables import FnTable, _support_sizes
@@ -167,12 +167,8 @@ def _first_witness(f: FnTable, c: Sequence[int], k: int) -> Witness | None:
 
 
 def _check_taylor_cells(f: FnTable, terms: int) -> None:
-    cells = terms * len(f.values)
-    if cells > MAX_CELLS:
-        raise ResourceError(
-            f"{terms} Taylor terms of {len(f.values)} cells each exceed the "
-            f"materialization budget of {MAX_CELLS} cells"
-        )
+    charge(terms * len(f.values), "cells", "a Taylor materialization of {} terms of {} cells each",
+           terms, len(f.values))
 
 
 def _taylor_terms_upto(

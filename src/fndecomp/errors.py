@@ -4,10 +4,13 @@ The CLI maps these onto its exit codes: ParseError exits 2,
 InternalConsistencyError exits 4, and every other FnDecompError (precondition,
 argument, shape, domain, coverage and resource errors) exits 3.
 
-MAX_CELLS, the one size budget behind every ResourceError but the width of a
-packed cell (packing.PACKED_BITS), lives here beside its error, so that every
-module reads it from one place: tables, calculus, oddsupport and identities
-count their tables, masks and products against it.
+MAX_CELLS is the one size budget, and ``charge`` the one check against it:
+tables, calculus, oddsupport and identities each count what a call would
+build, in its unit (cells, words, bits or binomial products), and hand the
+count to ``charge``, which raises ResourceError past the budget and reads
+MAX_CELLS at call time.  The width of a packed cell (packing.PACKED_BITS)
+and the pair enumeration's cap (identities.PAIR_COUNT_MAX_M) are separate
+limits.
 """
 
 
@@ -49,7 +52,9 @@ class ResourceError(FnDecompError, ValueError):
 
 # Cells one table, or one Taylor materialization in all, may allocate: about
 # 32 MB of value codes as a tuple, and at most 16 MB as a packed table
-# (packing.Packing takes at most four bytes per cell).
+# (packing.Packing takes at most four bytes per cell).  The mask words, the
+# product bits and the binomial products of the other guards are held to
+# the same number.
 MAX_CELLS = 1 << 22
 
 
@@ -73,6 +78,15 @@ def excerpt_int(n: int) -> str:
     if drop > 0:
         n //= 10**drop
     return sign + excerpt(str(n))
+
+
+def charge(count: int, unit: str, what: str, *numbers: int) -> None:
+    """ResourceError "<what> exceeds the budget of MAX_CELLS <unit>" when
+    count > MAX_CELLS.  what is a str.format template, a singular noun
+    phrase, filled with excerpt_int of numbers on refusal only."""
+    if count > MAX_CELLS:
+        what = what.format(*map(excerpt_int, numbers))
+        raise ResourceError(f"{what} exceeds the budget of {MAX_CELLS} {unit}")
 
 
 class ParseError(FnDecompError, ValueError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import MAX_CELLS, ArgumentError, ResourceError, excerpt_int
+from .errors import ArgumentError, ResourceError, charge, excerpt_int
 from .groups import as_int
 from .tables import _support_sizes
 
@@ -49,10 +49,7 @@ def binom(n: int, k: int) -> int:
 def _charge_products(m: int, products: int) -> None:
     """ResourceError when products of up to m bits each, the size of C(m, j)
     and of 2^(m-1), would take more than MAX_CELLS bits, before any is built."""
-    if products * m > MAX_CELLS:
-        raise ResourceError(
-            f"identity at m={excerpt_int(m)} would build {excerpt_int(products)} products of "
-            f"{excerpt_int(m)} bits, more than {MAX_CELLS} bits")
+    charge(products * m, "bits", "an identity row of {} products of up to m={} bits", products, m)
 
 
 def _even_products(m: int, t: int) -> int:
@@ -147,11 +144,7 @@ def _check_row_work(max_m: int) -> int:
     for m in range(1, max_m + 1):
         count += sum(_even_products(m, t) for t in range((m - 2) // 2 + 1))
         count += sum(_odd_products(m, t) for t in range((m - 1) // 2 + 1))
-        if count > MAX_CELLS:
-            raise ResourceError(
-                f"identity rows up to m={excerpt_int(max_m)} would evaluate more than "
-                f"{MAX_CELLS} binomial products"
-            )
+        charge(count, "binomial products", "the evaluation of the identity rows up to m={}", max_m)
     return max_m
 
 

@@ -34,7 +34,7 @@ from operator import xor
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import calculus, minors
-from .errors import MAX_CELLS, ArgumentError, CoverageError, DomainError, ResourceError, excerpt_int
+from .errors import ArgumentError, CoverageError, DomainError, charge, excerpt_int
 from .groups import Element, Group, as_int, at_least, below
 from .records import Record
 from .tables import FnTable, axis_fold, check_cells
@@ -90,14 +90,16 @@ def domain_sizes(a_size: int, n: int) -> tuple[int, range, int]:
     return a_size, sizes, _check_key_count(a_size, sizes)
 
 
-def _check_mask_words(a_size: int, count: int, what: str) -> None:
-    """ResourceError when count subset masks over a_size letters, at
-    ceil(a_size/64) machine words each, take more than MAX_CELLS words."""
-    if count * -(-a_size // 64) > MAX_CELLS:
-        raise ResourceError(
-            f"{what} over a {excerpt_int(a_size)}-letter alphabet would take more than "
-            f"{MAX_CELLS} words"
-        )
+# errors.charge templates of the two mask charges; the last number is a_size
+_KEY_SET = "the key set of a phi map over a {}-letter alphabet"
+_MASK_LIST = "the list of odd-support masks of {}**{} cells over a {}-letter alphabet"
+
+
+def _check_mask_words(a_size: int, count: int, what: str, *numbers: int) -> None:
+    """Charge count subset masks over a_size letters, at ceil(a_size/64)
+    machine words each: errors.charge of what, filled with numbers and
+    a_size."""
+    charge(count * -(-a_size // 64), "words", what, *numbers, a_size)
 
 
 def _check_key_count(a_size: int, sizes: Iterable[int]) -> int:
@@ -106,7 +108,7 @@ def _check_key_count(a_size: int, sizes: Iterable[int]) -> int:
     count = 0
     for size in sizes:
         count += comb(a_size, size)
-        _check_mask_words(a_size, count, "the keys of a phi map")
+        _check_mask_words(a_size, count, _KEY_SET)
     return count
 
 
@@ -136,9 +138,13 @@ class PhiMap(Record):
         entries = {frozenset(S): group.validate(v) for S, v in entries.items()}
         # a full map is keyed on the subsets of every size; as many distinct
         # keys as the domain holds, each in it, are all of it.  The count is
-        # charged before the alphabet is built.
-        sizes = range(a_size + 1) if arity is None else domain_sizes(a_size, arity)[1]
-        count, letters = _check_key_count(a_size, sizes), frozenset(range(a_size))
+        # charged, once, before the alphabet is built.
+        if arity is None:
+            sizes = range(a_size + 1)
+            count = _check_key_count(a_size, sizes)
+        else:
+            _, sizes, count = domain_sizes(a_size, arity)
+        letters = frozenset(range(a_size))
         if len(entries) != count or not all(len(S) in sizes and S <= letters for S in entries):
             raise ArgumentError("full phi map must cover every subset of the alphabet"
                                 if arity is None else "pnprime phi map keys do not match phi_domain")
@@ -191,7 +197,7 @@ def table_from_phi(phi: PhiMap) -> FnTable:
         raise ArgumentError(f"table_from_phi needs a pnprime phi map, not a {phi.kind} one")
     a, n = phi.a_size, phi.arity
     check_cells(a, n)
-    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    _check_mask_words(a, a**n, _MASK_LIST, a, n)
     code_of = {subset_mask(S): phi.group.encode(v) for S, v in phi.entries.items()}
     masks = axis_fold([[1 << d for d in range(a)]] * n, xor)
     return FnTable(a, n, phi.group, tuple(map(code_of.__getitem__, masks)))
@@ -213,7 +219,7 @@ def _phi_at_representatives(f: FnTable) -> PhiMap:
     would take are charged against the budget first, so a table too wide
     for table_from_phi is refused wherever phi is read."""
     a, n = f.a_size, f.arity
-    _check_mask_words(a, a**n, f"the odd-support masks of {a}**{n} cells")
+    _check_mask_words(a, a**n, _MASK_LIST, a, n)
     return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
 
 
@@ -262,17 +268,16 @@ def is_determined(f: FnTable) -> bool:
 
 
 def representative_tuple(S: Iterable[int], n: int) -> tuple[int, ...]:
-    """Canonical n-tuple with odd_support equal to S.
+    """Canonical n-tuple with odd_support equal to the set S; a letter
+    repeated in S counts once, as in PhiMap.value.
 
     For S = {s1 < ... < sk} nonempty: s1 repeated n-k+1 times, then s2..sk.
     For S empty (n must be even): the all-zero tuple.  n is checked against
     MAX_CELLS, as the cells of a table are, before the tuple is built.
     """
     n = at_least("arity", n, 0)
-    if n > MAX_CELLS:
-        raise ResourceError(f"a tuple of {excerpt_int(n)} components exceeds the budget of "
-                            f"{MAX_CELLS} cells")
-    s = sorted(as_int("letter", c) for c in S)
+    charge(n, "cells", "a tuple of {} components", n)
+    s = sorted({as_int("letter", c) for c in S})
     if s and s[0] < 0:
         raise DomainError(f"letter {excerpt_int(s[0])} is negative")
     if not s:

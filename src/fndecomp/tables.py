@@ -24,15 +24,8 @@ from itertools import product
 from operator import add
 from typing import Callable, Iterator, Sequence
 
-from .errors import (
-    MAX_CELLS,
-    DomainError,
-    ParseError,
-    ResourceError,
-    ShapeError,
-    excerpt,
-    excerpt_int,
-)
+from . import errors
+from .errors import DomainError, ParseError, ShapeError, charge, excerpt
 from .groups import Element, Group, as_text, at_least, below, parse_decimal
 from .records import Record
 
@@ -54,15 +47,12 @@ def iter_tuples(a_size: int, arity: int) -> Iterator[tuple[int, ...]]:
 def check_cells(a_size: int, arity: int) -> tuple[int, int]:
     """a_size and arity as plain ints: ArgumentError unless they are integers
     with a_size >= 2 and arity >= 0, and ResourceError when a table of
-    a_size**arity cells would exceed MAX_CELLS."""
+    a_size**arity cells would exceed MAX_CELLS (errors.charge)."""
     a_size, arity = at_least("alphabet size", a_size, 2), at_least("arity", arity, 0)
     # with a_size >= 2 that many factors are over budget already, and the
     # capped exponent keeps the power small for any arity
-    if a_size ** min(arity, MAX_CELLS.bit_length()) > MAX_CELLS:
-        raise ResourceError(
-            f"a table of {excerpt_int(a_size)}**{excerpt_int(arity)} cells exceeds the "
-            f"budget of {MAX_CELLS} cells"
-        )
+    cells = a_size ** min(arity, errors.MAX_CELLS.bit_length())
+    charge(cells, "cells", "a table of {}**{} cells", a_size, arity)
     return a_size, arity
 
 

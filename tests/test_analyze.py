@@ -17,7 +17,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fndecomp import FnTable, Group, PhiMap, ResourceError, analyze, oddsupport, table_from_phi
+from fndecomp import FnTable, Group, PhiMap, ResourceError, analyze, errors, table_from_phi
 from fndecomp.minors import essential_restriction
 from helpers import (
     boolean_corpus,
@@ -143,7 +143,7 @@ def test_analyze_charges_the_masks_only_where_it_reads_phi(monkeypatch):
     constant = FnTable.constant(3, 4, Z3, (1,))
     asymmetric = random_table(random.Random(13), 3, 4, Z3)
     expected = five_call_analysis(asymmetric)
-    monkeypatch.setattr(oddsupport, "MAX_CELLS", 80)
+    monkeypatch.setattr(errors, "MAX_CELLS", 80)
     assert analyze(asymmetric) == expected and not expected.totally_symmetric
     for f in (determined, constant):
         with pytest.raises(ResourceError, match="odd-support masks of 3\\*\\*4 cells"):

@@ -856,7 +856,8 @@ def test_huge_witness_arguments_are_refused_in_bounded_memory(tmp_path, capsys):
 
     # each refusal comes before anything sized by the argument is built:
     # 2**e, or the letter sets {1..ell} and {1..n}
-    keys = "the keys of a phi map over a 1000001-letter alphabet would take more than"
+    keys = ("the key set of a phi map over a 1000001-letter alphabet exceeds the budget of "
+            "4194304 words")
     cases = [(["--kind", "tightness", "--ell", "2", "--e", str(e), "--n", "4", "--group", "Z2"],
               f"group exponent 2 is not 2**{e}") for e in (10**8, 10**18)]
     cases += [(["--kind", "tightness", "--ell", str(10**6), "--e", "1", "--n", str(10**6),
@@ -883,7 +884,7 @@ def test_huge_witness_arguments_are_refused_in_bounded_memory(tmp_path, capsys):
         (["--kind", "hamming", "--n", "-" + big, "--group", "Z3"],
          f"arity must be >= 1, got -{cut}"),
         (["--kind", "large-alphabet", "--n", "3", "--a-size", big, "--group", "Z2"],
-         f"the keys of a phi map over a {cut}-letter alphabet"),
+         f"the key set of a phi map over a {cut}-letter alphabet"),
         (["--kind", "large-alphabet", "--n", "3", "--a-size", "-" + big, "--group", "Z2"],
          f"alphabet size must be >= n+1 = 4, got -{cut}"),
     ]

@@ -97,6 +97,25 @@ def test_representative_tuple():
         representative_tuple({0}, 4)
     with pytest.raises(ArgumentError):
         representative_tuple({0, 1, 2}, 2)
+    # the letters are read as a set: {1} at arity 2 and {1, 2} at arity 3
+    for letters, n in (([1, 1], 2), ([2, 1, 1], 3)):
+        with pytest.raises(ArgumentError, match="wrong parity"):
+            representative_tuple(letters, n)
+
+
+@given(st.lists(st.integers(0, 5), max_size=8), st.integers(0, 9))
+def test_representative_tuple_reads_its_letters_as_a_set(letters, n):
+    # a repeated letter counts once, as in PhiMap.value: the tuple exists
+    # exactly when the set is a reachable support at arity n, and its odd
+    # support is that set
+    S = frozenset(letters)
+    reachable = len(S) <= n and (n - len(S)) % 2 == 0
+    try:
+        x = representative_tuple(letters, n)
+    except ArgumentError:
+        assert not reachable
+    else:
+        assert reachable and len(x) == n and odd_support(6, x) == S
 
 
 def test_representative_tuple_checks_its_arguments_before_building():

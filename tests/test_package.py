@@ -1,12 +1,15 @@
 """The package's public surface: its re-exported names, its lazy modules and
 the messages of its refusals."""
 
+import ast
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 from types import FunctionType
 
@@ -135,6 +138,61 @@ def test_refusals_quote_huge_ints_in_excerpt(site):
         REFUSALS[site]()
     message = str(info.value)
     assert "\n" not in message and len(message) <= 200
+
+
+# The size budget of the public API.  Each public entry that reaches a guard
+# has a row: its first input over the budget and the unit it is charged in.
+# The comment above a row gives the neighbouring input that the budget admits.
+ZERO12 = fndecomp.FnTable.constant(2, 12, Z2, (0,))
+WIDE = fndecomp.FnTable.constant(16385, 1, Z2, (0,))
+BUDGET = {
+    # 2**22 cells
+    "FnTable.constant": (lambda: fndecomp.FnTable.constant(2, 23, Z2, (0,)), "cells"),
+    # 2**22 components
+    "representative_tuple": (lambda: fndecomp.representative_tuple({0}, (1 << 22) + 1),
+                             "cells"),
+    # (23, 23): 2**22 keys of one word
+    "phi_domain": (lambda: fndecomp.phi_domain(24, 24), "words"),
+    "PhiMap": (lambda: fndecomp.PhiMap(24, Z2, 24, {}), "words"),
+    # 16384 letters: 16384 masks of 256 words
+    "extract_phi": (lambda: fndecomp.extract_phi(WIDE), "words"),
+    # arity 11: 2**11 terms of 2**11 cells
+    "taylor_terms": (lambda: fndecomp.taylor_terms(ZERO12), "cells"),
+    # k = 4: 794 terms of 2**12 cells
+    "decompose_via_taylor": (lambda: fndecomp.decompose_via_taylor(ZERO12, 5), "cells"),
+    # m = 2895: 1448 products of 2895 bits
+    "even_sum_lhs": (lambda: fndecomp.even_sum_lhs(2896, 0), "bits"),
+    # m = 2894: 1448 products of 2894 bits
+    "odd_sum_rhs": (lambda: fndecomp.odd_sum_rhs(2895, 0), "bits"),
+    # max_m = 340, the identities command's largest
+    "even_sum_rows": (lambda: fndecomp.identities.even_sum_rows(341), "binomial products"),
+}
+
+
+def test_every_guard_is_one_charge_against_the_budget():
+    # each refusal comes before the call builds anything of its size, in the
+    # wording of errors.charge, and errors.charge is the one comparison with
+    # MAX_CELLS in the package
+    for entry, (call, unit) in BUDGET.items():
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(fndecomp.ResourceError) as info:
+                call()
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value).endswith(f" exceeds the budget of 4194304 {unit}"), entry
+        assert elapsed < 1 and peak < 1 << 20, (entry, elapsed, peak)
+
+    def names_the_budget(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "MAX_CELLS"
+                   for n in ast.walk(node))
+
+    comparing = {path.name for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Compare) and names_the_budget(node)}
+    assert comparing == {"errors.py"}
 
 
 TERNARY = fndecomp.FnTable(2, 3, Z2, (0,) * 8)
