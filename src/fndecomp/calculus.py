@@ -25,9 +25,9 @@ set and copies them along every other position.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from itertools import combinations, compress
 from math import comb
-from typing import Iterable, Sequence
 
 from .errors import (ArgumentError, DomainError, InternalConsistencyError, PreconditionError,
                      charge, excerpt_int)

@@ -22,10 +22,11 @@ memory".
 
 Start-up loads only what a command runs.  This module holds what every
 command shares: reading an input and its digest, the report (_emit), the
-option table (_COMMANDS), its two readers and main.  A well-formed command
-is read by _read_argv, which imports nothing, so it never imports argparse;
---help, abbreviations and usage errors go through the argparse parser that
-_build_parser builds from the same table.  Each subcommand's handler is the
+writer of output files (_write_files), the option table (_COMMANDS), its two
+readers and main.  A well-formed command is read by _read_argv, which
+imports nothing, so it never imports argparse; --help, abbreviations and
+usage errors go through the argparse parser that _build_parser builds from
+the same table.  Each subcommand's handler is the
 ``run`` of a module of its own, ``cli_<command>``, which no other subcommand
 compiles.  The library modules are the package's lazy modules, each compiled
 at its first attribute access.  Once main has the command, it loads those of
@@ -79,12 +80,30 @@ def _read_text(path: str) -> tuple[str, dict]:
     return tables.decode_text(data, path), digest
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_files(files) -> None:
+    """Write each (path, text) of files whole to a new temporary beside its
+    path, then replace the paths with the temporaries in order.  ArgumentError
+    "cannot write <path>: <reason>" when a write fails or a path is a
+    directory, refused before any path changes; no temporary is left."""
+    temps: list[str] = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in files:
+            tmp = os.path.join(os.path.dirname(path), f".fndecomp-{os.getpid()}-{len(temps)}")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for path, _ in files:
+            if os.path.isdir(path):
+                raise ArgumentError(f"cannot write {path}: Is a directory")
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
     except OSError as exc:
-        raise ArgumentError(f"cannot write {path}: {exc}") from None
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        # a temporary still there was never moved into place
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _load_table(path: str, check) -> tuple[tables.FnTable, dict]:

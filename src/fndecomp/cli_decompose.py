@@ -11,7 +11,7 @@ is done.
 from __future__ import annotations
 
 from . import booldecomp, calculus, groups, phitext
-from .cli import _emit, _load_table, _packable, _phi_payload, _write_text
+from .cli import _emit, _load_table, _packable, _phi_payload, _write_files
 from .errors import ArgumentError
 
 
@@ -63,6 +63,6 @@ def run(args) -> None:
         verdicts["system_rank"] = f"{rank}/{unknowns}"
     payload = {"phi": _phi_payload(phi)}
     if args.out:
-        _write_text(args.out, phitext.dump_phi(phi))
+        _write_files(((args.out, phitext.dump_phi(phi)),))
         payload["phi_file"] = args.out
     _emit(args, [digest], verdicts, payload)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
-
 from . import groups, packing, tables, witnesses
-from .cli import _emit
+from .cli import _emit, _write_files
 from .errors import ArgumentError
 
 
@@ -34,28 +32,9 @@ def run(args) -> None:
     files = ((sidecar, f"positions={positions}\nparams={params}\n"
                        f"expected={expected}\nclaimed_k={bundle.claimed_k}\n"),
              (args.out, tables.dump_table(bundle.table)))
-    # both files are written whole to new temporaries beside them before
-    # either path changes, so a refused or failed witness leaves both as they
-    # were; a table path that is a directory is refused before, and a name
-    # too long fails at the sidecar's, which is replaced first
-    temps: list[str] = []
-    try:
-        for path, text in files:
-            tmp = os.path.join(os.path.dirname(path), f".fndecomp-{os.getpid()}-{len(temps)}")
-            with open(tmp, "x", encoding="utf-8") as fh:
-                temps.append(tmp)
-                fh.write(text)
-        if os.path.isdir(args.out):
-            raise ArgumentError(f"cannot write {args.out}: Is a directory")
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
-    except OSError as exc:
-        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
-    finally:
-        # a temporary still there was never moved into place
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    # the sidecar is replaced first, so a name too long fails at the sidecar's
+    # before the table changes
+    _write_files(files)
     _emit(args, [],
           {"kind": args.kind, "verified": True, "claimed_k": bundle.claimed_k,
            "expected": expected},

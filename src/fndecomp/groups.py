@@ -12,9 +12,9 @@ tables of codes are added and subtracted in ``packing``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from operator import index
-from typing import Iterator, Sequence
 
 from .errors import ArgumentError, DomainError, ParseError, ShapeError, excerpt, excerpt_int
 from .records import Record

@@ -19,7 +19,7 @@ derivatives (``calculus``), so ``decompose --mode taylor`` never loads it.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import ArgumentError, PreconditionError, excerpt_int
 from .groups import as_int, below

@@ -28,10 +28,10 @@ commands that write no phi file do not compile it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations
 from math import comb
 from operator import xor
-from typing import Callable, Iterable, Mapping, Sequence
 
 from . import calculus, minors
 from .errors import ArgumentError, CoverageError, DomainError, charge, excerpt_int

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
 
 from .errors import ResourceError, excerpt_int
 from .groups import Group

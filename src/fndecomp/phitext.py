@@ -17,14 +17,12 @@ from .oddsupport import PhiMap, Subset, format_subset, phi_texts
 
 
 def parse_subset(text: str) -> Subset:
+    """The subset S with format_subset(S) == text.strip(): letters
+    ascending, each once, in canonical decimal."""
     text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad subset text {excerpt(text)!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    letters = [parse_decimal(p) for p in inner.split(",")]
-    if None in letters:
+    inner = text[1:-1]
+    letters = [parse_decimal(p) for p in inner.split(",")] if inner else []
+    if None in letters or format_subset(frozenset(letters)) != text:
         raise ParseError(f"bad subset text {excerpt(text)!r}")
     return frozenset(letters)
 

@@ -20,9 +20,9 @@ and serves the identities' subset walk too.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from itertools import product
 from operator import add
-from typing import Callable, Iterator, Sequence
 
 from . import errors
 from .errors import DomainError, ParseError, ShapeError, charge, excerpt

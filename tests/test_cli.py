@@ -758,7 +758,7 @@ def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
     # temporary file behind
     import errno
 
-    import fndecomp.cli_witness as handler
+    import fndecomp.cli as writer
 
     def no_memory(*args):
         raise MemoryError
@@ -785,7 +785,7 @@ def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
     for target, name, fail, message in (
             (importlib.import_module("fndecomp.tables"), "dump_table", no_memory,
              "out of memory"),
-            (handler, "open", refuse_table, f"cannot write {table}: No space left on device")):
+            (writer, "open", refuse_table, f"cannot write {table}: No space left on device")):
         with monkeypatch.context() as patch:
             patch.setattr(target, name, fail, raising=False)
             assert run(capsys, *argv) == (3, "", f"precondition failed: {message}\n")
@@ -811,6 +811,56 @@ def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
     assert sorted(path.name for path in out_dir.iterdir()) == [table.name, sidecar.name]
     assert sidecar.read_text().startswith("positions=")
     assert table.read_text().startswith("domain=")
+
+
+def test_a_failed_phi_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # decompose --out writes through the writer witness uses: a write of the phi
+    # file refused partway, or an --out that is a directory, leaves the old
+    # file with its bytes and no temporary file behind
+    import errno
+
+    import fndecomp.cli as writer
+
+    def refuse_phi(file, mode="r", **kwargs):
+        # the input is read whole; the phi text is written, half of it, and
+        # then the disk is full
+        fh = open(file, mode, **kwargs)
+        if "b" in mode:
+            return fh
+        write = fh.write
+
+        def no_space(text):
+            write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = no_space
+        return fh
+
+    table = write_parity(tmp_path, 5)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    phi = out_dir / "phi.txt"
+    phi.write_bytes(b"old phi\r\n")
+    argv = ["decompose", table, "--mode", "odd", "--out", str(phi)]
+    with monkeypatch.context() as patch:
+        patch.setattr(writer, "open", refuse_phi, raising=False)
+        assert run(capsys, *argv) == (
+            3, "", f"precondition failed: cannot write {phi}: No space left on device\n")
+    assert phi.read_bytes() == b"old phi\r\n"
+    assert [path.name for path in out_dir.iterdir()] == [phi.name]
+    target = out_dir / "dir"
+    target.mkdir()
+    assert run(capsys, "decompose", table, "--mode", "odd", "--out", str(target)) == (
+        3, "", f"precondition failed: cannot write {target}: Is a directory\n")
+    assert sorted(path.name for path in out_dir.iterdir()) == [target.name, phi.name]
+    assert list(target.iterdir()) == []
+    # unpatched, decompose replaces the old file, and again with the same bytes
+    assert run(capsys, *argv)[0] == 0
+    text = phi.read_bytes()
+    assert text.startswith(b"phi domain=pnprime:5 a=2 group=Z2\n")
+    assert run(capsys, *argv)[0] == 0
+    assert phi.read_bytes() == text
+    assert sorted(path.name for path in out_dir.iterdir()) == [target.name, phi.name]
 
 
 def test_witness_writes_files(tmp_path, capsys):
@@ -1066,6 +1116,30 @@ def test_startup_imports(argv):
         assert not command & {"argparse", "gettext", "locale"}
     assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
     assert not command & {"_sha2", "_sha256", "_hashlib"}
+
+
+def test_no_module_imports_typing(tmp_path):
+    # typing costs every command milliseconds to import: annotations are
+    # strings (from __future__ import annotations) and the abstract types
+    # come from collections.abc.  A site-packages .pth file may import typing
+    # before any command starts, so the commands run without site (-S)
+    import ast
+
+    for path in sorted((SRC / "fndecomp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert all(name.split(".")[0] != "typing" for name in names), path.name
+    commands = [startup_argv(tmp_path, argv) for argv, _ in STARTUP_ROWS.values()
+                if argv != ["--help"]]
+    code = ("import io, sys\n"
+            "from fndecomp.cli import main\n"
+            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+            "codes = [main(argv) for argv in %r]\n"
+            "print(codes, 'typing' in sys.modules, file=stdout)" % (commands,))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.stdout == f"{[0] * len(commands)} False\n", proc.stderr
 
 
 BASE = {"errors", "records", "groups", "tables"}

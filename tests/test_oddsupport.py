@@ -425,10 +425,13 @@ def test_phi_file_round_trip():
         load_phi("phi domain=pnprime:3 a=2 group=Z2\n{0} -> 0\n")  # incomplete
     with pytest.raises(ParseError):
         load_phi("phi domain=nope a=2 group=Z2\n")
-    # header numbers and subset letters are ASCII digits
+    # header numbers and subset letters are ASCII digits, and a subset reads
+    # only as format_subset writes it: ascending, each letter once, no
+    # leading zero
     text = dump_phi(full)
     for old, new in (("a=2", "a=\u00b2"), ("a=2", "a=" + "9" * 5000), ("{0}", "{\u0660}"),
-                     ("{1}", "{+1}"), ("{0,1}", "{0,1_}"), ("-> 1", "-> +1")):
+                     ("{1}", "{+1}"), ("{0,1}", "{0,1_}"), ("-> 1", "-> +1"),
+                     ("{1}", "{01}"), ("{1}", "{1,1}"), ("{0}", "{00}"), ("{0,1}", "{1,0}")):
         with pytest.raises(ParseError) as exc:
             load_phi(text.replace(old, new, 1))
         # the message quotes at most a short excerpt of the input
