@@ -5,14 +5,15 @@ witnesses, canonical Boolean-group decompositions, and the explicit gap
 classifications for Boolean tables and ternary operations.
 
 Every library module is registered in sys.modules and bound here at import,
-but loaded lazily (importlib.util.LazyLoader): its source is compiled and run
-at the first access to one of its attributes.  The names of __all__, listed
+but loaded lazily: its source is compiled and run at the first access to one
+of its attributes other than __spec__.  The names of __all__, listed
 below by module, are served from their modules on access (PEP 562), so a
 command compiles only the modules it uses.
 """
 
 import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
+import types
+from importlib.util import find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -43,13 +44,27 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
+class _LazyModule(types.ModuleType):
+    """A library module not yet run: the first access to any attribute but
+    __spec__ compiles and runs it.  A from-import reads __spec__ of the
+    module it names and drops any error that read raises (CPython 3.11), so
+    the read loads nothing, and an error while the module compiles, out of
+    memory among them, reaches the code that first uses it."""
+
+    def __getattribute__(self, name):
+        if name == "__spec__":
+            return super().__getattribute__(name)
+        self.__class__ = types.ModuleType
+        self.__spec__.loader.exec_module(self)
+        return getattr(self, name)
+
+
 def _lazy(name):
     """fndecomp.<name>, registered in sys.modules and loaded at its first
     attribute access."""
     spec = find_spec(f"{__name__}.{name}")
-    spec.loader = LazyLoader(spec.loader)
     module = sys.modules[spec.name] = module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module.__class__ = _LazyModule
     return module
 
 

@@ -29,19 +29,21 @@ usage errors go through the argparse parser that _build_parser builds from
 the same table.  Each subcommand's handler is the
 ``run`` of a module of its own, ``cli_<command>``, which no other subcommand
 compiles.  The library modules are the package's lazy modules, each compiled
-at its first attribute access.  Once main has the command, it loads those of
-the subcommand and then its handler (_RUNS), so ``--help`` compiles none
-beyond ``errors`` and ``decompose --mode taylor`` none of the index kernels
-(``minors``).  The input digest is CPython's built-in SHA-256 (``_sha2``, or
-``_sha256`` before Python 3.12), the module hashlib itself falls back to:
-hashlib would load OpenSSL (``_hashlib``) for one digest, and no command
-does.  The digest module and ``json`` are imported where they are used, so
+at its first attribute access, which comes inside main's error mapping, so an
+out-of-memory while a module compiles exits 3 like any other.  ``--help``
+compiles none beyond ``errors`` and ``decompose --mode taylor`` none of the
+index kernels (``minors``); STARTUP_ROWS in tests/test_cli.py pins the set
+each command compiles.  The input digest is CPython's built-in SHA-256
+(``_sha2``, or ``_sha256`` before Python 3.12), the module hashlib itself
+falls back to: hashlib would load OpenSSL (``_hashlib``) for one digest, and
+no command does.  The digest module and ``json`` are imported where they are used, so
 commands that need neither (``--help``, ``identities`` and ``witness``
 without ``--json``) skip them.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import time
@@ -86,10 +88,19 @@ def _write_files(files) -> None:
     "cannot write <path>: <reason>" when a write fails or a path is a
     directory, refused before any path changes; no temporary is left."""
     temps: list[str] = []
+    names = (f".fndecomp-{os.getpid()}-{i}" for i in itertools.count())
     try:
         for path, text in files:
-            tmp = os.path.join(os.path.dirname(path), f".fndecomp-{os.getpid()}-{len(temps)}")
-            with open(tmp, "x", encoding="utf-8") as fh:
+            # a name that is taken, say by a command of the same pid killed
+            # mid-write, is passed over: only a file created here is touched
+            for name in names:
+                tmp = os.path.join(os.path.dirname(path), name)
+                try:
+                    fh = open(tmp, "x", encoding="utf-8")
+                except FileExistsError:
+                    continue
+                break
+            with fh:
                 temps.append(tmp)
                 fh.write(text)
         for path, _ in files:
@@ -277,35 +288,11 @@ def _read_argv(argv) -> types.SimpleNamespace | None:
            for flag, kind in kinds.items()})
 
 
-# The modules each subcommand, and each decompose mode, runs: the library
-# modules, each after those it imports from this list (a test in
-# tests/test_cli.py reads that order off the imports), then the subcommand's
-# handler, which reaches the modules of a decompose mode as lazy modules and so
-# may come before them.  The package loads its library modules lazily; once
-# main has the namespace of argv, it loads those of args.cmd and, under
-# decompose, of args.mode (any attribute access loads a module), before the
-# handler imports the digest module or json or reads the input.  A module
-# compiled after one of those stacks its compile memory on top of theirs and
-# raises the command's peak resident set; so does one compiled while a module
-# that imports it runs.  phitext is in no run: the decompose handler compiles
-# it only when it writes --out, once the decomposition is done.
-_RUNS = {"analyze": ("tables", "minors", "oddsupport", "packing", "calculus", "cli_analyze"),
-         "decompose": ("tables", "cli_decompose"),
-         "classify": ("tables", "minors", "oddsupport", "classify", "cli_classify"),
-         "identities": ("tables", "identities", "cli_identities"),
-         "witness": ("tables", "packing", "calculus", "oddsupport", "witnesses", "cli_witness"),
-         "taylor": ("packing", "calculus"), "odd": ("minors", "oddsupport", "booldecomp"),
-         "even": ("minors", "oddsupport", "booldecomp"),
-         "fitilde": ("minors", "oddsupport", "booldecomp")}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
         args = _build_parser().parse_args(argv)
-    for name in _RUNS[args.cmd] + _RUNS.get(getattr(args, "mode", None), ()):
-        vars(import_module(f"{__package__}.{name}"))
     try:
         if args.meta and not args.json:
             raise ArgumentError("--meta requires --json")

@@ -288,6 +288,20 @@ def test_full_map_pairs_the_domain_entries():
         full_map_from_domain_entries(3, Z2, entries)
 
 
+FULL = PhiMap(2, Z2, None, {S: (0,) for S in map(frozenset, ((), (0,), (1,), (0, 1)))})
+PNPRIME = PhiMap.on_phi_domain(2, 5, Z2, lambda S: (0,))
+
+
+@pytest.mark.parametrize("rebuild, message", [
+    (lambda: reconstruct_odd(FULL), "odd-case reconstruction needs a pnprime phi map"),
+    (lambda: reconstruct_uniform(FULL), "uniform reconstruction needs a pnprime phi map"),
+    (lambda: reconstruct_even(PNPRIME, 4), "even-case reconstruction needs a full paired phi map"),
+], ids=["odd", "uniform", "even"])
+def test_reconstructions_refuse_the_other_kind_of_map(rebuild, message):
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        rebuild()
+
+
 def test_reconstructions_cover_exactly_the_determined_functions():
     # over (2, 5): the 4 odd-case reconstructions are exactly the 4 determined tables
     recon = set()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fndecomp import (
     ArgumentError,
+    DomainError,
     FnTable,
     Group,
     InternalConsistencyError,
@@ -326,6 +327,8 @@ def test_bad_arguments():
         is_k_decomposable(f, 3)
     with pytest.raises(ArgumentError):
         partial_derivative(f, 2, 0)
+    with pytest.raises(DomainError, match="^parameter tuple has 1 components, arity is 2$"):
+        derivative_at_zero(f, (0,), (1,))
 
 
 def test_k_must_be_an_integer():

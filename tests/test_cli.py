@@ -751,6 +751,40 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kerne
         assert (out_tbl.read_text() if out_tbl.exists() else None) == before
 
 
+# for every STARTUP_ROWS command that runs, one of the modules it compiles
+COMPILED = {"taylor": "calculus", "taylor=": "packing", "odd": "booldecomp", "odd=": "records",
+            "even": "oddsupport", "fitilde": "groups", "odd-out": "phitext", "analyze": "minors",
+            "classify-boolean": "tables", "classify-z3": "classify",
+            "identities": "identities", "witness": "witnesses"}
+
+
+@pytest.mark.parametrize("row, module", COMPILED.items(), ids=COMPILED)
+def test_memory_error_while_a_module_compiles_exits_3(tmp_path, row, module):
+    # every module a command runs compiles inside main's error mapping: out
+    # of memory while one compiles, from source or from bytecode, is one
+    # stderr line and exit 3, and the command writes no file
+    assert set(COMPILED) == set(STARTUP_ROWS) - {"help"}
+    argv, modules = STARTUP_ROWS[row]
+    assert module in modules
+    argv = startup_argv(tmp_path, argv)
+    inputs = sorted(tmp_path.iterdir())
+    code = ("import sys\n"
+            "from importlib.machinery import SourceFileLoader\n"
+            "get_code = SourceFileLoader.get_code\n"
+            "def get_code_or_fail(self, fullname):\n"
+            "    if fullname == %r:\n"
+            "        raise MemoryError\n"
+            "    return get_code(self, fullname)\n"
+            "SourceFileLoader.get_code = get_code_or_fail\n"
+            "from fndecomp.cli import main\n"
+            "sys.exit(main(%r))" % (f"fndecomp.{module}", argv))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "precondition failed: out of memory\n")
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
     # out of memory while the table text is built, or a write of the table
     # refused partway, leaves both paths as they were: no file where there
@@ -861,6 +895,32 @@ def test_a_failed_phi_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
     assert phi.read_bytes() == text
     assert sorted(path.name for path in out_dir.iterdir()) == [target.name, phi.name]
+
+
+def test_a_stale_temporary_is_passed_over(tmp_path, capsys):
+    # a command killed mid-write leaves its temporary behind; a later command
+    # of the same pid writes through the next free name and leaves the stale
+    # files as they were
+    table = write_parity(tmp_path, 5)
+    clean, stale = tmp_path / "clean", tmp_path / "stale"
+    clean.mkdir()
+    stale.mkdir()
+    planted = {stale / f".fndecomp-{os.getpid()}-{i}": b"junk %d\n" % i for i in range(2)}
+    for path, data in planted.items():
+        path.write_bytes(data)
+    for out_dir in (clean, stale):
+        assert run(capsys, "decompose", table, "--mode", "odd",
+                   "--out", str(out_dir / "phi.txt"))[::2] == (0, "")
+        assert run(capsys, "witness", "--kind", "hamming", "--n", "3", "--group", "Z3",
+                   "--b", "1", "--out", str(out_dir / "w.tbl"))[::2] == (0, "")
+    outputs = ["phi.txt", "w.tbl", "w.tbl.witness.txt"]
+    assert sorted(path.name for path in clean.iterdir()) == outputs
+    assert sorted(path.name for path in stale.iterdir()) == sorted(
+        [*outputs, *(path.name for path in planted)])
+    for name in outputs:
+        assert (stale / name).read_bytes() == (clean / name).read_bytes()
+    for path, data in planted.items():
+        assert path.read_bytes() == data
 
 
 def test_witness_writes_files(tmp_path, capsys):
@@ -1085,17 +1145,11 @@ LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "phitext", "
 
 def command_modules(argv):
     """The names loaded when cli.main has read argv without argparse (or
-    found that it cannot), when the command first imports a digest module
-    (the built-in SHA-256 or hashlib) or json, if it does, and when the
-    command argv is done."""
+    found that it cannot), and when the command argv is done."""
     return probe_modules(
         "import runpy, fndecomp.cli as cli\n"
         "read = cli._read_argv\n"
         "cli._read_argv = lambda argv: (read(argv), loaded())[0]\n"
-        "def hook(event, args):\n"
-        "    if event == 'import' and args[0] in ('_sha2', '_sha256', 'hashlib', 'json'):\n"
-        "        loaded()\n"
-        "sys.addaudithook(hook)\n"
         "sys.argv = ['fndecomp', *%r]\n"
         "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,))
 
@@ -1169,27 +1223,6 @@ STARTUP_ROWS = {
 }
 
 
-def test_runs_list_each_module_after_the_modules_it_imports():
-    # a module compiled while a module that imports it runs stacks its
-    # compile memory on top; main loads the runs of argv's words in order,
-    # and decompose comes before its mode
-    import re
-
-    import fndecomp.cli as cli_mod
-
-    source = Path(cli_mod.__file__).parent
-    imports = {name: set(re.findall(r"^from \.(\w+) import", (source / f"{name}.py").read_text(),
-                                    re.MULTILINE))
-               for name in LIBRARY}
-    runs = {word: list(run) for word, run in cli_mod._RUNS.items()}
-    orders = list(runs.items())
-    orders += [(f"decompose {mode}", runs["decompose"] + runs[mode])
-               for mode in ("taylor", "odd", "even", "fitilde")]
-    for word, order in orders:
-        for k, name in enumerate(order):
-            assert imports[name] & set(order) <= set(order[:k]), (word, name)
-
-
 def startup_argv(tmp_path, argv):
     """argv of a STARTUP_ROWS command, with its table files written to tmp_path."""
     (tmp_path / "z3.tbl").write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
@@ -1202,16 +1235,13 @@ def startup_argv(tmp_path, argv):
 @pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
 def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
     # without bytecode every module loaded is compiled from source; reading
-    # argv compiles no library module, and main then loads the command's
-    # modules (cli._RUNS) before the handler imports the digest module (to
-    # digest the input) or json; OpenSSL is never loaded for the digest.  The
-    # phi file format alone is compiled by the handler, once the decomposition
-    # is done and only under --out
+    # argv compiles no library module, and the command then compiles the
+    # modules it runs, each at its first use; OpenSSL is never loaded for the
+    # digest
     lines = command_modules(startup_argv(tmp_path, argv))
-    at_argv, *at_imports, done = ({name for name in names if name.startswith("fndecomp.")}
-                                  for names in lines)
+    at_argv, done = ({name for name in names if name.startswith("fndecomp.")}
+                     for names in lines)
     assert at_argv == {"fndecomp.cli", "fndecomp.errors"}
-    assert all(names == done - {"fndecomp.phitext"} for names in at_imports)
     assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
     if BUILT_IN_SHA256:
         assert "_hashlib" not in lines[-1]
@@ -1225,8 +1255,7 @@ ABBREVIATED = ["identities", "--max", "3"]
 def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
     # a well-formed command is read without argparse; --help and argv that
     # only argparse reads, such as an abbreviated option, load it, and the
-    # abbreviated command still compiles the modules of its runs (cli._RUNS)
-    # and no others
+    # abbreviated command still compiles the modules it runs and no others
     done = command_modules(startup_argv(tmp_path, argv))[-1]
     assert ("argparse" in done) == (argv in (["--help"], ABBREVIATED))
     if argv == ABBREVIATED:

@@ -14,6 +14,7 @@ from fndecomp import (
     Group,
     ParseError,
     PhiMap,
+    PreconditionError,
     ResourceError,
     determined_count,
     determined_via_symmetry,
@@ -264,6 +265,8 @@ def test_detection_routes_agree():
         assert verdict == naive_is_determined(f) == (extract_phi(f) is not None)
         determined += verdict
     assert determined == 16 + 3
+    with pytest.raises(PreconditionError, match="^odd-support determination needs arity >= 1$"):
+        determined_via_symmetry(FnTable.constant(2, 0, Z2, (1,)))
 
 
 def test_boolean_determined_are_constants_and_parities():
@@ -443,6 +446,33 @@ def test_phi_file_round_trip():
     # the keys are counted against the cell budget before any is built;
     # the alphabet itself is not capped
     assert len(phi_domain(30, 2)) == 436
+
+
+FULL_PHI = "phi domain=full a=2 group=Z2\n{} -> 0\n{0} -> 0\n{1} -> 1\n{0,1} -> 1\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "empty phi file", None),
+    ("# a comment\n\n   \n", "empty phi file", None),
+    ("phi domain=full a=2\n", "bad phi header (expected 'phi domain=... a=... group=...')", 1),
+    ("fi domain=full a=2 group=Z2\n", "bad phi header (expected 'phi domain=... a=... group=...')",
+     1),
+    ("# a comment\nphi domain=full a=2 grp=Z2\n", "bad phi header fields", 2),
+    ("phi domain=full a=2 domain=full\n", "bad phi header fields", 1),
+    ("# a comment\n\nphi domain=full a=2 group=Q2\n", "bad group factor 'q2' in 'Q2'", 3),
+    (FULL_PHI.replace("{1} -> 1", "{1} 1"), "bad phi entry '{1} 1'", 4),
+    (FULL_PHI.replace("{1} -> 1", "{0} -> 1"), "duplicate key {0}", 4),
+])
+def test_phi_file_refusals(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        load_phi(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_phi_file_skips_comments_and_blank_lines():
+    commented = FULL_PHI.replace("{1} -> 1\n", "# a comment\n{1} -> 1\n\n  \n")
+    assert load_phi(commented) == load_phi(FULL_PHI)
 
 
 def test_phi_with_bool_and_numpy_residues_round_trips():

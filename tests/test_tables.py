@@ -112,6 +112,8 @@ def test_construction_errors():
         FnTable.constant(2, 30, Z2, (0,))
     with pytest.raises(ResourceError):
         simple_minor(AND2, (0, 1), 30)
+    with pytest.raises(ArgumentError, match="^sigma has 1 entries, arity is 2$"):
+        simple_minor(AND2, (0,), 1)
     with pytest.raises(ResourceError):
         FnTable(2, 30, Z2, ())
 

@@ -2,6 +2,7 @@ import pytest
 
 from fndecomp import (
     ArgumentError,
+    FnTable,
     Group,
     InternalConsistencyError,
     ResourceError,
@@ -60,6 +61,14 @@ def test_tightness_witness_e2():
     assert not is_k_decomposable(w.table, 2)
     assert is_k_decomposable(w.table, 3)
     assert count_value_hits(w, (1,)) == 2  # 2^(e-1)
+
+
+def test_a_bundle_that_claims_a_vanishing_derivative_is_refused():
+    # the claim matches the derivative, but a zero derivative refutes nothing
+    constant = FnTable.constant(2, 1, Z2, (0,))
+    bundle = WitnessBundle(constant, frozenset({0}), (1,), (0,), 0)
+    with pytest.raises(InternalConsistencyError, match="^witness derivative vanishes$"):
+        bundle.verify()
 
 
 def test_tightness_witness_boolean_product_group():
