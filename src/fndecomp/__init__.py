@@ -33,7 +33,7 @@ _EXPORTS = {
                   "odd_support phi_domain representative_tuple table_from_phi",
     "phitext": "dump_phi load_phi",
     "booldecomp": "decompose_even decompose_odd decompose_uniform reconstruct_even "
-                  "reconstruct_odd reconstruct_uniform uniform_system_rank",
+                  "reconstruct_odd reconstruct_uniform",
     "classify": "BooleanClassification BooleanGapForm Z3Classification Z3Params "
                 "classify_boolean z3_build z3_classify",
     "identities": "even_sum_lhs even_sum_rhs odd_sum_lhs odd_sum_pair_count odd_sum_rhs",

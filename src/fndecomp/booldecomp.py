@@ -21,7 +21,10 @@ unit code per key.  So each defining sum is x -> phi(odd_support(x)), the
 table ``table_from_phi`` builds, and each reconstruction returns that table
 after its checks (in the even case, of phi restricted to phi_domain(|A|, n)).
 In particular f at representative_tuple(S, n) is phi(S): phi is read, not
-solved, and the unique phi, in the uniform case too, is extract_phi(f).
+solved, and the unique phi, in the uniform case too, is extract_phi(f).  The
+uniform probe system's rank is its number k of unknowns, one per phi_domain
+key, so ``decompose --mode fitilde`` reports system_rank k/k with k the size
+of the phi it returns.
 Each decomposer rebuilds the table from the phi it returns and raises
 InternalConsistencyError unless that rebuild is f.  What a case needs of a
 table, a Boolean codomain and then its regime, is checked by ``require_case``
@@ -33,7 +36,7 @@ from __future__ import annotations
 from .errors import ArgumentError, InternalConsistencyError, PreconditionError, excerpt, excerpt_int
 from .groups import Group, as_int
 from .minors import pair_scan_limit
-from .oddsupport import PhiMap, domain_sizes, extract_phi, table_from_phi
+from .oddsupport import PhiMap, extract_phi, table_from_phi
 from .tables import FnTable, check_cells
 
 
@@ -53,41 +56,23 @@ def _case_shift(a_size: int, n: int, parity: int) -> int:
     return d // 2
 
 
-def odd_case_shift(a_size: int, n: int) -> int:
-    return _case_shift(a_size, n, 1)
-
-
-def even_case_shift(a_size: int, n: int) -> int:
-    return _case_shift(a_size, n, 0)
-
-
-def require_uniform_regime(a_size: int, n: int) -> None:
-    """The regime n > max(|A|, 3) of decompose_uniform."""
-    limit = pair_scan_limit(a_size)
-    if n <= limit:
-        raise PreconditionError(
-            f"uniform decomposition needs arity > max(|A|, 3) = {excerpt_int(limit)}, "
-            f"got {excerpt_int(n)}"
-        )
-
-
-def require_boolean(group: Group) -> None:
-    if not group.is_boolean():
-        raise PreconditionError(
-            f"codomain {excerpt(group.to_text())} is not Boolean (every factor must be Z2)"
-        )
-
-
 def require_case(case: str, group: Group, a_size: int, n: int) -> int:
     """The arity n as an int, once the codomain is checked Boolean, then
     (a_size, n) in the regime of case "odd", "even" or "uniform"; what a
     decomposition and its reconstruction need of a table's header."""
-    require_boolean(group)
+    if not group.is_boolean():
+        raise PreconditionError(
+            f"codomain {excerpt(group.to_text())} is not Boolean (every factor must be Z2)"
+        )
     n = as_int("arity", n)
-    if case == "uniform":
-        require_uniform_regime(a_size, n)
-    else:
+    limit = pair_scan_limit(a_size)
+    if case != "uniform":
         _case_shift(a_size, n, case == "odd")
+    elif n <= limit:
+        raise PreconditionError(
+            f"uniform decomposition needs arity > max(|A|, 3) = {excerpt_int(limit)}, "
+            f"got {excerpt_int(n)}"
+        )
     return n
 
 
@@ -175,20 +160,8 @@ def decompose_uniform(f: FnTable) -> PhiMap:
 
     It exists for every determined f in the regime n > max(|A|, 3), and it
     is extract_phi(f), unique there, because every admissible probe system
-    is the identity (see the module docstring and uniform_system_rank).
+    is the identity (see the module docstring): the system's rank is the
+    number of unknowns, len(phi.entries), one per phi_domain key.
     """
     return _decompose("uniform", f)
 
-
-def uniform_system_rank(a_size: int, n: int) -> tuple[int, int]:
-    """(rank, unknowns) of the uniform probe system, in the regime of
-    decompose_uniform only (PreconditionError outside it).
-
-    Every admissible probe system is the identity, as the tests check, so
-    the rank is the number of unknowns, one per phi_domain key, and the phi
-    that extract_phi reads is the only one.
-    """
-    a_size, n = check_cells(a_size, n)
-    require_uniform_regime(a_size, n)
-    k = domain_sizes(a_size, n)[2]
-    return k, k

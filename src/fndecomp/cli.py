@@ -83,18 +83,27 @@ def _read_text(path: str) -> tuple[str, dict]:
 
 
 def _write_files(files) -> None:
-    """Write each (path, text) of files whole to a new temporary beside its
-    path, then replace the paths with the temporaries in order.  ArgumentError
-    "cannot write <path>: <reason>" when a write fails or a path is a
-    directory, refused before any path changes; no temporary is left."""
+    """Write each (path, text) of files whole to a new temporary beside the
+    file its path resolves to, symlinks followed, then replace those files
+    with the temporaries in order.  ArgumentError "cannot write <path>:
+    <reason>", naming the path as given: a path that resolves to a directory
+    (an empty path names the working directory) or to a file that is not a
+    regular file is refused before any temporary is made, and a failed write
+    before any file changes; no temporary is left."""
+    targets = [(path, os.path.realpath(path)) for path, _ in files]
+    for path, real in targets:
+        if os.path.isdir(real):
+            raise ArgumentError(f"cannot write {path}: Is a directory")
+        if os.path.exists(real) and not os.path.isfile(real):
+            raise ArgumentError(f"cannot write {path}: Not a regular file")
     temps: list[str] = []
     names = (f".fndecomp-{os.getpid()}-{i}" for i in itertools.count())
     try:
-        for path, text in files:
+        for (path, real), (_, text) in zip(targets, files):
             # a name that is taken, say by a command of the same pid killed
             # mid-write, is passed over: only a file created here is touched
             for name in names:
-                tmp = os.path.join(os.path.dirname(path), name)
+                tmp = os.path.join(os.path.dirname(real), name)
                 try:
                     fh = open(tmp, "x", encoding="utf-8")
                 except FileExistsError:
@@ -103,11 +112,8 @@ def _write_files(files) -> None:
             with fh:
                 temps.append(tmp)
                 fh.write(text)
-        for path, _ in files:
-            if os.path.isdir(path):
-                raise ArgumentError(f"cannot write {path}: Is a directory")
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
+        for (path, real), tmp in zip(targets, temps):
+            os.replace(tmp, real)
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:

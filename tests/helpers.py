@@ -58,12 +58,7 @@ from fndecomp import (
     reconstruct_odd,
     reconstruct_uniform,
 )
-from fndecomp.booldecomp import (
-    require_boolean,
-    even_case_shift,
-    full_map_from_domain_entries,
-    odd_case_shift,
-)
+from fndecomp.booldecomp import full_map_from_domain_entries
 from fndecomp.classify import (
     MAJORITY,
     MAJORITY_PLUS_PAIR,
@@ -586,14 +581,23 @@ def uniform_sum_sizes(n) -> list[int]:
     return [n - 2 * i for i in range(1, n // 2 + 1)]
 
 
+def case_shift(case, a_size, n) -> int:
+    """t with n - |A| = 2t + 1 > 0 in the odd case and 2t > 0 in the even
+    case, from the paper's statement of each regime; ValueError outside it."""
+    d = n - a_size
+    if d <= 0 or d % 2 != (case == "odd"):
+        raise ValueError(f"(|A|, n) = ({a_size}, {n}) is outside the {case} case")
+    return d // 2
+
+
 def sum_sizes(case, a_size, n) -> list[int]:
     """The sizes of the defining sum of case "odd", "even" or "uniform" at
     (a_size, n); the odd and even cases check their regime."""
     if case == "uniform":
         return uniform_sum_sizes(n)
+    t = case_shift(case, a_size, n)
     if case == "odd":
-        return first_sum_sizes(n, odd_case_shift(a_size, n))
-    t = even_case_shift(a_size, n)
+        return first_sum_sizes(n, t)
     return first_sum_sizes(n, t) + second_sum_sizes(n, t)
 
 
@@ -730,16 +734,17 @@ def orbit_form_index(m: int) -> dict[tuple[int, ...], BooleanGapForm]:
 
 def phi_preimages_bruteforce(f: FnTable, mode: str) -> list[PhiMap]:
     """All phi maps whose reconstruction equals f, by exhaustive enumeration."""
-    require_boolean(f.group)
+    if not f.group.is_boolean():
+        raise ValueError(f"codomain {f.group.to_text()} is not Boolean")
     a, n = f.a_size, f.arity
     keys = phi_domain(a, n)
     if f.group.order ** len(keys) > 1 << 16:
         raise ResourceError("phi space too large for brute force")
     if mode == "odd":
-        odd_case_shift(a, n)
+        case_shift("odd", a, n)
         rebuild = reconstruct_odd
     elif mode == "even":
-        even_case_shift(a, n)
+        case_shift("even", a, n)
         rebuild = lambda phi: reconstruct_even(phi, n)
     elif mode == "uniform":
         rebuild = reconstruct_uniform

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,14 +22,9 @@ from fndecomp import (
     reconstruct_uniform,
     representative_tuple,
     table_from_phi,
-    uniform_system_rank,
 )
 from fndecomp import booldecomp
-from fndecomp.booldecomp import (
-    full_map_from_domain_entries,
-    odd_case_shift,
-    even_case_shift,
-)
+from fndecomp.booldecomp import _case_shift, full_map_from_domain_entries
 from fndecomp.errors import MAX_CELLS
 from fndecomp.oddsupport import subset_mask
 from helpers import (
@@ -56,16 +50,17 @@ def parity(n):
 
 
 def test_case_shift_preconditions():
-    assert odd_case_shift(2, 5) == 1
-    assert odd_case_shift(3, 4) == 0
-    assert even_case_shift(2, 4) == 1
-    assert even_case_shift(3, 5) == 1
+    # parity 1 is the odd case, parity 0 the even case
+    assert _case_shift(2, 5, 1) == 1
+    assert _case_shift(3, 4, 1) == 0
+    assert _case_shift(2, 4, 0) == 1
+    assert _case_shift(3, 5, 0) == 1
     with pytest.raises(PreconditionError, match="even"):
-        odd_case_shift(2, 4)
+        _case_shift(2, 4, 1)
     with pytest.raises(PreconditionError, match="odd"):
-        even_case_shift(2, 5)
+        _case_shift(2, 5, 0)
     with pytest.raises(PreconditionError):
-        odd_case_shift(3, 3)
+        _case_shift(3, 3, 1)
 
 
 def test_sum_size_structure():
@@ -364,27 +359,6 @@ def test_uniform_regime_precondition():
     # support, so the reconstruction refuses too
     with pytest.raises(PreconditionError, match="max"):
         reconstruct_uniform(PhiMap.on_phi_domain(4, 2, Z2, lambda S: (len(S) & 1,)))
-
-
-def test_uniform_rank_reported():
-    assert uniform_system_rank(2, 4) == (2, 2)
-    assert uniform_system_rank(2, 5) == (2, 2)
-    # every (|A|, n) of the regime n > max(|A|, 3) that the cell budget admits
-    admitted = [(a, n) for a in range(2, 8) for n in range(max(a, 3) + 1, 23)
-                if a**n <= MAX_CELLS]
-    assert len(admitted) == 19 + 10 + 7 + 4 + 2
-    for a, n in admitted:
-        assert uniform_system_rank(a, n) == (len(phi_domain(a, n)),) * 2
-    with pytest.raises(ResourceError):
-        uniform_system_rank(2, 30)
-
-
-@pytest.mark.parametrize("a, n", [(2, 3), (40, 2), (100, 2)])
-def test_uniform_rank_refuses_outside_the_regime_at_once(a, n):
-    start = time.perf_counter()
-    with pytest.raises(PreconditionError, match="max"):
-        uniform_system_rank(a, n)
-    assert time.perf_counter() - start < 0.1
 
 
 def test_multi_factor_group_round_trip_spotcheck():

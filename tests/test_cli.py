@@ -502,14 +502,24 @@ def test_command_header_facts_are_checked_before_any_value_is_parsed(tmp_path, c
 
 
 def test_decompose_fitilde_reports_rank(tmp_path, capsys):
-    # at 2^16 the coefficient-free sum runs over 2^15 position sets per tuple
-    for n in (4, 16):
-        path = write_parity(tmp_path, n)
-        code, out, _ = run(capsys, "decompose", path, "--mode", "fitilde", "--json")
+    # every admissible probe system is the identity, so the rank is the
+    # number of unknowns, one per phi_domain key
+    from fndecomp import PhiMap, phi_domain, table_from_phi
+
+    cases = [FnTable.from_callable(2, n, Z2, lambda x: (sum(x) % 2,)) for n in (4, 16)]
+    cases += [table_from_phi(PhiMap.on_phi_domain(a, n, group, value))
+              for a, n, group, value in (
+                  (3, 4, Z2, lambda S: (len(S) & 1,)),
+                  (2, 5, Group((2, 2)), lambda S: (len(S) & 1, 1 if 1 in S else 0)))]
+    for f in cases:
+        path = tmp_path / "f.tbl"
+        save_table_file(f, path)
+        code, out, _ = run(capsys, "decompose", str(path), "--mode", "fitilde", "--json")
         assert code == 0
         report = json.loads(out)
         assert report["verdicts"]["reconstruction"] == "exact"
-        assert "system_rank" in report["verdicts"]
+        k = len(phi_domain(f.a_size, f.arity))
+        assert report["verdicts"]["system_rank"] == f"{k}/{k}"
 
 
 @pytest.mark.parametrize("mode, n, module, target, message", [
@@ -921,6 +931,58 @@ def test_a_stale_temporary_is_passed_over(tmp_path, capsys):
         assert (stale / name).read_bytes() == (clean / name).read_bytes()
     for path, data in planted.items():
         assert path.read_bytes() == data
+
+
+WITNESS = ["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1"]
+
+
+def test_an_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
+    # a FIFO would be replaced by a regular file: it is refused, by witness
+    # before its sidecar and by decompose --out, and stays a FIFO
+    table = write_parity(tmp_path, 5)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    fifo = out_dir / "pipe"
+    os.mkfifo(fifo)
+    for argv in ([*WITNESS, "--out", str(fifo)],
+                 ["decompose", table, "--mode", "odd", "--out", str(fifo)]):
+        assert run(capsys, *argv) == (
+            3, "", f"precondition failed: cannot write {fifo}: Not a regular file\n")
+        assert [path.name for path in out_dir.iterdir()] == [fifo.name]
+        assert fifo.is_fifo()
+
+
+def test_an_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    # the link stays a link, and the file it names is replaced whole
+    table = write_parity(tmp_path, 5)
+    clean, linked = tmp_path / "clean", tmp_path / "linked"
+    clean.mkdir()
+    linked.mkdir()
+    for name in ("w.tbl", "phi.txt"):
+        (linked / name).write_text("old\n")
+        (linked / f"link-{name}").symlink_to(name)
+    for out_dir, prefix in ((clean, ""), (linked, "link-")):
+        assert run(capsys, *WITNESS, "--out", str(out_dir / f"{prefix}w.tbl"))[::2] == (0, "")
+        assert run(capsys, "decompose", table, "--mode", "odd",
+                   "--out", str(out_dir / f"{prefix}phi.txt"))[::2] == (0, "")
+    assert sorted(path.name for path in linked.iterdir()) == [
+        "link-phi.txt", "link-w.tbl", "link-w.tbl.witness.txt", "phi.txt", "w.tbl"]
+    for name in ("w.tbl", "phi.txt"):
+        assert os.readlink(linked / f"link-{name}") == name
+        assert (linked / name).read_bytes() == (clean / name).read_bytes()
+    assert ((linked / "link-w.tbl.witness.txt").read_bytes()
+            == (clean / "w.tbl.witness.txt").read_bytes())
+
+
+def test_an_empty_out_is_refused(tmp_path, capsys, monkeypatch):
+    # '' names the working directory: refused before any file is written
+    table = write_parity(tmp_path, 5)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in ([*WITNESS, "--out", ""], ["decompose", table, "--mode", "odd", "--out", ""]):
+        assert run(capsys, *argv) == (3, "", "precondition failed: cannot write : Is a directory\n")
+        assert list(work.iterdir()) == []
 
 
 def test_witness_writes_files(tmp_path, capsys):

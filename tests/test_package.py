@@ -318,9 +318,6 @@ CONTRACT = {
                                (-1,)),
     "representative_tuple.n": (lambda v: fndecomp.representative_tuple({0}, v), "arity", 1, BOTH),
     "reconstruct_even.n": (lambda v: fndecomp.reconstruct_even(FULL2, v), "arity", 4, BOTH),
-    "uniform_system_rank.a_size": (lambda v: fndecomp.uniform_system_rank(v, 5), "alphabet size",
-                                   2, BOTH),
-    "uniform_system_rank.n": (lambda v: fndecomp.uniform_system_rank(2, v), "arity", 5, BOTH),
     "z3_build.n": (lambda v: fndecomp.z3_build(v, P0), "arity", 4, BOTH),
     "even_sum_lhs.m": (lambda v: fndecomp.even_sum_lhs(v, 0), "m", 4, (-1,)),
     "even_sum_lhs.t": (lambda v: fndecomp.even_sum_lhs(4, v), "t", 1, BOTH),
