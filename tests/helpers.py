@@ -30,15 +30,20 @@ five public calls on the whole table (which the library reads off that
 restriction), and the table parser and printer that parse and format every
 value on its own.  The exhaustive Boolean tests read one corpus, every table
 {0,1}^n -> Z2 for n <= 4 with its essential arity and pair-scan gap, built
-once per session (boolean_corpus).
+once per session (boolean_corpus).  Every child interpreter the tests start
+runs through run_python, with the package of this checkout on its path.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 from operator import itemgetter, xor
+from pathlib import Path
 from typing import NamedTuple
 
 from fndecomp import (
@@ -845,3 +850,17 @@ def pointwise_dump_table(f: FnTable) -> str:
     for start in range(0, len(texts), chunk):
         lines.append(" ".join(texts[start:start + chunk]))
     return "\n".join(lines) + "\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, env=None, stdout=subprocess.PIPE, timeout=60, **kwargs):
+    """[sys.executable, *args] run to its end in env (os.environ when None),
+    with src first on PYTHONPATH, so the child imports the package of this
+    checkout.  Its stderr, and stdout unless redirected, are captured as
+    text; kwargs go to subprocess.run, cwd among them."""
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=timeout, env={**env, "PYTHONPATH": path}, **kwargs)

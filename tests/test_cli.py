@@ -4,7 +4,6 @@ import importlib.util
 import io
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from fndecomp import (
 )
 from fndecomp.cli import _COMMANDS, _COMMON, _build_parser, _read_argv, _read_text, main
 from fndecomp.classify import Z3Params, z3_build
+from helpers import SRC, run_python
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -336,11 +336,8 @@ with open(sys.argv[1], "w") as fh:
 def timed_run(tmp_path, *argv):
     """Exit code, stdout, stderr, wall seconds and peak resident megabytes of
     one CLI run in a fresh interpreter, with the package on its path."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     stats = tmp_path / "run.stats"
-    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(stats), *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python("-c", LAUNCHER, str(stats), *argv, timeout=120)
     code, wall, maxrss = stats.read_text().split()
     # ru_maxrss is in kilobytes on Linux
     return int(code), proc.stdout, proc.stderr, float(wall), int(maxrss) / 1024
@@ -392,16 +389,13 @@ def test_a_closed_pipe_exits_3_with_one_line(capsys):
     # is closed before the command starts, and stdout is buffered or not
     code, out, _ = run(capsys, "identities", "--max-m", "60", "--json")
     assert code == 0 and len(out) > 1 << 17
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for max_m, unbuffered in (("60", {}), ("3", {}), ("3", {"PYTHONUNBUFFERED": "1"})):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "fndecomp", "identities", "--max-m",
-                                   max_m, "--json"], stdout=write_end, stderr=subprocess.PIPE,
-                                  text=True, timeout=120,
-                                  env={**env, **unbuffered, "PYTHONPATH": path})
+            proc = run_python("-m", "fndecomp", "identities", "--max-m", max_m, "--json",
+                              env={**env, **unbuffered}, stdout=write_end, timeout=120)
         finally:
             os.close(write_end)
         assert proc.returncode == 3
@@ -788,8 +782,7 @@ def test_memory_error_while_a_module_compiles_exits_3(tmp_path, row, module):
             "SourceFileLoader.get_code = get_code_or_fail\n"
             "from fndecomp.cli import main\n"
             "sys.exit(main(%r))" % (f"fndecomp.{module}", argv))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    proc = run_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "precondition failed: out of memory\n")
     assert sorted(tmp_path.iterdir()) == inputs
@@ -1174,9 +1167,6 @@ def test_golden_outputs(tmp_path):
     assert golden_outputs(tmp_path) == json.loads(GOLDEN.read_text())
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 def probe_modules(code):
     """The names in sys.modules each time a fresh interpreter, in this test's
     environment with the package on its path, calls loaded() while it runs
@@ -1189,9 +1179,7 @@ def probe_modules(code):
              "            if not name.startswith('fndecomp.')\n"
              "            or type(module) is types.ModuleType], file=sys.stderr)\n"
              "try:\n    exec(%r)\nfinally:\n    loaded()" % code)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return [set(line.split()) for line in proc.stderr.splitlines()]
 
@@ -1253,8 +1241,7 @@ def test_no_module_imports_typing(tmp_path):
             "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
             "codes = [main(argv) for argv in %r]\n"
             "print(codes, 'typing' in sys.modules, file=stdout)" % (commands,))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    proc = run_python("-S", "-c", code)
     assert proc.stdout == f"{[0] * len(commands)} False\n", proc.stderr
 
 

@@ -4,10 +4,7 @@ the messages of its refusals."""
 import ast
 import importlib
 import inspect
-import os
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -17,15 +14,14 @@ import pytest
 
 import fndecomp
 from fndecomp.errors import excerpt
+from helpers import run_python
 
 PACKAGE = Path(fndecomp.__file__).resolve().parent
 
 
 def run_fresh(code):
     """stdout of a fresh interpreter with the package on its path."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 

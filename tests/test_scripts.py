@@ -2,12 +2,11 @@
 no module of the package or the scripts imports a name it never reads."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,9 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["decomposition_demo.py"],
 ])
 def test_script_exits_cleanly(argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python(str(ROOT / "scripts" / argv[0]), *argv[1:], timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
