@@ -32,8 +32,8 @@ compiles.  The library modules are the package's lazy modules, each compiled
 at its first attribute access, which comes inside main's error mapping, so an
 out-of-memory while a module compiles exits 3 like any other.  ``--help``
 compiles none beyond ``errors`` and ``decompose --mode taylor`` none of the
-index kernels (``minors``); STARTUP_ROWS in tests/test_cli.py pins the set
-each command compiles.  The input digest is CPython's built-in SHA-256
+index kernels (``minors``); ROWS in tests/test_console.py pins the set each
+command compiles.  The input digest is CPython's built-in SHA-256
 (``_sha2``, or ``_sha256`` before Python 3.12), the module hashlib itself
 falls back to: hashlib would load OpenSSL (``_hashlib``) for one digest, and
 no command does.  The digest module and ``json`` are imported where they are used, so

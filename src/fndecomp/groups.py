@@ -136,9 +136,13 @@ class Group(Record):
     def validate(self, x: Sequence[int]) -> Element:
         """x as a tuple of plain int residues, read through operator.index so
         that bool and numpy ints pass and 1.0 does not."""
-        if len(x) != len(self.moduli):
+        try:
+            size = len(x)
+        except TypeError:
+            raise DomainError(f"element {excerpt(repr(x))} is not a sequence of residues") from None
+        if size != len(self.moduli):
             raise ShapeError(
-                f"element has {len(x)} residues, group {excerpt(self.to_text())} has "
+                f"element has {size} residues, group {excerpt(self.to_text())} has "
                 f"{len(self.moduli)} factors"
             )
         # one map, no list per call: appending residues to a list raised the

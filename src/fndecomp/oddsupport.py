@@ -37,7 +37,7 @@ from . import calculus, minors
 from .errors import ArgumentError, CoverageError, DomainError, charge, excerpt_int
 from .groups import Element, Group, as_int, at_least, below
 from .records import Record
-from .tables import FnTable, axis_fold, check_cells
+from .tables import FnTable, axis_fold, check_cells, tuple_index
 
 Subset = frozenset[int]
 
@@ -220,7 +220,11 @@ def _phi_at_representatives(f: FnTable) -> PhiMap:
     for table_from_phi is refused wherever phi is read."""
     a, n = f.a_size, f.arity
     _check_mask_words(a, a**n, _MASK_LIST, a, n)
-    return PhiMap.on_phi_domain(a, n, f.group, lambda S: f.eval(representative_tuple(S, n)))
+    values, decode = f.values, f.group.decode
+    # each representative is a tuple of the alphabet, so its cell is read by
+    # index, without FnTable.eval's check of every component
+    return PhiMap.on_phi_domain(
+        a, n, f.group, lambda S: decode(values[tuple_index(a, representative_tuple(S, n))]))
 
 
 class Analysis(Record):

@@ -25,8 +25,8 @@ from itertools import product
 from operator import add
 
 from . import errors
-from .errors import DomainError, ParseError, ShapeError, charge, excerpt
-from .groups import Element, Group, as_text, at_least, below, parse_decimal
+from .errors import ArgumentError, DomainError, ParseError, ShapeError, charge, excerpt
+from .groups import Element, Group, as_int, as_text, at_least, below, parse_decimal
 from .records import Record
 
 # Distinct value tokens one load_table call remembers: every element of a
@@ -88,10 +88,20 @@ class FnTable(Record):
 
     def __init__(self, a_size: int, arity: int, group: Group, values: Sequence[int]):
         a_size, arity = check_cells(a_size, arity)
-        values = tuple(values)
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise ArgumentError(f"values must be a sequence of value codes, got "
+                                f"{excerpt(type(values).__name__)}") from None
         expected = a_size**arity
         if len(values) != expected:
             raise ShapeError(f"expected {expected} values, got {len(values)}")
+        # one pass in C over the codes, for their types: bool and numpy ints
+        # have __index__, 0.5, 1.0 and "1" have not; the code to name is
+        # looked for only then
+        if not all(hasattr(kind, "__index__") for kind in set(map(type, values))):
+            for v in values:
+                as_int("value code", v)
         order = group.order
         if min(values) < 0 or max(values) >= order:
             raise DomainError("value code out of range for group")

@@ -36,6 +36,7 @@ runs through run_python, with the package of this checkout on its path.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -853,6 +854,9 @@ def pointwise_dump_table(f: FnTable) -> str:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# CPython's built-in SHA-256 module, which the CLI digests with where the
+# build has it: _sha2 from Python 3.12 on, _sha256 before
+BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 def run_python(*args, env=None, stdout=subprocess.PIPE, timeout=60, **kwargs):

@@ -1,6 +1,6 @@
 import contextlib
 import hashlib
-import importlib.util
+import importlib
 import io
 import json
 import os
@@ -21,7 +21,8 @@ from fndecomp import (
 )
 from fndecomp.cli import _COMMANDS, _COMMON, _build_parser, _read_argv, _read_text, main
 from fndecomp.classify import Z3Params, z3_build
-from helpers import SRC, run_python
+from helpers import BUILT_IN_SHA256, SRC
+from test_console import ARGPARSE, ROWS, assert_compiles_only_its_modules
 
 Z2 = Group((2,))
 Z3 = Group((3,))
@@ -181,11 +182,6 @@ def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys):
     ]
 
 
-# CPython's built-in SHA-256 module, which the CLI digests with where the
-# build has it: _sha2 from Python 3.12 on, _sha256 before
-BUILT_IN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.text().map(str.encode))
 @example(b"")
@@ -320,87 +316,22 @@ def test_meta_requires_json(tmp_path, capsys):
     assert code == 0 and "meta" in json.loads(out)
 
 
-# Runs python -m fndecomp with the arguments after the first, and writes its
-# exit code, wall seconds and ru_maxrss to the file named first.  The
-# launcher is a fresh interpreter, so the resident set the child inherits at
-# the fork is the launcher's few megabytes, not that of the test process.
-LAUNCHER = """import os, subprocess, sys, time
-start = time.perf_counter()
-proc = subprocess.Popen([sys.executable, "-m", "fndecomp", *sys.argv[2:]])
-_, status, usage = os.wait4(proc.pid, 0)
-with open(sys.argv[1], "w") as fh:
-    fh.write(f"{os.waitstatus_to_exitcode(status)} {time.perf_counter() - start} {usage.ru_maxrss}")
-"""
-
-
-def timed_run(tmp_path, *argv):
-    """Exit code, stdout, stderr, wall seconds and peak resident megabytes of
-    one CLI run in a fresh interpreter, with the package on its path."""
-    stats = tmp_path / "run.stats"
-    proc = run_python("-c", LAUNCHER, str(stats), *argv, timeout=120)
-    code, wall, maxrss = stats.read_text().split()
-    # ru_maxrss is in kilobytes on Linux
-    return int(code), proc.stdout, proc.stderr, float(wall), int(maxrss) / 1024
-
-
-def test_codomains_above_order_2048_answer(tmp_path):
-    # codomains of order above 2048, Z4096 and Z4095: each command answers in
-    # a fresh interpreter within 10 s and 100 MB (about 0.1 s and 20 MB on a
-    # 2-vCPU host).  The table is a sum of unary functions plus 3 * x0 * x1,
-    # whose least decomposition arity is 2
-    import random
-
-    rng = random.Random(7)
-    n, z4096 = 12, Group((4096,))
-    unary = [[rng.randrange(4096) for _ in range(2)] for _ in range(n)]
-    f = FnTable.from_callable(2, n, z4096, lambda x: (
-        (sum(unary[i][d] for i, d in enumerate(x)) + 3 * x[0] * x[1]) % 4096,))
-    table = tmp_path / "z4096.tbl"
-    save_table_file(f, table)
-    witness = str(tmp_path / "w.tbl")
-    refusal = ("precondition failed: not 1-decomposable: derivative on positions [0, 1] "
-               f"with parameters {(1, 1) + (0,) * (n - 2)} is nonzero\n")
-    for argv, code in ((["analyze", str(table), "--json"], 0),
-                       (["decompose", str(table), "--mode", "taylor", "--k", "2", "--json"], 0),
-                       (["decompose", str(table), "--mode", "taylor", "--k", "1"], 3),
-                       (["witness", "--kind", "hamming", "--n", "12", "--group", "Z4095",
-                         "--b", "1", "--out", witness, "--json"], 0)):
-        result = timed_run(tmp_path, *argv)
-        assert result[0] == code, result
-        assert result[3] < 10 and result[4] < 100, result[3:]
-        if code:
-            assert result[1:3] == ("", refusal)
-            continue
-        verdicts = json.loads(result[1])["verdicts"]
-        if argv[0] == "analyze":
-            assert verdicts["min_decomposition_arity"] == 2
-            assert verdicts["essential_arity"] == n
-        elif argv[0] == "decompose":
-            assert verdicts["reconstruction"] == "exact"
-        else:
-            assert verdicts["verified"] is True and verdicts["expected"] == "2048"
-            assert load_table_file(witness).group == Group((4095,))
-
-
-def test_a_closed_pipe_exits_3_with_one_line(capsys):
-    # the report of identities --max-m 60 --json is larger than a pipe
-    # buffer (64 KiB on Linux), that of --max-m 3 fits in stdout's own
-    # buffer, whose flush at interpreter exit would fail again; the read end
-    # is closed before the command starts, and stdout is buffered or not
-    code, out, _ = run(capsys, "identities", "--max-m", "60", "--json")
+def test_a_closed_pipe_exits_3_with_one_line(capsys, monkeypatch):
+    # the report of closed-pipe is larger than a pipe buffer (64 KiB on
+    # Linux); a standard output whose reader is gone is one stderr line and
+    # exit 3.  test_console.py runs the same into a closed pipe in a child,
+    # where stdout is buffered or not
+    argv = ROWS["closed-pipe"].argv
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and len(out) > 1 << 17
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    for max_m, unbuffered in (("60", {}), ("3", {}), ("3", {"PYTHONUNBUFFERED": "1"})):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = run_python("-m", "fndecomp", "identities", "--max-m", max_m, "--json",
-                              env={**env, **unbuffered}, stdout=write_end, timeout=120)
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 3
-        assert proc.stderr == ("precondition failed: cannot write standard output: "
-                               "[Errno 32] Broken pipe\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        monkeypatch.undo()
+    assert (code, *capsys.readouterr()) == (3, "", "precondition failed: cannot write "
+                                                   "standard output: [Errno 32] Broken pipe\n")
 
 
 def test_wide_codomains_are_refused_before_any_value_is_parsed(tmp_path, capsys, monkeypatch):
@@ -743,7 +674,8 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kerne
     def fail(*args):
         raise MemoryError
 
-    argv = startup_argv(tmp_path, argv)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z3.tbl").write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
     monkeypatch.setattr(importlib.import_module(f"fndecomp.{module}"), kernel, fail)
     out_tbl = tmp_path / "w.tbl"
     for before in (None, "old\n"):
@@ -753,39 +685,6 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv, module, kerne
         assert_refused(code, out, err)
         assert err == "precondition failed: out of memory\n"
         assert (out_tbl.read_text() if out_tbl.exists() else None) == before
-
-
-# for every STARTUP_ROWS command that runs, one of the modules it compiles
-COMPILED = {"taylor": "calculus", "taylor=": "packing", "odd": "booldecomp", "odd=": "records",
-            "even": "oddsupport", "fitilde": "groups", "odd-out": "phitext", "analyze": "minors",
-            "classify-boolean": "tables", "classify-z3": "classify",
-            "identities": "identities", "witness": "witnesses"}
-
-
-@pytest.mark.parametrize("row, module", COMPILED.items(), ids=COMPILED)
-def test_memory_error_while_a_module_compiles_exits_3(tmp_path, row, module):
-    # every module a command runs compiles inside main's error mapping: out
-    # of memory while one compiles, from source or from bytecode, is one
-    # stderr line and exit 3, and the command writes no file
-    assert set(COMPILED) == set(STARTUP_ROWS) - {"help"}
-    argv, modules = STARTUP_ROWS[row]
-    assert module in modules
-    argv = startup_argv(tmp_path, argv)
-    inputs = sorted(tmp_path.iterdir())
-    code = ("import sys\n"
-            "from importlib.machinery import SourceFileLoader\n"
-            "get_code = SourceFileLoader.get_code\n"
-            "def get_code_or_fail(self, fullname):\n"
-            "    if fullname == %r:\n"
-            "        raise MemoryError\n"
-            "    return get_code(self, fullname)\n"
-            "SourceFileLoader.get_code = get_code_or_fail\n"
-            "from fndecomp.cli import main\n"
-            "sys.exit(main(%r))" % (f"fndecomp.{module}", argv))
-    proc = run_python("-c", code)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "precondition failed: out of memory\n")
-    assert sorted(tmp_path.iterdir()) == inputs
 
 
 def test_a_failed_witness_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
@@ -1167,66 +1066,11 @@ def test_golden_outputs(tmp_path):
     assert golden_outputs(tmp_path) == json.loads(GOLDEN.read_text())
 
 
-def probe_modules(code):
-    """The names in sys.modules each time a fresh interpreter, in this test's
-    environment with the package on its path, calls loaded() while it runs
-    code, and once more when it is done.  A library module counts once it is
-    loaded: until then it is a lazy module, whose type changes to
-    types.ModuleType at its first attribute access."""
-    probe = ("import sys, types\n"
-             "def loaded():\n"
-             "    print(*[name for name, module in sys.modules.items()\n"
-             "            if not name.startswith('fndecomp.')\n"
-             "            or type(module) is types.ModuleType], file=sys.stderr)\n"
-             "try:\n    exec(%r)\nfinally:\n    loaded()" % code)
-    proc = run_python("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    return [set(line.split()) for line in proc.stderr.splitlines()]
-
-
-def loaded_modules(code):
-    return probe_modules(code)[-1]
-
-
-LIBRARY = ["tables", "minors", "packing", "calculus", "oddsupport", "phitext", "booldecomp",
-           "classify", "identities", "witnesses", "cli_analyze", "cli_decompose", "cli_classify",
-           "cli_identities", "cli_witness"]
-
-
-def command_modules(argv):
-    """The names loaded when cli.main has read argv without argparse (or
-    found that it cannot), and when the command argv is done."""
-    return probe_modules(
-        "import runpy, fndecomp.cli as cli\n"
-        "read = cli._read_argv\n"
-        "cli._read_argv = lambda argv: (read(argv), loaded())[0]\n"
-        "sys.argv = ['fndecomp', *%r]\n"
-        "runpy.run_module('fndecomp', run_name='__main__', alter_sys=True)" % (argv,))
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["identities", "--max-m", "3"]])
-def test_startup_imports(argv):
-    # each of these costs milliseconds of start-up on every command; only
-    # --help, abbreviations and usage errors go through argparse
-    bare = loaded_modules("pass")
-    cli = loaded_modules("import fndecomp.cli") - bare
-    assert "fndecomp.cli" in cli
-    assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    assert not cli & {f"fndecomp.{name}" for name in LIBRARY}
-    command = command_modules(argv)[-1] - bare
-    if argv == ["--help"]:
-        assert "argparse" in command
-    else:
-        assert not command & {"argparse", "gettext", "locale"}
-    assert not command & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json"}
-    assert not command & {"_sha2", "_sha256", "_hashlib"}
-
-
-def test_no_module_imports_typing(tmp_path):
+def test_no_module_imports_typing():
     # typing costs every command milliseconds to import: annotations are
     # strings (from __future__ import annotations) and the abstract types
-    # come from collections.abc.  A site-packages .pth file may import typing
-    # before any command starts, so the commands run without site (-S)
+    # come from collections.abc.  test_console.py runs the commands without
+    # site (-S), where no .pth file imports typing first
     import ast
 
     for path in sorted((SRC / "fndecomp").glob("*.py")):
@@ -1234,83 +1078,37 @@ def test_no_module_imports_typing(tmp_path):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             assert all(name.split(".")[0] != "typing" for name in names), path.name
-    commands = [startup_argv(tmp_path, argv) for argv, _ in STARTUP_ROWS.values()
-                if argv != ["--help"]]
-    code = ("import io, sys\n"
-            "from fndecomp.cli import main\n"
-            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
-            "codes = [main(argv) for argv in %r]\n"
-            "print(codes, 'typing' in sys.modules, file=stdout)" % (commands,))
-    proc = run_python("-S", "-c", code)
-    assert proc.stdout == f"{[0] * len(commands)} False\n", proc.stderr
 
 
-BASE = {"errors", "records", "groups", "tables"}
-TAYLOR = BASE | {"packing", "calculus"}
-PHI = BASE | {"minors", "oddsupport", "booldecomp"}
-ANALYZE = TAYLOR | {"minors", "oddsupport"}
-CLASSIFY = BASE | {"minors", "oddsupport", "classify", "cli_classify"}
-# the rows of the start-up table in README.md, for every subcommand and mode,
-# each with the handler module of its subcommand
-STARTUP_ROWS = {
-    "help": (["--help"], {"errors"}),
-    "taylor": (["decompose", "z3.tbl", "--mode", "taylor", "--k", "1"],
-               TAYLOR | {"cli_decompose"}),
-    "taylor=": (["decompose", "z3.tbl", "--mode=taylor", "--k", "1"], TAYLOR | {"cli_decompose"}),
-    "odd": (["decompose", "parity3.tbl", "--mode", "odd"], PHI | {"cli_decompose"}),
-    "odd=": (["decompose", "parity3.tbl", "--mode=odd"], PHI | {"cli_decompose"}),
-    "even": (["decompose", "parity4.tbl", "--mode", "even"], PHI | {"cli_decompose"}),
-    "fitilde": (["decompose", "parity4.tbl", "--mode", "fitilde"], PHI | {"cli_decompose"}),
-    "odd-out": (["decompose", "parity3.tbl", "--mode", "odd", "--out", "phi.txt"],
-                PHI | {"cli_decompose", "phitext"}),
-    "analyze": (["analyze", "z3.tbl"], ANALYZE | {"cli_analyze"}),
-    "classify-boolean": (["classify", "parity3.tbl", "--target", "boolean"], CLASSIFY),
-    "classify-z3": (["classify", "form.tbl", "--target", "z3"], CLASSIFY),
-    "identities": (["identities", "--max-m", "3"], BASE | {"identities", "cli_identities"}),
-    "witness": (["witness", "--kind", "hamming", "--n", "3", "--group", "Z3", "--b", "1",
-                 "--out", "w.tbl"], TAYLOR | {"oddsupport", "witnesses", "cli_witness"}),
-}
+# The start-up checks under the names of the commands they were first made
+# on, each the ROWS row that runs it.  Each asserts everything the probe
+# checks (test_console.py); a row's probe child runs once in a session,
+# whichever of these tests reads it.
+STARTUP = {"help": "help", "taylor": "taylor", "taylor=": "taylor=", "odd": "odd",
+           "odd=": "odd=", "even": "even", "fitilde": "fitilde", "odd-out": "odd-out",
+           "analyze": "analyze", "classify-boolean": "boolean", "classify-z3": "z3",
+           "identities": "exact", "witness": "hamming"}
 
 
-def startup_argv(tmp_path, argv):
-    """argv of a STARTUP_ROWS command, with its table files written to tmp_path."""
-    (tmp_path / "z3.tbl").write_text("domain=2\narity=2\ngroup=Z3\n0 1 2 0\n")
-    write_parity(tmp_path, 3, "parity3.tbl")
-    write_parity(tmp_path, 4, "parity4.tbl")
-    save_table_file(z3_build(4, Z3Params(1, 2, 2, 2)), tmp_path / "form.tbl")
-    return [str(tmp_path / word) if word.endswith((".tbl", ".txt")) else word for word in argv]
+@pytest.mark.parametrize("argv", [["--help"], ["identities", "--max-m", "3"]])
+def test_startup_imports(argv):
+    [row] = [name for name in STARTUP.values() if ROWS[name].argv == argv]
+    assert_compiles_only_its_modules(row)
 
 
-@pytest.mark.parametrize("argv, row", STARTUP_ROWS.values(), ids=STARTUP_ROWS)
-def test_startup_compiles_only_the_modules_a_command_runs(tmp_path, argv, row):
-    # without bytecode every module loaded is compiled from source; reading
-    # argv compiles no library module, and the command then compiles the
-    # modules it runs, each at its first use; OpenSSL is never loaded for the
-    # digest
-    lines = command_modules(startup_argv(tmp_path, argv))
-    at_argv, done = ({name for name in names if name.startswith("fndecomp.")}
-                     for names in lines)
-    assert at_argv == {"fndecomp.cli", "fndecomp.errors"}
-    assert done == {"fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
-    if BUILT_IN_SHA256:
-        assert "_hashlib" not in lines[-1]
+@pytest.mark.parametrize("row", STARTUP.values(), ids=STARTUP)
+def test_startup_compiles_only_the_modules_a_command_runs(row):
+    assert_compiles_only_its_modules(row)
 
 
-ABBREVIATED = ["identities", "--max", "3"]
+@pytest.mark.parametrize("row", [*STARTUP.values(), "abbreviated"],
+                         ids=[*STARTUP, "identities-abbreviated"])
+def test_argparse_loads_after_the_modules_a_command_runs(row):
+    assert_compiles_only_its_modules(row)
 
 
-@pytest.mark.parametrize("argv", [*(argv for argv, _ in STARTUP_ROWS.values()), ABBREVIATED],
-                         ids=[*STARTUP_ROWS, "identities-abbreviated"])
-def test_argparse_loads_after_the_modules_a_command_runs(tmp_path, argv):
-    # a well-formed command is read without argparse; --help and argv that
-    # only argparse reads, such as an abbreviated option, load it, and the
-    # abbreviated command still compiles the modules it runs and no others
-    done = command_modules(startup_argv(tmp_path, argv))[-1]
-    assert ("argparse" in done) == (argv in (["--help"], ABBREVIATED))
-    if argv == ABBREVIATED:
-        _, row = STARTUP_ROWS["identities"]
-        assert {name for name in done if name.startswith("fndecomp.")} == {
-            "fndecomp.cli", *(f"fndecomp.{name}" for name in row)}
+def test_cli_run_as_a_script_is_compiled_once():
+    assert_compiles_only_its_modules("script")
 
 
 PARSER = _build_parser()
@@ -1412,28 +1210,11 @@ def test_read_argv_gives_what_argparse_gives_or_declines(case):
 
 def test_read_argv_answers_every_golden_and_startup_command():
     argvs = [case["argv"] for case in json.loads(GOLDEN.read_text()).values()]
-    argvs += [argv for argv, _ in STARTUP_ROWS.values() if argv != ["--help"]]
+    argvs += [row.argv for name, row in ROWS.items() if name not in ARGPARSE]
     for argv in argvs:
         read = _read_argv(argv)
         assert read is not None and vars(read) == vars(PARSER.parse_args(argv)), argv
-    assert _read_argv(["--help"]) is None and _read_argv(ABBREVIATED) is None
-
-
-def test_cli_run_as_a_script_is_compiled_once():
-    # python -m fndecomp.cli runs the module as __main__, and the handler
-    # modules import it as fndecomp.cli: both names hold one module
-    lines = probe_modules(
-        "import runpy\n"
-        "def hook(event, args):\n"
-        "    if event == 'exec' and getattr(args[0], 'co_filename', '').endswith('cli.py'):\n"
-        "        loaded()\n"
-        "sys.addaudithook(hook)\n"
-        "sys.argv = ['fndecomp.cli', 'identities', '--max-m', '2']\n"
-        "try:\n"
-        "    runpy.run_module('fndecomp.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0\n")
-    assert len(lines) == 2 and "fndecomp.cli_identities" in lines[-1]
+    assert all(_read_argv(ROWS[name].argv) is None for name in ARGPARSE)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """README.md is the manual and CHANGES.md keeps the measurements: the README
 states no timing or memory figure, and the constants, modules,
-subcommands and options it names are those of the code."""
+subcommands, options and tests it names are those of the code."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -49,3 +50,15 @@ def test_readme_matches_the_code():
         assert f"fndecomp {command}" in README, command
         for flag, _, _, _ in options + cli._COMMON:
             assert re.search(re.escape(flag) + r"(?![\w-])", README), (command, flag)
+
+
+def test_readme_cites_only_tests_that_exist():
+    tests = Path(__file__).resolve().parent
+    for path in re.findall(r"`(tests/[\w/]+\.py)", README):
+        assert (tests.parent / path).is_file(), path
+    names = {path.stem for path in tests.glob("test_*.py")}
+    for path in tests.glob("test_*.py"):
+        names |= {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.FunctionDef)}
+    for name in re.findall(r"`(test_\w+)", README):
+        assert name in names, name

@@ -210,13 +210,31 @@ NON_INTEGERS = {
                              "alphabet size must be an integer, got 2.0"),
     "Z3Params": (lambda: fndecomp.Z3Params(0.0, 1, 0, 0),
                  "parameter a must be an integer, got 0.0"),
+    # a value code, found by one pass over the types of all of them
+    "FnTable.values-0.5": (lambda: fndecomp.FnTable(2, 1, Z2, (0, 0.5)),
+                           "value code must be an integer, got 0.5"),
+    "FnTable.values-0.0": (lambda: fndecomp.FnTable(2, 1, Z2, (0.0, 1.0)),
+                           "value code must be an integer, got 0.0"),
+    "FnTable.values-str": (lambda: fndecomp.FnTable(2, 1, Z2, (0, "1")),
+                           "value code must be an integer, got '1'"),
+    "FnTable.values-None": (lambda: fndecomp.FnTable(2, 1, Z2, (0, None)),
+                            "value code must be an integer, got None"),
+    "FnTable.values-int": (lambda: fndecomp.FnTable(2, 1, Z2, 5),
+                           "values must be a sequence of value codes, got int"),
+    "FnTable.values-NoneType": (lambda: fndecomp.FnTable(2, 1, Z2, None),
+                                "values must be a sequence of value codes, got NoneType"),
+    "Group.encode": (lambda: Z2.encode(1), "element 1 is not a sequence of residues"),
+    "Group.validate": (lambda: Z2.validate(None), "element None is not a sequence of residues"),
+    "Group.format_element": (lambda: Z2.format_element(3),
+                             "element 3 is not a sequence of residues"),
 }
 
 
 @pytest.mark.parametrize("site", NON_INTEGERS)
 def test_non_integer_arguments_are_refused(site):
-    # each is read through groups.as_int: a float passes a range check, so it
-    # is refused before one, not left to fail as an index or a shift
+    # each is read through groups.as_int, or its type checked: a float passes
+    # a range check, so it is refused before one, not left to fail as an
+    # index, a shift or a bare TypeError
     call, message = NON_INTEGERS[site]
     with pytest.raises(fndecomp.FnDecompError) as info:
         call()
@@ -341,8 +359,9 @@ CONTRACT = {
     "tightness_witness.n": (lambda v: fndecomp.tightness_witness(2, 2, Z4, (1,), v), "arity", 5,
                             BOTH),
 }
-# integer parameters outside the contract: the per-cell value codes stay
-# open, and the result records store what a library call computed
+# integer parameters outside the contract: the per-cell value codes are
+# checked all at once (the FnTable.values rows of NON_INTEGERS), and the
+# result records store what a library call computed
 EXEMPT = {"FnTable.values", "Analysis.essential_variables", "Analysis.gap",
           "Analysis.min_decomposition_arity", "BooleanClassification.gap",
           "BooleanGapForm.c", "BooleanGapForm.m"}

@@ -134,6 +134,8 @@ def test_sizes_must_be_integers():
     f = FnTable(np.int64(2), np.int32(2), Z2, (0, 1, 1, 0))
     assert type(f.a_size) is int and type(f.arity) is int
     assert f == gf2(lambda x: x[0] + x[1], 2)
+    # value codes of any integer type pass
+    FnTable(2, 2, Z2, (False, True, np.int64(1), np.uint8(0)))
     # the builders check the bounds before the cell budget, which divided by
     # zero on an empty alphabet and a negative arity
     with pytest.raises(ArgumentError, match="^alphabet size must be >= 2, got 0$"):
